@@ -2,7 +2,7 @@
 Grothendieck/Schur polynomials, and terminating hypergeometric series,
 with a registry of machine-checked identities tying them together."""
 
-from .arith import binomial, format_rational, parse_rational, pochhammer, rational_pair
+from .arith import binomial, format_rational, parse_rational
 from .grothendieck import (
     count_svt_formula,
     elementary_symmetric,
@@ -26,12 +26,12 @@ from .hypergeom import (
 from .identities import Grid, check_ids, run_all, run_check
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from .polynomials import Poly, determinant
-from .tableaux import SetValuedTableau, Weight, enumerate_sst, enumerate_svt, is_valid, weight
+from .tableaux import SetValuedTableau, enumerate_sst, enumerate_svt, is_valid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "binomial", "format_rational", "parse_rational", "pochhammer", "rational_pair",
+    "binomial", "format_rational", "parse_rational",
     "count_svt_formula", "elementary_symmetric", "elementary_symmetric_poly",
     "grothendieck_bialternant", "grothendieck_tableau_sum",
     "principal_specialization_q", "refined_bialternant", "schur_tableau_sum",
@@ -42,6 +42,6 @@ __all__ = [
     "Grid", "check_ids", "run_all", "run_check",
     "Partition", "count_sst_hook", "count_sst_product", "partitions_of",
     "Poly", "determinant",
-    "SetValuedTableau", "Weight", "enumerate_sst", "enumerate_svt", "is_valid", "weight",
+    "SetValuedTableau", "enumerate_sst", "enumerate_svt", "is_valid",
     "__version__",
 ]

@@ -9,29 +9,12 @@ are pure; values are immutable and safe to share between threads.
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction
-
-
-def pochhammer(a, m: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+m-1); the empty product (m=0) is 1.
-
-    Vanishes exactly when a is a non-positive integer -j and m > j, which is
-    what terminates every series evaluated in this package.
-    """
-    if m < 0:
-        raise ValueError(f"pochhammer needs m >= 0, got {m}")
-    a = Fraction(a)
-    value = Fraction(1)
-    for i in range(m):
-        value *= a + i
-    return value
-
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0; zero when k lies outside 0..n.
 
-    Negative n is rejected: the callers that need generalized arguments go
-    through pochhammer instead.
+    Negative n is rejected: the callers that need generalized arguments
+    build rising factorials instead.
     """
     if n < 0:
         raise ValueError(f"binomial needs n >= 0, got {n}")
@@ -53,7 +36,10 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
-def rational_pair(value) -> tuple[int, int]:
-    """(numerator, denominator) in lowest terms, denominator positive."""
+def exact_count(value, what: str) -> int:
+    """An exact rational count as an int; raises ArithmeticError (also
+    under python -O) unless the value is a non-negative integer."""
     value = Fraction(value)
-    return (value.numerator, value.denominator)
+    if value.denominator != 1 or value < 0:
+        raise ArithmeticError(f"{what}: {value} is not a non-negative integer")
+    return value.numerator

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational, rational_pair
+from .arith import exact_count, format_rational, parse_rational
 from .grothendieck import (
     BETA,
     count_svt_formula,
@@ -50,6 +50,17 @@ def parse_shape(text: str) -> Partition:
     return Partition(parts)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_rational_list(text: str) -> list[Fraction]:
     return [parse_rational(tok) for tok in text.split(",") if tok.strip() != ""]
 
@@ -75,8 +86,7 @@ def _svt_count_by(method: str, shape: Partition, nvars: int) -> int:
             return 0
         value = count_sst_product(shape, nvars) * holman_series(
             HolmanInstance.from_shape(shape, nvars, -1))
-        assert value.denominator == 1, f"non-integral count {value}"
-        return value.numerator
+        return exact_count(value, f"coupled-series count for {shape}, n={nvars}")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -144,11 +154,10 @@ def cmd_enumerate(args) -> int:
 # evaluation
 # ----------------------------------------------------------------------
 
-def _print_value(value, fmt: str) -> None:
+def _print_value(value: Fraction, fmt: str) -> None:
     if fmt == "json":
-        num, den = rational_pair(value)
         print(json.dumps({"value": format_rational(value),
-                          "numerator": num, "denominator": den}))
+                          "numerator": value.numerator, "denominator": value.denominator}))
     else:
         print(format_rational(value))
 
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shape_vars(p):
         p.add_argument("--shape", required=True,
                        help="partition, e.g. 4,3 or 1^3 (0 for the empty shape)")
-        p.add_argument("--vars", required=True, type=int,
+        p.add_argument("--vars", required=True, type=_positive_int,
                        help="number of variables / letters (n >= 1)")
 
     p = sub.add_parser("count-svt", help="count set-valued tableaux")
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--fixture", help="JSON instance file")
     source.add_argument("--from-shape", dest="from_shape",
                         help="build the instance attached to a shape")
-    p.add_argument("--vars", type=int, help="number of summation indices")
+    p.add_argument("--vars", type=_positive_int, help="number of summation indices")
     p.add_argument("--z", default="1", help="constant argument (with --from-shape)")
     p.add_argument("--conditions", action="store_true",
                    help="also report the classical summation conditions")
@@ -339,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity checks")
     p.add_argument("--id", help="run a single check by id")
-    p.add_argument("--max-size", dest="max_size", type=int, default=6)
-    p.add_argument("--max-vars", dest="max_vars", type=int, default=4)
+    p.add_argument("--max-size", dest="max_size", type=_positive_int, default=6)
+    p.add_argument("--max-vars", dest="max_vars", type=_positive_int, default=4)
     p.add_argument("--json", help="also write the JSON report to this path")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_verify)

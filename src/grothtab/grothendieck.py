@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .arith import binomial
+from .arith import binomial, exact_count
 from .partitions import Partition
 from .polynomials import Poly, determinant
 from .tableaux import enumerate_sst, enumerate_svt
@@ -35,21 +35,7 @@ def schur_tableau_sum(shape, nvars: int) -> Poly:
 
     Zero polynomial when the shape has more rows than variables.
     """
-    return _schur_cached(Partition(shape), int(nvars))
-
-
-@lru_cache(maxsize=None)
-def _schur_cached(shape: Partition, nvars: int) -> Poly:
-    names = _x_names(nvars)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for tableau in enumerate_sst(shape, nvars):
-        counts = [0] * nvars
-        for row in tableau.rows:
-            for cell in row:
-                counts[cell[0] - 1] += 1
-        key = tuple(counts)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(names, terms)
+    return _tableau_sum(enumerate_sst, Partition(shape), int(nvars)).coefficient(BETA, 0)
 
 
 def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
@@ -57,15 +43,16 @@ def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
 
     The coefficient of b^0 is the Schur polynomial of the same shape.
     """
-    return _grothendieck_cached(Partition(shape), int(nvars))
+    return _tableau_sum(enumerate_svt, Partition(shape), int(nvars))
 
 
 @lru_cache(maxsize=None)
-def _grothendieck_cached(shape: Partition, nvars: int) -> Poly:
+def _tableau_sum(enumerate_tableaux, shape: Partition, nvars: int) -> Poly:
+    """Sum of b^excess x^weight over the fillings the enumerator yields."""
     names = tuple([BETA, *_x_names(nvars)])
     boxes = shape.size
     terms: dict[tuple[int, ...], Fraction] = {}
-    for tableau in enumerate_svt(shape, nvars):
+    for tableau in enumerate_tableaux(shape, nvars):
         counts = [0] * nvars
         letters = 0
         for row in tableau.rows:
@@ -94,19 +81,7 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     variable name.  Division by the Vandermonde is exact by construction,
     and a nonzero remainder raises (it would mean a real bug).
     """
-    shape = Partition(shape)
-    n = int(nvars)
-    if len(shape) > n:
-        return Poly.constant(0)
-    lam = shape.padded(n)
-    xs = [Poly.variable(name) for name in _x_names(n)]
-    bval = _scalar_or_var(beta)
-    rows = []
-    for i in range(n):
-        factor = 1 + bval * xs[i]
-        row = [xs[i] ** (lam[j] + n - 1 - j) * factor ** j for j in range(n)]
-        rows.append(row)
-    return _divide_vandermonde(determinant(rows), n)
+    return refined_bialternant(shape, nvars, [beta] * (int(nvars) - 1))
 
 
 def refined_bialternant(shape, nvars: int, betas) -> Poly:
@@ -176,11 +151,10 @@ def principal_specialization_q(shape, nvars: int, betas, q):
                        / (q^(n-j) - q^(n-i))
 
     betas are rationals or variable names (exactly n-1 of them); q is a
-    rational or a variable name.  A rational q must be nonzero and keep
-    every denominator factor nonzero (q = 1, and other small roots of
-    unity, are rejected by that check).  Returns a Fraction when all inputs
-    are rational, otherwise a Poly; for symbolic q the division is exact
-    polynomial division and is asserted to have zero remainder.
+    rational, which must be nonzero and keep every denominator factor
+    nonzero (q = 1, and other small roots of unity, are rejected by that
+    check).  Returns a Fraction when every beta is rational, otherwise a
+    Poly in the symbolic betas.
     """
     shape = Partition(shape)
     n = int(nvars)
@@ -190,17 +164,12 @@ def principal_specialization_q(shape, nvars: int, betas, q):
         return Fraction(0)
     lam = shape.padded(n)
     bvals = [_scalar_or_var(b) for b in betas]
-    symbolic_q = isinstance(q, str)
-    qval = Poly.variable(q) if symbolic_q else Fraction(q)
-    if not symbolic_q and qval == 0:
+    qval = Fraction(q)
+    if qval == 0:
         raise ValueError("q must be nonzero")
 
-    powers: dict[int, object] = {}
-
-    def qp(e: int):
-        if e not in powers:
-            powers[e] = qval ** e
-        return powers[e]
+    # every exponent below is at most lam[0] + n - 1
+    qp = [qval ** e for e in range(lam[0] + n)]
 
     etable = [[elementary_symmetric(k, bvals[:j]) for k in range(j + 1)] for j in range(n)]
 
@@ -215,16 +184,14 @@ def principal_specialization_q(shape, nvars: int, betas, q):
         term = coeff
         for i in range(n):
             for j in range(i + 1, n):
-                term = term * (qp(alpha[j]) - qp(alpha[i]))
+                term = term * (qp[alpha[j]] - qp[alpha[i]])
         total = total + term
 
     denom = Fraction(1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            denom = denom * (qp(n - j) - qp(n - i))
+            denom = denom * (qp[n - j] - qp[n - i])
 
-    if symbolic_q:
-        return Poly._coerce(total).divide_exact(Poly._coerce(denom), q)
     if denom == 0:
         raise ValueError(f"q-Vandermonde vanishes at q = {q}")
     if isinstance(total, Poly):
@@ -238,8 +205,8 @@ def count_svt_formula(shape, nvars: int) -> int:
         sum over k_j in 0..j-1 of prod_j C(j-1, k_j)
             * prod_{i<j} (l_i - l_j + k_i - k_j + j - i) / (j - i)
 
-    The rational sum is asserted to be a non-negative integer.  Zero when
-    the shape has more rows than variables.
+    The rational sum must be a non-negative integer; anything else raises
+    ArithmeticError.  Zero when the shape has more rows than variables.
     """
     shape = Partition(shape)
     n = int(nvars)
@@ -255,8 +222,7 @@ def count_svt_formula(shape, nvars: int) -> int:
             for j in range(i + 1, n):
                 term *= Fraction(lam[i] - lam[j] + ks[i] - ks[j] + j - i, j - i)
         total += term
-    assert total.denominator == 1 and total >= 0, f"formula gave {total} for {shape}, n={n}"
-    return total.numerator
+    return exact_count(total, f"formula for {shape}, n={n}")
 
 
 def single_column_e_expansion(k: int, nvars: int, beta=BETA) -> Poly:

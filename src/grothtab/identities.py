@@ -16,6 +16,7 @@ the GROTH_THREADS environment variable caps the worker count.
 
 import os
 import random
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,10 +167,6 @@ def check_ids() -> list[str]:
     return list(CHECKS)
 
 
-def _fmt(value) -> str:
-    return str(value)
-
-
 def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
     """Run one registered check over the grid and report per-instance
     pass/fail counts with the first few failing witnesses."""
@@ -189,8 +186,8 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
                 report.failed += 1
                 if len(report.witnesses) < MAX_WITNESSES:
                     report.witnesses.append(Witness(
-                        {k: _fmt(v) for k, v in params.items()},
-                        _fmt(left), _fmt(right)))
+                        {k: str(v) for k, v in params.items()},
+                        str(left), str(right)))
     except Exception as exc:  # a check must report, never crash the suite
         report.instances += 1
         report.failed += 1
@@ -212,7 +209,7 @@ def resolve_workers(explicit: int | None = None) -> int:
         try:
             workers = min(workers, max(1, int(cap)))
         except ValueError:
-            pass
+            print(f"warning: ignoring malformed GROTH_THREADS={cap!r}", file=sys.stderr)
     return max(1, workers)
 
 

@@ -6,6 +6,8 @@ grows downwards, the column index to the right.
 
 from fractions import Fraction
 
+from .arith import exact_count
+
 
 class Partition:
     """Weakly decreasing sequence of positive parts, e.g. Partition([4, 3]).
@@ -59,10 +61,6 @@ class Partition:
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
-    def part(self, i: int) -> int:
-        """lambda_i with 1-based index; zero beyond the last part."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def padded(self, n: int) -> tuple[int, ...]:
         """The parts padded with zeros to length n (requires len <= n)."""
         if len(self.parts) > n:
@@ -107,8 +105,7 @@ def count_sst_product(shape, nvars: int) -> int:
     for j in range(2, nvars + 1):
         for i in range(1, j):
             total *= Fraction(lam[i - 1] - lam[j - 1] + j - i, j - i)
-    assert total.denominator == 1, f"non-integral count for {shape}, n={nvars}"
-    return total.numerator
+    return exact_count(total, f"count for {shape}, n={nvars}")
 
 
 def count_sst_hook(shape, nvars: int) -> int:
@@ -119,8 +116,7 @@ def count_sst_hook(shape, nvars: int) -> int:
     total = Fraction(1)
     for i, j in shape.cells():
         total *= Fraction(nvars + j - i, shape.hook_length(i, j))
-    assert total.denominator == 1, f"non-integral count for {shape}, n={nvars}"
-    return total.numerator
+    return exact_count(total, f"count for {shape}, n={nvars}")
 
 
 def partitions_of(total: int) -> list[Partition]:

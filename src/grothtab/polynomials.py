@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
-substitution, determinants of polynomial matrices, and two exact division
-routines (synthetic division by a difference of two variables, and long
-division by a univariate divisor).  Division raises on a nonzero remainder
-instead of ever returning an approximation.
+substitution, determinants of polynomial matrices, and exact synthetic
+division by a difference of two variables.  Division raises on a nonzero
+remainder instead of ever returning an approximation.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
@@ -272,50 +271,6 @@ class Poly:
         accumulate(remainder, by_deg.get(0, {}))
         if remainder:
             raise ValueError(f"inexact division by ({u} - {v})")
-        return Poly(vars, quotient)
-
-    def divide_exact(self, divisor: "Poly", var: str) -> "Poly":
-        """Exact long division by a divisor involving only `var`.
-
-        The dividend may involve other variables; they ride along in the
-        coefficients.  Raises ValueError on a nonzero remainder."""
-        if not divisor.terms:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if any(name != var for name in divisor.vars if divisor.degree(name) > 0):
-            raise ValueError(f"divisor must be univariate in {var!r}")
-        div = {exps[divisor.vars.index(var)] if var in divisor.vars else 0: c
-               for exps, c in divisor.terms.items()}
-        dd = max(div)
-        lead = div[dd]
-
-        vars = _union_vars(self.vars, (var,))
-        vi = vars.index(var)
-        work = dict(self._terms_over(vars))
-        quotient: dict = {}
-        while work:
-            top = max(e[vi] for e in work)
-            if top < dd:
-                raise ValueError(f"inexact division by {divisor} in {var!r}")
-            heads = [(e, c) for e, c in work.items() if e[vi] == top]
-            for exps, coeff in heads:
-                q = coeff / lead
-                qe = list(exps)
-                qe[vi] = top - dd
-                key = tuple(qe)
-                new = quotient.get(key, 0) + q
-                if new:
-                    quotient[key] = new
-                else:
-                    quotient.pop(key, None)
-                for k, dc in div.items():
-                    se = list(exps)
-                    se[vi] = top - dd + k
-                    skey = tuple(se)
-                    val = work.get(skey, 0) - q * dc
-                    if val:
-                        work[skey] = val
-                    else:
-                        work.pop(skey, None)
         return Poly(vars, quotient)
 
     # -- presentation ------------------------------------------------

@@ -7,8 +7,6 @@ conditions only constrain a cell against its left and upper neighbours, so
 the pruning is exact and the generators are lazy.
 """
 
-from dataclasses import dataclass
-
 from .partitions import Partition
 
 
@@ -72,28 +70,6 @@ class SetValuedTableau:
         return cls(shape, n, data)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Letter multiplicities of a tableau: counts[i-1] = number of i's."""
-
-    counts: tuple[int, ...]
-    excess: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def weight(tableau: SetValuedTableau) -> Weight:
-    """Componentwise letter counts, plus |T| (total) and |T| - |shape|."""
-    counts = [0] * tableau.n
-    for row in tableau.rows:
-        for cell in row:
-            for v in cell:
-                counts[v - 1] += 1
-    return Weight(tuple(counts), tableau.excess)
-
-
 def is_valid(tableau: SetValuedTableau) -> bool:
     """Whether the filling satisfies both ordering conditions.
 
@@ -129,13 +105,16 @@ def _subsets_lex(lo: int, n: int):
             yield (v,) + tail
 
 
-def enumerate_svt(shape, nvars: int):
-    """All set-valued tableaux of the given shape on letters 1..nvars.
+def _singletons(lo: int, n: int):
+    """Singleton entries (v,) for v in lo..n, in increasing order."""
+    for v in range(lo, n + 1):
+        yield (v,)
 
-    Lazy stream; each tableau appears exactly once, cells filled row-major
-    with candidate entries in (min, lexicographic) order.  Empty when the
-    shape has more rows than letters.
-    """
+
+def _backtrack(shape, nvars: int, entries):
+    """Lazy stream of the fillings whose cells take entries from
+    entries(lo, nvars), where lo is the smallest letter the left and upper
+    neighbours allow; cells are filled row-major."""
     shape = Partition(shape)
     if len(shape) > nvars:
         return
@@ -152,7 +131,7 @@ def enumerate_svt(shape, nvars: int):
             lo = max(lo, grid[i - 1][j - 2][-1])
         if i > 1:
             lo = max(lo, grid[i - 2][j - 1][-1] + 1)
-        for entry in _subsets_lex(lo, nvars):
+        for entry in entries(lo, nvars):
             grid[i - 1][j - 1] = entry
             yield from fill(idx + 1)
         grid[i - 1][j - 1] = None
@@ -160,28 +139,17 @@ def enumerate_svt(shape, nvars: int):
     yield from fill(0)
 
 
+def enumerate_svt(shape, nvars: int):
+    """All set-valued tableaux of the given shape on letters 1..nvars.
+
+    Lazy stream; each tableau appears exactly once, cells filled row-major
+    with candidate entries in (min, lexicographic) order.  Empty when the
+    shape has more rows than letters.
+    """
+    return _backtrack(shape, nvars, _subsets_lex)
+
+
 def enumerate_sst(shape, nvars: int):
     """All semistandard tableaux (singleton entries), same conventions as
     enumerate_svt."""
-    shape = Partition(shape)
-    if len(shape) > nvars:
-        return
-    cells = shape.cells()
-    grid = [[None] * p for p in shape.parts]
-
-    def fill(idx):
-        if idx == len(cells):
-            yield SetValuedTableau(shape, nvars, grid)
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 1:
-            lo = max(lo, grid[i - 1][j - 2][-1])
-        if i > 1:
-            lo = max(lo, grid[i - 2][j - 1][-1] + 1)
-        for v in range(lo, nvars + 1):
-            grid[i - 1][j - 1] = (v,)
-            yield from fill(idx + 1)
-        grid[i - 1][j - 1] = None
-
-    yield from fill(0)
+    return _backtrack(shape, nvars, _singletons)

@@ -1,46 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grothtab.arith import (
-    binomial,
-    format_rational,
-    parse_rational,
-    pochhammer,
-    rational_pair,
-)
+from grothtab.arith import binomial, exact_count, format_rational, parse_rational
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
-
-def test_pochhammer_empty_product_is_one():
-    for a in (0, 1, -7, Fraction(3, 2), Fraction(-22, 7)):
-        assert pochhammer(a, 0) == 1
-
-
-def test_pochhammer_examples():
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(Fraction(3, 2), 2) == Fraction(15, 4)
-    assert pochhammer(1, 4) == 24
-
-
-def test_pochhammer_rejects_negative_m():
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
-
-
-@given(small_rationals, st.integers(min_value=0, max_value=8))
-def test_pochhammer_recurrence(a, m):
-    assert pochhammer(a, m + 1) == pochhammer(a, m) * (a + m)
-
-
-def test_pochhammer_vanishing_drives_termination():
-    # (-j)_m == 0 exactly when m > j
-    for j in range(7):
-        for m in range(10):
-            assert (pochhammer(-j, m) == 0) == (m > j)
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def test_binomial_examples():
@@ -78,6 +50,26 @@ def test_parse_rational_rejects_junk():
             parse_rational(bad)
 
 
-def test_rational_pair_is_reduced_with_positive_denominator():
-    assert rational_pair(Fraction(-4, 6)) == (-2, 3)
-    assert rational_pair(5) == (5, 1)
+def test_exact_count_accepts_non_negative_integers():
+    assert exact_count(Fraction(6, 2), "count") == 3
+    assert exact_count(0, "count") == 0
+
+
+def test_exact_count_raises_on_a_broken_count():
+    with pytest.raises(ArithmeticError, match="1/2"):
+        exact_count(Fraction(1, 2), "count")
+    with pytest.raises(ArithmeticError):
+        exact_count(-1, "count")
+
+
+def test_exact_count_still_raises_under_optimize():
+    code = ("from fractions import Fraction\n"
+            "from grothtab.arith import exact_count\n"
+            "try:\n"
+            "    exact_count(Fraction(1, 2), 'count')\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert result.returncode == 0

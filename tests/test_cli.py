@@ -254,3 +254,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["count-svt", "--shape", "2,1"])  # missing --vars
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count-svt", "--shape", "1", "--vars", "0"], "at least 1"),
+    (["count-sst", "--shape", "1", "--vars", "0"], "at least 1"),
+    (["enumerate", "--shape", "1", "--vars", "-1"], "at least 1"),
+    (["eval-groth", "--shape", "1", "--vars", "0"], "at least 1"),
+    (["eval-holman", "--from-shape", "1", "--vars", "0"], "at least 1"),
+    (["verify", "--max-size", "0"], "at least 1"),
+    (["verify", "--max-vars", "-1"], "at least 1"),
+    (["count-svt", "--shape", "1", "--vars", "x"], "invalid int value: 'x'"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2 and message in capsys.readouterr().err

@@ -118,13 +118,6 @@ def test_principal_specialization_beta_zero_is_schur_specialization():
         assert got == want
 
 
-def test_principal_specialization_symbolic_q():
-    poly = principal_specialization_q((2, 1), 3, [Fraction(1), Fraction(1)], "q")
-    assert isinstance(poly, Poly)
-    value = principal_specialization_q((2, 1), 3, [Fraction(1), Fraction(1)], Fraction(3, 2))
-    assert poly.substitute({"q": Fraction(3, 2)}).as_fraction() == value
-
-
 def test_principal_specialization_symbolic_betas():
     # symbolic refinement parameters with rational q
     q = Fraction(2)

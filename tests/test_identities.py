@@ -123,13 +123,15 @@ def test_suite_report_validates_against_schema():
     jsonschema.validate(suite.to_json(), SCHEMA)
 
 
-def test_resolve_workers_cap(monkeypatch):
+def test_resolve_workers_cap(monkeypatch, capsys):
     monkeypatch.setenv("GROTH_THREADS", "1")
     assert resolve_workers(8) == 1
     monkeypatch.setenv("GROTH_THREADS", "4")
     assert resolve_workers(2) == 2
+    assert capsys.readouterr().err == ""
     monkeypatch.setenv("GROTH_THREADS", "junk")
     assert resolve_workers(3) == 3
+    assert "GROTH_THREADS='junk'" in capsys.readouterr().err
     monkeypatch.delenv("GROTH_THREADS")
     assert resolve_workers(3) == 3
     assert resolve_workers() >= 1

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grothtab.polynomials import Poly, determinant
 
@@ -95,17 +98,12 @@ def test_divide_by_difference_full_vandermonde():
     assert out == x1 + 2 * x2 + 3 * x3 + b
 
 
-def test_divide_exact_univariate():
-    q = Poly.variable("q")
-    assert (q ** 3 - 1).divide_exact(q - 1, "q") == q ** 2 + q + 1
-    # other variables ride along in the coefficients
-    assert (b * q ** 2 - b).divide_exact(q ** 2 - 1, "q") == b
-    with pytest.raises(ValueError):
-        (q ** 2 + 1).divide_exact(q - 1, "q")
-    with pytest.raises(ValueError):
-        (q ** 2).divide_exact(q * b, "q")
-    with pytest.raises(ZeroDivisionError):
-        q.divide_exact(Poly.constant(0), "q")
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5), max_size=6),
+       st.permutations(["b", "x1", "x2", "x3"]))
+def test_divide_by_difference_undoes_the_product(terms, names):
+    p = Poly(("b", "x1", "x2"), terms)
+    u, v = names[:2]
+    assert (p * (Poly.variable(u) - Poly.variable(v))).divide_by_difference(u, v) == p
 
 
 def test_determinant_small_cases():
@@ -124,6 +122,28 @@ def test_determinant_vandermonde_identity():
 
 def test_determinant_scalar_entries():
     assert determinant([[2, 1], [7, 4]]) == 1
+
+
+def leibniz(matrix):
+    """Permutation-sum definition of the determinant."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@given(st.integers(3, 4).flatmap(
+    lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_determinant_matches_leibniz_sum(matrix):
+    assert determinant(matrix) == leibniz(matrix)
 
 
 def test_json_round_trip_and_canonical_order():

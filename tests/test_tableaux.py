@@ -2,16 +2,22 @@ import json
 from itertools import combinations, islice, product
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from grothtab.partitions import Partition, count_sst_hook, partitions_of
 from grothtab.tableaux import (
     SetValuedTableau,
     enumerate_sst,
     enumerate_svt,
     is_valid,
-    weight,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def shapes_up_to(max_size):
+    return st.integers(0, max_size).flatmap(lambda size: st.sampled_from(partitions_of(size)))
 
 
 def test_sst_single_box():
@@ -39,7 +45,7 @@ def test_svt_single_cell_two_letters_in_order():
     assert got == [(1,), (1, 2), (2,)]
     multi = [t for t in enumerate_svt((1,), 2) if t.excess > 0]
     assert len(multi) == 1
-    assert weight(multi[0]).counts == (1, 1) and multi[0].excess == 1
+    assert multi[0].excess == 1
 
 
 def test_empty_shape_has_one_empty_filling():
@@ -52,18 +58,16 @@ def test_reference_counts():
     assert sum(1 for _ in enumerate_svt((2, 2), 3)) == 13
 
 
-def test_weight_of_displayed_tableau():
+def test_size_and_excess_of_displayed_tableau():
     t = SetValuedTableau((2, 1), 3, [[[1], [1, 2]], [[2, 3]]])
-    w = weight(t)
-    assert w.counts == (2, 2, 1)
-    assert w.total == 5
-    assert w.excess == 2 and t.excess == 2
+    assert t.size == 5
+    assert t.excess == 2
 
 
 def test_all_singleton_weight_has_no_excess():
     for t in enumerate_sst((2, 2), 3):
         assert t.excess == 0
-        assert weight(t).total == t.shape.size
+        assert t.size == t.shape.size
 
 
 def test_stream_order_is_deterministic_and_sorted():
@@ -79,20 +83,22 @@ def test_streams_are_lazy():
     assert len(first) == 3 and all(is_valid(t) for t in first)
 
 
-def test_validity_oracle_matches_enumeration():
+@settings(max_examples=20, deadline=None)
+@given(shapes_up_to(4), st.integers(1, 3))
+@example(Partition((2, 1)), 3)
+@example(Partition((2, 2)), 3)
+def test_validity_oracle_matches_enumeration(shape, n):
     # every possible filling, validated independently against membership
-    for shape, n in [((2, 1), 3), ((2, 2), 3)]:
-        shape = Partition(shape)
-        cells = shape.cells()
-        subsets = [s for size in range(1, n + 1)
-                   for s in combinations(range(1, n + 1), size)]
-        enumerated = set(enumerate_svt(shape, n))
-        for assignment in product(subsets, repeat=len(cells)):
-            rows = [[None] * p for p in shape.parts]
-            for (i, j), entry in zip(cells, assignment):
-                rows[i - 1][j - 1] = entry
-            t = SetValuedTableau(shape, n, rows)
-            assert is_valid(t) == (t in enumerated)
+    cells = shape.cells()
+    subsets = [s for size in range(1, n + 1)
+               for s in combinations(range(1, n + 1), size)]
+    enumerated = set(enumerate_svt(shape, n))
+    for assignment in product(subsets, repeat=len(cells)):
+        rows = [[None] * p for p in shape.parts]
+        for (i, j), entry in zip(cells, assignment):
+            rows[i - 1][j - 1] = entry
+        t = SetValuedTableau(shape, n, rows)
+        assert is_valid(t) == (t in enumerated)
 
 
 def test_validity_rejects_structural_garbage():
@@ -103,13 +109,15 @@ def test_validity_rejects_structural_garbage():
     assert not is_valid(SetValuedTableau((2, 1), 2, [[[1], [1]]]))
 
 
-def test_singleton_restriction_equals_sst():
-    for size in range(0, 6):
-        for lam in partitions_of(size):
-            for n in range(1, 4):
-                svt_singletons = {t for t in enumerate_svt(lam, n) if t.is_semistandard()}
-                sst = set(enumerate_sst(lam, n))
-                assert svt_singletons == sst
+@settings(max_examples=20, deadline=None)
+@given(shapes_up_to(6), st.integers(1, 4))
+def test_singleton_restriction_equals_sst(extra_shape, extra_n):
+    # every shape up to size 5 on up to 3 letters, plus one random instance
+    cases = [(lam, n) for size in range(0, 6) for lam in partitions_of(size) for n in range(1, 4)]
+    for lam, n in cases + [(extra_shape, extra_n)]:
+        svt_singletons = {t for t in enumerate_svt(lam, n) if t.is_semistandard()}
+        sst = set(enumerate_sst(lam, n))
+        assert svt_singletons == sst
 
 
 def test_fixture_tableaux_are_exactly_the_enumeration():
