@@ -214,12 +214,16 @@ def cmd_eval_2f1(args) -> int:
 
 def cmd_eval_holman(args) -> int:
     if args.fixture is not None:
+        for option, value in (("--vars", args.vars), ("--z", args.z)):
+            if value is not None:
+                raise ValueError(f"{option} cannot be used with --fixture")
         inst = HolmanInstance.load(args.fixture)
     else:
         shape = parse_shape(args.from_shape)
         if args.vars is None:
             raise ValueError("--from-shape needs --vars")
-        inst = HolmanInstance.from_shape(shape, args.vars, parse_rational(args.z))
+        z = parse_rational(args.z) if args.z is not None else 1
+        inst = HolmanInstance.from_shape(shape, args.vars, z)
     value = holman_series(inst)
     conditions = classical_summation_conditions(inst) if args.conditions else None
     if args.format == "json":
@@ -339,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--fixture", help="JSON instance file")
     source.add_argument("--from-shape", dest="from_shape",
                         help="build the instance attached to a shape")
-    p.add_argument("--vars", type=_positive_int, help="number of summation indices")
-    p.add_argument("--z", default="1", help="constant argument (with --from-shape)")
+    p.add_argument("--vars", type=_positive_int,
+                   help="number of summation indices (with --from-shape)")
+    p.add_argument("--z", help="constant argument (with --from-shape; default 1)")
     p.add_argument("--conditions", action="store_true",
                    help="also report the classical summation conditions")
     p.add_argument("--format", choices=["text", "json"], default="text")

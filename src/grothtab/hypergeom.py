@@ -162,8 +162,12 @@ class HolmanInstance:
         """The instance attached to a shape: coupling A_ij = l_i - l_j + j - i,
         numerator column (0, -1, ..., -(n-1)), denominator column of ones,
         constant argument z.  Its value times the semistandard count gives
-        the all-ones Grothendieck value at beta = -z."""
+        the all-ones Grothendieck value at beta = -z.  A shape with more
+        rows than n raises ValueError."""
+        shape = Partition(shape)
         n = int(nvars)
+        if len(shape) > n:
+            raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
         zz = Fraction(z)
         return cls(
             coupling=shape_coupling(shape, n),

@@ -3,15 +3,19 @@
 Every check compares a left and a right route that share nothing beyond the
 scalar/polynomial arithmetic layer: closed-form counts against brute-force
 enumeration, determinant quotients against tableau sums, coupled
-hypergeometric sums against polynomial evaluations.  A check never raises
-out of run_check; failures are reported with the first (minimal, in grid
-order) witnesses.
+hypergeometric sums against polynomial evaluations.
 
-Checks run over a Grid of instances ordered by shape size, then shape
-(lexicographically), then number of variables, so the first reported
-witness of a failure is the smallest offender.  run_all executes the whole
-registry, in parallel processes when more than one worker is available;
-the GROTH_THREADS environment variable caps the worker count.
+A check is a row function rows(grid, shape, n) that yields (params, left,
+right) for one instance; the row and column checks filter the shape.
+run_check owns the one sweep over the Grid, ordered by shape size, then
+shape (lexicographically), then number of variables, so the first reported
+witness of a failure is the smallest offender.  An instance that raises is
+one failed instance whose witness names its shape, n and exception type,
+and the sweep goes on.  An empty Grid is rejected.  Set-valued counts are
+coefficient sums of the memoized tableau sum, so a process enumerates each
+(shape, n) once.  run_all executes the whole registry, in parallel
+processes when more than one worker is available; the GROTH_THREADS
+environment variable caps the worker count.
 """
 
 import os
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from .arith import binomial
+from .arith import binomial, exact_count
 from .grothendieck import (
     BETA,
     count_svt_formula,
@@ -33,7 +37,7 @@ from .grothendieck import (
 )
 from .hypergeom import HolmanInstance, gauss_2f1_terminating, holman_series
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from .tableaux import enumerate_sst, enumerate_svt
+from .tableaux import enumerate_sst
 
 DEFAULT_BETAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 5))
 DEFAULT_QS = (Fraction(2), Fraction(3, 2), Fraction(5, 7))
@@ -59,6 +63,11 @@ class Grid:
     betas: tuple = DEFAULT_BETAS
     qs: tuple = DEFAULT_QS
     seed: int = 2718
+
+    def __post_init__(self):
+        if self.max_size < 1 or self.max_vars < 1:
+            raise ValueError(f"empty grid: max_size={self.max_size} and "
+                             f"max_vars={self.max_vars} must both be at least 1")
 
     def shapes(self):
         """(shape, nvars) pairs, ordered by size, shape, nvars; pairs whose
@@ -150,7 +159,7 @@ class Check:
     summary: str
     left: str
     right: str
-    instances: callable
+    rows: callable
 
 
 CHECKS: dict[str, Check] = {}
@@ -176,29 +185,27 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
     check = CHECKS[check_id]
     grid = grid or Grid()
     report = CheckReport(check.id, check.summary, 0, 0, 0)
-    start = perf_counter()
-    try:
-        for params, left, right in check.instances(grid):
-            report.instances += 1
-            if left == right:
-                report.passed += 1
-            else:
-                report.failed += 1
-                if len(report.witnesses) < MAX_WITNESSES:
-                    report.witnesses.append(Witness(
-                        {k: str(v) for k, v in params.items()},
-                        str(left), str(right)))
-    except Exception as exc:  # a check must report, never crash the suite
-        report.instances += 1
+
+    def fail(params, left, right):
         report.failed += 1
-        report.witnesses.append(Witness({"error": type(exc).__name__}, str(exc), ""))
+        if len(report.witnesses) < MAX_WITNESSES:
+            report.witnesses.append(Witness(
+                {k: str(v) for k, v in params.items()}, str(left), str(right)))
+
+    start = perf_counter()
+    for shape, n in grid.shapes():
+        try:
+            for params, left, right in check.rows(grid, shape, n):
+                report.instances += 1
+                if left == right:
+                    report.passed += 1
+                else:
+                    fail(params, left, right)
+        except Exception as exc:  # one crashing instance must not hide the rest
+            report.instances += 1
+            fail({"shape": shape, "n": n, "error": type(exc).__name__}, exc, "")
     report.seconds = perf_counter() - start
     return report
-
-
-def _run_one(job) -> CheckReport:
-    check_id, grid = job
-    return run_check(check_id, grid)
 
 
 def resolve_workers(explicit: int | None = None) -> int:
@@ -214,14 +221,13 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 
 def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport:
-    """Run every registered check; reports are merged in registry order."""
+    """Run every registered check; reports come back in registry order."""
     grid = grid or Grid()
     ids = check_ids()
     count = resolve_workers(workers)
     if count > 1 and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=min(count, len(ids))) as pool:
-            by_id = {r.id: r for r in pool.map(_run_one, [(i, grid) for i in ids])}
-        reports = [by_id[i] for i in ids]
+            reports = list(pool.map(run_check, ids, [grid] * len(ids)))
     else:
         reports = [run_check(i, grid) for i in ids]
     return SuiteReport(grid.max_size, grid.max_vars, reports)
@@ -231,164 +237,146 @@ def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport
 # the registered checks
 # ----------------------------------------------------------------------
 
-def _at_ones(shape, nvars):
-    """Tableau-sum polynomial with every x set to 1 (a polynomial in b)."""
-    ones = {f"x{i}": Fraction(1) for i in range(1, nvars + 1)}
-    return grothendieck_tableau_sum(shape, nvars).substitute(ones)
+def _svt_count(shape, nvars) -> int:
+    """Number of set-valued tableaux: the coefficient sum of the memoized
+    tableau sum, so the fillings of (shape, nvars) are enumerated once."""
+    return exact_count(sum(grothendieck_tableau_sum(shape, nvars).terms.values()),
+                       f"set-valued count for {shape}, n={nvars}")
+
+
+def _gauss(shape, n, z):
+    """Props 3.1/3.2: C(n+k-1,k) * 2F1(k,1-n;k+1;z) for the row (k) and
+    C(n,k) * 2F1(k,k-n;k+1;z) for the column (1^k), the same for (1)."""
+    k = shape.size
+    if len(shape) == 1:
+        return binomial(n + k - 1, k) * gauss_2f1_terminating(k, 1 - n, k + 1, z)
+    return binomial(n, k) * gauss_2f1_terminating(k, k - n, k + 1, z)
+
+
+def _all_ones_rows(grid, shape, n, closed_form):
+    """Rows comparing closed_form(beta) with the tableau sum at x = 1."""
+    ones = {f"x{i}": Fraction(1) for i in range(1, n + 1)}
+    at_ones = grothendieck_tableau_sum(shape, n).substitute(ones)
+    for beta in grid.betas:
+        yield ({"shape": shape, "n": n, "beta": beta}, closed_form(beta),
+               at_ones.substitute({BETA: beta}).as_fraction())
 
 
 @_register("hook-counts",
            "closed-form semistandard counts match direct enumeration",
            "pairwise-difference and content/hook products",
            "enumeration of semistandard tableaux")
-def _hook_counts(grid):
-    for shape, n in grid.shapes():
-        direct = sum(1 for _ in enumerate_sst(shape, n))
-        yield {"shape": shape, "n": n, "form": "pairwise"}, count_sst_product(shape, n), direct
-        yield {"shape": shape, "n": n, "form": "hook"}, count_sst_hook(shape, n), direct
+def _hook_counts(grid, shape, n):
+    direct = sum(1 for _ in enumerate_sst(shape, n))
+    yield {"shape": shape, "n": n, "form": "pairwise"}, count_sst_product(shape, n), direct
+    yield {"shape": shape, "n": n, "form": "hook"}, count_sst_hook(shape, n), direct
 
 
 @_register("gg-eq-w",
            "set-valued tableau sum equals the determinant quotient",
            "tableau generating sum", "bi-alternant / Vandermonde")
-def _tableau_sum_vs_bialternant(grid):
-    for shape, n in grid.shapes():
-        yield ({"shape": shape, "n": n},
-               grothendieck_tableau_sum(shape, n),
-               grothendieck_bialternant(shape, n))
+def _tableau_sum_vs_bialternant(grid, shape, n):
+    yield ({"shape": shape, "n": n},
+           grothendieck_tableau_sum(shape, n),
+           grothendieck_bialternant(shape, n))
 
 
 @_register("prop-3.1",
            "single-row all-ones values via the Gauss series",
            "C(n+k-1,k) * 2F1(k,1-n;k+1;-beta)", "tableau sum at x = 1")
-def _single_row_values(grid):
-    for k in range(1, grid.max_size + 1):
-        shape = Partition([k])
-        for n in range(1, grid.max_vars + 1):
-            ones = _at_ones(shape, n)
-            for beta in grid.betas:
-                left = binomial(n + k - 1, k) * gauss_2f1_terminating(k, 1 - n, k + 1, -beta)
-                right = ones.substitute({BETA: beta}).as_fraction()
-                yield {"shape": shape, "n": n, "beta": beta}, left, right
+def _single_row_values(grid, shape, n):
+    if len(shape) == 1:
+        yield from _all_ones_rows(grid, shape, n, lambda beta: _gauss(shape, n, -beta))
 
 
 @_register("prop-3.2",
            "single-column all-ones values via the Gauss series",
            "C(n,k) * 2F1(k,k-n;k+1;-beta)", "tableau sum at x = 1")
-def _single_column_values(grid):
-    for k in range(1, grid.max_size + 1):
-        shape = Partition([1] * k)
-        for n in range(k, grid.max_vars + 1):
-            ones = _at_ones(shape, n)
-            for beta in grid.betas:
-                left = binomial(n, k) * gauss_2f1_terminating(k, k - n, k + 1, -beta)
-                right = ones.substitute({BETA: beta}).as_fraction()
-                yield {"shape": shape, "n": n, "beta": beta}, left, right
+def _single_column_values(grid, shape, n):
+    if shape[0] == 1:
+        yield from _all_ones_rows(grid, shape, n, lambda beta: _gauss(shape, n, -beta))
 
 
 @_register("cor-3.3",
            "single-row set-valued counts via the Gauss series",
            "C(n+k-1,k) * 2F1(k,1-n;k+1;-1)", "enumeration")
-def _single_row_counts(grid):
-    for k in range(1, grid.max_size + 1):
-        shape = Partition([k])
-        for n in range(1, grid.max_vars + 1):
-            left = binomial(n + k - 1, k) * gauss_2f1_terminating(k, 1 - n, k + 1, -1)
-            right = sum(1 for _ in enumerate_svt(shape, n))
-            yield {"shape": shape, "n": n}, left, right
+def _single_row_counts(grid, shape, n):
+    if len(shape) == 1:
+        yield {"shape": shape, "n": n}, _gauss(shape, n, -1), _svt_count(shape, n)
 
 
 @_register("cor-3.4",
            "single-column set-valued counts via the Gauss series",
            "C(n,k) * 2F1(k,k-n;k+1;-1)", "enumeration")
-def _single_column_counts(grid):
-    for k in range(1, grid.max_size + 1):
-        shape = Partition([1] * k)
-        for n in range(k, grid.max_vars + 1):
-            left = binomial(n, k) * gauss_2f1_terminating(k, k - n, k + 1, -1)
-            right = sum(1 for _ in enumerate_svt(shape, n))
-            yield {"shape": shape, "n": n}, left, right
+def _single_column_counts(grid, shape, n):
+    if shape[0] == 1:
+        yield {"shape": shape, "n": n}, _gauss(shape, n, -1), _svt_count(shape, n)
 
 
 @_register("thm-3.5",
            "shifted-exponent expansion equals the refined quotient at the "
            "geometric point",
            "nested k-sum", "refined bi-alternant at x = (1,q,..,q^(n-1))")
-def _geometric_point_expansion(grid):
-    for shape, n in grid.shapes():
-        betas = grid.random_betas(shape, n)
-        poly = refined_bialternant(shape, n, betas)
-        for q in grid.qs:
-            point = {f"x{i + 1}": q ** i for i in range(n)}
-            left = principal_specialization_q(shape, n, betas, q)
-            right = poly.substitute(point).as_fraction()
-            yield ({"shape": shape, "n": n, "q": q,
-                    "betas": ",".join(str(b) for b in betas)}, left, right)
+def _geometric_point_expansion(grid, shape, n):
+    betas = grid.random_betas(shape, n)
+    poly = refined_bialternant(shape, n, betas)
+    for q in grid.qs:
+        point = {f"x{i + 1}": q ** i for i in range(n)}
+        left = principal_specialization_q(shape, n, betas, q)
+        right = poly.substitute(point).as_fraction()
+        yield ({"shape": shape, "n": n, "q": q,
+                "betas": ",".join(str(b) for b in betas)}, left, right)
 
 
 @_register("cor-3.8",
            "binomial-shift count formula matches enumeration",
            "nested binomial-shift sum", "enumeration of set-valued tableaux")
-def _count_formula(grid):
-    for shape, n in grid.shapes():
-        left = count_svt_formula(shape, n)
-        right = sum(1 for _ in enumerate_svt(shape, n))
-        yield {"shape": shape, "n": n}, left, right
+def _count_formula(grid, shape, n):
+    yield {"shape": shape, "n": n}, count_svt_formula(shape, n), _svt_count(shape, n)
 
 
 @_register("thm-3.9",
            "all-ones value factors through the coupled series",
            "|SST| * coupled series at z = -beta", "tableau sum at x = 1")
-def _all_ones_factorization(grid):
-    for shape, n in grid.shapes():
-        ones = _at_ones(shape, n)
-        sst = count_sst_product(shape, n)
-        for beta in grid.betas:
-            inst = HolmanInstance.from_shape(shape, n, -beta)
-            left = sst * holman_series(inst)
-            right = ones.substitute({BETA: beta}).as_fraction()
-            yield {"shape": shape, "n": n, "beta": beta}, left, right
+def _all_ones_factorization(grid, shape, n):
+    sst = count_sst_product(shape, n)
+    yield from _all_ones_rows(grid, shape, n, lambda beta: sst * holman_series(
+        HolmanInstance.from_shape(shape, n, -beta)))
 
 
 @_register("cor-3.11",
            "set-valued count factors through the coupled series",
            "|SST| * coupled series at z = -1", "enumeration")
-def _count_factorization(grid):
-    for shape, n in grid.shapes():
-        left = count_sst_product(shape, n) * holman_series(
-            HolmanInstance.from_shape(shape, n, -1))
-        right = sum(1 for _ in enumerate_svt(shape, n))
-        yield {"shape": shape, "n": n}, left, right
+def _count_factorization(grid, shape, n):
+    left = count_sst_product(shape, n) * holman_series(
+        HolmanInstance.from_shape(shape, n, -1))
+    yield {"shape": shape, "n": n}, left, _svt_count(shape, n)
 
 
 @_register("prop-AA",
            "value at x = (beta,..,beta) with parameter -1/beta is beta^|shape|",
            "tableau sum at the tilted point", "beta^|shape|")
-def _tilted_point_value(grid):
-    for shape, n in grid.shapes():
-        poly = grothendieck_tableau_sum(shape, n)
-        for beta in grid.betas:
-            point = {f"x{i}": beta for i in range(1, n + 1)}
-            point[BETA] = -1 / beta
-            left = poly.substitute(point).as_fraction()
-            right = beta ** shape.size
-            yield {"shape": shape, "n": n, "beta": beta}, left, right
+def _tilted_point_value(grid, shape, n):
+    poly = grothendieck_tableau_sum(shape, n)
+    for beta in grid.betas:
+        point = {f"x{i}": beta for i in range(1, n + 1)}
+        point[BETA] = -1 / beta
+        left = poly.substitute(point).as_fraction()
+        right = beta ** shape.size
+        yield {"shape": shape, "n": n, "beta": beta}, left, right
 
 
 @_register("thm-3.13",
            "coupled series at z = 1 is the reciprocal semistandard count",
            "coupled series at z = 1", "1 / |SST|")
-def _reciprocal_count(grid):
-    for shape, n in grid.shapes():
-        left = holman_series(HolmanInstance.from_shape(shape, n, 1))
-        right = Fraction(1, count_sst_product(shape, n))
-        yield {"shape": shape, "n": n}, left, right
+def _reciprocal_count(grid, shape, n):
+    left = holman_series(HolmanInstance.from_shape(shape, n, 1))
+    yield {"shape": shape, "n": n}, left, Fraction(1, count_sst_product(shape, n))
 
 
 @_register("oddness",
            "every non-empty set-valued count is odd",
            "enumerated count mod 2", "1")
-def _odd_counts(grid):
-    for shape, n in grid.shapes():
-        count = sum(1 for _ in enumerate_svt(shape, n))
-        yield {"shape": shape, "n": n, "count": count}, count % 2, 1
+def _odd_counts(grid, shape, n):
+    count = _svt_count(shape, n)
+    yield {"shape": shape, "n": n, "count": count}, count % 2, 1

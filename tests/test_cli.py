@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grothtab import cli
 from grothtab.grothendieck import principal_specialization_q
@@ -37,6 +38,18 @@ def test_parse_shape_round_trips_str_form():
     for parts in [(), (3,), (4, 3), (2, 2, 1)]:
         lam = Partition(parts)
         assert cli.parse_shape(str(lam)) == lam
+
+
+@given(st.lists(st.integers(1, 6), max_size=7).map(
+    lambda parts: Partition(sorted(parts, reverse=True))), st.data())
+def test_parse_shape_round_trips_random_partitions(lam, data):
+    assert cli.parse_shape(str(lam)) == lam
+    tokens = []
+    for part, run in groupby(lam):
+        k = len(list(run))
+        shorthand = data.draw(st.booleans())
+        tokens.append(f"{part}^{k}" if shorthand else ",".join([str(part)] * k))
+    assert cli.parse_shape(",".join(tokens)) == lam
 
 
 def test_count_svt_reference_values(capsys):
@@ -211,6 +224,25 @@ def test_eval_holman_missing_vars(capsys):
     assert code == 2 and "--vars" in err
 
 
+def test_eval_holman_z_defaults_to_one(capsys):
+    code, out, _ = run_cli(capsys, "eval-holman", "--from-shape", "2,1", "--vars", "3")
+    assert code == 0 and out.strip() == "1/8"
+
+
+@pytest.mark.parametrize("option, value", [("--vars", "7"), ("--z", "2"), ("--z", "1")])
+def test_eval_holman_fixture_rejects_shape_options(capsys, option, value):
+    code, out, err = run_cli(capsys, "eval-holman", "--fixture",
+                             str(DATA / "holman_2_1_3.json"), option, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} cannot be used with --fixture\n"
+
+
+def test_eval_holman_more_rows_than_vars(capsys):
+    code, out, err = run_cli(capsys, "eval-holman", "--from-shape", "2,1", "--vars", "1")
+    assert code == 2 and out == ""
+    assert err == "error: shape (2,1) has 2 rows, more than n = 1\n"
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "thm-3.13",
                            "--max-size", "3", "--max-vars", "3")
@@ -224,6 +256,7 @@ def test_verify_unknown_id(capsys):
 
 
 def test_verify_json_report_validates_and_round_trips(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
     report_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--max-size", "2", "--max-vars", "2",
                            "--json", str(report_path), "--format", "json")

@@ -77,6 +77,11 @@ def test_from_shape_empty_partition():
     assert inst.numerator == ((Fraction(0), Fraction(-1)),)
 
 
+def test_from_shape_rejects_more_rows_than_indices():
+    with pytest.raises(ValueError, match=r"shape \(2,1\) has 2 rows, more than n = 1"):
+        HolmanInstance.from_shape((2, 1), 1, 1)
+
+
 def test_all_zero_arguments_give_one():
     inst = HolmanInstance.from_shape((3, 1), 3, 0)
     assert holman_series(inst) == 1

@@ -1,15 +1,18 @@
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
+from grothtab import grothendieck, tableaux
 from grothtab.identities import (
     CHECKS,
+    MAX_WITNESSES,
     Check,
     Grid,
     UnknownCheckError,
+    Witness,
     check_ids,
     resolve_workers,
     run_all,
@@ -52,11 +55,10 @@ def test_run_check_unknown_id():
         run_check("nonexistent", Grid(1, 1))
 
 
-def test_empty_grid_is_vacuous_pass():
-    suite = run_all(Grid(max_size=0, max_vars=1), workers=1)
-    assert suite.ok
-    assert suite.passed == 0 and suite.failed == 0
-    assert all(c.instances == 0 for c in suite.checks)
+@pytest.mark.parametrize("max_size, max_vars", [(0, 1), (1, 0), (-1, 3)])
+def test_empty_grid_is_rejected(max_size, max_vars):
+    with pytest.raises(ValueError, match="at least 1"):
+        Grid(max_size=max_size, max_vars=max_vars)
 
 
 def test_grid_order_is_size_then_shape_then_vars():
@@ -74,9 +76,8 @@ def test_random_betas_are_deterministic():
 
 
 def test_failing_check_reports_minimal_witness_without_raising():
-    def broken(grid):
-        for shape, n in grid.shapes():
-            yield {"shape": shape, "n": n}, 0, 1
+    def broken(grid, shape, n):
+        yield {"shape": shape, "n": n}, 0, 1
 
     CHECKS["broken-demo"] = Check("broken-demo", "always fails", "0", "1", broken)
     try:
@@ -91,7 +92,7 @@ def test_failing_check_reports_minimal_witness_without_raising():
 
 
 def test_crashing_check_is_reported_not_raised():
-    def crashing(grid):
+    def crashing(grid, shape, n):
         yield {"shape": "(1)"}, 1, 1
         raise RuntimeError("boom")
 
@@ -99,9 +100,60 @@ def test_crashing_check_is_reported_not_raised():
     try:
         report = run_check("crash-demo", Grid(1, 1))
         assert report.failed == 1 and report.passed == 1
-        assert report.witnesses[0].params == {"error": "RuntimeError"}
+        assert report.witnesses[0].params == {"shape": "(1)", "n": "1", "error": "RuntimeError"}
     finally:
         del CHECKS["crash-demo"]
+
+
+def test_crashing_instance_does_not_hide_later_instances():
+    def crash_on_2_1(grid, shape, n):
+        if shape == (2, 1) and n == 2:
+            raise RuntimeError("boom")
+        yield {"shape": shape, "n": n}, 1, 1
+
+    def always_crashing(grid, shape, n):
+        raise KeyError(n)
+        yield
+
+    grid = Grid(max_size=3, max_vars=3)
+    pairs = len(list(grid.shapes()))
+    CHECKS["crash-one"] = Check("crash-one", "raises once", "1", "1", crash_on_2_1)
+    CHECKS["crash-all"] = Check("crash-all", "always raises", "-", "-", always_crashing)
+    try:
+        report = run_check("crash-one", grid)
+        assert report.instances == pairs
+        assert report.passed == pairs - 1 and report.failed == 1
+        assert report.witnesses == [
+            Witness({"shape": "(2,1)", "n": "2", "error": "RuntimeError"}, "boom", "")]
+        report = run_check("crash-all", grid)
+        assert report.instances == report.failed == pairs > MAX_WITNESSES
+        assert len(report.witnesses) == MAX_WITNESSES
+        assert report.witnesses[0].params == {"shape": "(1)", "n": "1", "error": "KeyError"}
+    finally:
+        del CHECKS["crash-one"], CHECKS["crash-all"]
+
+
+def test_serial_run_enumerates_each_pair_once(monkeypatch):
+    original = tableaux.enumerate_svt
+    seen = Counter()
+
+    def counting(shape, n):
+        seen[tuple(shape), n] += 1
+        return original(shape, n)
+
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "grothtab" or name.startswith("grothtab."))]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+    grid = Grid(max_size=4, max_vars=3)
+    grothendieck._tableau_sum.cache_clear()
+    try:
+        assert run_all(grid, workers=1).ok
+    finally:
+        grothendieck._tableau_sum.cache_clear()
+    assert seen == Counter((tuple(shape), n) for shape, n in grid.shapes())
 
 
 def _strip_seconds(payload):
@@ -119,6 +171,7 @@ def test_parallel_and_serial_runs_agree():
 
 
 def test_suite_report_validates_against_schema():
+    jsonschema = pytest.importorskip("jsonschema")
     suite = run_all(Grid(max_size=2, max_vars=2), workers=1)
     jsonschema.validate(suite.to_json(), SCHEMA)
 

@@ -106,6 +106,35 @@ def test_divide_by_difference_undoes_the_product(terms, names):
     assert (p * (Poly.variable(u) - Poly.variable(v))).divide_by_difference(u, v) == p
 
 
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+NAMES = ("b", "x1", "x2")
+
+
+@st.composite
+def polys(draw):
+    """A small polynomial over a random subset of NAMES."""
+    names = tuple(name for name in NAMES if draw(st.booleans()))
+    exponents = st.tuples(*[st.integers(0, 2)] * len(names))
+    return Poly(names, draw(st.dictionaries(exponents, small_rationals, max_size=4)))
+
+
+@given(polys(), polys(), polys())
+def test_ring_axioms(p, q, r):
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + 0 == p and p * 1 == p and p * 0 == 0
+    assert p - p == 0 and p - q == p + (-q)
+
+
+@given(polys(), polys(), st.dictionaries(st.sampled_from(NAMES), small_rationals))
+def test_substitute_is_a_ring_homomorphism(p, q, point):
+    assert (p + q).substitute(point) == p.substitute(point) + q.substitute(point)
+    assert (p * q).substitute(point) == p.substitute(point) * q.substitute(point)
+    assert Poly.constant(1).substitute(point) == 1
+
+
 def test_determinant_small_cases():
     assert determinant([]) == 1
     assert determinant([[x1]]) == x1
@@ -135,9 +164,6 @@ def leibniz(matrix):
             term *= matrix[i][j]
         total += term
     return total
-
-
-small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
 
 @given(st.integers(3, 4).flatmap(
