@@ -15,7 +15,6 @@ from .grothendieck import (
     single_column_e_expansion,
 )
 from .hypergeom import (
-    Gauss2F1,
     HolmanInstance,
     NonTerminatingSeriesError,
     classical_summation_conditions,
@@ -36,7 +35,7 @@ __all__ = [
     "grothendieck_bialternant", "grothendieck_tableau_sum",
     "principal_specialization_q", "refined_bialternant", "schur_tableau_sum",
     "single_column_e_expansion",
-    "Gauss2F1", "HolmanInstance", "NonTerminatingSeriesError",
+    "HolmanInstance", "NonTerminatingSeriesError",
     "classical_summation_conditions", "gauss_2f1_terminating", "holman_series",
     "shape_coupling",
     "Grid", "check_ids", "run_all", "run_check",

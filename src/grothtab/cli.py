@@ -26,14 +26,14 @@ from .hypergeom import (
     gauss_2f1_terminating,
     holman_series,
 )
-from .identities import Grid, SuiteReport, UnknownCheckError, run_all, run_check
+from .identities import CHECKS, Grid, SuiteReport, UnknownCheckError, run_all, run_check
 from .partitions import Partition, count_sst_hook, count_sst_product
 from .tableaux import enumerate_sst, enumerate_svt
 
 
 def parse_shape(text: str) -> Partition:
-    """Parse a shape: '4,3' or '(4,3)'; repeated parts as '1^3' or '2^2,1';
-    '0' or '()' denote the empty shape."""
+    """Parse a shape: '4,3' or '(4,3)'; repeated parts as '1^3' or '2^2,1'
+    (a repeat count is at least 1); '0' or '()' denote the empty shape."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
@@ -44,6 +44,8 @@ def parse_shape(text: str) -> Partition:
         token = token.strip()
         if "^" in token:
             base, _, count = token.partition("^")
+            if int(count) < 1:
+                raise ValueError(f"repeat count in {token!r} must be at least 1")
             parts.extend([int(base)] * int(count))
         else:
             parts.append(int(token))
@@ -61,8 +63,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_rational_list(option: str, text: str) -> list[Fraction]:
+    """A comma list of rationals; an empty item is refused, not skipped."""
+    items = text.split(",") if text.strip() else []
+    if any(not item.strip() for item in items):
+        raise ValueError(f"{option} has an empty item: {text!r}")
+    return [parse_rational(item) for item in items]
 
 
 def _print_csv(rows: list[list], header: list[str]) -> None:
@@ -76,34 +82,32 @@ def _print_csv(rows: list[list], header: list[str]) -> None:
 # counting
 # ----------------------------------------------------------------------
 
-def _svt_count_by(method: str, shape: Partition, nvars: int) -> int:
-    if method == "enum":
-        return sum(1 for _ in enumerate_svt(shape, nvars))
-    if method == "formula":
-        return count_svt_formula(shape, nvars)
-    if method == "holman":
-        if len(shape) > nvars:
-            return 0
-        value = count_sst_product(shape, nvars) * holman_series(
-            HolmanInstance.from_shape(shape, nvars, -1))
-        return exact_count(value, f"coupled-series count for {shape}, n={nvars}")
-    raise ValueError(f"unknown method {method!r}")
+def _holman_count(shape: Partition, nvars: int) -> int:
+    if len(shape) > nvars:
+        return 0
+    value = count_sst_product(shape, nvars) * holman_series(
+        HolmanInstance.from_shape(shape, nvars, -1))
+    return exact_count(value, f"coupled-series count for {shape}, n={nvars}")
 
 
-def _sst_count_by(method: str, shape: Partition, nvars: int) -> int:
-    if method == "enum":
-        return sum(1 for _ in enumerate_sst(shape, nvars))
-    if method == "product":
-        return count_sst_product(shape, nvars)
-    if method == "hook":
-        return count_sst_hook(shape, nvars)
-    raise ValueError(f"unknown method {method!r}")
+# Method name -> counter(shape, nvars), in the order `--method all` lists
+# them.  The lambdas look each function up when they run, not at import.
+SVT_COUNTERS = {
+    "enum": lambda shape, n: sum(1 for _ in enumerate_svt(shape, n)),
+    "formula": lambda shape, n: count_svt_formula(shape, n),
+    "holman": _holman_count,
+}
+SST_COUNTERS = {
+    "enum": lambda shape, n: sum(1 for _ in enumerate_sst(shape, n)),
+    "product": lambda shape, n: count_sst_product(shape, n),
+    "hook": lambda shape, n: count_sst_hook(shape, n),
+}
 
 
-def _run_count(args, methods: list[str], counter) -> int:
+def _run_count(args, counters: dict) -> int:
     shape = parse_shape(args.shape)
-    wanted = methods if args.method == "all" else [args.method]
-    counts = {m: counter(m, shape, args.vars) for m in wanted}
+    wanted = list(counters) if args.method == "all" else [args.method]
+    counts = {m: counters[m](shape, args.vars) for m in wanted}
     distinct = set(counts.values())
     if args.format == "json":
         print(json.dumps({"shape": list(shape), "vars": args.vars,
@@ -125,11 +129,11 @@ def _run_count(args, methods: list[str], counter) -> int:
 
 
 def cmd_count_svt(args) -> int:
-    return _run_count(args, ["enum", "formula", "holman"], _svt_count_by)
+    return _run_count(args, SVT_COUNTERS)
 
 
 def cmd_count_sst(args) -> int:
-    return _run_count(args, ["enum", "product", "hook"], _sst_count_by)
+    return _run_count(args, SST_COUNTERS)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +171,9 @@ def cmd_eval_groth(args) -> int:
     n = args.vars
     beta = parse_rational(args.beta) if args.beta is not None else BETA
     if args.refined is not None:
-        betas = _parse_rational_list(args.refined)
+        if args.beta is not None:
+            raise ValueError("--beta cannot be used with --refined, which gives every beta")
+        betas = _parse_rational_list("--refined", args.refined)
         if len(betas) != n - 1:
             raise ValueError(f"--refined needs exactly {n - 1} values")
     else:
@@ -185,7 +191,7 @@ def cmd_eval_groth(args) -> int:
             if args.beta is not None:
                 poly = poly.substitute({BETA: beta})
         if args.at is not None:
-            point = _parse_rational_list(args.at)
+            point = _parse_rational_list("--at", args.at)
             if len(point) != n:
                 raise ValueError(f"--at needs exactly {n} values")
             poly = poly.substitute({f"x{i + 1}": v for i, v in enumerate(point)})
@@ -247,6 +253,9 @@ def _suite_table(suite: SuiteReport) -> str:
     lines = [f"{'check':<14} {'instances':>9} {'passed':>7} {'failed':>7} {'seconds':>8}"]
     for c in suite.checks:
         lines.append(f"{c.id:<14} {c.instances:>9} {c.passed:>7} {c.failed:>7} {c.seconds:>8.2f}")
+        if c.failed:
+            check = CHECKS[c.id]
+            lines.append(f"    routes: left = {check.left}, right = {check.right}")
         for w in c.witnesses:
             ps = ", ".join(f"{k}={v}" for k, v in w.params.items())
             lines.append(f"    FAIL [{ps}] left={w.left} right={w.right}")
@@ -297,15 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-svt", help="count set-valued tableaux")
     add_shape_vars(p)
-    p.add_argument("--method", choices=["enum", "formula", "holman", "all"],
-                   default="formula")
+    p.add_argument("--method", choices=[*SVT_COUNTERS, "all"], default="formula")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_count_svt)
 
     p = sub.add_parser("count-sst", help="count semistandard tableaux")
     add_shape_vars(p)
-    p.add_argument("--method", choices=["enum", "product", "hook", "all"],
-                   default="product")
+    p.add_argument("--method", choices=[*SST_COUNTERS, "all"], default="product")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_count_sst)
 
@@ -367,10 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

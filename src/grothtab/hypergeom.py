@@ -1,18 +1,20 @@
 """Terminating hypergeometric series in exact rational arithmetic.
 
-Covers the one-variable Gauss series and the coupled multi-index series
-whose cross factors are (A_ij + k_i - k_j) / A_ij.  Only terminating
-instances are evaluated: every summation index must be cut off by a
-numerator parameter that is a non-positive integer.  Anything else is
-refused rather than approximated.
+The Gauss series 2F1, the coupled multi-index series with cross factors
+(A_ij + k_i - k_j) / A_ij, and the classical summation conditions.  Each
+summation index ends at its first vanishing numerator Pochhammer, one rule
+(_cutoff) for both series; an index with none is refused rather than
+approximated.  Parameters are ints, Fractions or 'p/q' strings; a float is
+refused, since it is not the rational it was written as.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
-from .arith import format_rational
+from .arith import format_rational, parse_rational
 from .partitions import Partition
 
 
@@ -20,63 +22,61 @@ class NonTerminatingSeriesError(ValueError):
     """No numerator parameter truncates the series."""
 
 
-def _as_nonpositive_int(value: Fraction):
-    """The int value of a non-positive integer rational, else None."""
-    if value.denominator == 1 and value <= 0:
-        return int(value)
-    return None
+def _cutoff(params) -> int | None:
+    """The last index m with every Pochhammer (a)_m nonzero, where a series
+    ends: the smallest -a over the non-positive integers a, else None."""
+    return min((-a.numerator for a in params if a.denominator == 1 and a <= 0),
+               default=None)
 
 
-@dataclass(frozen=True)
-class Gauss2F1:
-    """Parameter pack (alpha, beta; gamma; z) of the Gauss series
-    sum_m (alpha)_m (beta)_m / (gamma)_m * z^m / m!."""
+def _exact(value) -> Fraction:
+    """An int, Fraction or 'p/q' string as a Fraction; anything else, a
+    float included, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise ValueError(f"{value!r} is not an exact rational; "
+                         "write it as an integer or a 'p/q' string")
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    z: Fraction
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "z"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+def _entries(values, what: str, convert) -> tuple:
+    """The converted entries of a list or tuple; anything else is refused."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {values!r}")
+    return tuple(convert(v) for v in values)
 
-    @property
-    def termination_bound(self) -> int | None:
-        """Largest index with all numerator Pochhammers nonzero (the sum
-        runs to it inclusively), or None when the series does not
-        terminate."""
-        caps = []
-        for a in (self.alpha, self.beta):
-            j = _as_nonpositive_int(a)
-            if j is not None:
-                caps.append(-j)
-        return min(caps) if caps else None
 
-    def value(self) -> Fraction:
-        """Exact value of the terminating sum."""
-        bound = self.termination_bound
-        if bound is None:
-            raise NonTerminatingSeriesError(
-                f"neither {self.alpha} nor {self.beta} is a non-positive "
-                "integer; only terminating series are evaluated")
-        g = _as_nonpositive_int(self.gamma)
-        if g is not None and -g < bound:
-            raise ValueError(
-                f"denominator Pochhammer ({self.gamma})_m vanishes inside "
-                f"the summation range 0..{bound}")
-        total = Fraction(1)
-        term = Fraction(1)
-        for m in range(bound):
-            term *= (self.alpha + m) * (self.beta + m) * self.z
-            term /= (self.gamma + m) * (m + 1)
-            total += term
-        return total
+def _table(rows, what: str, convert) -> tuple[tuple, ...]:
+    """The converted entries of a list of lists; anything else is refused."""
+    return _entries(rows, what, lambda row: _entries(row, f"each row of {what}", convert))
+
+
+def _coupling_entry(value) -> int:
+    """A coupling entry, which is divided by: a positive int, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"coupling entry {value!r} is not a positive integer")
+    return value
 
 
 def gauss_2f1_terminating(alpha, beta, gamma, z) -> Fraction:
-    """Exact value of the terminating Gauss series."""
-    return Gauss2F1(alpha, beta, gamma, z).value()
+    """Exact value of the terminating Gauss series
+    sum_m (alpha)_m (beta)_m / (gamma)_m * z^m / m!, summed up to the first
+    m at which (alpha)_m or (beta)_m vanishes."""
+    alpha, beta, gamma, z = map(_exact, (alpha, beta, gamma, z))
+    bound = _cutoff((alpha, beta))
+    if bound is None:
+        raise NonTerminatingSeriesError(
+            f"neither {alpha} nor {beta} is a non-positive "
+            "integer; only terminating series are evaluated")
+    if _cutoff((gamma,)) in range(bound):
+        raise ValueError(
+            f"denominator Pochhammer ({gamma})_m vanishes inside "
+            f"the summation range 0..{bound}")
+    total = term = Fraction(1)
+    for m in range(bound):
+        term *= (alpha + m) * (beta + m) * z
+        term /= (gamma + m) * (m + 1)
+        total += term
+    return total
 
 
 def shape_coupling(shape, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -105,24 +105,19 @@ class HolmanInstance:
     z: tuple[Fraction, ...]
 
     def __post_init__(self):
-        z = tuple(Fraction(v) for v in self.z)
-        n = len(z)
+        object.__setattr__(self, "coupling", _table(self.coupling, "coupling", _coupling_entry))
+        object.__setattr__(self, "numerator", _table(self.numerator, "numerator", _exact))
+        object.__setattr__(self, "denominator", _table(self.denominator, "denominator", _exact))
+        object.__setattr__(self, "z", _entries(self.z, "z", _exact))
+        n = self.n
         if n < 1:
             raise ValueError("need at least one summation index")
-        coupling = tuple(tuple(int(a) for a in row) for row in self.coupling)
-        if len(coupling) != n - 1 or any(len(row) != t + 1 for t, row in enumerate(coupling)):
+        if len(self.coupling) != n - 1 or any(
+                len(row) != t + 1 for t, row in enumerate(self.coupling)):
             raise ValueError(f"coupling triangle must have rows of lengths 1..{n - 1}")
-        if any(a <= 0 for row in coupling for a in row):
-            raise ValueError("all coupling entries A_ij must be positive")
-        numerator = tuple(tuple(Fraction(a) for a in col) for col in self.numerator)
-        denominator = tuple(tuple(Fraction(b) for b in col) for col in self.denominator)
-        for col in numerator + denominator:
+        for col in self.numerator + self.denominator:
             if len(col) != n:
                 raise ValueError(f"parameter columns must have length {n}")
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "z", z)
 
     @property
     def n(self) -> int:
@@ -143,19 +138,12 @@ class HolmanInstance:
     def termination_bounds(self) -> tuple[int, ...]:
         """Tightest cutoff per summation index, from the non-positive
         integer numerator parameters; refuses non-terminating rows."""
-        bounds = []
-        for i in range(1, self.n + 1):
-            caps = []
-            for a in self.row_numerators(i):
-                j = _as_nonpositive_int(a)
-                if j is not None:
-                    caps.append(-j)
-            if not caps:
-                raise NonTerminatingSeriesError(
-                    f"no non-positive integer numerator parameter in row {i}; "
-                    "only terminating series are evaluated")
-            bounds.append(min(caps))
-        return tuple(bounds)
+        bounds = tuple(_cutoff(self.row_numerators(i)) for i in range(1, self.n + 1))
+        if None in bounds:
+            raise NonTerminatingSeriesError(
+                f"no non-positive integer numerator parameter in row {bounds.index(None) + 1}; "
+                "only terminating series are evaluated")
+        return bounds
 
     @classmethod
     def from_shape(cls, shape, nvars: int, z) -> "HolmanInstance":
@@ -168,12 +156,11 @@ class HolmanInstance:
         n = int(nvars)
         if len(shape) > n:
             raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
-        zz = Fraction(z)
         return cls(
             coupling=shape_coupling(shape, n),
-            numerator=(tuple(Fraction(-i) for i in range(n)),),
-            denominator=(tuple(Fraction(1) for _ in range(n)),),
-            z=tuple(zz for _ in range(n)),
+            numerator=(tuple(range(0, -n, -1)),),
+            denominator=((1,) * n,),
+            z=(z,) * n,
         )
 
     def to_json(self) -> dict:
@@ -185,13 +172,14 @@ class HolmanInstance:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "HolmanInstance":
-        return cls(
-            coupling=tuple(tuple(row) for row in data["coupling"]),
-            numerator=tuple(tuple(Fraction(a) for a in col) for col in data["numerator"]),
-            denominator=tuple(tuple(Fraction(b) for b in col) for col in data["denominator"]),
-            z=tuple(Fraction(v) for v in data["z"]),
-        )
+    def from_json(cls, data) -> "HolmanInstance":
+        """The instance a JSON document describes: an object with exactly
+        the fields coupling, numerator, denominator and z."""
+        if not isinstance(data, dict) or data.keys() != {f.name for f in fields(cls)}:
+            found = sorted(data) if isinstance(data, dict) else f"a JSON {type(data).__name__}"
+            raise ValueError("an instance is a JSON object with exactly the fields coupling, "
+                             f"numerator, denominator and z, not {found}")
+        return cls(**data)
 
     @classmethod
     def load(cls, path) -> "HolmanInstance":
@@ -212,8 +200,7 @@ def holman_series(inst: HolmanInstance) -> Fraction:
     bounds = inst.termination_bounds()
     for i in range(1, n + 1):
         for b in inst.row_denominators(i):
-            g = _as_nonpositive_int(b)
-            if g is not None and -g < bounds[i - 1]:
+            if _cutoff((b,)) in range(bounds[i - 1]):
                 raise ValueError(
                     f"denominator Pochhammer ({b})_k vanishes inside the "
                     f"summation range 0..{bounds[i - 1]} of index {i}")
@@ -250,8 +237,7 @@ def holman_series(inst: HolmanInstance) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class SummationConditionReport:
+class SummationConditionReport(NamedTuple):
     """Truth of the four classical parameter constraints, in order:
 
     1. coupling_additive:    A_id - A_ic = A_cd  for all i < c < d
@@ -269,21 +255,10 @@ class SummationConditionReport:
 
     @property
     def all_satisfied(self) -> bool:
-        return (self.coupling_additive and self.numerator_shifted
-                and self.denominator_shifted and self.unit_diagonal)
-
-    def as_tuple(self) -> tuple[bool, bool, bool, bool]:
-        return (self.coupling_additive, self.numerator_shifted,
-                self.denominator_shifted, self.unit_diagonal)
+        return all(self)
 
     def as_dict(self) -> dict:
-        return {
-            "coupling_additive": self.coupling_additive,
-            "numerator_shifted": self.numerator_shifted,
-            "denominator_shifted": self.denominator_shifted,
-            "unit_diagonal": self.unit_diagonal,
-            "all_satisfied": self.all_satisfied,
-        }
+        return {**self._asdict(), "all_satisfied": self.all_satisfied}
 
 
 def classical_summation_conditions(inst: HolmanInstance) -> SummationConditionReport:

@@ -10,8 +10,9 @@ right) for one instance; the row and column checks filter the shape.
 run_check owns the one sweep over the Grid, ordered by shape size, then
 shape (lexicographically), then number of variables, so the first reported
 witness of a failure is the smallest offender.  An instance that raises is
-one failed instance whose witness names its shape, n and exception type,
-and the sweep goes on.  An empty Grid is rejected.  Set-valued counts are
+one failed instance whose witness names its shape, n, exception type and
+the function, file and line of the innermost traceback frame, and the
+sweep goes on.  An empty Grid is rejected.  Set-valued counts are
 coefficient sums of the memoized tableau sum, so a process enumerates each
 (shape, n) once.  run_all executes the whole registry, in parallel
 processes when more than one worker is available; the GROTH_THREADS
@@ -21,6 +22,7 @@ environment variable caps the worker count.
 import os
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -202,8 +204,10 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
                 else:
                     fail(params, left, right)
         except Exception as exc:  # one crashing instance must not hide the rest
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
             report.instances += 1
-            fail({"shape": shape, "n": n, "error": type(exc).__name__}, exc, "")
+            fail({"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, "")
     report.seconds = perf_counter() - start
     return report
 

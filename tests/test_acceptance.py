@@ -142,5 +142,5 @@ def test_criterion_6b_column_expansion_coefficient():
 
 def test_criterion_7_summation_conditions():
     report = classical_summation_conditions(HolmanInstance.from_shape((2, 1), 3, 1))
-    ok = report.as_tuple() == (True, False, False, True)
-    _line("7-summation-conditions", ok, f"(conditions {report.as_tuple()})")
+    ok = tuple(report) == (True, False, False, True)
+    _line("7-summation-conditions", ok, f"(conditions {tuple(report)})")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from grothtab import cli
 from grothtab.grothendieck import principal_specialization_q
+from grothtab.hypergeom import HolmanInstance
+from grothtab.identities import CHECKS, Check
 from grothtab.partitions import Partition
 
 DATA = Path(__file__).parent / "data"
@@ -32,6 +34,9 @@ def test_parse_shape_forms():
         cli.parse_shape("1,2")
     with pytest.raises(ValueError):
         cli.parse_shape("x")
+    for text in ["2^-1", "2^0,1"]:
+        with pytest.raises(ValueError, match=r"repeat count in '2\^-?[01]' must be at least 1"):
+            cli.parse_shape(text)
 
 
 def test_parse_shape_round_trips_str_form():
@@ -178,6 +183,18 @@ def test_eval_groth_wrong_point_length(capsys):
     assert code == 2 and "--at" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--at", "1,,2,3"], "--at has an empty item: '1,,2,3'"),
+    (["--at", "1,2,3,"], "--at has an empty item: '1,2,3,'"),
+    (["--refined", ",1,2", "--ones"], "--refined has an empty item: ',1,2'"),
+    (["--refined", "1,2", "--beta", "3", "--ones"], "--beta cannot be used with --refined"),
+])
+def test_eval_groth_rejects_silently_changed_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, "eval-groth", "--shape", "2,1", "--vars", "3", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_eval_2f1(capsys):
     code, out, _ = run_cli(capsys, "eval-2f1", "1", "-1", "2", "-1")
     assert code == 0 and out.strip() == "3/2"
@@ -214,7 +231,7 @@ def test_eval_holman_json_round_trips_through_loader(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "1/8"
-    from grothtab.hypergeom import HolmanInstance, holman_series
+    from grothtab.hypergeom import holman_series
     reloaded = HolmanInstance.from_json(payload["instance"])
     assert holman_series(reloaded) == Fraction(1, 8)
 
@@ -235,6 +252,31 @@ def test_eval_holman_fixture_rejects_shape_options(capsys, option, value):
                              str(DATA / "holman_2_1_3.json"), option, value)
     assert code == 2 and out == ""
     assert err == f"error: {option} cannot be used with --fixture\n"
+
+
+INSTANCE = {"coupling": [[2], [4, 2]], "numerator": [["0", "-1", "-2"]],
+            "denominator": [["1", "1", "1"]], "z": ["1", "1", "1"]}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({k: v for k, v in INSTANCE.items() if k != "coupling"}, "exactly the fields"),
+    ({**INSTANCE, "beta": "1"}, "exactly the fields"),
+    ([INSTANCE], "not a JSON list"),
+    ({**INSTANCE, "coupling": [[2.5], [4, 2]]}, "coupling entry 2.5 is not a positive integer"),
+    ({**INSTANCE, "z": ["1", 0.1, "1"]}, "0.1 is not an exact rational"),
+    ({**INSTANCE, "z": ["1", "1/0", "1"]}, "not a rational number: '1/0'"),
+    ({**INSTANCE, "z": "111"}, "z must be a list"),
+    ({**INSTANCE, "coupling": [2, [4, 2]]}, "each row of coupling must be a list"),
+], ids=["missing-key", "extra-key", "array", "coupling-2.5", "float-z", "zero-denominator",
+        "z-string", "coupling-row-int"])
+def test_eval_holman_rejects_malformed_fixture(tmp_path, capsys, document, message):
+    with pytest.raises(ValueError, match=message):
+        HolmanInstance.from_json(document)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "eval-holman", "--fixture", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_eval_holman_more_rows_than_vars(capsys):
@@ -266,6 +308,25 @@ def test_verify_json_report_validates_and_round_trips(tmp_path, capsys):
     assert printed == on_disk
     jsonschema.validate(on_disk, SCHEMA)
     assert on_disk["ok"] is True
+
+
+def test_verify_text_names_the_routes_of_a_failing_check(capsys):
+    def broken(grid, shape, n):
+        yield {"shape": shape, "n": n}, 0, 1
+
+    CHECKS["broken-demo"] = Check("broken-demo", "always fails", "zero", "one", broken)
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--id", "broken-demo",
+                               "--max-size", "1", "--max-vars", "1")
+    finally:
+        del CHECKS["broken-demo"]
+    lines = out.splitlines()
+    assert code == 1 and lines[1].startswith("broken-demo ")
+    assert lines[2:4] == ["    routes: left = zero, right = one",
+                          "    FAIL [shape=(1), n=1] left=0 right=1"]
+    code, out, _ = run_cli(capsys, "verify", "--id", "thm-3.13",
+                           "--max-size", "2", "--max-vars", "2")
+    assert code == 0 and "routes:" not in out
 
 
 def test_verify_csv(capsys):

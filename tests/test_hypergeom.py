@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from grothtab.arith import binomial
 from grothtab.grothendieck import BETA, grothendieck_tableau_sum
 from grothtab.hypergeom import (
-    Gauss2F1,
     HolmanInstance,
     NonTerminatingSeriesError,
     classical_summation_conditions,
@@ -36,11 +36,19 @@ def test_gauss_prefactor_gives_single_box_count():
     assert value == 3 == sum(1 for _ in enumerate_svt((1,), 2))
 
 
+def _rising(a, m):
+    return prod((Fraction(a) + i for i in range(m)), start=Fraction(1))
+
+
 def test_gauss_termination_bound():
-    assert Gauss2F1(1, -3, 2, 1).termination_bound == 3
-    assert Gauss2F1(-2, -5, 2, 1).termination_bound == 2
-    assert Gauss2F1(1, 2, 3, Fraction(1, 2)).termination_bound is None
-    assert Gauss2F1(Fraction(-3, 2), 2, 3, 1).termination_bound is None
+    # the sum ends at the last nonzero numerator Pochhammer: m = 3, then m = 2
+    for alpha, beta, gamma, z, bound in [(1, -3, 2, 1, 3), (-2, -5, 2, 1, 2)]:
+        want = sum(_rising(alpha, m) * _rising(beta, m) / _rising(gamma, m)
+                   * Fraction(z) ** m / factorial(m) for m in range(bound + 1))
+        assert gauss_2f1_terminating(alpha, beta, gamma, z) == want
+    for alpha, beta, gamma, z in [(1, 2, 3, Fraction(1, 2)), (Fraction(-3, 2), 2, 3, 1)]:
+        with pytest.raises(NonTerminatingSeriesError):
+            gauss_2f1_terminating(alpha, beta, gamma, z)
 
 
 def test_gauss_refuses_non_terminating():
@@ -174,7 +182,7 @@ def test_rejects_denominator_pochhammer_zero():
 
 def test_conditions_for_shape_instance():
     report = classical_summation_conditions(HolmanInstance.from_shape((2, 1), 3, 1))
-    assert report.as_tuple() == (True, False, False, True)
+    assert tuple(report) == (True, False, False, True)
     assert not report.all_satisfied
 
 
@@ -188,7 +196,7 @@ def test_conditions_all_satisfied_instance():
         z=(1, 1, 1),
     )
     report = classical_summation_conditions(inst)
-    assert report.as_tuple() == (True, True, True, True)
+    assert tuple(report) == (True, True, True, True)
     assert report.all_satisfied
 
 

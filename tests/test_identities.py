@@ -100,7 +100,9 @@ def test_crashing_check_is_reported_not_raised():
     try:
         report = run_check("crash-demo", Grid(1, 1))
         assert report.failed == 1 and report.passed == 1
-        assert report.witnesses[0].params == {"shape": "(1)", "n": "1", "error": "RuntimeError"}
+        line = crashing.__code__.co_firstlineno + 2
+        assert report.witnesses[0].params == {"shape": "(1)", "n": "1", "error": "RuntimeError",
+                                              "at": f"crashing (test_identities.py:{line})"}
     finally:
         del CHECKS["crash-demo"]
 
@@ -123,12 +125,16 @@ def test_crashing_instance_does_not_hide_later_instances():
         report = run_check("crash-one", grid)
         assert report.instances == pairs
         assert report.passed == pairs - 1 and report.failed == 1
+        line = crash_on_2_1.__code__.co_firstlineno + 2
         assert report.witnesses == [
-            Witness({"shape": "(2,1)", "n": "2", "error": "RuntimeError"}, "boom", "")]
+            Witness({"shape": "(2,1)", "n": "2", "error": "RuntimeError",
+                     "at": f"crash_on_2_1 (test_identities.py:{line})"}, "boom", "")]
         report = run_check("crash-all", grid)
         assert report.instances == report.failed == pairs > MAX_WITNESSES
         assert len(report.witnesses) == MAX_WITNESSES
-        assert report.witnesses[0].params == {"shape": "(1)", "n": "1", "error": "KeyError"}
+        line = always_crashing.__code__.co_firstlineno + 1
+        assert report.witnesses[0].params == {"shape": "(1)", "n": "1", "error": "KeyError",
+                                              "at": f"always_crashing (test_identities.py:{line})"}
     finally:
         del CHECKS["crash-one"], CHECKS["crash-all"]
 
