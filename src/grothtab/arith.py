@@ -2,12 +2,17 @@
 
 Integers are plain Python ints (arbitrary precision, canonical zero) and
 rationals are fractions.Fraction, which is reduced on construction and keeps
-a positive denominator, so equality is value equality.  All functions here
-are pure; values are immutable and safe to share between threads.
+a positive denominator, so equality is value equality.  A number taken from
+a caller goes through exact_rational, which refuses a float: 0.1 is a binary
+approximation, not the rational it was written as.  coupled_sum is the one
+loop of the n!-term sums (the count formula, the coupled series and the
+principal specialization).  All functions here are pure; values are
+immutable and safe to share between threads.
 """
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 
 def binomial(n: int, k: int) -> int:
@@ -31,6 +36,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def exact_rational(value) -> Fraction:
+    """An int, Fraction or 'p/q' string as a Fraction; anything else, a
+    float included, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise ValueError(f"{value!r} is not an exact rational; "
+                         "write it as an integer or a 'p/q' string")
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
 def format_rational(value) -> str:
     """Render a rational as 'p/q', or plain 'p' when the denominator is 1."""
     return str(Fraction(value))
@@ -43,3 +57,24 @@ def exact_count(value, what: str) -> int:
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"{what}: {value} is not a non-negative integer")
     return value.numerator
+
+
+def coupled_sum(weights, cross):
+    """The sum over k in range(len(w_1)) x ... x range(len(w_n)) of
+
+        prod_i w_i[k_i] * prod_{i<j} cross(i, j, k_i, k_j)
+
+    for the weight tables w_1 .. w_n (i and j 0-based).  A term whose weight
+    product is zero is skipped without calling cross.  Weights and cross
+    factors may be ints, Fractions or Polys; the sum stays an int while
+    every factor is one.
+    """
+    pairs = list(combinations(range(len(weights)), 2))
+    total = 0
+    for ks in product(*(range(len(w)) for w in weights)):
+        term = prod(w[k] for w, k in zip(weights, ks))
+        if term:
+            for i, j in pairs:
+                term *= cross(i, j, ks[i], ks[j])
+            total += term
+    return total

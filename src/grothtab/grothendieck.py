@@ -5,14 +5,18 @@ with exact Vandermonde division, the refined multi-parameter determinant,
 and the shifted-exponent expansion that evaluates the refined quotient at
 the geometric point x = (1, q, ..., q^(n-1)) without any determinant.
 Keeping the routes separate is the point: the verification harness compares
-them against each other.
+them against each other.  The expansion and the binomial-shift count formula
+are arith.coupled_sum with integer cross factors, divided once at the end.
+A beta, q or point value is an int, a Fraction or a variable name; a float
+is refused.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from math import prod
 
-from .arith import binomial, exact_count
+from .arith import binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, determinant
 from .tableaux import enumerate_sst, enumerate_svt
@@ -27,7 +31,7 @@ def _x_names(nvars: int) -> tuple[str, ...]:
 def _scalar_or_var(value):
     if isinstance(value, str):
         return Poly.variable(value)
-    return Fraction(value)
+    return exact_rational(value)
 
 
 def schur_tableau_sum(shape, nvars: int) -> Poly:
@@ -162,41 +166,23 @@ def principal_specialization_q(shape, nvars: int, betas, q):
         raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
     if len(shape) > n:
         return Fraction(0)
-    lam = shape.padded(n)
     bvals = [_scalar_or_var(b) for b in betas]
-    qval = Fraction(q)
+    qval = exact_rational(q)
     if qval == 0:
         raise ValueError("q must be nonzero")
 
-    # every exponent below is at most lam[0] + n - 1
-    qp = [qval ** e for e in range(lam[0] + n)]
-
-    etable = [[elementary_symmetric(k, bvals[:j]) for k in range(j + 1)] for j in range(n)]
-
-    total = Fraction(0)
-    for ks in product(*(range(j + 1) for j in range(n))):
-        coeff = Fraction(1)
-        for j, k in enumerate(ks):
-            coeff = coeff * etable[j][k]
-        if coeff == 0:
-            continue
-        alpha = [lam[j] + n - 1 - j + ks[j] for j in range(n)]
-        term = coeff
-        for i in range(n):
-            for j in range(i + 1, n):
-                term = term * (qp[alpha[j]] - qp[alpha[i]])
-        total = total + term
-
-    denom = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            denom = denom * (qp[n - j] - qp[n - i])
-
+    # q^e = qp[e] / d^top for q = p/d and every e <= top; the sum and the
+    # q-Vandermonde multiply equally many differences, so the d^top cancel
+    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
+    top = c[0]
+    qp = [qval.numerator ** e * qval.denominator ** (top - e) for e in range(top + 1)]
+    total = coupled_sum(
+        [[elementary_symmetric(k, bvals[:j]) for k in range(j + 1)] for j in range(n)],
+        lambda i, j, ki, kj: qp[c[j] + kj] - qp[c[i] + ki])
+    denom = prod(qp[n - 1 - j] - qp[n - 1 - i] for j in range(n) for i in range(j))
     if denom == 0:
         raise ValueError(f"q-Vandermonde vanishes at q = {q}")
-    if isinstance(total, Poly):
-        return total * (Fraction(1) / denom)
-    return total / denom
+    return total * Fraction(1, denom)
 
 
 def count_svt_formula(shape, nvars: int) -> int:
@@ -212,17 +198,11 @@ def count_svt_formula(shape, nvars: int) -> int:
     n = int(nvars)
     if len(shape) > n:
         return 0
-    lam = shape.padded(n)
-    total = Fraction(0)
-    for ks in product(*(range(j + 1) for j in range(n))):
-        term = Fraction(1)
-        for j, k in enumerate(ks):
-            term *= binomial(j, k)
-        for i in range(n):
-            for j in range(i + 1, n):
-                term *= Fraction(lam[i] - lam[j] + ks[i] - ks[j] + j - i, j - i)
-        total += term
-    return exact_count(total, f"formula for {shape}, n={n}")
+    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
+    total = coupled_sum([[binomial(j, k) for k in range(j + 1)] for j in range(n)],
+                        lambda i, j, ki, kj: c[i] + ki - c[j] - kj)
+    denom = prod(j - i for j in range(n) for i in range(j))
+    return exact_count(Fraction(total, denom), f"formula for {shape}, n={n}")
 
 
 def single_column_e_expansion(k: int, nvars: int, beta=BETA) -> Poly:

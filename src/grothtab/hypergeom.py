@@ -4,22 +4,35 @@ The Gauss series 2F1, the coupled multi-index series with cross factors
 (A_ij + k_i - k_j) / A_ij, and the classical summation conditions.  Each
 summation index ends at its first vanishing numerator Pochhammer, one rule
 (_cutoff) for both series; an index with none is refused rather than
-approximated.  Parameters are ints, Fractions or 'p/q' strings; a float is
+approximated, and so is a series of more than MAX_SERIES_TERMS terms.  The
+coupled series is arith.coupled_sum over integer weight tables, divided once
+at the end.  Parameters are ints, Fractions or 'p/q' strings; a float is
 refused, since it is not the rational it was written as.
 """
 
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import product
+from math import lcm, prod
 from typing import NamedTuple
 
-from .arith import format_rational, parse_rational
+from .arith import coupled_sum, exact_rational, format_rational
 from .partitions import Partition
+
+
+# The most terms a series may have; a larger one is refused before any term
+# is built, so a bad parameter cannot keep the evaluation busy indefinitely.
+MAX_SERIES_TERMS = 10**6
 
 
 class NonTerminatingSeriesError(ValueError):
     """No numerator parameter truncates the series."""
+
+
+def _check_size(terms: int) -> None:
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(f"the series has {terms} terms, "
+                         f"more than the limit of {MAX_SERIES_TERMS}")
 
 
 def _cutoff(params) -> int | None:
@@ -27,15 +40,6 @@ def _cutoff(params) -> int | None:
     ends: the smallest -a over the non-positive integers a, else None."""
     return min((-a.numerator for a in params if a.denominator == 1 and a <= 0),
                default=None)
-
-
-def _exact(value) -> Fraction:
-    """An int, Fraction or 'p/q' string as a Fraction; anything else, a
-    float included, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
-        raise ValueError(f"{value!r} is not an exact rational; "
-                         "write it as an integer or a 'p/q' string")
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _entries(values, what: str, convert) -> tuple:
@@ -61,12 +65,13 @@ def gauss_2f1_terminating(alpha, beta, gamma, z) -> Fraction:
     """Exact value of the terminating Gauss series
     sum_m (alpha)_m (beta)_m / (gamma)_m * z^m / m!, summed up to the first
     m at which (alpha)_m or (beta)_m vanishes."""
-    alpha, beta, gamma, z = map(_exact, (alpha, beta, gamma, z))
+    alpha, beta, gamma, z = map(exact_rational, (alpha, beta, gamma, z))
     bound = _cutoff((alpha, beta))
     if bound is None:
         raise NonTerminatingSeriesError(
             f"neither {alpha} nor {beta} is a non-positive "
             "integer; only terminating series are evaluated")
+    _check_size(bound + 1)
     if _cutoff((gamma,)) in range(bound):
         raise ValueError(
             f"denominator Pochhammer ({gamma})_m vanishes inside "
@@ -106,9 +111,9 @@ class HolmanInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "coupling", _table(self.coupling, "coupling", _coupling_entry))
-        object.__setattr__(self, "numerator", _table(self.numerator, "numerator", _exact))
-        object.__setattr__(self, "denominator", _table(self.denominator, "denominator", _exact))
-        object.__setattr__(self, "z", _entries(self.z, "z", _exact))
+        for name in ("numerator", "denominator"):
+            object.__setattr__(self, name, _table(getattr(self, name), name, exact_rational))
+        object.__setattr__(self, "z", _entries(self.z, "z", exact_rational))
         n = self.n
         if n < 1:
             raise ValueError("need at least one summation index")
@@ -196,45 +201,27 @@ def holman_series(inst: HolmanInstance) -> Fraction:
             / prod denominator Pochhammers (b_ij)_{k_i}
             * prod z_i^{k_i}
     """
-    n = inst.n
     bounds = inst.termination_bounds()
-    for i in range(1, n + 1):
-        for b in inst.row_denominators(i):
-            if _cutoff((b,)) in range(bounds[i - 1]):
+    _check_size(prod(N + 1 for N in bounds))
+    # each index's terms over their common denominator d, so the sum is an
+    # integer over prod d * prod A_ij
+    coupling = inst.coupling
+    weights, denom = [], prod(a for row in coupling for a in row)
+    for i, top in enumerate(bounds):
+        nums, dens = inst.row_numerators(i + 1), inst.row_denominators(i + 1)
+        for b in dens:
+            if _cutoff((b,)) in range(top):
                 raise ValueError(
                     f"denominator Pochhammer ({b})_k vanishes inside the "
-                    f"summation range 0..{bounds[i - 1]} of index {i}")
-
-    def poch_table(a: Fraction, top: int) -> list[Fraction]:
-        table = [Fraction(1)]
-        for m in range(top):
-            table.append(table[-1] * (a + m))
-        return table
-
-    num_tables = [[poch_table(a, bounds[i]) for a in inst.row_numerators(i + 1)]
-                  for i in range(n)]
-    den_tables = [[poch_table(b, bounds[i]) for b in inst.row_denominators(i + 1)]
-                  for i in range(n)]
-    z_tables = [[inst.z[i] ** k for k in range(bounds[i] + 1)] for i in range(n)]
-
-    total = Fraction(0)
-    for ks in product(*(range(N + 1) for N in bounds)):
-        term = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = inst.A(i + 1, j + 1)
-                term *= Fraction(a + ks[i] - ks[j], a)
-        for i in range(n):
-            k = ks[i]
-            for table in num_tables[i]:
-                term *= table[k]
-            if not term:
-                break
-            for table in den_tables[i]:
-                term /= table[k]
-            term *= z_tables[i][k]
-        total += term
-    return total
+                    f"summation range 0..{top} of index {i + 1}")
+        w = [Fraction(1)]
+        for k in range(top):
+            w.append(w[-1] * prod(a + k for a in nums) * inst.z[i] / prod(b + k for b in dens))
+        d = lcm(*(x.denominator for x in w))
+        weights.append([x.numerator * (d // x.denominator) for x in w])
+        denom *= d
+    total = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
+    return Fraction(total, denom)
 
 
 class SummationConditionReport(NamedTuple):

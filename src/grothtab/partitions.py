@@ -5,6 +5,7 @@ grows downwards, the column index to the right.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .arith import exact_count
 
@@ -101,10 +102,9 @@ def count_sst_product(shape, nvars: int) -> int:
     if len(shape) > nvars:
         return 0
     lam = shape.padded(nvars)
-    total = Fraction(1)
-    for j in range(2, nvars + 1):
-        for i in range(1, j):
-            total *= Fraction(lam[i - 1] - lam[j - 1] + j - i, j - i)
+    pairs = [(i, j) for j in range(nvars) for i in range(j)]
+    total = Fraction(prod(lam[i] - lam[j] + j - i for i, j in pairs),
+                     prod(j - i for i, j in pairs))
     return exact_count(total, f"count for {shape}, n={nvars}")
 
 
@@ -113,9 +113,9 @@ def count_sst_hook(shape, nvars: int) -> int:
     shape = Partition(shape)
     if len(shape) > nvars:
         return 0
-    total = Fraction(1)
-    for i, j in shape.cells():
-        total *= Fraction(nvars + j - i, shape.hook_length(i, j))
+    cells = shape.cells()
+    total = Fraction(prod(nvars + j - i for i, j in cells),
+                     prod(shape.hook_length(i, j) for i, j in cells))
     return exact_count(total, f"count for {shape}, n={nvars}")
 
 

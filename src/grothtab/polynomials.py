@@ -11,7 +11,7 @@ Polynomials are immutable values; every operation returns a fresh Poly.
 import re
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational
+from .arith import exact_rational, format_rational, parse_rational
 
 _NAME_RE = re.compile(r"[A-Za-z]+[0-9]*\Z")
 
@@ -51,7 +51,7 @@ class Poly:
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        value = Fraction(value)
+        value = exact_rational(value)
         return cls((), {(): value} if value else {})
 
     @classmethod
@@ -197,7 +197,7 @@ class Poly:
         hit = [i for i, v in enumerate(self.vars) if v in values]
         if not hit:
             return self
-        vals = {i: Fraction(values[self.vars[i]]) for i in hit}
+        vals = {i: exact_rational(values[self.vars[i]]) for i in hit}
         keep = [i for i in range(len(self.vars)) if i not in vals]
         rest = tuple(self.vars[i] for i in keep)
         terms = {}

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grothtab.arith import binomial, exact_count, format_rational, parse_rational
+from grothtab.arith import (
+    binomial,
+    coupled_sum,
+    exact_count,
+    exact_rational,
+    format_rational,
+    parse_rational,
+)
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -73,3 +80,67 @@ def test_exact_count_still_raises_under_optimize():
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert result.returncode == 0
+
+
+def test_exact_rational_accepts_exact_values_and_refuses_the_rest():
+    assert exact_rational(3) == 3
+    assert exact_rational(Fraction(-2, 6)) == Fraction(-1, 3)
+    assert exact_rational("5/7") == Fraction(5, 7)
+    for bad in (0.1, True, None, [1]):
+        with pytest.raises(ValueError, match="is not an exact rational; write it as an integer "
+                                             "or a 'p/q' string"):
+            exact_rational(bad)
+
+
+def _written_out(weights, cross):
+    """The coupled sum by one nested loop per index, then the double loop
+    over the pairs, with no term skipped."""
+    n = len(weights)
+
+    def summed(ks):
+        if len(ks) < n:
+            return sum((summed(ks + [k]) for k in range(len(weights[len(ks)]))), 0)
+        term = 1
+        for i in range(n):
+            term *= weights[i][ks[i]]
+            for j in range(i + 1, n):
+                term *= cross[i, j][ks[i]][ks[j]]
+        return term
+
+    return summed([])
+
+
+scalars = st.one_of(st.integers(-6, 6), small_rationals)
+
+
+@st.composite
+def coupled_tables(draw):
+    n = draw(st.integers(0, 3))
+    sizes = [draw(st.integers(0, 3)) for _ in range(n)]
+    weights = [draw(st.lists(scalars, min_size=s, max_size=s)) for s in sizes]
+    cross = {(i, j): [[draw(scalars) for _ in range(sizes[j])] for _ in range(sizes[i])]
+             for i in range(n) for j in range(i + 1, n)}
+    return weights, cross
+
+
+@given(coupled_tables())
+def test_coupled_sum_equals_the_written_out_loop(tables):
+    weights, cross = tables
+    got = coupled_sum(weights, lambda i, j, ki, kj: cross[i, j][ki][kj])
+    assert got == _written_out(weights, cross)
+    if all(type(v) is int for w in weights for v in w) and all(
+            type(v) is int for t in cross.values() for row in t for v in row):
+        assert type(got) is int
+
+
+def test_coupled_sum_edge_cases():
+    def no_pairs(*args):
+        raise AssertionError(f"cross called with {args}")
+
+    assert coupled_sum([], no_pairs) == 1
+    assert coupled_sum([[2, Fraction(1, 3), -1]], no_pairs) == Fraction(4, 3)
+    assert coupled_sum([[1, 2], []], no_pairs) == 0
+    # a term whose weight product is zero never reaches cross
+    seen = []
+    total = coupled_sum([[0, 1], [5, 0]], lambda i, j, ki, kj: seen.append((ki, kj)) or 3)
+    assert total == 15 and seen == [(1, 0)]

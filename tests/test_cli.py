@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -205,6 +206,23 @@ def test_eval_2f1(capsys):
 def test_eval_2f1_refuses_non_terminating(capsys):
     code, _, err = run_cli(capsys, "eval-2f1", "1/2", "1/3", "2", "1/2")
     assert code == 2 and "terminating" in err
+
+
+def test_eval_2f1_refuses_a_series_over_the_term_limit(capsys):
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "eval-2f1", "--", "-10000000", "1", "2", "1")
+    assert perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: the series has 10000001 terms, more than the limit of 1000000\n"
+
+
+def test_eval_holman_refuses_a_series_over_the_term_limit(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"coupling": [[1]], "numerator": [["-3000", "-3000"]],
+                                "denominator": [["1", "1"]], "z": ["1", "1"]}))
+    code, out, err = run_cli(capsys, "eval-holman", "--fixture", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: the series has 9006001 terms, more than the limit of 1000000\n"
 
 
 def test_eval_holman_from_shape(capsys):

@@ -16,7 +16,8 @@ from grothtab.grothendieck import (
     schur_tableau_sum,
     single_column_e_expansion,
 )
-from grothtab.partitions import Partition, count_sst_product, partitions_of
+from grothtab.hypergeom import HolmanInstance, holman_series
+from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from grothtab.polynomials import Poly
 from grothtab.tableaux import enumerate_svt
 
@@ -134,6 +135,38 @@ def test_principal_specialization_rejects_degenerate_q():
         principal_specialization_q((2, 1), 3, [1, 1], 1)
     with pytest.raises(ValueError):
         principal_specialization_q((2, 1), 3, [1, 1], -1)
+
+
+def test_float_inputs_are_refused():
+    for build in (lambda: principal_specialization_q((1,), 2, [0.5], 2),
+                  lambda: principal_specialization_q((1,), 2, [1], 0.1),
+                  lambda: refined_bialternant((1,), 2, [0.5]),
+                  lambda: grothendieck_bialternant((1,), 2, 0.5),
+                  lambda: single_column_e_expansion(1, 2, 0.5)):
+        with pytest.raises(ValueError, match="is not an exact rational"):
+            build()
+
+
+def test_results_have_exact_types():
+    # 0.5 == Fraction(1, 2), so only the type shows a float that leaked in
+    for size in range(5):
+        for lam in partitions_of(size):
+            for n in range(1, 5):
+                for count in (count_svt_formula, count_sst_product, count_sst_hook):
+                    assert type(count(lam, n)) is int, (count.__name__, lam, n)
+                for betas, q in (([1 - k for k in range(n - 1)], 2),
+                                 ([Fraction(k + 1, 3) for k in range(n - 1)], Fraction(3, 2))):
+                    value = principal_specialization_q(lam, n, betas, q)
+                    assert type(value) is Fraction, (lam, n, betas, q)
+                if len(lam) > n:
+                    continue
+                for z in (-1, Fraction(2, 5)):
+                    value = holman_series(HolmanInstance.from_shape(lam, n, z))
+                    assert type(value) is Fraction, (lam, n, z)
+                if n > 1:
+                    symbolic = [f"b{k + 1}" for k in range(n - 1)]
+                    value = principal_specialization_q(lam, n, symbolic, Fraction(5, 7))
+                    assert type(value) is Poly, (lam, n)
 
 
 def test_count_formula_examples():

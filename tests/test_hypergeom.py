@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from grothtab import hypergeom
 from grothtab.arith import binomial
 from grothtab.grothendieck import BETA, grothendieck_tableau_sum
 from grothtab.hypergeom import (
@@ -224,3 +225,27 @@ def test_fixture_file_matches_documented_layout():
     data = json.loads((DATA / "holman_2_1_3.json").read_text())
     assert set(data) == {"coupling", "numerator", "denominator", "z"}
     assert data["coupling"] == [[2], [4, 2]]
+
+
+def test_series_size_limit(monkeypatch):
+    # the bound is checked before any term: bound + 1 Gauss terms, prod(N_i + 1)
+    # coupled terms
+    monkeypatch.setattr(hypergeom, "MAX_SERIES_TERMS", 3)
+    assert gauss_2f1_terminating(-2, 1, 1, 1) == 0
+    with pytest.raises(ValueError, match="the series has 4 terms, more than the limit of 3"):
+        gauss_2f1_terminating(-3, 1, 1, 1)
+    monkeypatch.setattr(hypergeom, "MAX_SERIES_TERMS", 6)
+    assert holman_series(HolmanInstance.from_shape((2, 1), 3, 1)) == Fraction(1, 8)
+    with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
+        holman_series(HolmanInstance.from_shape((2, 1), 4, 1))
+
+
+def test_series_over_the_limit_is_refused():
+    inst = HolmanInstance(((1,),), ((-3000, -3000),), ((1, 1),), (1, 1))
+    with pytest.raises(ValueError, match="9006001 terms, more than the limit of 1000000"):
+        holman_series(inst)
+    with pytest.raises(ValueError, match="10000001 terms"):
+        gauss_2f1_terminating(-10**7, 1, 2, 1)
+    # a from-shape instance has n! terms, so n = 10 is the first one refused
+    with pytest.raises(ValueError, match="3628800 terms"):
+        holman_series(HolmanInstance.from_shape((), 10, 1))

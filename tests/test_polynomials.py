@@ -22,6 +22,14 @@ def test_constructors():
         Poly.variable("x 1")
 
 
+def test_float_inputs_are_refused():
+    # 0.1 is a binary approximation, not the rational it was written as
+    for build in (lambda: Poly.constant(0.1), lambda: x1 + 0.5, lambda: 0.5 * x1,
+                  lambda: x1.substitute({"x1": 0.5}), lambda: x1.evaluate({"x1": 0.1})):
+        with pytest.raises(ValueError, match="is not an exact rational"):
+            build()
+
+
 def test_basic_arithmetic():
     p = (x1 + x2) ** 2
     assert p == x1 ** 2 + 2 * x1 * x2 + x2 ** 2
