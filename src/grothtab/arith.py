@@ -1,18 +1,24 @@
 """Exact scalar arithmetic shared by every other module.
 
-Integers are plain Python ints (arbitrary precision, canonical zero) and
-rationals are fractions.Fraction, which is reduced on construction and keeps
-a positive denominator, so equality is value equality.  A number taken from
-a caller goes through exact_rational, which refuses a float: 0.1 is a binary
-approximation, not the rational it was written as.  coupled_sum is the one
-loop of the n!-term sums (the count formula, the coupled series and the
-principal specialization).  All functions here are pure; values are
-immutable and safe to share between threads.
+An exact number is a plain Python int (arbitrary precision, canonical zero)
+or a fractions.Fraction, which is reduced on construction and keeps a
+positive denominator, so equality is value equality across the two.
+exact_rational is the one rule for a number taken from a caller: an int or
+a Fraction is kept as it is, a 'p/q' string is parsed, and a float is
+refused, since 0.1 is a binary approximation, not the rational it was
+written as.  coupled_sum is the one loop of the n!-term sums (the count
+formula, the coupled series and the principal specialization), and every
+such sum is refused above MAX_SERIES_TERMS terms.  All functions here are
+pure; values are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
+
+# The most terms a series may have; a larger one is refused before any term
+# is built, so a bad parameter cannot keep the evaluation busy indefinitely.
+MAX_SERIES_TERMS = 10**6
 
 
 def binomial(n: int, k: int) -> int:
@@ -36,13 +42,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def exact_rational(value) -> Fraction:
-    """An int, Fraction or 'p/q' string as a Fraction; anything else, a
-    float included, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+def exact_rational(value) -> int | Fraction:
+    """An exact number as given: an int or a Fraction is returned unchanged
+    and a 'p/q' string is parsed to a Fraction; anything else, a float or a
+    bool included, is refused."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError(f"{value!r} is not an exact rational; "
                          "write it as an integer or a 'p/q' string")
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    return value
 
 
 def format_rational(value) -> str:
@@ -59,6 +68,12 @@ def exact_count(value, what: str) -> int:
     return value.numerator
 
 
+def _check_size(terms: int) -> None:
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(f"the series has {terms} terms, "
+                         f"more than the limit of {MAX_SERIES_TERMS}")
+
+
 def coupled_sum(weights, cross):
     """The sum over k in range(len(w_1)) x ... x range(len(w_n)) of
 
@@ -67,8 +82,10 @@ def coupled_sum(weights, cross):
     for the weight tables w_1 .. w_n (i and j 0-based).  A term whose weight
     product is zero is skipped without calling cross.  Weights and cross
     factors may be ints, Fractions or Polys; the sum stays an int while
-    every factor is one.
+    every factor is one.  More than MAX_SERIES_TERMS terms are refused with
+    ValueError before the first one.
     """
+    _check_size(prod(len(w) for w in weights))
     pairs = list(combinations(range(len(weights)), 2))
     total = 0
     for ks in product(*(range(len(w)) for w in weights)):

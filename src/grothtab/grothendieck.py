@@ -8,9 +8,11 @@ Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion and the binomial-shift count formula
 are arith.coupled_sum with integer cross factors, divided once at the end.
 A beta, q or point value is an int, a Fraction or a variable name; a float
-is refused.
+is refused.  A variable count is an int; any other number raises TypeError
+rather than being cut down.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -39,7 +41,8 @@ def schur_tableau_sum(shape, nvars: int) -> Poly:
 
     Zero polynomial when the shape has more rows than variables.
     """
-    return _tableau_sum(enumerate_sst, Partition(shape), int(nvars)).coefficient(BETA, 0)
+    shape, nvars = Partition(shape), operator.index(nvars)
+    return _tableau_sum(enumerate_sst, shape, nvars).coefficient(BETA, 0)
 
 
 def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
@@ -47,7 +50,7 @@ def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
 
     The coefficient of b^0 is the Schur polynomial of the same shape.
     """
-    return _tableau_sum(enumerate_svt, Partition(shape), int(nvars))
+    return _tableau_sum(enumerate_svt, Partition(shape), operator.index(nvars))
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +58,7 @@ def _tableau_sum(enumerate_tableaux, shape: Partition, nvars: int) -> Poly:
     """Sum of b^excess x^weight over the fillings the enumerator yields."""
     names = tuple([BETA, *_x_names(nvars)])
     boxes = shape.size
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for tableau in enumerate_tableaux(shape, nvars):
         counts = [0] * nvars
         letters = 0
@@ -85,7 +88,7 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     variable name.  Division by the Vandermonde is exact by construction,
     and a nonzero remainder raises (it would mean a real bug).
     """
-    return refined_bialternant(shape, nvars, [beta] * (int(nvars) - 1))
+    return refined_bialternant(shape, nvars, [beta] * (operator.index(nvars) - 1))
 
 
 def refined_bialternant(shape, nvars: int, betas) -> Poly:
@@ -97,7 +100,7 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     them to zero recovers the Schur polynomial.
     """
     shape = Partition(shape)
-    n = int(nvars)
+    n = operator.index(nvars)
     if len(betas) != n - 1:
         raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
     if len(shape) > n:
@@ -123,8 +126,8 @@ def elementary_symmetric(k: int, values):
         raise ValueError("k must be non-negative")
     values = list(values)
     if k > len(values):
-        return Fraction(0)
-    table = [Fraction(1)] + [Fraction(0)] * k
+        return 0
+    table = [1] + [0] * k
     for v in values:
         for t in range(k, 0, -1):
             table[t] = table[t] + v * table[t - 1]
@@ -141,7 +144,7 @@ def elementary_symmetric_poly(k: int, nvars: int) -> Poly:
         exps = [0] * nvars
         for i in combo:
             exps[i] = 1
-        terms[tuple(exps)] = Fraction(1)
+        terms[tuple(exps)] = 1
     return Poly(names, terms)
 
 
@@ -161,7 +164,7 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     Poly in the symbolic betas.
     """
     shape = Partition(shape)
-    n = int(nvars)
+    n = operator.index(nvars)
     if len(betas) != n - 1:
         raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
     if len(shape) > n:
@@ -195,7 +198,7 @@ def count_svt_formula(shape, nvars: int) -> int:
     ArithmeticError.  Zero when the shape has more rows than variables.
     """
     shape = Partition(shape)
-    n = int(nvars)
+    n = operator.index(nvars)
     if len(shape) > n:
         return 0
     c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
@@ -216,7 +219,7 @@ def single_column_e_expansion(k: int, nvars: int, beta=BETA) -> Poly:
     """
     if k < 1:
         raise ValueError("column height k must be >= 1")
-    n = int(nvars)
+    n = operator.index(nvars)
     bval = _scalar_or_var(beta)
     total = Poly.constant(0)
     for m in range(0, n - k + 1):

@@ -4,35 +4,25 @@ The Gauss series 2F1, the coupled multi-index series with cross factors
 (A_ij + k_i - k_j) / A_ij, and the classical summation conditions.  Each
 summation index ends at its first vanishing numerator Pochhammer, one rule
 (_cutoff) for both series; an index with none is refused rather than
-approximated, and so is a series of more than MAX_SERIES_TERMS terms.  The
-coupled series is arith.coupled_sum over integer weight tables, divided once
-at the end.  Parameters are ints, Fractions or 'p/q' strings; a float is
+approximated, and so is a series of more than arith.MAX_SERIES_TERMS terms.
+The coupled series is arith.coupled_sum over integer weight tables, divided
+once at the end.  Parameters are ints, Fractions or 'p/q' strings; a float is
 refused, since it is not the rational it was written as.
 """
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
-from .arith import coupled_sum, exact_rational, format_rational
+from .arith import _check_size, coupled_sum, exact_rational, format_rational
 from .partitions import Partition
-
-
-# The most terms a series may have; a larger one is refused before any term
-# is built, so a bad parameter cannot keep the evaluation busy indefinitely.
-MAX_SERIES_TERMS = 10**6
 
 
 class NonTerminatingSeriesError(ValueError):
     """No numerator parameter truncates the series."""
-
-
-def _check_size(terms: int) -> None:
-    if terms > MAX_SERIES_TERMS:
-        raise ValueError(f"the series has {terms} terms, "
-                         f"more than the limit of {MAX_SERIES_TERMS}")
 
 
 def _cutoff(params) -> int | None:
@@ -158,7 +148,7 @@ class HolmanInstance:
         the all-ones Grothendieck value at beta = -z.  A shape with more
         rows than n raises ValueError."""
         shape = Partition(shape)
-        n = int(nvars)
+        n = operator.index(nvars)
         if len(shape) > n:
             raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
         return cls(

@@ -259,7 +259,7 @@ def _gauss(shape, n, z):
 
 def _all_ones_rows(grid, shape, n, closed_form):
     """Rows comparing closed_form(beta) with the tableau sum at x = 1."""
-    ones = {f"x{i}": Fraction(1) for i in range(1, n + 1)}
+    ones = {f"x{i}": 1 for i in range(1, n + 1)}
     at_ones = grothendieck_tableau_sum(shape, n).substitute(ones)
     for beta in grid.betas:
         yield ({"shape": shape, "n": n, "beta": beta}, closed_form(beta),

@@ -4,6 +4,7 @@ Cells are 1-based (row, column) pairs in matrix convention: the row index
 grows downwards, the column index to the right.
 """
 
+import operator
 from fractions import Fraction
 from math import prod
 
@@ -15,7 +16,8 @@ class Partition:
 
     Trailing zeros are stripped on construction, so (2, 1) and (2, 1, 0)
     denote the same value.  Non-weakly-decreasing or negative input is
-    rejected rather than silently sorted.
+    rejected rather than silently sorted, and a part that is not an int
+    (2.5) raises TypeError rather than being cut down.
     """
 
     __slots__ = ("parts",)
@@ -23,7 +25,7 @@ class Partition:
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
             parts = parts.parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(operator.index(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if parts and parts[-1] < 0:

@@ -1,5 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
+Coefficients are the exact numbers arith.exact_rational admits: a Poly built
+from ints keeps int coefficients, and Fractions appear only where a rational
+input or a rational operation puts them.
+
 Just enough ring machinery for the determinant formulas: arithmetic,
 substitution, determinants of polynomial matrices, and exact synthetic
 division by a difference of two variables.  Division raises on a nonzero
@@ -27,8 +31,21 @@ def _union_vars(a, b):
     return tuple(sorted(set(a) | set(b), key=_var_key))
 
 
+def _accumulate(terms: dict, items) -> dict:
+    """Add each (exponents, coeff) of items into terms, deleting a key whose
+    sum is zero; returns terms."""
+    for exps, coeff in items:
+        new = terms.get(exps, 0) + coeff
+        if new:
+            terms[exps] = new
+        else:
+            terms.pop(exps, None)
+    return terms
+
+
 class Poly:
-    """Polynomial as a map from exponent vectors to nonzero Fractions.
+    """Polynomial as a map from exponent vectors to nonzero exact
+    coefficients (ints or Fractions, kept as given).
 
     The variable tuple is kept sorted in a canonical order, and operands
     with different variable sets are aligned automatically, so a polynomial
@@ -45,7 +62,7 @@ class Poly:
         self.vars = vars
         self.terms = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = exact_rational(coeff)
             if coeff:
                 self.terms[tuple(exps)] = coeff
 
@@ -58,7 +75,7 @@ class Poly:
     def variable(cls, name: str) -> "Poly":
         if not _NAME_RE.match(name):
             raise ValueError(f"bad variable name: {name!r}")
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     # -- alignment ---------------------------------------------------
 
@@ -87,14 +104,8 @@ class Poly:
     def __add__(self, other):
         other = self._coerce(other)
         vars = _union_vars(self.vars, other.vars)
-        terms = dict(self._terms_over(vars))
-        for exps, coeff in other._terms_over(vars).items():
-            new = terms.get(exps, 0) + coeff
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        return Poly(vars, terms)
+        return Poly(vars, _accumulate(dict(self._terms_over(vars)),
+                                      other._terms_over(vars).items()))
 
     __radd__ = __add__
 
@@ -116,16 +127,9 @@ class Poly:
         right = other._terms_over(vars)
         if len(left) > len(right):
             left, right = right, left
-        terms = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(key, 0) + c1 * c2
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        return Poly(vars, terms)
+        return Poly(vars, _accumulate({}, (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in left.items() for e2, c2 in right.items())))
 
     __rmul__ = __mul__
 
@@ -161,12 +165,12 @@ class Poly:
         return all(not any(e) for e in self.terms)
 
     def as_fraction(self) -> Fraction:
-        """The value of a constant polynomial."""
+        """The value of a constant polynomial, as a Fraction."""
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or degree in one variable; -1 for the zero poly."""
@@ -200,19 +204,12 @@ class Poly:
         vals = {i: exact_rational(values[self.vars[i]]) for i in hit}
         keep = [i for i in range(len(self.vars)) if i not in vals]
         rest = tuple(self.vars[i] for i in keep)
-        terms = {}
+        items = []
         for exps, coeff in self.terms.items():
             for i, v in vals.items():
                 coeff = coeff * v ** exps[i]
-            if not coeff:
-                continue
-            key = tuple(exps[i] for i in keep)
-            new = terms.get(key, 0) + coeff
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-        return Poly(rest, terms)
+            items.append((tuple(exps[i] for i in keep), coeff))
+        return Poly(rest, _accumulate({}, items))
 
     def evaluate(self, values: dict) -> Fraction:
         """Full evaluation; every variable must receive a value."""
@@ -229,47 +226,19 @@ class Poly:
         if u == v:
             raise ValueError("divisor (u - v) must use two distinct variables")
         vars = _union_vars(self.vars, (u, v))
-        ui = vars.index(u)
-        vi = vars.index(v)
-        by_deg: dict[int, dict] = {}
+        ui, vi = vars.index(u), vars.index(v)
+        slices: dict[int, dict] = {}
         for exps, coeff in self._terms_over(vars).items():
-            k = exps[ui]
-            e = list(exps)
-            e[ui] = 0
-            by_deg.setdefault(k, {})[tuple(e)] = coeff
-        if not by_deg:
-            return Poly(vars, {})
-
-        def shifted_by_v(d):
-            out = {}
-            for exps, coeff in d.items():
-                e = list(exps)
-                e[vi] += 1
-                out[tuple(e)] = coeff
-            return out
-
-        def accumulate(dst, src):
-            for exps, coeff in src.items():
-                new = dst.get(exps, 0) + coeff
-                if new:
-                    dst[exps] = new
-                else:
-                    dst.pop(exps, None)
-
-        top = max(by_deg)
-        carry: dict = {}
-        quotient: dict = {}
-        for k in range(top, 0, -1):
-            step = shifted_by_v(carry)
-            accumulate(step, by_deg.get(k, {}))
-            for exps, coeff in step.items():
-                e = list(exps)
-                e[ui] = k - 1
-                quotient[tuple(e)] = coeff
-            carry = step
-        remainder = shifted_by_v(carry)
-        accumulate(remainder, by_deg.get(0, {}))
-        if remainder:
+            slices.setdefault(exps[ui], {})[exps[:ui] + (0,) + exps[ui + 1:]] = coeff
+        # from the top power of u down, step = slice_k + v * (the step before)
+        # is the quotient's coefficient of u^(k-1); at k = 0 it is the remainder
+        quotient, step = {}, {}
+        for k in range(max(slices, default=0), -1, -1):
+            step = _accumulate({e[:vi] + (e[vi] + 1,) + e[vi + 1:]: c for e, c in step.items()},
+                               slices.get(k, {}).items())
+            if k:
+                quotient.update((e[:ui] + (k - 1,) + e[ui + 1:], c) for e, c in step.items())
+        if step:
             raise ValueError(f"inexact division by ({u} - {v})")
         return Poly(vars, quotient)
 
@@ -348,4 +317,9 @@ def determinant(matrix) -> Poly:
         memo[alive] = total
         return total
 
-    return minor(tuple(range(n)))
+    # minor refers to itself, so the memo sits in a reference cycle that only
+    # the cyclic collector frees, possibly many determinants later: empty it
+    try:
+        return minor(tuple(range(n)))
+    finally:
+        memo.clear()

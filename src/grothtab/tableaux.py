@@ -7,6 +7,8 @@ conditions only constrain a cell against its left and upper neighbours, so
 the pruning is exact and the generators are lazy.
 """
 
+import operator
+
 from .partitions import Partition
 
 
@@ -23,7 +25,7 @@ class SetValuedTableau:
 
     def __init__(self, shape, n: int, rows):
         self.shape = Partition(shape)
-        self.n = int(n)
+        self.n = operator.index(n)
         self.rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in rows)
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grothtab import arith
 from grothtab.arith import (
     binomial,
     coupled_sum,
@@ -83,8 +84,10 @@ def test_exact_count_still_raises_under_optimize():
 
 
 def test_exact_rational_accepts_exact_values_and_refuses_the_rest():
-    assert exact_rational(3) == 3
-    assert exact_rational(Fraction(-2, 6)) == Fraction(-1, 3)
+    # an int or a Fraction is kept as it is; only a string is converted
+    assert type(exact_rational(3)) is int and exact_rational(3) == 3
+    third = Fraction(-2, 6)
+    assert exact_rational(third) is third
     assert exact_rational("5/7") == Fraction(5, 7)
     for bad in (0.1, True, None, [1]):
         with pytest.raises(ValueError, match="is not an exact rational; write it as an integer "
@@ -144,3 +147,14 @@ def test_coupled_sum_edge_cases():
     seen = []
     total = coupled_sum([[0, 1], [5, 0]], lambda i, j, ki, kj: seen.append((ki, kj)) or 3)
     assert total == 15 and seen == [(1, 0)]
+
+
+def test_coupled_sum_refuses_more_terms_than_the_limit(monkeypatch):
+    # the table sizes multiply to the term count, checked before the first term
+    def cross(*args):
+        raise AssertionError(f"cross called with {args}")
+
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
+    assert coupled_sum([[1], [1, 0], [1, 0, 0]], lambda i, j, ki, kj: 2) == 8
+    with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
+        coupled_sum([[1], [1, 0], [1, 0, 0], [1, 0, 0, 0]], cross)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grothtab import cli
+from grothtab import arith, cli
 from grothtab.grothendieck import principal_specialization_q
 from grothtab.hypergeom import HolmanInstance
 from grothtab.identities import CHECKS, Check
@@ -17,6 +17,10 @@ from grothtab.partitions import Partition
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "grothtab" / "schemas" / "report.schema.json").read_text())
+# exit code, stdout and stderr of one CLI invocation each; the argv lists are
+# the benchmark's one-shot query mix for seed 1 plus eval-groth and
+# eval-holman --fixture cases, and paths in them are relative to the repo root
+TRANSCRIPT = json.loads((DATA / "cli_transcript.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +229,19 @@ def test_eval_holman_refuses_a_series_over_the_term_limit(tmp_path, capsys):
     assert err == "error: the series has 9006001 terms, more than the limit of 1000000\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-svt", "--shape", "1", "--vars", "4", "--method", "formula"],
+    ["count-svt", "--shape", "1", "--vars", "4", "--method", "all"],
+    ["eval-groth", "--shape", "1", "--vars", "4", "--principal-q", "2"],
+])
+def test_n_factorial_sums_over_the_term_limit_are_usage_errors(capsys, monkeypatch, argv):
+    # 4 variables give 4! = 24 terms
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: the series has 24 terms, more than the limit of 6\n"
+
+
 def test_eval_holman_from_shape(capsys):
     code, out, _ = run_cli(capsys, "eval-holman", "--from-shape", "2,1",
                            "--vars", "3", "--z", "1")
@@ -382,3 +399,11 @@ def test_counts_below_one_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2 and message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", TRANSCRIPT,
+                         ids=[f"{i:03}-{r['argv'][0]}" for i, r in enumerate(TRANSCRIPT)])
+def test_cli_output_matches_the_recorded_transcript(capsys, monkeypatch, record):
+    monkeypatch.chdir(DATA.parent.parent)
+    code, out, err = run_cli(capsys, *record["argv"])
+    assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"]), record["argv"]

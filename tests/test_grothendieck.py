@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from grothtab import arith
 from grothtab.arith import binomial
 from grothtab.grothendieck import (
     BETA,
@@ -19,7 +20,7 @@ from grothtab.grothendieck import (
 from grothtab.hypergeom import HolmanInstance, holman_series
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from grothtab.polynomials import Poly
-from grothtab.tableaux import enumerate_svt
+from grothtab.tableaux import SetValuedTableau, enumerate_svt
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
 b = Poly.variable(BETA)
@@ -147,11 +148,40 @@ def test_float_inputs_are_refused():
             build()
 
 
+def test_non_integer_sizes_are_refused():
+    # 3.9 variables were cut down to 3, and a part of 2.5 to 2
+    for build in (lambda: Partition((2.5, 1)),
+                  lambda: count_svt_formula((2, 1), 3.9),
+                  lambda: principal_specialization_q((2, 1), 3.2, [1, 2], 2),
+                  lambda: grothendieck_tableau_sum((2, 1), 3.0),
+                  lambda: HolmanInstance.from_shape((2, 1), 3.7, 1),
+                  lambda: SetValuedTableau((1,), 2.5, [[(1,)]])):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_n_factorial_sums_refuse_more_terms_than_the_limit(monkeypatch):
+    # n variables give n! terms: 3! = 6 pass, 4! = 24 are refused before any term
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
+    assert count_svt_formula((2, 1), 3) == 27
+    assert principal_specialization_q((1,), 3, [0, 0], 2) == 7
+    for build in (lambda: count_svt_formula((2, 1), 4),
+                  lambda: principal_specialization_q((1,), 4, [0, 0, 0], 2)):
+        with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
+            build()
+
+
 def test_results_have_exact_types():
     # 0.5 == Fraction(1, 2), so only the type shows a float that leaked in
     for size in range(5):
         for lam in partitions_of(size):
             for n in range(1, 5):
+                # int inputs give int coefficients; as_fraction is the one
+                # place that makes a Fraction
+                for poly in (grothendieck_tableau_sum(lam, n), grothendieck_bialternant(lam, n),
+                             refined_bialternant(lam, n, [1 - k for k in range(n - 1)])):
+                    assert all(type(c) is int for c in poly.terms.values()), (lam, n, poly)
+                    assert type(poly.evaluate({BETA: 2, **_ones(n)})) is Fraction, (lam, n)
                 for count in (count_svt_formula, count_sst_product, count_sst_hook):
                     assert type(count(lam, n)) is int, (count.__name__, lam, n)
                 for betas, q in (([1 - k for k in range(n - 1)], 2),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from grothtab import hypergeom
+from grothtab import arith
 from grothtab.arith import binomial
 from grothtab.grothendieck import BETA, grothendieck_tableau_sum
 from grothtab.hypergeom import (
@@ -230,11 +230,11 @@ def test_fixture_file_matches_documented_layout():
 def test_series_size_limit(monkeypatch):
     # the bound is checked before any term: bound + 1 Gauss terms, prod(N_i + 1)
     # coupled terms
-    monkeypatch.setattr(hypergeom, "MAX_SERIES_TERMS", 3)
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 3)
     assert gauss_2f1_terminating(-2, 1, 1, 1) == 0
     with pytest.raises(ValueError, match="the series has 4 terms, more than the limit of 3"):
         gauss_2f1_terminating(-3, 1, 1, 1)
-    monkeypatch.setattr(hypergeom, "MAX_SERIES_TERMS", 6)
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
     assert holman_series(HolmanInstance.from_shape((2, 1), 3, 1)) == Fraction(1, 8)
     with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
         holman_series(HolmanInstance.from_shape((2, 1), 4, 1))

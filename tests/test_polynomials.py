@@ -25,7 +25,8 @@ def test_constructors():
 def test_float_inputs_are_refused():
     # 0.1 is a binary approximation, not the rational it was written as
     for build in (lambda: Poly.constant(0.1), lambda: x1 + 0.5, lambda: 0.5 * x1,
-                  lambda: x1.substitute({"x1": 0.5}), lambda: x1.evaluate({"x1": 0.1})):
+                  lambda: x1.substitute({"x1": 0.5}), lambda: x1.evaluate({"x1": 0.1}),
+                  lambda: Poly(("x1",), {(1,): 0.1})):
         with pytest.raises(ValueError, match="is not an exact rational"):
             build()
 
@@ -111,7 +112,10 @@ def test_divide_by_difference_full_vandermonde():
 def test_divide_by_difference_undoes_the_product(terms, names):
     p = Poly(("b", "x1", "x2"), terms)
     u, v = names[:2]
-    assert (p * (Poly.variable(u) - Poly.variable(v))).divide_by_difference(u, v) == p
+    quotient = (p * (Poly.variable(u) - Poly.variable(v))).divide_by_difference(u, v)
+    assert quotient == p
+    # int coefficients in, int coefficients out
+    assert all(type(c) is int for c in quotient.terms.values())
 
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
