@@ -107,7 +107,9 @@ SST_COUNTERS = {
 def _run_count(args, counters: dict) -> int:
     shape = parse_shape(args.shape)
     wanted = list(counters) if args.method == "all" else [args.method]
-    counts = {m: counters[m](shape, args.vars) for m in wanted}
+    # enum runs last, so that an n!-term sum over the limit refuses before it
+    got = {m: counters[m](shape, args.vars) for m in sorted(wanted, key=lambda m: m == "enum")}
+    counts = {m: got[m] for m in wanted}
     distinct = set(counts.values())
     if args.format == "json":
         print(json.dumps({"shape": list(shape), "vars": args.vars,

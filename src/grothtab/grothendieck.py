@@ -179,12 +179,12 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
     top = c[0]
     qp = [qval.numerator ** e * qval.denominator ** (top - e) for e in range(top + 1)]
-    total = coupled_sum(
-        [[elementary_symmetric(k, bvals[:j]) for k in range(j + 1)] for j in range(n)],
-        lambda i, j, ki, kj: qp[c[j] + kj] - qp[c[i] + ki])
     denom = prod(qp[n - 1 - j] - qp[n - 1 - i] for j in range(n) for i in range(j))
     if denom == 0:
         raise ValueError(f"q-Vandermonde vanishes at q = {q}")
+    total = coupled_sum(
+        [[elementary_symmetric(k, bvals[:j]) for k in range(j + 1)] for j in range(n)],
+        lambda i, j, ki, kj: qp[c[j] + kj] - qp[c[i] + ki])
     return total * Fraction(1, denom)
 
 

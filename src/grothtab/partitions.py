@@ -17,14 +17,16 @@ class Partition:
     Trailing zeros are stripped on construction, so (2, 1) and (2, 1, 0)
     denote the same value.  Non-weakly-decreasing or negative input is
     rejected rather than silently sorted, and a part that is not an int
-    (2.5) raises TypeError rather than being cut down.
+    (2.5) raises TypeError rather than being cut down.  Partition(p) of a
+    Partition p shares p.parts, which were checked when p was made.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
-            parts = parts.parts
+            self.parts = parts.parts
+            return
         parts = tuple(operator.index(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]

@@ -14,6 +14,7 @@ Polynomials are immutable values; every operation returns a fresh Poly.
 
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from .arith import exact_rational, format_rational, parse_rational
 
@@ -45,12 +46,12 @@ def _accumulate(terms: dict, items) -> dict:
 
 class Poly:
     """Polynomial as a map from exponent vectors to nonzero exact
-    coefficients (ints or Fractions, kept as given).
-
-    The variable tuple is kept sorted in a canonical order, and operands
-    with different variable sets are aligned automatically, so a polynomial
-    in (x1, x2) compares equal to the same polynomial built over
-    (b, x1, x2) with unused b.
+    coefficients (ints or Fractions, kept as given) over unique variables in
+    a canonical sorted order.  __init__ and from_json check this canonical
+    form on data from outside; every operation preserves it, so results are
+    built unchecked (_of).  Operands with different variable sets are
+    aligned automatically, so a polynomial in (x1, x2) compares equal to
+    the same polynomial built over (b, x1, x2) with unused b.
     """
 
     __slots__ = ("vars", "terms")
@@ -67,15 +68,22 @@ class Poly:
                 self.terms[tuple(exps)] = coeff
 
     @classmethod
+    def _of(cls, vars: tuple, terms: dict) -> "Poly":
+        poly = object.__new__(cls)
+        poly.vars = vars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, value) -> "Poly":
         value = exact_rational(value)
-        return cls((), {(): value} if value else {})
+        return cls._of((), {(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         if not _NAME_RE.match(name):
             raise ValueError(f"bad variable name: {name!r}")
-        return cls((name,), {(1,): 1})
+        return cls._of((name,), {(1,): 1})
 
     # -- alignment ---------------------------------------------------
 
@@ -104,13 +112,13 @@ class Poly:
     def __add__(self, other):
         other = self._coerce(other)
         vars = _union_vars(self.vars, other.vars)
-        return Poly(vars, _accumulate(dict(self._terms_over(vars)),
-                                      other._terms_over(vars).items()))
+        return Poly._of(vars, _accumulate(dict(self._terms_over(vars)),
+                                          other._terms_over(vars).items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -121,13 +129,13 @@ class Poly:
     def __mul__(self, other):
         other = self._coerce(other)
         if not self.terms or not other.terms:
-            return Poly(_union_vars(self.vars, other.vars), {})
+            return Poly._of(_union_vars(self.vars, other.vars), {})
         vars = _union_vars(self.vars, other.vars)
         left = self._terms_over(vars)
         right = other._terms_over(vars)
         if len(left) > len(right):
             left, right = right, left
-        return Poly(vars, _accumulate({}, (
+        return Poly._of(vars, _accumulate({}, (
             (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             for e1, c1 in left.items() for e2, c2 in right.items())))
 
@@ -186,14 +194,14 @@ class Poly:
     def coefficient(self, var: str, power: int) -> "Poly":
         """The coefficient of var**power, as a polynomial without var."""
         if var not in self.vars:
-            return self if power == 0 else Poly(self.vars, {})
+            return self if power == 0 else Poly._of(self.vars, {})
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
         terms = {}
         for exps, coeff in self.terms.items():
             if exps[i] == power:
                 terms[exps[:i] + exps[i + 1:]] = coeff
-        return Poly(rest, terms)
+        return Poly._of(rest, terms)
 
     def substitute(self, values: dict) -> "Poly":
         """Evaluate some variables at rationals; names the polynomial does
@@ -209,7 +217,7 @@ class Poly:
             for i, v in vals.items():
                 coeff = coeff * v ** exps[i]
             items.append((tuple(exps[i] for i in keep), coeff))
-        return Poly(rest, _accumulate({}, items))
+        return Poly._of(rest, _accumulate({}, items))
 
     def evaluate(self, values: dict) -> Fraction:
         """Full evaluation; every variable must receive a value."""
@@ -240,7 +248,7 @@ class Poly:
                 quotient.update((e[:ui] + (k - 1,) + e[ui + 1:], c) for e, c in step.items())
         if step:
             raise ValueError(f"inexact division by ({u} - {v})")
-        return Poly(vars, quotient)
+        return Poly._of(vars, quotient)
 
     # -- presentation ------------------------------------------------
 
@@ -289,37 +297,23 @@ class Poly:
 def determinant(matrix) -> Poly:
     """Determinant of a square matrix of polynomials (or scalars).
 
-    Minor expansion along columns with memoization on the surviving row
-    set; fine for the small matrices handled here.
+    Minor expansion along columns, bottom-up, one layer of minors (keyed by
+    surviving rows) at a time; fine for the small matrices handled here.
     """
     rows = [[Poly._coerce(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return Poly.constant(1)
-    memo: dict[tuple[int, ...], Poly] = {}
-
-    def minor(alive: tuple[int, ...]) -> Poly:
-        if not alive:
-            return Poly.constant(1)
-        if alive in memo:
-            return memo[alive]
-        col = n - len(alive)
-        total = Poly.constant(0)
-        for t, r in enumerate(alive):
-            entry = rows[r][col]
-            if not entry:
-                continue
-            rest = alive[:t] + alive[t + 1:]
-            term = entry * minor(rest)
-            total = total + term if t % 2 == 0 else total - term
-        memo[alive] = total
-        return total
-
-    # minor refers to itself, so the memo sits in a reference cycle that only
-    # the cyclic collector frees, possibly many determinants later: empty it
-    try:
-        return minor(tuple(range(n)))
-    finally:
-        memo.clear()
+    minors = {(): Poly.constant(1)}
+    for col in range(n - 1, -1, -1):
+        layer = {}
+        for alive in combinations(range(n), n - col):
+            total = Poly.constant(0)
+            for t, r in enumerate(alive):
+                entry = rows[r][col]
+                if entry:
+                    term = entry * minors[alive[:t] + alive[t + 1:]]
+                    total = total + term if t % 2 == 0 else total - term
+            layer[alive] = total
+        minors = layer
+    return minors[tuple(range(n))]

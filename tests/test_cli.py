@@ -233,10 +233,15 @@ def test_eval_holman_refuses_a_series_over_the_term_limit(tmp_path, capsys):
     ["count-svt", "--shape", "1", "--vars", "4", "--method", "formula"],
     ["count-svt", "--shape", "1", "--vars", "4", "--method", "all"],
     ["eval-groth", "--shape", "1", "--vars", "4", "--principal-q", "2"],
+    ["count-svt", "--shape", "2,1", "--vars", "4", "--method", "all"],
 ])
 def test_n_factorial_sums_over_the_term_limit_are_usage_errors(capsys, monkeypatch, argv):
-    # 4 variables give 4! = 24 terms
+    # 4 variables give 4! = 24 terms; the refusal comes before any enumeration
+    def no_enumeration(shape, nvars):
+        raise AssertionError("enumeration ran")
+
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
+    monkeypatch.setattr(cli, "enumerate_svt", no_enumeration)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: the series has 24 terms, more than the limit of 6\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grothtab import arith
+from grothtab import arith, grothendieck
 from grothtab.arith import binomial
 from grothtab.grothendieck import (
     BETA,
@@ -136,6 +136,16 @@ def test_principal_specialization_rejects_degenerate_q():
         principal_specialization_q((2, 1), 3, [1, 1], 1)
     with pytest.raises(ValueError):
         principal_specialization_q((2, 1), 3, [1, 1], -1)
+
+
+def test_a_vanishing_q_vandermonde_is_refused_before_the_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("the n!-term sum ran")
+
+    monkeypatch.setattr(grothendieck, "coupled_sum", no_sum)
+    for q in (1, -1):
+        with pytest.raises(ValueError, match="q-Vandermonde vanishes"):
+            principal_specialization_q((1,), 3, [1, 1], q)
 
 
 def test_float_inputs_are_refused():

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import permutations
 
@@ -140,6 +141,20 @@ def test_ring_axioms(p, q, r):
     assert p - p == 0 and p - q == p + (-q)
 
 
+@given(polys(), polys(), st.dictionaries(st.sampled_from(NAMES), small_rationals),
+       st.sampled_from(NAMES), st.integers(0, 2), st.permutations(NAMES))
+def test_operations_return_canonical_polys(p, q, point, name, power, names):
+    # the operations build their results unchecked, so rebuilding one through
+    # the checking constructor must change nothing
+    u, v = names[:2]
+    for r in (p + q, p - q, p * q, -p, p ** 2, p.substitute(point), p.coefficient(name, power),
+              (p * (Poly.variable(u) - Poly.variable(v))).divide_by_difference(u, v)):
+        rebuilt = Poly(r.vars, r.terms)
+        assert rebuilt.vars == r.vars and rebuilt.terms == r.terms
+        assert all(len(e) == len(r.vars) for e in r.terms)
+        assert all(c != 0 and type(c) in (int, Fraction) for c in r.terms.values())
+
+
 @given(polys(), polys(), st.dictionaries(st.sampled_from(NAMES), small_rationals))
 def test_substitute_is_a_ring_homomorphism(p, q, point):
     assert (p + q).substitute(point) == p.substitute(point) + q.substitute(point)
@@ -165,21 +180,40 @@ def test_determinant_scalar_entries():
     assert determinant([[2, 1], [7, 4]]) == 1
 
 
+def test_determinant_leaves_nothing_for_the_cyclic_collector():
+    xs = [Poly.variable(f"x{i}") for i in range(1, 5)]
+    matrix = [[x ** e for e in (3, 2, 1, 0)] for x in xs]
+    gc.collect()
+    gc.disable()
+    try:
+        determinant(matrix)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def leibniz(matrix):
     """Permutation-sum definition of the determinant."""
     n = len(matrix)
-    total = Fraction(0)
+    total = Poly.constant(0)
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = Fraction(-1) ** inversions
+        term = Poly.constant((-1) ** inversions)
         for i, j in enumerate(perm):
             term *= matrix[i][j]
         total += term
     return total
 
 
-@given(st.integers(3, 4).flatmap(
-    lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+# zero entries exercise the skipped terms of the expansion
+matrix_entries = st.one_of(
+    st.just(0), small_rationals,
+    st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-3, 3),
+                    max_size=2).map(lambda terms: Poly(("x1", "x2"), terms)))
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(matrix_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_determinant_matches_leibniz_sum(matrix):
     assert determinant(matrix) == leibniz(matrix)
 
