@@ -7,14 +7,16 @@ exact_rational is the one rule for a number taken from a caller: an int or
 a Fraction is kept as it is, a 'p/q' string is parsed, and a float is
 refused, since 0.1 is a binary approximation, not the rational it was
 written as.  coupled_sum is the one loop of the n!-term sums (the count
-formula, the coupled series and the principal specialization), and every
-such sum is refused above MAX_SERIES_TERMS terms.  All functions here are
-pure; values are immutable and safe to share between threads.
+formula, the coupled series and the principal specialization): it puts each
+weight table over one integer denominator, multiplies integer numerators
+(Polys for symbolic weights) and divides once, and every such sum is refused
+above MAX_SERIES_TERMS terms.  All functions here are pure; values are
+immutable and safe to share between threads.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 # The most terms a series may have; a larger one is refused before any term
 # is built, so a bad parameter cannot keep the evaluation busy indefinitely.
@@ -79,19 +81,30 @@ def coupled_sum(weights, cross):
 
         prod_i w_i[k_i] * prod_{i<j} cross(i, j, k_i, k_j)
 
-    for the weight tables w_1 .. w_n (i and j 0-based).  A term whose weight
-    product is zero is skipped without calling cross.  Weights and cross
-    factors may be ints, Fractions or Polys; the sum stays an int while
-    every factor is one.  More than MAX_SERIES_TERMS terms are refused with
-    ValueError before the first one.
+    for the weight tables w_1 .. w_n (i and j 0-based).  Weights and cross
+    factors may be ints, Fractions or Polys.  Each table is put over the lcm
+    of its Fraction denominators, so the loop multiplies integer weights (or
+    Polys, for symbolic ones) and the sum is divided once at the end; it
+    stays an int while every cross factor is an int and every weight an int
+    or a Fraction with denominator 1.  The caller's tables are not changed.
+    A term whose weight product is zero is skipped without calling cross.
+    More than MAX_SERIES_TERMS terms are refused with ValueError before the
+    first one.
     """
     _check_size(prod(len(w) for w in weights))
-    pairs = list(combinations(range(len(weights)), 2))
+    # whole Fractions become ints too, or an all-int sum would not stay on ints
+    tables, denom = [], 1
+    for table in weights:
+        d = lcm(*(w.denominator for w in table if isinstance(w, Fraction)))
+        tables.append([w.numerator * (d // w.denominator) if isinstance(w, Fraction)
+                       else w * d for w in table])
+        denom *= d
+    pairs = list(combinations(range(len(tables)), 2))
     total = 0
-    for ks in product(*(range(len(w)) for w in weights)):
-        term = prod(w[k] for w, k in zip(weights, ks))
+    for ks in product(*(range(len(w)) for w in tables)):
+        term = prod(w[k] for w, k in zip(tables, ks))
         if term:
             for i, j in pairs:
                 term *= cross(i, j, ks[i], ks[j])
             total += term
-    return total
+    return total if denom == 1 else total * Fraction(1, denom)

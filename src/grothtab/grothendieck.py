@@ -6,7 +6,10 @@ and the shifted-exponent expansion that evaluates the refined quotient at
 the geometric point x = (1, q, ..., q^(n-1)) without any determinant.
 Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion and the binomial-shift count formula
-are arith.coupled_sum with integer cross factors, divided once at the end.
+are arith.coupled_sum with integer cross factors over weight tables of exact
+numbers or Polys, which the kernel puts over one denominator; the count
+formula's sum is divided once by its product of differences, and the
+expansion's by the q-Vandermonde.
 A beta, q or point value is an int, a Fraction or a variable name; a float
 is refused.  A variable count is an int; any other number raises TypeError
 rather than being cut down.

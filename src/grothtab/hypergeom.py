@@ -5,8 +5,8 @@ The Gauss series 2F1, the coupled multi-index series with cross factors
 summation index ends at its first vanishing numerator Pochhammer, one rule
 (_cutoff) for both series; an index with none is refused rather than
 approximated, and so is a series of more than arith.MAX_SERIES_TERMS terms.
-The coupled series is arith.coupled_sum over integer weight tables, divided
-once at the end.  Parameters are ints, Fractions or 'p/q' strings; a float is
+The coupled series is arith.coupled_sum over its Pochhammer weight tables,
+with integer cross factors, divided once by prod A_ij.  Parameters are ints, Fractions or 'p/q' strings; a float is
 refused, since it is not the rational it was written as.
 """
 
@@ -14,7 +14,7 @@ import json
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple
 
 from .arith import _check_size, coupled_sum, exact_rational, format_rational
@@ -193,10 +193,8 @@ def holman_series(inst: HolmanInstance) -> Fraction:
     """
     bounds = inst.termination_bounds()
     _check_size(prod(N + 1 for N in bounds))
-    # each index's terms over their common denominator d, so the sum is an
-    # integer over prod d * prod A_ij
     coupling = inst.coupling
-    weights, denom = [], prod(a for row in coupling for a in row)
+    weights = []
     for i, top in enumerate(bounds):
         nums, dens = inst.row_numerators(i + 1), inst.row_denominators(i + 1)
         for b in dens:
@@ -207,11 +205,9 @@ def holman_series(inst: HolmanInstance) -> Fraction:
         w = [Fraction(1)]
         for k in range(top):
             w.append(w[-1] * prod(a + k for a in nums) * inst.z[i] / prod(b + k for b in dens))
-        d = lcm(*(x.denominator for x in w))
-        weights.append([x.numerator * (d // x.denominator) for x in w])
-        denom *= d
+        weights.append(w)
     total = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
-    return Fraction(total, denom)
+    return Fraction(total, prod(a for row in coupling for a in row))
 
 
 class SummationConditionReport(NamedTuple):

@@ -23,7 +23,6 @@ import os
 import random
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
@@ -56,14 +55,13 @@ class Grid:
     """Parameter grid a check runs over.
 
     Shapes are all partitions of size 1..max_size paired with every
-    variable count 1..max_vars that can hold them; scalar points are fixed
-    generic rationals chosen to keep every denominator nonzero.
+    variable count 1..max_vars that can hold them.  The scalar points are
+    the fixed generic rationals DEFAULT_BETAS and DEFAULT_QS, chosen to keep
+    every denominator nonzero; seed sets the random betas of thm-3.5.
     """
 
     max_size: int = 6
     max_vars: int = 4
-    betas: tuple = DEFAULT_BETAS
-    qs: tuple = DEFAULT_QS
     seed: int = 2718
 
     def __post_init__(self):
@@ -230,6 +228,8 @@ def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport
     ids = check_ids()
     count = resolve_workers(workers)
     if count > 1 and len(ids) > 1:
+        # imported here, so that a CLI process that starts no pool does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(count, len(ids))) as pool:
             reports = list(pool.map(run_check, ids, [grid] * len(ids)))
     else:
@@ -261,7 +261,7 @@ def _all_ones_rows(grid, shape, n, closed_form):
     """Rows comparing closed_form(beta) with the tableau sum at x = 1."""
     ones = {f"x{i}": 1 for i in range(1, n + 1)}
     at_ones = grothendieck_tableau_sum(shape, n).substitute(ones)
-    for beta in grid.betas:
+    for beta in DEFAULT_BETAS:
         yield ({"shape": shape, "n": n, "beta": beta}, closed_form(beta),
                at_ones.substitute({BETA: beta}).as_fraction())
 
@@ -324,7 +324,7 @@ def _single_column_counts(grid, shape, n):
 def _geometric_point_expansion(grid, shape, n):
     betas = grid.random_betas(shape, n)
     poly = refined_bialternant(shape, n, betas)
-    for q in grid.qs:
+    for q in DEFAULT_QS:
         point = {f"x{i + 1}": q ** i for i in range(n)}
         left = principal_specialization_q(shape, n, betas, q)
         right = poly.substitute(point).as_fraction()
@@ -362,7 +362,7 @@ def _count_factorization(grid, shape, n):
            "tableau sum at the tilted point", "beta^|shape|")
 def _tilted_point_value(grid, shape, n):
     poly = grothendieck_tableau_sum(shape, n)
-    for beta in grid.betas:
+    for beta in DEFAULT_BETAS:
         point = {f"x{i}": beta for i in range(1, n + 1)}
         point[BETA] = -1 / beta
         left = poly.substitute(point).as_fraction()

@@ -15,10 +15,12 @@ from .partitions import Partition
 class SetValuedTableau:
     """Filling of a Young diagram by non-empty subsets of {1..n}.
 
-    Entries are stored row-major as tuples of sorted letter tuples.  A
-    filling is valid when every row satisfies max(cell) <= min(right
-    neighbour) and every column satisfies max(cell) < min(lower neighbour);
-    an all-singleton filling is an ordinary semistandard tableau.
+    Entries are stored row-major as tuples of sorted letter tuples; the
+    constructor sorts each cell it is given, and the enumerators build
+    their tableaux, already sorted, unchecked.  A filling is valid when
+    every row satisfies max(cell) <= min(right neighbour) and every column
+    satisfies max(cell) < min(lower neighbour); an all-singleton filling is
+    an ordinary semistandard tableau.
     """
 
     __slots__ = ("shape", "n", "rows")
@@ -27,6 +29,16 @@ class SetValuedTableau:
         self.shape = Partition(shape)
         self.n = operator.index(n)
         self.rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in rows)
+
+    @classmethod
+    def _of(cls, shape: Partition, n: int, rows: tuple) -> "SetValuedTableau":
+        """A tableau from a Partition, an int and rows of sorted letter
+        tuples, set unchecked: the enumerators build only such values."""
+        tableau = object.__new__(cls)
+        tableau.shape = shape
+        tableau.n = n
+        tableau.rows = rows
+        return tableau
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:
         """The letters assigned to cell (i, j), 1-based, sorted."""
@@ -117,7 +129,7 @@ def _backtrack(shape, nvars: int, entries):
     """Lazy stream of the fillings whose cells take entries from
     entries(lo, nvars), where lo is the smallest letter the left and upper
     neighbours allow; cells are filled row-major."""
-    shape = Partition(shape)
+    shape, nvars = Partition(shape), operator.index(nvars)
     if len(shape) > nvars:
         return
     cells = shape.cells()
@@ -125,7 +137,7 @@ def _backtrack(shape, nvars: int, entries):
 
     def fill(idx):
         if idx == len(cells):
-            yield SetValuedTableau(shape, nvars, grid)
+            yield SetValuedTableau._of(shape, nvars, tuple(map(tuple, grid)))
             return
         i, j = cells[idx]
         lo = 1

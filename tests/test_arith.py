@@ -149,6 +149,23 @@ def test_coupled_sum_edge_cases():
     assert total == 15 and seen == [(1, 0)]
 
 
+def test_coupled_sum_turns_whole_fractions_into_ints():
+    # a Fraction with denominator 1 is scaled like any other, so the loop
+    # multiplies ints and the sum is an int
+    weights = [[Fraction(1), Fraction(-2)], [Fraction(3), Fraction(0), Fraction(5)]]
+    total = coupled_sum(weights, lambda i, j, ki, kj: ki - kj + 2)
+    assert total == 1 * 3 * 2 + 1 * 5 * 0 + -2 * 3 * 3 + -2 * 5 * 1
+    assert type(total) is int
+
+
+def test_coupled_sum_leaves_the_tables_unchanged():
+    weights = [[1, Fraction(1, 2)], [Fraction(2, 3), Fraction(4), 5]]
+    before = [list(w) for w in weights]
+    assert coupled_sum(weights, lambda i, j, ki, kj: 1) == Fraction(3, 2) * Fraction(29, 3)
+    assert weights == before
+    assert [[type(v) for v in w] for w in weights] == [[type(v) for v in w] for w in before]
+
+
 def test_coupled_sum_refuses_more_terms_than_the_limit(monkeypatch):
     # the table sizes multiply to the term count, checked before the first term
     def cross(*args):

@@ -129,6 +129,20 @@ def test_principal_specialization_symbolic_betas():
     assert poly == want
 
 
+def test_principal_specialization_mixes_rational_and_symbolic_betas():
+    # one weight table over a denominator holds Fractions, another Polys
+    for betas in ([Fraction(1, 2), "b1"], ["b1", Fraction(1, 3)]):
+        for q in (Fraction(2), Fraction(3, 2)):
+            point = {"x1": 1, "x2": q, "x3": q ** 2}
+            for size in range(1, 5):
+                for lam in partitions_of(size):
+                    if len(lam) > 3:
+                        continue
+                    got = principal_specialization_q(lam, 3, betas, q)
+                    want = refined_bialternant(lam, 3, betas).substitute(point)
+                    assert got == want, (lam, betas, q)
+
+
 def test_principal_specialization_rejects_degenerate_q():
     with pytest.raises(ValueError):
         principal_specialization_q((2, 1), 3, [1, 1], 0)

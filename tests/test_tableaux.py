@@ -131,3 +131,16 @@ def test_compact_str_and_json_round_trip():
     t = SetValuedTableau((2, 1), 3, [[[1], [2, 3]], [[2]]])
     assert t.compact_str() == "1 23,2"
     assert SetValuedTableau.from_json(t.to_json(), 3) == t
+
+
+def test_enumerated_tableaux_equal_their_checked_construction():
+    # the enumerators build tableaux unchecked; the public constructor sorts
+    # each cell and normalises shape and n
+    for size in range(5):
+        for shape in partitions_of(size):
+            for n in range(1, 4):
+                for t in enumerate_svt(shape, n):
+                    checked = SetValuedTableau(t.shape, t.n, t.rows)
+                    assert t == checked and hash(t) == hash(checked), t
+                    assert t.shape == checked.shape
+    assert SetValuedTableau((1,), 2, [[[2, 1]]]).rows == (((1, 2),),)
