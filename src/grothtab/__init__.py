@@ -6,13 +6,11 @@ from .arith import binomial, format_rational, parse_rational
 from .grothendieck import (
     count_svt_formula,
     elementary_symmetric,
-    elementary_symmetric_poly,
     grothendieck_bialternant,
     grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant,
     schur_tableau_sum,
-    single_column_e_expansion,
 )
 from .hypergeom import (
     HolmanInstance,
@@ -31,10 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "binomial", "format_rational", "parse_rational",
-    "count_svt_formula", "elementary_symmetric", "elementary_symmetric_poly",
+    "count_svt_formula", "elementary_symmetric",
     "grothendieck_bialternant", "grothendieck_tableau_sum",
     "principal_specialization_q", "refined_bialternant", "schur_tableau_sum",
-    "single_column_e_expansion",
     "HolmanInstance", "NonTerminatingSeriesError",
     "classical_summation_conditions", "gauss_2f1_terminating", "holman_series",
     "shape_coupling",

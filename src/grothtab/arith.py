@@ -10,8 +10,9 @@ written as.  coupled_sum is the one loop of the n!-term sums (the count
 formula, the coupled series and the principal specialization): it puts each
 weight table over one integer denominator, multiplies integer numerators
 (Polys for symbolic weights) and divides once, and every such sum is refused
-above MAX_SERIES_TERMS terms.  All functions here are pure; values are
-immutable and safe to share between threads.
+above MAX_SERIES_TERMS terms (so is a determinant with more minors).  All
+functions here are pure; values are immutable and safe to share between
+threads.
 """
 
 from fractions import Fraction
@@ -70,10 +71,9 @@ def exact_count(value, what: str) -> int:
     return value.numerator
 
 
-def _check_size(terms: int) -> None:
-    if terms > MAX_SERIES_TERMS:
-        raise ValueError(f"the series has {terms} terms, "
-                         f"more than the limit of {MAX_SERIES_TERMS}")
+def _check_size(count: int, what: str = "the series has {} terms") -> None:
+    if count > MAX_SERIES_TERMS:
+        raise ValueError(f"{what.format(count)}, more than the limit of {MAX_SERIES_TERMS}")
 
 
 def coupled_sum(weights, cross):

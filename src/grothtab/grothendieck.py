@@ -1,7 +1,8 @@
 """Schur and Grothendieck polynomials, four independent ways.
 
 Tableau generating sums (driven by the enumerators), determinant quotients
-with exact Vandermonde division, the refined multi-parameter determinant,
+with exact Vandermonde division, the refined multi-parameter determinant
+(taken over int columns, with the betas' denominators divided out once),
 and the shifted-exponent expansion that evaluates the refined quotient at
 the geometric point x = (1, q, ..., q^(n-1)) without any determinant.
 Keeping the routes separate is the point: the verification harness compares
@@ -18,10 +19,9 @@ rather than being cut down.
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 
-from .arith import binomial, coupled_sum, exact_count, exact_rational
+from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, determinant
 from .tableaux import enumerate_sst, enumerate_svt
@@ -76,11 +76,10 @@ def _tableau_sum(enumerate_tableaux, shape: Partition, nvars: int) -> Poly:
 
 
 def _divide_vandermonde(det: Poly, nvars: int) -> Poly:
-    """Exact division by prod_{i<j} (x_i - x_j), one factor at a time."""
+    """Exact division by prod_{i<j} (x_i - x_j): one grouped pass per x_i."""
     out = det
     for i in range(1, nvars):
-        for j in range(i + 1, nvars + 1):
-            out = out.divide_by_difference(f"x{i}", f"x{j}")
+        out = out.divide_by_difference(f"x{i}", *(f"x{j}" for j in range(i + 1, nvars + 1)))
     return out
 
 
@@ -94,6 +93,15 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     return refined_bialternant(shape, nvars, [beta] * (operator.index(nvars) - 1))
 
 
+def _integral_factor(beta):
+    """beta = p/d as (p, d), so that d + p x is d times 1 + beta x; a
+    variable name is (its Poly, 1)."""
+    if isinstance(beta, str):
+        return Poly.variable(beta), 1
+    beta = Fraction(exact_rational(beta))
+    return beta.numerator, beta.denominator
+
+
 def refined_bialternant(shape, nvars: int, betas) -> Poly:
     """Multi-parameter determinant quotient: column j carries the product
     (1 + beta_1 x_i) ... (1 + beta_(j-1) x_i).
@@ -101,6 +109,14 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     Exactly n-1 beta values (rationals or variable names) are required.
     Setting all of them equal recovers grothendieck_bialternant; setting
     them to zero recovers the Schur polynomial.
+
+    With beta_k = p_k/d_k the columns carry (d_k + p_k x_i) instead, so the
+    matrix, its determinant and the Vandermonde quotient have int
+    coefficients; every coefficient is then divided once by
+    prod_k d_k^(n-1-k), the factor that scaling the columns put in.  Int
+    betas give int coefficients.  A determinant of more than
+    arith.MAX_SERIES_TERMS minors (2^n) is refused with ValueError before
+    any row is built.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -108,19 +124,22 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
         raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
     if len(shape) > n:
         return Poly.constant(0)
+    factors = [_integral_factor(b) for b in betas]
+    _check_size(2 ** n, "the determinant has {} minors")
     lam = shape.padded(n)
-    xs = [Poly.variable(name) for name in _x_names(n)]
-    bvals = [_scalar_or_var(b) for b in betas]
     rows = []
-    for i in range(n):
+    for x in (Poly.variable(name) for name in _x_names(n)):
         row = []
         entry_factor = Poly.constant(1)
         for j in range(n):
             if j > 0:
-                entry_factor = entry_factor * (1 + bvals[j - 1] * xs[i])
-            row.append(xs[i] ** (lam[j] + n - 1 - j) * entry_factor)
+                p, d = factors[j - 1]
+                entry_factor = entry_factor * (d + p * x)
+            row.append(x ** (lam[j] + n - 1 - j) * entry_factor)
         rows.append(row)
-    return _divide_vandermonde(determinant(rows), n)
+    quotient = _divide_vandermonde(determinant(rows), n)
+    scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
+    return quotient if scale == 1 else quotient * Fraction(1, scale)
 
 
 def elementary_symmetric(k: int, values):
@@ -135,20 +154,6 @@ def elementary_symmetric(k: int, values):
         for t in range(k, 0, -1):
             table[t] = table[t] + v * table[t - 1]
     return table[k]
-
-
-def elementary_symmetric_poly(k: int, nvars: int) -> Poly:
-    """e_k(x_1 .. x_n) as a polynomial."""
-    names = _x_names(nvars)
-    if k < 0 or k > nvars:
-        return Poly(names, {})
-    terms = {}
-    for combo in combinations(range(nvars), k):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return Poly(names, terms)
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):
@@ -210,22 +215,3 @@ def count_svt_formula(shape, nvars: int) -> int:
     denom = prod(j - i for j in range(n) for i in range(j))
     return exact_count(Fraction(total, denom), f"formula for {shape}, n={n}")
 
-
-def single_column_e_expansion(k: int, nvars: int, beta=BETA) -> Poly:
-    """The single-column polynomial expanded in elementary symmetric
-    polynomials: sum_{m=0}^{n-k} C(m+k-1, m) beta^m e_{m+k}(x).
-
-    The binomial coefficient C(m+k-1, m) is pinned by cross-checking the
-    expansion against the tableau sum for all k, n <= 4 (see the regression
-    tests); the plausible-looking alternative C(n+k-1, m) disagrees already
-    at k = 1, n = 2.
-    """
-    if k < 1:
-        raise ValueError("column height k must be >= 1")
-    n = operator.index(nvars)
-    bval = _scalar_or_var(beta)
-    total = Poly.constant(0)
-    for m in range(0, n - k + 1):
-        term = binomial(m + k - 1, m) * elementary_symmetric_poly(m + k, n)
-        total = total + bval ** m * term
-    return total

@@ -322,6 +322,9 @@ def _single_column_counts(grid, shape, n):
            "geometric point",
            "nested k-sum", "refined bi-alternant at x = (1,q,..,q^(n-1))")
 def _geometric_point_expansion(grid, shape, n):
+    """Both sides are polynomials in the n-1 betas, drawn at random from the
+    grid's seed, so each row is a randomized (Schwartz-Zippel) test of the
+    identity in the betas, not a proof for every beta."""
     betas = grid.random_betas(shape, n)
     poly = refined_bialternant(shape, n, betas)
     for q in DEFAULT_QS:

@@ -6,8 +6,10 @@ input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
 substitution, determinants of polynomial matrices, and exact synthetic
-division by a difference of two variables.  Division raises on a nonzero
-remainder instead of ever returning an approximation.
+division by a product of differences (u - v_1) ... (u - v_k) sharing one
+variable u, which groups the terms by their power of u once.  Division
+checks the remainder of every factor and raises on a nonzero one instead of
+ever returning an approximation; an int dividend keeps int coefficients.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
@@ -225,30 +227,38 @@ class Poly:
 
     # -- exact division ----------------------------------------------
 
-    def divide_by_difference(self, u: str, v: str) -> "Poly":
-        """Exact division by (u - v) via synthetic division in u.
+    def divide_by_difference(self, u: str, *vs: str) -> "Poly":
+        """Exact division by (u - v_1) ... (u - v_k) via synthetic division in u.
 
-        The remainder is self with u := v; a nonzero remainder raises
-        ValueError, which callers treat as a hard correctness failure.
+        The terms are grouped by their power of u once, and each factor in
+        turn divides those groups.  The remainder of each step is the
+        dividend with u := v; a nonzero one raises ValueError, which
+        callers treat as a hard correctness failure.
         """
-        if u == v:
-            raise ValueError("divisor (u - v) must use two distinct variables")
-        vars = _union_vars(self.vars, (u, v))
-        ui, vi = vars.index(u), vars.index(v)
+        if not vs or u in vs:
+            raise ValueError("each divisor (u - v) needs a v, distinct from u")
+        vars = _union_vars(self.vars, (u, *vs))
+        ui = vars.index(u)
+        # slices[k] holds the coefficient of u^k, with the u exponent zeroed
         slices: dict[int, dict] = {}
         for exps, coeff in self._terms_over(vars).items():
             slices.setdefault(exps[ui], {})[exps[:ui] + (0,) + exps[ui + 1:]] = coeff
-        # from the top power of u down, step = slice_k + v * (the step before)
-        # is the quotient's coefficient of u^(k-1); at k = 0 it is the remainder
-        quotient, step = {}, {}
-        for k in range(max(slices, default=0), -1, -1):
-            step = _accumulate({e[:vi] + (e[vi] + 1,) + e[vi + 1:]: c for e, c in step.items()},
-                               slices.get(k, {}).items())
-            if k:
-                quotient.update((e[:ui] + (k - 1,) + e[ui + 1:], c) for e, c in step.items())
-        if step:
-            raise ValueError(f"inexact division by ({u} - {v})")
-        return Poly._of(vars, quotient)
+        for v in vs:
+            vi = vars.index(v)
+            # from the top power of u down, step = slice_k + v * (the step
+            # before) is the quotient's coefficient of u^(k-1); at k = 0 it
+            # is the remainder
+            quotient, step = {}, {}
+            for k in range(max(slices, default=0), -1, -1):
+                step = _accumulate({e[:vi] + (e[vi] + 1,) + e[vi + 1:]: c for e, c in step.items()},
+                                   slices.get(k, {}).items())
+                if k and step:
+                    quotient[k - 1] = step
+            if step:
+                raise ValueError(f"inexact division by ({u} - {v})")
+            slices = quotient
+        return Poly._of(vars, {e[:ui] + (k,) + e[ui + 1:]: c
+                               for k, terms in slices.items() for e, c in terms.items()})
 
     # -- presentation ------------------------------------------------
 

@@ -14,7 +14,6 @@ from grothtab.grothendieck import (
     BETA,
     count_svt_formula,
     grothendieck_tableau_sum,
-    single_column_e_expansion,
 )
 from grothtab.hypergeom import (
     HolmanInstance,
@@ -24,6 +23,8 @@ from grothtab.hypergeom import (
 from grothtab.identities import Grid, run_all
 from grothtab.partitions import Partition, count_sst_product
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
+
+from column_expansion import elementary_symmetric_poly, single_column_e_expansion
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,7 +129,6 @@ def test_criterion_6b_column_expansion_coefficient():
             ok = ok and single_column_e_expansion(k, n) == grothendieck_tableau_sum((1,) * k, n)
     # the alternative binomial C(n+k-1, m) must not survive the oracle
     from grothtab.arith import binomial
-    from grothtab.grothendieck import elementary_symmetric_poly
     from grothtab.polynomials import Poly
 
     bad = Poly.constant(0)

@@ -247,6 +247,15 @@ def test_n_factorial_sums_over_the_term_limit_are_usage_errors(capsys, monkeypat
     assert err == "error: the series has 24 terms, more than the limit of 6\n"
 
 
+def test_refined_determinant_over_the_minor_limit_is_a_usage_error(capsys, monkeypatch):
+    # 4 variables give 2^4 = 16 minors
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
+    code, out, err = run_cli(capsys, "eval-groth", "--shape", "2,1", "--vars", "4",
+                             "--refined", "1/2,-3/4,2")
+    assert code == 2 and out == ""
+    assert err == "error: the determinant has 16 minors, more than the limit of 8\n"
+
+
 def test_eval_holman_from_shape(capsys):
     code, out, _ = run_cli(capsys, "eval-holman", "--from-shape", "2,1",
                            "--vars", "3", "--z", "1")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothtab import arith, grothendieck
 from grothtab.arith import binomial
@@ -9,18 +11,18 @@ from grothtab.grothendieck import (
     BETA,
     count_svt_formula,
     elementary_symmetric,
-    elementary_symmetric_poly,
     grothendieck_bialternant,
     grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant,
     schur_tableau_sum,
-    single_column_e_expansion,
 )
 from grothtab.hypergeom import HolmanInstance, holman_series
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from grothtab.polynomials import Poly
+from grothtab.polynomials import Poly, determinant
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
+
+from column_expansion import elementary_symmetric_poly, single_column_e_expansion
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
 b = Poly.variable(BETA)
@@ -93,6 +95,63 @@ def test_refined_symbolic_hand_oracle():
     # and a case where the refinement parameter survives
     got = refined_bialternant((1,), 2, ["b1"])
     assert got == x1 + x2 + Poly.variable("b1") * x1 * x2
+
+
+def _fraction_row_bialternant(shape, n, betas):
+    """The refined quotient built over Fraction rows (1 + beta x_i), with
+    one division per Vandermonde factor."""
+    lam = Partition(shape).padded(n)
+    xs = [Poly.variable(f"x{i}") for i in range(1, n + 1)]
+    factors = [Poly.variable(b) if isinstance(b, str) else Fraction(b) for b in betas]
+    rows = []
+    for x in xs:
+        row, entry = [], Poly.constant(1)
+        for j in range(n):
+            if j:
+                entry = entry * (1 + factors[j - 1] * x)
+            row.append(x ** (lam[j] + n - 1 - j) * entry)
+        rows.append(row)
+    out = determinant(rows)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            out = out.divide_by_difference(f"x{i}", f"x{j}")
+    return out
+
+
+FITTING_SHAPES = {n: [lam for size in range(5) for lam in partitions_of(size) if len(lam) <= n]
+                  for n in range(1, 5)}
+refinement_betas = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.sampled_from(["b1", "b2"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.sampled_from(FITTING_SHAPES[n]),
+    st.lists(refinement_betas, min_size=n - 1, max_size=n - 1))))
+def test_integral_quotient_equals_the_fraction_row_quotient(case):
+    shape, betas = case
+    n = len(betas) + 1
+    got = refined_bialternant(shape, n, betas)
+    assert got == _fraction_row_bialternant(shape, n, betas), (shape, betas)
+    if all(not isinstance(b, str) and Fraction(b).denominator == 1 for b in betas):
+        assert all(type(c) is int for c in got.terms.values()), (shape, betas)
+
+
+def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
+    # n variables give 2^n minors: 2^3 = 8 pass, 2^4 = 16 are refused
+    def no_determinant(rows):
+        raise AssertionError("the determinant ran")
+
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
+    assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
+    assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
+    monkeypatch.setattr(grothendieck, "determinant", no_determinant)
+    for build in (lambda: refined_bialternant((1,), 4, [0, 0, 0]),
+                  lambda: grothendieck_bialternant((2, 1), 4)):
+        with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
+            build()
 
 
 def test_principal_specialization_matches_determinant_route():

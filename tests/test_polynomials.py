@@ -119,6 +119,37 @@ def test_divide_by_difference_undoes_the_product(terms, names):
     assert all(type(c) is int for c in quotient.terms.values())
 
 
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5), max_size=6),
+       st.permutations(["b", "x1", "x2", "x3"]), st.integers(1, 3), st.booleans())
+def test_grouped_division_equals_one_factor_divisions(terms, names, k, repeat):
+    p = Poly(("b", "x1", "x2"), terms)
+    u, vs = names[0], names[1:1 + k]
+    if repeat:
+        vs = vs + vs[:1]
+    dividend = p
+    for v in vs:
+        dividend = dividend * (Poly.variable(u) - Poly.variable(v))
+    grouped = dividend.divide_by_difference(u, *vs)
+    one_by_one = dividend
+    for v in vs:
+        one_by_one = one_by_one.divide_by_difference(u, v)
+    assert grouped.vars == one_by_one.vars and grouped.terms == one_by_one.terms
+    assert grouped == p
+
+
+def test_grouped_division_checks_every_factor():
+    # divisible by (x1 - x2) but not by (x1 - x3): the second step's remainder
+    p = (x1 - x2) * (x1 ** 2 + x3)
+    assert p.divide_by_difference("x1", "x2") == x1 ** 2 + x3
+    with pytest.raises(ValueError, match=r"inexact division by \(x1 - x3\)"):
+        p.divide_by_difference("x1", "x2", "x3")
+    with pytest.raises(ValueError, match=r"inexact division by \(x1 - x3\)"):
+        (p * (x1 - b)).divide_by_difference("x1", "b", "x2", "x3")
+    for vs in ((), ("x1",), ("x2", "x1"), ("x2", "x3", "x1")):
+        with pytest.raises(ValueError, match="distinct from u"):
+            (p * (x1 - x3)).divide_by_difference("x1", *vs)
+
+
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 NAMES = ("b", "x1", "x2")
 
