@@ -6,11 +6,12 @@ positive denominator, so equality is value equality across the two.
 exact_rational is the one rule for a number taken from a caller: an int or
 a Fraction is kept as it is, a 'p/q' string is parsed, and a float is
 refused, since 0.1 is a binary approximation, not the rational it was
-written as.  coupled_sum is the one loop of the n!-term sums (the count
-formula, the coupled series and the principal specialization): it puts each
-weight table over one integer denominator, multiplies integer numerators
-(Polys for symbolic weights) and divides once, and every such sum is refused
-above MAX_SERIES_TERMS terms (so is a determinant with more minors).  All
+written as.  over_common_denominator is the one integer rule: a table over
+the lcm of its Fraction denominators, so that a loop multiplies integer
+numerators and divides once.  coupled_sum, the one loop of the n!-term sums
+(the count formula, the coupled series and the principal specialization),
+and Poly.substitute both follow it.  Every such sum is refused above
+MAX_SERIES_TERMS terms (so is a determinant with more minors).  All
 functions here are pure; values are immutable and safe to share between
 threads.
 """
@@ -76,6 +77,18 @@ def _check_size(count: int, what: str = "the series has {} terms") -> None:
         raise ValueError(f"{what.format(count)}, more than the limit of {MAX_SERIES_TERMS}")
 
 
+def over_common_denominator(values) -> tuple[list, int]:
+    """(numerators, d): the values times d, the lcm of their Fraction
+    denominators (1 when there is none).  Every Fraction becomes an int, a
+    whole one too, or all-int data would not stay on ints; ints and Polys
+    are multiplied by d.  The caller's values are not changed.
+    """
+    values = list(values)
+    d = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    return [v.numerator * (d // v.denominator) if isinstance(v, Fraction) else v * d
+            for v in values], d
+
+
 def coupled_sum(weights, cross):
     """The sum over k in range(len(w_1)) x ... x range(len(w_n)) of
 
@@ -83,8 +96,9 @@ def coupled_sum(weights, cross):
 
     for the weight tables w_1 .. w_n (i and j 0-based).  Weights and cross
     factors may be ints, Fractions or Polys.  Each table is put over the lcm
-    of its Fraction denominators, so the loop multiplies integer weights (or
-    Polys, for symbolic ones) and the sum is divided once at the end; it
+    of its Fraction denominators (over_common_denominator), so the loop
+    multiplies integer weights (or Polys, for symbolic ones) and the sum is
+    divided once at the end; it
     stays an int while every cross factor is an int and every weight an int
     or a Fraction with denominator 1.  The caller's tables are not changed.
     A term whose weight product is zero is skipped without calling cross.
@@ -92,12 +106,10 @@ def coupled_sum(weights, cross):
     first one.
     """
     _check_size(prod(len(w) for w in weights))
-    # whole Fractions become ints too, or an all-int sum would not stay on ints
     tables, denom = [], 1
     for table in weights:
-        d = lcm(*(w.denominator for w in table if isinstance(w, Fraction)))
-        tables.append([w.numerator * (d // w.denominator) if isinstance(w, Fraction)
-                       else w * d for w in table])
+        table, d = over_common_denominator(table)
+        tables.append(table)
         denom *= d
     pairs = list(combinations(range(len(tables)), 2))
     total = 0

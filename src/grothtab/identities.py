@@ -364,6 +364,10 @@ def _count_factorization(grid, shape, n):
            "value at x = (beta,..,beta) with parameter -1/beta is beta^|shape|",
            "tableau sum at the tilted point", "beta^|shape|")
 def _tilted_point_value(grid, shape, n):
+    """The tableau sum is homogeneous: a filling T with excess e(T) gives
+    the monomial b^e(T) x^w(T) with |w(T)| = |shape| + e(T).  At x = beta
+    and b = -1/beta it is (-1)^e(T) beta^|shape|, so each row, whatever its
+    beta, restates the one scalar identity sum_T (-1)^e(T) = 1."""
     poly = grothendieck_tableau_sum(shape, n)
     for beta in DEFAULT_BETAS:
         point = {f"x{i}": beta for i in range(1, n + 1)}

@@ -10,6 +10,8 @@ division by a product of differences (u - v_1) ... (u - v_k) sharing one
 variable u, which groups the terms by their power of u once.  Division
 checks the remainder of every factor and raises on a nonzero one instead of
 ever returning an approximation; an int dividend keeps int coefficients.
+Substitution sums integer numerators and divides each remaining coefficient
+once (the integer rule of arith), so all-int data keeps int coefficients.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
@@ -18,7 +20,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import exact_rational, format_rational, parse_rational
+from .arith import exact_rational, format_rational, over_common_denominator, parse_rational
 
 _NAME_RE = re.compile(r"[A-Za-z]+[0-9]*\Z")
 
@@ -207,19 +209,35 @@ class Poly:
 
     def substitute(self, values: dict) -> "Poly":
         """Evaluate some variables at rationals; names the polynomial does
-        not use are ignored.  Returns a Poly in the remaining variables."""
+        not use are ignored.  Returns a Poly in the remaining variables.
+
+        The coefficients go over one denominator (over_common_denominator),
+        and a variable of top exponent D set to p/d becomes the int table
+        p^e * d^(D-e), which scales the terms by d^D.  The terms are summed
+        on ints and each remaining coefficient is divided once by the whole
+        scale; at scale 1 the coefficients stay ints.
+        """
         hit = [i for i, v in enumerate(self.vars) if v in values]
         if not hit:
             return self
-        vals = {i: exact_rational(values[self.vars[i]]) for i in hit}
-        keep = [i for i in range(len(self.vars)) if i not in vals]
-        rest = tuple(self.vars[i] for i in keep)
+        keep = [i for i in range(len(self.vars)) if i not in hit]
+        coeffs, scale = over_common_denominator(self.terms.values())
+        tables = []
+        for i in hit:
+            value = exact_rational(values[self.vars[i]])
+            p, d = value.numerator, value.denominator
+            top = max((e[i] for e in self.terms), default=0)
+            tables.append((i, [p ** e * d ** (top - e) for e in range(top + 1)]))
+            scale *= d ** top
         items = []
-        for exps, coeff in self.terms.items():
-            for i, v in vals.items():
-                coeff = coeff * v ** exps[i]
+        for exps, coeff in zip(self.terms, coeffs):
+            for i, table in tables:
+                coeff *= table[exps[i]]
             items.append((tuple(exps[i] for i in keep), coeff))
-        return Poly._of(rest, _accumulate({}, items))
+        terms = _accumulate({}, items)
+        if scale != 1:
+            terms = {e: Fraction(c, scale) for e, c in terms.items()}
+        return Poly._of(tuple(self.vars[i] for i in keep), terms)
 
     def evaluate(self, values: dict) -> Fraction:
         """Full evaluation; every variable must receive a value."""

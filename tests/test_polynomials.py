@@ -1,6 +1,7 @@
 import gc
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -63,6 +64,11 @@ def test_substitute_and_evaluate():
     assert partial == x1 ** 2
     # unused names are ignored
     assert p.substitute({"zz": 5}) == p
+    # 0 ** 0 == 1: a term without x1 survives x1 := 0
+    assert (x1 ** 2 + 3 * b).substitute({"x1": 0}) == 3 * b
+    assert (x1 ** 3 * b).substitute({"x1": Fraction(-2, 3), "b": -3}).terms == {(): Fraction(8, 9)}
+    zero = Poly(("b", "x1"), {}).substitute({"x1": Fraction(1, 2)})
+    assert zero.vars == ("b",) and not zero.terms
     assert p.evaluate({"x1": 1, "x2": 1, "b": 1}) == 2
     with pytest.raises(ValueError):
         p.as_fraction()
@@ -156,10 +162,12 @@ NAMES = ("b", "x1", "x2")
 
 @st.composite
 def polys(draw):
-    """A small polynomial over a random subset of NAMES."""
+    """A small polynomial over a random subset of NAMES, with int and
+    Fraction coefficients."""
     names = tuple(name for name in NAMES if draw(st.booleans()))
     exponents = st.tuples(*[st.integers(0, 2)] * len(names))
-    return Poly(names, draw(st.dictionaries(exponents, small_rationals, max_size=4)))
+    coeffs = st.one_of(st.integers(-6, 6), small_rationals)
+    return Poly(names, draw(st.dictionaries(exponents, coeffs, max_size=4)))
 
 
 @given(polys(), polys(), polys())
@@ -191,6 +199,38 @@ def test_substitute_is_a_ring_homomorphism(p, q, point):
     assert (p + q).substitute(point) == p.substitute(point) + q.substitute(point)
     assert (p * q).substitute(point) == p.substitute(point) * q.substitute(point)
     assert Poly.constant(1).substitute(point) == 1
+
+
+def _substituted(p, point):
+    """p at point, written out: every term evaluated in Fractions."""
+    terms = {}
+    for exps, coeff in p.terms.items():
+        value = Fraction(coeff)
+        for name, e in zip(p.vars, exps):
+            if name in point:
+                value *= Fraction(point[name]) ** e
+        rest = tuple(e for name, e in zip(p.vars, exps) if name not in point)
+        terms[rest] = terms.get(rest, 0) + value
+    return tuple(v for v in p.vars if v not in point), {e: c for e, c in terms.items() if c}
+
+
+# 0, negatives, whole Fractions and proper fractions
+point_values = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction), small_rationals)
+
+
+@given(polys(), st.dictionaries(st.sampled_from(NAMES + ("zz",)), point_values))
+def test_substitute_equals_the_term_by_term_reference(p, point):
+    got = p.substitute(point)
+    assert (got.vars, got.terms) == _substituted(p, point)
+    used = [name for name in p.vars if name in point]
+    if not used:
+        assert got is p
+        return
+    # the type rule: whole data stays on ints, a scale above 1 gives Fractions
+    scale = lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    for name in used:
+        scale *= Fraction(point[name]).denominator ** p.degree(name)
+    assert all(type(c) is (int if scale == 1 else Fraction) for c in got.terms.values())
 
 
 def test_determinant_small_cases():
