@@ -2,7 +2,9 @@
 
 Tableau generating sums (driven by the enumerators), determinant quotients
 with exact Vandermonde division, the refined multi-parameter determinant
-(taken over int columns, with the betas' denominators divided out once),
+(taken over int columns, with the betas' denominators divided out once;
+its determinant and Vandermonde division are one pass on packed monomials,
+polynomials.alternant_quotient),
 and the shifted-exponent expansion that evaluates the refined quotient at
 the geometric point x = (1, q, ..., q^(n-1)) without any determinant.
 Keeping the routes separate is the point: the verification harness compares
@@ -23,7 +25,7 @@ from math import prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import Poly, determinant
+from .polynomials import Poly, alternant_quotient
 from .tableaux import enumerate_sst, enumerate_svt
 
 BETA = "b"
@@ -73,14 +75,6 @@ def _tableau_sum(enumerate_tableaux, shape: Partition, nvars: int) -> Poly:
         key = (letters - boxes, *counts)
         terms[key] = terms.get(key, 0) + 1
     return Poly(names, terms)
-
-
-def _divide_vandermonde(det: Poly, nvars: int) -> Poly:
-    """Exact division by prod_{i<j} (x_i - x_j): one grouped pass per x_i."""
-    out = det
-    for i in range(1, nvars):
-        out = out.divide_by_difference(f"x{i}", *(f"x{j}" for j in range(i + 1, nvars + 1)))
-    return out
 
 
 def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
@@ -137,7 +131,7 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
                 entry_factor = entry_factor * (d + p * x)
             row.append(x ** (lam[j] + n - 1 - j) * entry_factor)
         rows.append(row)
-    quotient = _divide_vandermonde(determinant(rows), n)
+    quotient = alternant_quotient(rows, _x_names(n))
     scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
     return quotient if scale == 1 else quotient * Fraction(1, scale)
 

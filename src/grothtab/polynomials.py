@@ -13,12 +13,22 @@ ever returning an approximation; an int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
 once (the integer rule of arith), so all-int data keeps int coefficients.
 
+The determinant and the division run on packed monomials: an exponent
+vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t), with one
+field width rule, 2^w > D for the degree bound D (_Packing says why D
+bounds every exponent).  There is one minor expansion and one synthetic
+division on these keys.  alternant_quotient(matrix, names), the
+determinant divided by the Vandermonde in the names, packs the entries
+once, expands, runs all n-1 grouped divisions and unpacks once;
+determinant and Poly.divide_by_difference wrap the same two kernels.
+
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
 
 import re
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .arith import exact_rational, format_rational, over_common_denominator, parse_rational
 
@@ -140,7 +150,7 @@ class Poly:
         if len(left) > len(right):
             left, right = right, left
         return Poly._of(vars, _accumulate({}, (
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in left.items() for e2, c2 in right.items())))
 
     __rmul__ = __mul__
@@ -248,35 +258,15 @@ class Poly:
     def divide_by_difference(self, u: str, *vs: str) -> "Poly":
         """Exact division by (u - v_1) ... (u - v_k) via synthetic division in u.
 
-        The terms are grouped by their power of u once, and each factor in
-        turn divides those groups.  The remainder of each step is the
-        dividend with u := v; a nonzero one raises ValueError, which
-        callers treat as a hard correctness failure.
+        The terms are packed (see _Packing), grouped by their power of u
+        once, and each factor in turn divides those groups.  The remainder
+        of each step is the dividend with u := v; a nonzero one raises
+        ValueError, which callers treat as a hard correctness failure.
         """
         if not vs or u in vs:
             raise ValueError("each divisor (u - v) needs a v, distinct from u")
-        vars = _union_vars(self.vars, (u, *vs))
-        ui = vars.index(u)
-        # slices[k] holds the coefficient of u^k, with the u exponent zeroed
-        slices: dict[int, dict] = {}
-        for exps, coeff in self._terms_over(vars).items():
-            slices.setdefault(exps[ui], {})[exps[:ui] + (0,) + exps[ui + 1:]] = coeff
-        for v in vs:
-            vi = vars.index(v)
-            # from the top power of u down, step = slice_k + v * (the step
-            # before) is the quotient's coefficient of u^(k-1); at k = 0 it
-            # is the remainder
-            quotient, step = {}, {}
-            for k in range(max(slices, default=0), -1, -1):
-                step = _accumulate({e[:vi] + (e[vi] + 1,) + e[vi + 1:]: c for e, c in step.items()},
-                                   slices.get(k, {}).items())
-                if k and step:
-                    quotient[k - 1] = step
-            if step:
-                raise ValueError(f"inexact division by ({u} - {v})")
-            slices = quotient
-        return Poly._of(vars, {e[:ui] + (k,) + e[ui + 1:]: c
-                               for k, terms in slices.items() for e, c in terms.items()})
+        packing = _Packing(_union_vars(self.vars, (u, *vs)), self.degree())
+        return packing.unpack(_divide_packed(packing, packing.pack(self), u, vs))
 
     # -- presentation ------------------------------------------------
 
@@ -322,26 +312,131 @@ class Poly:
         return cls(tuple(data["variables"]), terms)
 
 
-def determinant(matrix) -> Poly:
-    """Determinant of a square matrix of polynomials (or scalars).
+def _field_width(degree: int) -> int:
+    """Bits per packed exponent: the least w >= 1 with 2^w > degree."""
+    return max(degree, 1).bit_length()
+
+
+class _Packing:
+    """Monomials over `vars` packed into one int each: the exponent vector
+    (e_0, ..., e_m) becomes the key sum e_t << (w * t).  A product of
+    monomials is then one int addition, times v is key + (1 << shift[v]),
+    and the power of u is (key >> shift[u]) & mask.
+
+    Keys add without carries while no exponent reaches 2^w, so the caller
+    passes a bound D on every exponent that will arise and w is chosen with
+    2^w > D (_field_width).  For a determinant, D is the sum over columns
+    of the largest total degree of an entry (0 for a zero column): a minor
+    on the last columns is a sum of products of one entry per column, so no
+    monomial of any minor has total degree, hence any exponent, above D.
+    A synthetic division step by (u - v) is a sum of the dividend's
+    u^m-slices times v^(m-k), whose total degree is at most the dividend's,
+    and every quotient has a smaller total degree than its dividend; so D
+    also bounds every key of every division that follows.
+    """
+
+    __slots__ = ("vars", "mask", "shift")
+
+    def __init__(self, vars: tuple, degree: int):
+        width = _field_width(degree)
+        self.vars = vars
+        self.mask = (1 << width) - 1
+        self.shift = {v: width * t for t, v in enumerate(vars)}
+
+    def pack(self, poly: Poly) -> dict:
+        shifts = [self.shift[v] for v in poly.vars]
+        return {sum(e << s for e, s in zip(exps, shifts)): coeff
+                for exps, coeff in poly.terms.items()}
+
+    def unpack(self, terms: dict) -> Poly:
+        shifts = [self.shift[v] for v in self.vars]
+        mask = self.mask
+        return Poly._of(self.vars, {tuple((key >> s) & mask for s in shifts): coeff
+                                    for key, coeff in terms.items()})
+
+
+def _expand_packed(rows) -> dict:
+    """Determinant of a square matrix of packed entries.
 
     Minor expansion along columns, bottom-up, one layer of minors (keyed by
-    surviving rows) at a time; fine for the small matrices handled here.
+    surviving rows) at a time; zero entries are skipped.
+    """
+    n = len(rows)
+    minors = {(): {0: 1}}
+    for col in range(n - 1, -1, -1):
+        layer = {}
+        for alive in combinations(range(n), n - col):
+            total = {}
+            for t, r in enumerate(alive):
+                entry = rows[r][col]
+                if entry:
+                    sign = -1 if t % 2 else 1
+                    minor = minors[alive[:t] + alive[t + 1:]].items()
+                    for e1, c1 in entry.items():
+                        c1 *= sign
+                        for e2, c2 in minor:
+                            e = e1 + e2
+                            total[e] = total.get(e, 0) + c1 * c2
+            layer[alive] = {e: c for e, c in total.items() if c}
+        minors = layer
+    return minors[tuple(range(n))]
+
+
+def _divide_packed(packing: _Packing, terms: dict, u: str, vs) -> dict:
+    """Packed terms divided by (u - v_1) ... (u - v_k): synthetic division
+    in u, with the terms grouped by their power of u once.  A nonzero
+    remainder raises ValueError."""
+    ushift, mask = packing.shift[u], packing.mask
+    # slices[k] holds the coefficient of u^k, with the u exponent zeroed
+    slices: dict[int, dict] = {}
+    for key, coeff in terms.items():
+        k = (key >> ushift) & mask
+        slices.setdefault(k, {})[key - (k << ushift)] = coeff
+    for v in vs:
+        one_v = 1 << packing.shift[v]
+        # from the top power of u down, step = slice_k + v * (the step
+        # before) is the quotient's coefficient of u^(k-1); at k = 0 it is
+        # the remainder
+        quotient, step = {}, {}
+        for k in range(max(slices, default=0), -1, -1):
+            step = _accumulate({e + one_v: c for e, c in step.items()},
+                               slices.get(k, {}).items())
+            if k and step:
+                quotient[k - 1] = step
+        if step:
+            raise ValueError(f"inexact division by ({u} - {v})")
+        slices = quotient
+    return {e + (k << ushift): c for k, group in slices.items() for e, c in group.items()}
+
+
+def alternant_quotient(matrix, names) -> Poly:
+    """det(matrix) / prod_{i<j} (names[i] - names[j]), exactly.
+
+    One pass: the entries are packed once (see _Packing), expanded by
+    minors, divided by (names[i] - names[i+1]) ... (names[i] - names[-1])
+    for each i in turn, and unpacked once.  A nonzero remainder (a matrix
+    that is not alternating in the names) raises ValueError.  The result is
+    over the entries' variables, and the names when there are two or more.
     """
     rows = [[Poly._coerce(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    minors = {(): Poly.constant(1)}
-    for col in range(n - 1, -1, -1):
-        layer = {}
-        for alive in combinations(range(n), n - col):
-            total = Poly.constant(0)
-            for t, r in enumerate(alive):
-                entry = rows[r][col]
-                if entry:
-                    term = entry * minors[alive[:t] + alive[t + 1:]]
-                    total = total + term if t % 2 == 0 else total - term
-            layer[alive] = total
-        minors = layer
-    return minors[tuple(range(n))]
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"the names must be distinct: {names}")
+    used = {v for row in rows for entry in row for v in entry.vars}
+    if len(names) > 1:
+        used.update(names)
+    degree = sum(max(0, *(entry.degree() for entry in column)) for column in zip(*rows))
+    packing = _Packing(tuple(sorted(used, key=_var_key)), degree)
+    terms = _expand_packed([[packing.pack(entry) for entry in row] for row in rows])
+    for i in range(len(names) - 1):
+        terms = _divide_packed(packing, terms, names[i], names[i + 1:])
+    return packing.unpack(terms)
+
+
+def determinant(matrix) -> Poly:
+    """Determinant of a square matrix of polynomials (or scalars): the
+    alternant quotient with no names to divide by."""
+    return alternant_quotient(matrix, ())

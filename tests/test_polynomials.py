@@ -4,10 +4,10 @@ from itertools import permutations
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from grothtab.polynomials import Poly, determinant
+from grothtab.polynomials import Poly, alternant_quotient, determinant
 
 x1 = Poly.variable("x1")
 x2 = Poly.variable("x2")
@@ -287,6 +287,102 @@ matrix_entries = st.one_of(
     lambda n: st.lists(st.lists(matrix_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_determinant_matches_leibniz_sum(matrix):
     assert determinant(matrix) == leibniz(matrix)
+
+
+@st.composite
+def matrices_at_a_width_boundary(draw):
+    """Matrices in (x1, x2), exponents up to 70, whose degree bound D (the
+    sum over columns of the largest total degree of an entry) is exactly
+    2^k - 1, the largest D a k-bit packed field holds, or 2^k, the least it
+    does not.  Each column has an entry of its top degree, often a pure
+    power, so that a determinant term can carry x1^D or x2^D."""
+    k = draw(st.integers(1, 7))
+    bound = 2 ** k - draw(st.integers(0, 1))
+    n = draw(st.integers(max(1, -(-bound // 70)), 3))
+    degrees, left = [], bound
+    for j in range(n - 1, 0, -1):
+        degrees.append(draw(st.integers(max(0, left - 70 * j), min(70, left))))
+        left -= degrees[-1]
+    degrees.append(left)
+    columns = []
+    for d in degrees:
+        top_row = draw(st.integers(0, n - 1))
+        column = []
+        for r in range(n):
+            terms = draw(st.dictionaries(
+                st.integers(0, d).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, d - a))),
+                st.integers(-3, 3), max_size=3))
+            if r == top_row:
+                a = draw(st.one_of(st.sampled_from([0, d]), st.integers(0, d)))
+                terms[(a, d - a)] = draw(st.sampled_from([-2, -1, 1, 2]))
+            column.append(Poly(("x1", "x2"), terms))
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+@example([[x1 ** 31, 0], [0, x1 ** 32]])  # D = 63: x1^63 fills a 6-bit field
+@example([[x1 ** 32, 0], [0, x2 + x1 ** 32]])  # D = 64: x1^64 needs a 7th bit
+@example([[x2 ** 70, x1], [x1 ** 70, x2 ** 57]])  # D = 127, exponents up to 127
+@settings(max_examples=60, deadline=None)
+@given(matrices_at_a_width_boundary())
+def test_packed_determinant_at_a_field_width_boundary(matrix):
+    assert determinant(matrix) == leibniz(matrix)
+
+
+def vandermonde(names):
+    out = Poly.constant(1)
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            out = out * (Poly.variable(u) - Poly.variable(v))
+    return out
+
+
+@st.composite
+def alternants(draw, size=st.integers(1, 4)):
+    """(matrix, names): row i holds f_1(x_i, b), ..., f_n(x_i, b) for drawn
+    f_j, so the determinant alternates in the x's; the names are the x's
+    in a drawn order."""
+    n = draw(size)
+    columns = draw(st.lists(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 4)),
+                                            st.integers(-4, 4), max_size=3),
+                            min_size=n, max_size=n))
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    matrix = [[Poly(("b", x), f) for f in columns] for x in xs]
+    return matrix, tuple(draw(st.permutations(xs)))
+
+
+@settings(deadline=None)
+@given(alternants())
+def test_alternant_quotient_times_the_vandermonde_is_the_determinant(case):
+    matrix, names = case
+    quotient = alternant_quotient(matrix, names)
+    assert quotient * vandermonde(names) == determinant(matrix)
+    assert all(type(c) is int for c in quotient.terms.values())
+
+
+@settings(deadline=None)
+@given(alternants(size=st.integers(2, 4)), st.sampled_from([-2, -1, 1, 3]))
+def test_alternant_quotient_of_a_non_alternating_matrix_raises(case, bump):
+    # det + bump * M, M the (0, 0) minor: M has no x1 (the first row is
+    # x1's), so if M != 0 the sum is not divisible by (x1 - x2)
+    matrix, names = case
+    assume(determinant([row[1:] for row in matrix[1:]]) != 0)
+    matrix[0][0] = matrix[0][0] + bump
+    with pytest.raises(ValueError, match=r"inexact division by \("):
+        alternant_quotient(matrix, names)
+
+
+def test_alternant_quotient_small_cases():
+    assert alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 1]], ("x1", "x2")) == x1 + x2
+    assert alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 1]], ("x2", "x1")) == -x1 - x2
+    assert alternant_quotient([[2 * x1]], ("x1",)) == 2 * x1
+    # a single name divides by nothing and adds no variable
+    assert alternant_quotient([[3]], ("x1",)).vars == ()
+    assert alternant_quotient([], ()) == 1
+    with pytest.raises(ValueError, match="distinct"):
+        alternant_quotient([[x1, 1], [x2, 1]], ("x1", "x1"))
+    with pytest.raises(ValueError, match="square"):
+        alternant_quotient([[x1, 1]], ("x1", "x2"))
 
 
 def test_json_round_trip_and_canonical_order():
