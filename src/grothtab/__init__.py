@@ -10,7 +10,6 @@ from .grothendieck import (
     grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant,
-    schur_tableau_sum,
 )
 from .hypergeom import (
     HolmanInstance,
@@ -31,7 +30,7 @@ __all__ = [
     "binomial", "format_rational", "parse_rational",
     "count_svt_formula", "elementary_symmetric",
     "grothendieck_bialternant", "grothendieck_tableau_sum",
-    "principal_specialization_q", "refined_bialternant", "schur_tableau_sum",
+    "principal_specialization_q", "refined_bialternant",
     "HolmanInstance", "NonTerminatingSeriesError",
     "classical_summation_conditions", "gauss_2f1_terminating", "holman_series",
     "shape_coupling",

@@ -1,6 +1,7 @@
 """Schur and Grothendieck polynomials, four independent ways.
 
-Tableau generating sums (driven by the enumerators), determinant quotients
+The set-valued tableau generating sum (driven by enumerate_svt and
+counted on packed int weight keys), determinant quotients
 with exact Vandermonde division, the refined multi-parameter determinant
 (taken over int columns, with the betas' denominators divided out once;
 its determinant and Vandermonde division are one pass on packed monomials,
@@ -19,14 +20,16 @@ rather than being cut down.
 """
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations
 from math import prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, alternant_quotient
-from .tableaux import enumerate_sst, enumerate_svt
+from .tableaux import enumerate_svt
 
 BETA = "b"
 
@@ -41,40 +44,39 @@ def _scalar_or_var(value):
     return exact_rational(value)
 
 
-def schur_tableau_sum(shape, nvars: int) -> Poly:
-    """Sum of x^weight over all semistandard fillings; symmetric in the x's.
-
-    Zero polynomial when the shape has more rows than variables.
-    """
-    shape, nvars = Partition(shape), operator.index(nvars)
-    return _tableau_sum(enumerate_sst, shape, nvars).coefficient(BETA, 0)
-
-
 def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
     """Sum of b^excess x^weight over all set-valued fillings.
 
     The coefficient of b^0 is the Schur polynomial of the same shape.
     """
-    return _tableau_sum(enumerate_svt, Partition(shape), operator.index(nvars))
+    return _tableau_sum(Partition(shape), operator.index(nvars))
 
 
 @lru_cache(maxsize=None)
-def _tableau_sum(enumerate_tableaux, shape: Partition, nvars: int) -> Poly:
-    """Sum of b^excess x^weight over the fillings the enumerator yields."""
+def _tableau_sum(shape: Partition, nvars: int) -> Poly:
+    """Sum of b^excess x^weight over the fillings enumerate_svt yields.
+
+    Each entry weighs one packed int: field 0 holds its excess (letters
+    minus one) and field v its count of letter v, each field w bits wide.
+    A tableau's key is the sum of its entries' weights, counted once per
+    filling, and the keys are unpacked once into the Poly over (b, x1..xn).
+    Width rule: 2^w > max(|shape| n, 1).  Letter v occurs at most once per
+    cell, so field v is at most |shape|, and a cell holds at most n
+    letters, so field 0 is at most |shape| (n - 1): no field can carry
+    into the next.  The weight table holds all 2^n - 1 entries, which the
+    backtracker's first cell tries anyway; it is left empty where there is
+    no such cell (the empty shape, or more rows than letters).
+    """
     names = tuple([BETA, *_x_names(nvars)])
-    boxes = shape.size
-    terms: dict[tuple[int, ...], int] = {}
-    for tableau in enumerate_tableaux(shape, nvars):
-        counts = [0] * nvars
-        letters = 0
-        for row in tableau.rows:
-            for cell in row:
-                letters += len(cell)
-                for v in cell:
-                    counts[v - 1] += 1
-        key = (letters - boxes, *counts)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(names, terms)
+    width = max(shape.size * nvars, 1).bit_length()
+    letters = range(1, nvars + 1) if 0 < len(shape) <= nvars else ()
+    weight = {entry: len(entry) - 1 + sum(1 << (width * v) for v in entry)
+              for k in range(1, len(letters) + 1) for entry in combinations(letters, k)}
+    counts = Counter(sum(map(weight.__getitem__, chain.from_iterable(tableau.rows)))
+                     for tableau in enumerate_svt(shape, nvars))
+    mask = (1 << width) - 1
+    return Poly._of(names, {tuple([key >> (width * t) & mask for t in range(nvars + 1)]): count
+                            for key, count in counts.items()})
 
 
 def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:

@@ -72,12 +72,6 @@ class Partition:
             raise ValueError(f"cannot pad {self} to length {n}")
         return self.parts + (0,) * (n - len(self.parts))
 
-    def conjugate(self) -> "Partition":
-        """Transpose of the diagram."""
-        if not self.parts:
-            return Partition()
-        return Partition(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
-
     def contains(self, i: int, j: int) -> bool:
         """Whether the cell (i, j) lies in the diagram."""
         return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]

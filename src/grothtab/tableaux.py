@@ -4,12 +4,24 @@ This is the ground-truth oracle of the package: every polynomial identity
 and counting formula is ultimately checked against these streams.  The
 enumeration backtracks cell by cell in row-major order; the two ordering
 conditions only constrain a cell against its left and upper neighbours, so
-the pruning is exact and the generators are lazy.
+each cell is checked as it is set and the generators are lazy (a partial
+filling can still have no completion: a cell may take letters that leave
+none for the cells below it).  One iterative
+backtracker serves both streams: an explicit stack of entry iterators over
+a per-lo table of (entry, largest letter) (streamed instead for an alphabet
+of more than _TABLE_LETTERS letters), with each row above the current one
+frozen into a tuple once, when its last cell is set, so a filling builds
+only its last row.
 """
 
 import operator
 
 from .partitions import Partition
+
+# The largest alphabet {lo..n} whose entries the backtracker keeps in a
+# table; a larger one streams its entries, so that memory and the time to
+# the first filling do not grow as 2^n.
+_TABLE_LETTERS = 12
 
 
 class SetValuedTableau:
@@ -53,9 +65,6 @@ class SetValuedTableau:
     def excess(self) -> int:
         """|T| minus the number of boxes; zero iff all entries are singletons."""
         return self.size - self.shape.size
-
-    def is_semistandard(self) -> bool:
-        return all(len(cell) == 1 for row in self.rows for cell in row)
 
     def __eq__(self, other):
         if not isinstance(other, SetValuedTableau):
@@ -128,29 +137,71 @@ def _singletons(lo: int, n: int):
 def _backtrack(shape, nvars: int, entries):
     """Lazy stream of the fillings whose cells take entries from
     entries(lo, nvars), where lo is the smallest letter the left and upper
-    neighbours allow; cells are filled row-major."""
+    neighbours allow; cells are filled row-major.  Every cell but the last
+    keeps an iterator on the stack; the last cell runs through its choices
+    in a plain loop.
+    """
     shape, nvars = Partition(shape), operator.index(nvars)
     if len(shape) > nvars:
         return
-    cells = shape.cells()
-    grid = [[None] * p for p in shape.parts]
-
-    def fill(idx):
-        if idx == len(cells):
-            yield SetValuedTableau._of(shape, nvars, tuple(map(tuple, grid)))
+    parts = shape.parts
+    if not parts:
+        yield SetValuedTableau._of(shape, nvars, ())
+        return
+    # choices[lo]: (entry, largest letter) for each entry a cell may take
+    # when lo is its smallest allowed letter, lo up to nvars + 1; None
+    # where the alphabet is too large to keep
+    choices = [()] + [None if nvars - lo >= _TABLE_LETTERS
+                      else tuple((e, e[-1]) for e in entries(lo, nvars))
+                      for lo in range(1, nvars + 2)]
+    size = shape.size
+    last = size - 1
+    # for each cell: its left and upper neighbours (size, whose largest
+    # letter is tops[size] = 0, where there is none); for the last cell of
+    # every row but the last: (row, first cell of the row)
+    left, up, row_ends = [], [], {}
+    start = 0
+    for i, p in enumerate(parts):
+        for j in range(p):
+            left.append(start + j - 1 if j else size)
+            up.append(start - parts[i - 1] + j if i else size)
+        row_ends[start + p - 1] = (i, start)
+        start += p
+    del row_ends[last]
+    last_start = size - parts[-1]
+    stack = [None] * size
+    cells = [None] * size
+    tops = [0] * (size + 1)
+    # frozen[i]: rows 0..i-1 as a tuple of row tuples
+    frozen = [()] * len(parts)
+    make = SetValuedTableau._of
+    k = 0  # the cell to open
+    while True:
+        lo = max(tops[left[k]], tops[up[k]] + 1)
+        table = choices[lo]
+        if table is None:
+            table = ((e, e[-1]) for e in entries(lo, nvars))
+        if k == last:
+            above, stem = frozen[-1], tuple(cells[last_start:last])
+            for entry, _ in table:
+                yield make(shape, nvars, above + (stem + (entry,),))
+            k -= 1
+        else:
+            stack[k] = iter(table)
+        # the next choice of cell k, backing up past exhausted cells
+        while k >= 0:
+            for cells[k], tops[k] in stack[k]:
+                break
+            else:
+                k -= 1
+                continue
+            break
+        else:
             return
-        i, j = cells[idx]
-        lo = 1
-        if j > 1:
-            lo = max(lo, grid[i - 1][j - 2][-1])
-        if i > 1:
-            lo = max(lo, grid[i - 2][j - 1][-1] + 1)
-        for entry in entries(lo, nvars):
-            grid[i - 1][j - 1] = entry
-            yield from fill(idx + 1)
-        grid[i - 1][j - 1] = None
-
-    yield from fill(0)
+        if k in row_ends:
+            i, first = row_ends[k]
+            frozen[i + 1] = frozen[i] + (tuple(cells[first:k + 1]),)
+        k += 1
 
 
 def enumerate_svt(shape, nvars: int):

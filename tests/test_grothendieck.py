@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,15 @@ from grothtab.grothendieck import (
     grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant,
-    schur_tableau_sum,
 )
 from grothtab.hypergeom import HolmanInstance, holman_series
+from grothtab.identities import Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from grothtab.polynomials import Poly, determinant
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
+from tableau_reference import reference_svt, reference_tableau_sum, schur_tableau_sum
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
 b = Poly.variable(BETA)
@@ -48,6 +50,32 @@ def test_grothendieck_tableau_sum_examples():
     # the constant-in-b layer is the Schur polynomial
     assert g.coefficient(BETA, 0) == schur_tableau_sum((2, 1), 3)
     assert g.substitute({BETA: 0}) == schur_tableau_sum((2, 1), 3)
+
+
+# |shape| n at 2^k - 1 and 2^k, where the packed fill's field width steps up
+WIDTH_BOUNDARIES = [((7,), 1), ((8,), 1), ((31,), 1), ((32,), 1), ((1,), 7), ((1,), 8),
+                    ((3,), 5), ((4,), 4), ((2, 2), 4), ((5, 3), 4)]
+
+
+def test_tableau_sum_equals_the_letter_loop_reference():
+    cases = list(Grid(5, 5).shapes()) + [((), n) for n in (1, 2, 4)] + WIDTH_BOUNDARIES
+    for shape, n in cases:
+        got = grothendieck_tableau_sum(shape, n)
+        want = reference_tableau_sum(reference_svt(shape, n), shape, n)
+        assert (got.vars, got.terms) == (want.vars, want.terms), (shape, n)
+        assert all(type(c) is int for c in got.terms.values())
+
+
+def test_a_shape_without_a_first_cell_builds_no_weight_table():
+    # all 2^18 - 1 weights on {1..18} would take about 50 MB
+    tracemalloc.start()
+    try:
+        assert grothendieck_tableau_sum((), 18) == 1
+        assert grothendieck_tableau_sum((1,) * 19, 18) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_bialternant_hand_expansion_oracle():

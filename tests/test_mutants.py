@@ -1,17 +1,20 @@
-"""Seeded bugs in the packed bi-alternant kernel that verify must catch.
+"""Seeded bugs in the packed kernels that verify must catch.
 
-Each mutant is put in place in this process with monkeypatch, so nothing
-on disk changes, and run_all(Grid(4, 4), workers=1) runs in this process
-too.  CAUGHT_BY maps each mutant to the checks that must then report
-failing instances, each with a witness; every other check reads no
-determinant and must still pass.
+Two bugs sit in the packed bi-alternant kernel and two in the weight table
+of the packed tableau-sum fill.  Each mutant is put in place in this
+process with monkeypatch, so nothing on disk changes, and
+run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
+each mutant to the checks that must then report failing instances, each
+with a witness; every other check must still pass.  The tableau-sum memo
+is cleared before and after each run, so no sum cached by another test
+hides a mutant below it and no sum computed under a mutant outlives it.
 """
 
 import inspect
 
 import pytest
 
-from grothtab import polynomials
+from grothtab import grothendieck, polynomials
 from grothtab.identities import Grid, run_all
 
 
@@ -26,22 +29,34 @@ def _edited(function, old: str, new: str):
 
 
 MUTANTS = {
-    "minor sign flipped": lambda: ("_expand_packed", _edited(
+    "minor sign flipped": lambda: (polynomials, "_expand_packed", _edited(
         polynomials._expand_packed, "sign = -1 if t % 2 else 1", "sign = 1 if t % 2 else -1")),
-    "field width forced to 2 bits": lambda: ("_field_width", lambda degree: 2),
+    "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
+    "cell weighed by its largest letter only": lambda: (grothendieck, "_tableau_sum", _edited(
+        grothendieck._tableau_sum.__wrapped__, "sum(1 << (width * v) for v in entry)",
+        "(1 << (width * entry[-1]))")),
+    "excess field dropped": lambda: (grothendieck, "_tableau_sum", _edited(
+        grothendieck._tableau_sum.__wrapped__, "len(entry) - 1 + sum(", "sum(")),
 }
 
 CAUGHT_BY = {
     "minor sign flipped": {"gg-eq-w", "thm-3.5"},
     "field width forced to 2 bits": {"gg-eq-w", "thm-3.5"},
+    "cell weighed by its largest letter only": {"gg-eq-w", "prop-AA"},
+    "excess field dropped": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_catches_the_mutant(mutant, monkeypatch):
-    name, replacement = MUTANTS[mutant]()
-    monkeypatch.setattr(polynomials, name, replacement)
-    report = run_all(Grid(4, 4), workers=1)
+    module, name, replacement = MUTANTS[mutant]()
+    memo = grothendieck._tableau_sum
+    monkeypatch.setattr(module, name, replacement)
+    memo.cache_clear()
+    try:
+        report = run_all(Grid(4, 4), workers=1)
+    finally:
+        memo.cache_clear()
     failing = {check.id for check in report.checks if check.failed}
     assert failing == CAUGHT_BY[mutant]
     for check in report.checks:

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 from itertools import combinations, islice, product
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grothtab import tableaux
 from grothtab.partitions import Partition, count_sst_hook, partitions_of
 from grothtab.tableaux import (
     SetValuedTableau,
@@ -13,11 +16,25 @@ from grothtab.tableaux import (
     is_valid,
 )
 
+from tableau_reference import is_semistandard, reference_sst, reference_svt
+
 DATA = Path(__file__).parent / "data"
 
 
 def shapes_up_to(max_size):
     return st.integers(0, max_size).flatmap(lambda size: st.sampled_from(partitions_of(size)))
+
+
+# with 2, every alphabet of more than two letters streams its entries
+@pytest.mark.parametrize("table_letters", [tableaux._TABLE_LETTERS, 2])
+def test_enumeration_equals_the_recursive_reference(table_letters, monkeypatch):
+    monkeypatch.setattr(tableaux, "_TABLE_LETTERS", table_letters)
+    cases = [(lam, n) for size in range(6) for lam in partitions_of(size) for n in range(1, 5)]
+    for lam, n in cases + [((3, 2), 6), ((4, 4, 4), 4)]:
+        for enumerate_tableaux, reference in ((enumerate_svt, reference_svt),
+                                              (enumerate_sst, reference_sst)):
+            got = [(t.shape, t.n, t.rows) for t in enumerate_tableaux(lam, n)]
+            assert got == [(t.shape, t.n, t.rows) for t in reference(lam, n)], (lam, n)
 
 
 def test_sst_single_box():
@@ -83,6 +100,18 @@ def test_streams_are_lazy():
     assert len(first) == 3 and all(is_valid(t) for t in first)
 
 
+def test_a_large_alphabet_is_streamed_not_listed():
+    # listing the 2^18 - 1 entries on {1..18} up front takes about 100 MB;
+    # the tables kept for alphabets of at most 12 letters take about 2 MB
+    tracemalloc.start()
+    try:
+        assert is_valid(next(enumerate_svt((2, 1), 18)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 @settings(max_examples=20, deadline=None)
 @given(shapes_up_to(4), st.integers(1, 3))
 @example(Partition((2, 1)), 3)
@@ -115,7 +144,7 @@ def test_singleton_restriction_equals_sst(extra_shape, extra_n):
     # every shape up to size 5 on up to 3 letters, plus one random instance
     cases = [(lam, n) for size in range(0, 6) for lam in partitions_of(size) for n in range(1, 4)]
     for lam, n in cases + [(extra_shape, extra_n)]:
-        svt_singletons = {t for t in enumerate_svt(lam, n) if t.is_semistandard()}
+        svt_singletons = {t for t in enumerate_svt(lam, n) if is_semistandard(t)}
         sst = set(enumerate_sst(lam, n))
         assert svt_singletons == sst
 
