@@ -5,7 +5,9 @@ counted on packed int weight keys), determinant quotients
 with exact Vandermonde division, the refined multi-parameter determinant
 (taken over int columns, with the betas' denominators divided out once;
 its determinant and Vandermonde division are one pass on packed monomials,
-polynomials.alternant_quotient),
+polynomials.alternant_quotient), the same integral matrix taken at n
+distinct rational points on ints (refined_bialternant_at: an int
+determinant divided once, with no polynomial in x built),
 and the shifted-exponent expansion that evaluates the refined quotient at
 the geometric point x = (1, q, ..., q^(n-1)) without any determinant.
 Keeping the routes separate is the point: the verification harness compares
@@ -28,7 +30,7 @@ from math import prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import Poly, alternant_quotient
+from .polynomials import Poly, alternant_quotient, determinant
 from .tableaux import enumerate_svt
 
 BETA = "b"
@@ -89,13 +91,36 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     return refined_bialternant(shape, nvars, [beta] * (operator.index(nvars) - 1))
 
 
-def _integral_factor(beta):
-    """beta = p/d as (p, d), so that d + p x is d times 1 + beta x; a
+def _ratio(value):
+    """value = p/d as (p, d), so that d + p x is d times 1 + value x; a
     variable name is (its Poly, 1)."""
-    if isinstance(beta, str):
-        return Poly.variable(beta), 1
-    beta = Fraction(exact_rational(beta))
-    return beta.numerator, beta.denominator
+    if isinstance(value, str):
+        return Poly.variable(value), 1
+    value = Fraction(exact_rational(value))
+    return value.numerator, value.denominator
+
+
+def _integral_rows(lam, factors, points):
+    """The integral bi-alternant's rows, one per point x_i = num/den given
+    as (num, den): entry (i, j) is
+
+        num^(l_j+n-1-j) den^(l_1-l_j) prod_(k<j) (d_k den + p_k num)
+
+    for the factors (p_k, d_k), that is den^(l_1+n-1) times
+    x^(l_j+n-1-j) prod_(k<j) (d_k + p_k x).  With (Poly x_i, 1) the rows
+    are the symbolic matrix.
+    """
+    n = len(lam)
+    rows = []
+    for num, den in points:
+        row, entry_factor = [], 1
+        for j in range(n):
+            if j:
+                p, d = factors[j - 1]
+                entry_factor = entry_factor * (d * den + p * num)
+            row.append(num ** (lam[j] + n - 1 - j) * den ** (lam[0] - lam[j]) * entry_factor)
+        rows.append(row)
+    return rows
 
 
 def refined_bialternant(shape, nvars: int, betas) -> Poly:
@@ -120,22 +145,48 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
         raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
     if len(shape) > n:
         return Poly.constant(0)
-    factors = [_integral_factor(b) for b in betas]
+    factors = [_ratio(b) for b in betas]
     _check_size(2 ** n, "the determinant has {} minors")
-    lam = shape.padded(n)
-    rows = []
-    for x in (Poly.variable(name) for name in _x_names(n)):
-        row = []
-        entry_factor = Poly.constant(1)
-        for j in range(n):
-            if j > 0:
-                p, d = factors[j - 1]
-                entry_factor = entry_factor * (d + p * x)
-            row.append(x ** (lam[j] + n - 1 - j) * entry_factor)
-        rows.append(row)
+    rows = _integral_rows(shape.padded(n), factors,
+                          [(Poly.variable(name), 1) for name in _x_names(n)])
     quotient = alternant_quotient(rows, _x_names(n))
     scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
     return quotient if scale == 1 else quotient * Fraction(1, scale)
+
+
+def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
+    """The refined quotient's value at the point (x_1, ..., x_n), taken on
+    ints without building the polynomial in x.
+
+    Exactly n-1 betas and n point coordinates, all exact rationals (a
+    variable name or a float is refused), are required, and the
+    coordinates must be distinct.  Each x_i = num_i/den_i is homogenised
+    (_integral_rows), so the matrix has int entries; its determinant is
+    divided once by the int Vandermonde prod_(i<j) (num_i den_j - num_j
+    den_i), the columns' scale prod_k d_k^(n-1-k) and prod_i den_i^(l_1).
+    A repeated coordinate (the Vandermonde is 0) raises ValueError before
+    the determinant, and so does a determinant of more than
+    arith.MAX_SERIES_TERMS minors (2^n).
+    """
+    shape = Partition(shape)
+    n = operator.index(nvars)
+    if len(betas) != n - 1 or len(point) != n:
+        raise ValueError(f"need exactly {n - 1} beta values and {n} point "
+                         f"coordinates, got {len(betas)} and {len(point)}")
+    factors = [_ratio(exact_rational(b)) for b in betas]
+    points = [_ratio(exact_rational(x)) for x in point]
+    vandermonde = prod(num_i * den_j - num_j * den_i
+                       for i, (num_i, den_i) in enumerate(points)
+                       for num_j, den_j in points[i + 1:])
+    if vandermonde == 0:
+        raise ValueError(f"the point coordinates must be distinct: {list(point)}")
+    if len(shape) > n:
+        return Fraction(0)
+    _check_size(2 ** n, "the determinant has {} minors")
+    lam = shape.padded(n)
+    scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
+    denominator = vandermonde * scale * prod(den ** lam[0] for _, den in points)
+    return determinant(_integral_rows(lam, factors, points)).as_fraction() / denominator
 
 
 def elementary_symmetric(k: int, values):

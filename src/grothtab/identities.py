@@ -2,8 +2,10 @@
 
 Every check compares a left and a right route that share nothing beyond the
 scalar/polynomial arithmetic layer: closed-form counts against brute-force
-enumeration, determinant quotients against tableau sums, coupled
-hypergeometric sums against polynomial evaluations.
+enumeration, determinant quotients against tableau sums, the shifted-exponent
+sum against the refined quotient's value at the geometric point (a
+determinant on ints), coupled hypergeometric sums against polynomial
+evaluations.
 
 A check is a row function rows(grid, shape, n) that yields (params, left,
 right) for one instance; the row and column checks filter the shape.
@@ -34,7 +36,7 @@ from .grothendieck import (
     grothendieck_bialternant,
     grothendieck_tableau_sum,
     principal_specialization_q,
-    refined_bialternant,
+    refined_bialternant_at,
 )
 from .hypergeom import HolmanInstance, gauss_2f1_terminating, holman_series
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
@@ -322,15 +324,19 @@ def _single_column_counts(grid, shape, n):
            "geometric point",
            "nested k-sum", "refined bi-alternant at x = (1,q,..,q^(n-1))")
 def _geometric_point_expansion(grid, shape, n):
-    """Both sides are polynomials in the n-1 betas, drawn at random from the
-    grid's seed, so each row is a randomized (Schwartz-Zippel) test of the
-    identity in the betas, not a proof for every beta."""
+    """Each row compares two values at x = (1, q, ..., q^(n-1)): the nested
+    k-sum and the refined quotient taken at the point on ints
+    (refined_bialternant_at), never the polynomial in x.  Both are
+    polynomials in the n-1 betas, drawn at random from the grid's seed, so
+    each row is a randomized (Schwartz-Zippel) test of the identity in the
+    betas, not a proof for every beta.  The value needs no polynomial
+    remainder guard: a wrong determinant or division gives a wrong value,
+    which fails the row, and gg-eq-w divides the symbolic bi-alternant with
+    every remainder checked on every (shape, n)."""
     betas = grid.random_betas(shape, n)
-    poly = refined_bialternant(shape, n, betas)
     for q in DEFAULT_QS:
-        point = {f"x{i + 1}": q ** i for i in range(n)}
         left = principal_specialization_q(shape, n, betas, q)
-        right = poly.substitute(point).as_fraction()
+        right = refined_bialternant_at(shape, n, betas, [q ** i for i in range(n)])
         yield ({"shape": shape, "n": n, "q": q,
                 "betas": ",".join(str(b) for b in betas)}, left, right)
 

@@ -4,21 +4,22 @@ This is the ground-truth oracle of the package: every polynomial identity
 and counting formula is ultimately checked against these streams.  The
 enumeration backtracks cell by cell in row-major order; the two ordering
 conditions only constrain a cell against its left and upper neighbours, so
-each cell is checked as it is set and the generators are lazy (a partial
-filling can still have no completion: a cell may take letters that leave
-none for the cells below it).  One iterative
+each cell is checked as it is set and the generators are lazy.  A cell's
+largest letter is capped at n minus the number of cells below it in its
+column, so that every partial filling has a completion.  One iterative
 backtracker serves both streams: an explicit stack of entry iterators over
-a per-lo table of (entry, largest letter) (streamed instead for an alphabet
-of more than _TABLE_LETTERS letters), with each row above the current one
-frozen into a tuple once, when its last cell is set, so a filling builds
-only its last row.
+tables of (entry, largest letter) keyed by the alphabet {lo..hi}, each
+built on first use (streamed instead for an alphabet of more than
+_TABLE_LETTERS letters), with each row above the current one frozen into
+a tuple once, when its last cell is set, so a filling builds only its last
+row.
 """
 
 import operator
 
 from .partitions import Partition
 
-# The largest alphabet {lo..n} whose entries the backtracker keeps in a
+# The largest alphabet {lo..hi} whose entries the backtracker keeps in a
 # table; a larger one streams its entries, so that memory and the time to
 # the first filling do not grow as 2^n.
 _TABLE_LETTERS = 12
@@ -136,10 +137,18 @@ def _singletons(lo: int, n: int):
 
 def _backtrack(shape, nvars: int, entries):
     """Lazy stream of the fillings whose cells take entries from
-    entries(lo, nvars), where lo is the smallest letter the left and upper
-    neighbours allow; cells are filled row-major.  Every cell but the last
-    keeps an iterator on the stack; the last cell runs through its choices
-    in a plain loop.
+    entries(lo, hi), where lo is the smallest letter the left and upper
+    neighbours allow and hi is nvars minus the number of cells below the
+    cell in its column; cells are filled row-major.  Every cell but the
+    last keeps an iterator on the stack; the last cell runs through its
+    choices in a plain loop.
+
+    Each cell below needs a larger letter than the one above it, so the
+    cap drops only entries that no completion can hold: entries(lo, hi) is
+    the subsequence of entries(lo, nvars) of largest letter at most hi.
+    No partial filling is then a dead end.  A left neighbour has at
+    least as many cells below it, so its largest letter is at most hi, and
+    an upper neighbour's is at most hi - 1: lo <= hi at every cell.
     """
     shape, nvars = Partition(shape), operator.index(nvars)
     if len(shape) > nvars:
@@ -148,23 +157,23 @@ def _backtrack(shape, nvars: int, entries):
     if not parts:
         yield SetValuedTableau._of(shape, nvars, ())
         return
-    # choices[lo]: (entry, largest letter) for each entry a cell may take
-    # when lo is its smallest allowed letter, lo up to nvars + 1; None
-    # where the alphabet is too large to keep
-    choices = [()] + [None if nvars - lo >= _TABLE_LETTERS
-                      else tuple((e, e[-1]) for e in entries(lo, nvars))
-                      for lo in range(1, nvars + 2)]
+    # tables[lo, hi]: (entry, largest letter) for each entry of
+    # entries(lo, hi), built on first use; an alphabet {lo..hi} of more
+    # than _TABLE_LETTERS letters is streamed each time instead
+    tables = {}
     size = shape.size
     last = size - 1
     # for each cell: its left and upper neighbours (size, whose largest
-    # letter is tops[size] = 0, where there is none); for the last cell of
-    # every row but the last: (row, first cell of the row)
-    left, up, row_ends = [], [], {}
+    # letter is tops[size] = 0, where there is none) and its largest
+    # letter hi; for the last cell of every row but the last: (row, first
+    # cell of the row)
+    left, up, caps, row_ends = [], [], [], {}
     start = 0
     for i, p in enumerate(parts):
         for j in range(p):
             left.append(start + j - 1 if j else size)
             up.append(start - parts[i - 1] + j if i else size)
+            caps.append(nvars - sum(1 for below in parts[i + 1:] if below > j))
         row_ends[start + p - 1] = (i, start)
         start += p
     del row_ends[last]
@@ -177,10 +186,13 @@ def _backtrack(shape, nvars: int, entries):
     make = SetValuedTableau._of
     k = 0  # the cell to open
     while True:
-        lo = max(tops[left[k]], tops[up[k]] + 1)
-        table = choices[lo]
+        span = (max(tops[left[k]], tops[up[k]] + 1), caps[k])
+        table = tables.get(span)
         if table is None:
-            table = ((e, e[-1]) for e in entries(lo, nvars))
+            lo, hi = span
+            table = ((e, e[-1]) for e in entries(lo, hi))
+            if hi - lo < _TABLE_LETTERS:
+                table = tables[span] = tuple(table)
         if k == last:
             above, stem = frozen[-1], tuple(cells[last_start:last])
             for entry, _ in table:

@@ -16,6 +16,7 @@ from grothtab.grothendieck import (
     grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant,
+    refined_bialternant_at,
 )
 from grothtab.hypergeom import HolmanInstance, holman_series
 from grothtab.identities import Grid
@@ -169,17 +170,51 @@ def test_integral_quotient_equals_the_fraction_row_quotient(case):
 
 def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
     # n variables give 2^n minors: 2^3 = 8 pass, 2^4 = 16 are refused
-    def no_determinant(rows, names):
+    def no_determinant(*args):
         raise AssertionError("the determinant ran")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
     assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
     assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
+    assert refined_bialternant_at((1,), 3, [0, 0], [1, 2, 3]) == 6
     monkeypatch.setattr(grothendieck, "alternant_quotient", no_determinant)
+    monkeypatch.setattr(grothendieck, "determinant", no_determinant)
     for build in (lambda: refined_bialternant((1,), 4, [0, 0, 0]),
-                  lambda: grothendieck_bialternant((2, 1), 4)):
+                  lambda: grothendieck_bialternant((2, 1), 4),
+                  lambda: refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4])):
         with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
             build()
+
+
+def test_value_at_a_point_equals_the_substituted_polynomial():
+    # pins the symbolic route of eval-groth --refined, which verify no
+    # longer evaluates at distinct betas
+    grid = Grid(5, 4)
+    for shape, n in grid.shapes():
+        random_betas = grid.random_betas(shape, n)
+        int_betas = [k - 2 for k in range(n - 1)]
+        geometric = [[q ** i for i in range(n)] for q in (Fraction(2), Fraction(5, 7))]
+        scattered = [[Fraction(1 - 2 * i, 1 + i) for i in range(n)], [3, -1, 0, 7][:n]]
+        for betas in (random_betas, int_betas):
+            poly = refined_bialternant(shape, n, betas)
+            for point in geometric + scattered:
+                got = refined_bialternant_at(shape, n, betas, point)
+                want = poly.substitute({f"x{i + 1}": x for i, x in enumerate(point)})
+                assert got == want.as_fraction(), (shape, n, betas, point)
+                assert type(got) is Fraction
+
+
+def test_value_at_a_point_refuses_bad_input():
+    with pytest.raises(ValueError, match="must be distinct"):
+        refined_bialternant_at((2, 1), 3, [1, 2], [1, Fraction(2, 4), Fraction(1, 2)])
+    with pytest.raises(ValueError, match="must be distinct"):
+        refined_bialternant_at((), 2, [1], [3, 3])
+    for betas, point in (([1], [1, 2, 3]), ([1, 2, 3], [1, 2, 3]), ([1, 2], [1, 2])):
+        with pytest.raises(ValueError, match="need exactly 2 beta values and 3 point"):
+            refined_bialternant_at((2, 1), 3, betas, point)
+    with pytest.raises(ValueError, match="not a rational number"):
+        refined_bialternant_at((2, 1), 3, ["b1", 1], [1, 2, 3])
+    assert refined_bialternant_at((1, 1, 1), 2, [1], [1, 2]) == 0
 
 
 def test_principal_specialization_matches_determinant_route():
@@ -253,6 +288,8 @@ def test_float_inputs_are_refused():
     for build in (lambda: principal_specialization_q((1,), 2, [0.5], 2),
                   lambda: principal_specialization_q((1,), 2, [1], 0.1),
                   lambda: refined_bialternant((1,), 2, [0.5]),
+                  lambda: refined_bialternant_at((1,), 2, [0.5], [1, 2]),
+                  lambda: refined_bialternant_at((1,), 2, [1], [1, 2.0]),
                   lambda: grothendieck_bialternant((1,), 2, 0.5),
                   lambda: single_column_e_expansion(1, 2, 0.5)):
         with pytest.raises(ValueError, match="is not an exact rational"):

@@ -1,7 +1,8 @@
-"""Seeded bugs in the packed kernels that verify must catch.
+"""Seeded bugs in the kernels that verify must catch.
 
-Two bugs sit in the packed bi-alternant kernel and two in the weight table
-of the packed tableau-sum fill.  Each mutant is put in place in this
+Two bugs sit in the packed bi-alternant kernel, two in the weight table of
+the packed tableau-sum fill, two in the refined quotient at a point and one
+in the backtracker's column cap.  Each mutant is put in place in this
 process with monkeypatch, so nothing on disk changes, and
 run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
 each mutant to the checks that must then report failing instances, each
@@ -14,7 +15,7 @@ import inspect
 
 import pytest
 
-from grothtab import grothendieck, polynomials
+from grothtab import grothendieck, identities, polynomials, tableaux
 from grothtab.identities import Grid, run_all
 
 
@@ -37,13 +38,28 @@ MUTANTS = {
         "(1 << (width * entry[-1]))")),
     "excess field dropped": lambda: (grothendieck, "_tableau_sum", _edited(
         grothendieck._tableau_sum.__wrapped__, "len(entry) - 1 + sum(", "sum(")),
+    # identities holds its own binding of refined_bialternant_at
+    "column scale exponent n - k": lambda: (identities, "refined_bialternant_at", _edited(
+        grothendieck.refined_bialternant_at, "d ** (n - 1 - k)", "d ** (n - k)")),
+    "Vandermonde factor flipped": lambda: (identities, "refined_bialternant_at", _edited(
+        grothendieck.refined_bialternant_at, "num_i * den_j - num_j * den_i",
+        "num_j * den_i - num_i * den_j")),
+    "column cap one letter too tight": lambda: (tableaux, "_backtrack", _edited(
+        tableaux._backtrack, "caps.append(nvars - sum(", "caps.append(nvars - 1 - sum(")),
 }
 
 CAUGHT_BY = {
     "minor sign flipped": {"gg-eq-w", "thm-3.5"},
-    "field width forced to 2 bits": {"gg-eq-w", "thm-3.5"},
+    # thm-3.5 takes its determinant on ints, where every exponent is 0
+    "field width forced to 2 bits": {"gg-eq-w"},
     "cell weighed by its largest letter only": {"gg-eq-w", "prop-AA"},
     "excess field dropped": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
+    "column scale exponent n - k": {"thm-3.5"},
+    "Vandermonde factor flipped": {"thm-3.5"},
+    # every check that enumerates; thm-3.5 and thm-3.13 never do
+    "column cap one letter too tight": {"hook-counts", "gg-eq-w", "prop-3.1", "prop-3.2",
+                                        "cor-3.3", "cor-3.4", "cor-3.8", "thm-3.9",
+                                        "cor-3.11", "prop-AA", "oddness"},
 }
 
 

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from itertools import combinations, islice, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,12 +30,23 @@ def shapes_up_to(max_size):
 @pytest.mark.parametrize("table_letters", [tableaux._TABLE_LETTERS, 2])
 def test_enumeration_equals_the_recursive_reference(table_letters, monkeypatch):
     monkeypatch.setattr(tableaux, "_TABLE_LETTERS", table_letters)
-    cases = [(lam, n) for size in range(6) for lam in partitions_of(size) for n in range(1, 5)]
+    # every pair of Grid(5, 5), shapes too tall for n and the empty shape
+    cases = [(lam, n) for size in range(6) for lam in partitions_of(size) for n in range(1, 6)]
     for lam, n in cases + [((3, 2), 6), ((4, 4, 4), 4)]:
         for enumerate_tableaux, reference in ((enumerate_svt, reference_svt),
                                               (enumerate_sst, reference_sst)):
             got = [(t.shape, t.n, t.rows) for t in enumerate_tableaux(lam, n)]
             assert got == [(t.shape, t.n, t.rows) for t in reference(lam, n)], (lam, n)
+
+
+def test_column_counts():
+    # a column filling is a set of m letters cut into k non-empty runs;
+    # without the column cap, (1^18)/18 took minutes to find its one filling
+    for k in range(1, 19):
+        for n in (k, k + 1, k + 2):
+            want = sum(comb(n, m) * comb(m - 1, k - 1) for m in range(k, n + 1))
+            assert sum(1 for _ in enumerate_svt((1,) * k, n)) == want, (k, n)
+    assert [t.rows for t in enumerate_svt((1,) * 18, 18)] == [tuple(((v,),) for v in range(1, 19))]
 
 
 def test_sst_single_box():
@@ -106,6 +118,7 @@ def test_a_large_alphabet_is_streamed_not_listed():
     tracemalloc.start()
     try:
         assert is_valid(next(enumerate_svt((2, 1), 18)))
+        assert is_valid(next(enumerate_svt((1,), 18)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
