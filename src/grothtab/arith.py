@@ -39,7 +39,10 @@ def binomial(n: int, k: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' (base-10 integers) into a Fraction."""
+    """Parse 'p/q' or 'p' (base-10 integers) into a Fraction; anything but
+    a string is refused."""
+    if not isinstance(text, str):
+        raise ValueError(f"{text!r} is not a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

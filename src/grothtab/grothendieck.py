@@ -1,7 +1,7 @@
 """Schur and Grothendieck polynomials, four independent ways.
 
 The set-valued tableau generating sum (driven by enumerate_svt and
-counted on packed int weight keys), determinant quotients
+counted on sums of per-letter packed int units), determinant quotients
 with exact Vandermonde division, the refined multi-parameter determinant
 (taken over int columns, with the betas' denominators divided out once;
 its determinant and Vandermonde division are one pass on packed monomials,
@@ -25,7 +25,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
@@ -58,26 +58,24 @@ def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
 def _tableau_sum(shape: Partition, nvars: int) -> Poly:
     """Sum of b^excess x^weight over the fillings enumerate_svt yields.
 
-    Each entry weighs one packed int: field 0 holds its excess (letters
-    minus one) and field v its count of letter v, each field w bits wide.
-    A tableau's key is the sum of its entries' weights, counted once per
-    filling, and the keys are unpacked once into the Poly over (b, x1..xn).
-    Width rule: 2^w > max(|shape| n, 1).  Letter v occurs at most once per
-    cell, so field v is at most |shape|, and a cell holds at most n
-    letters, so field 0 is at most |shape| (n - 1): no field can carry
-    into the next.  The weight table holds all 2^n - 1 entries, which the
-    backtracker's first cell tries anyway; it is left empty where there is
-    no such cell (the empty shape, or more rows than letters).
+    Letter v weighs the packed unit 1 + (1 << (w v)): field 0 counts
+    letters and field v counts letter v, each field w bits wide.  A
+    filling's key is the sum of its letters' units, counted once per
+    filling; each distinct key less |shape| (the excess, letters minus
+    cells, left in field 0) is unpacked once into the Poly over
+    (b, x1..xn).  Every cell holds a letter, so the subtraction never
+    borrows.  Width rule: 2^w > max(|shape| n, 1).  Letter v occurs at most
+    once per cell, so field v is at most |shape|, and a cell holds at most
+    n letters, so field 0 is at most |shape| n: no field can carry into
+    the next.
     """
     names = tuple([BETA, *_x_names(nvars)])
     width = max(shape.size * nvars, 1).bit_length()
-    letters = range(1, nvars + 1) if 0 < len(shape) <= nvars else ()
-    weight = {entry: len(entry) - 1 + sum(1 << (width * v) for v in entry)
-              for k in range(1, len(letters) + 1) for entry in combinations(letters, k)}
-    counts = Counter(sum(map(weight.__getitem__, chain.from_iterable(tableau.rows)))
-                     for tableau in enumerate_svt(shape, nvars))
-    mask = (1 << width) - 1
-    return Poly._of(names, {tuple([key >> (width * t) & mask for t in range(nvars + 1)]): count
+    unit = [1 + (1 << (width * v)) for v in range(nvars + 1)]
+    counts = Counter(sum(map(unit.__getitem__, chain.from_iterable(chain.from_iterable(t.rows))))
+                     for t in enumerate_svt(shape, nvars))
+    mask, shifts = (1 << width) - 1, range(0, width * (nvars + 1), width)
+    return Poly._of(names, {tuple([(key - shape.size) >> s & mask for s in shifts]): count
                             for key, count in counts.items()})
 
 

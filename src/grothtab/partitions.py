@@ -17,8 +17,9 @@ class Partition:
     Trailing zeros are stripped on construction, so (2, 1) and (2, 1, 0)
     denote the same value.  Non-weakly-decreasing or negative input is
     rejected rather than silently sorted, and a part that is not an int
-    (2.5) raises TypeError rather than being cut down.  Partition(p) of a
-    Partition p shares p.parts, which were checked when p was made.
+    (2.5) raises TypeError rather than being cut down; a tuple that is no
+    partition compares unequal.  Partition(p) of a Partition p shares
+    p.parts, which were checked when p was made.
     """
 
     __slots__ = ("parts",)
@@ -54,7 +55,10 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, tuple):
-            return self == Partition(other)
+            try:
+                return self == Partition(other)
+            except (TypeError, ValueError):
+                return False
         return NotImplemented
 
     def __hash__(self):

@@ -77,9 +77,12 @@ class Poly:
         self.vars = vars
         self.terms = {}
         for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != len(vars) or not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents {exps} are not {len(vars)} non-negative ints")
             coeff = exact_rational(coeff)
             if coeff:
-                self.terms[tuple(exps)] = coeff
+                self.terms[exps] = coeff
 
     @classmethod
     def _of(cls, vars: tuple, terms: dict) -> "Poly":
@@ -169,6 +172,8 @@ class Poly:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -68,11 +69,13 @@ def test_tableau_sum_equals_the_letter_loop_reference():
 
 
 def test_a_shape_without_a_first_cell_builds_no_weight_table():
-    # all 2^18 - 1 weights on {1..18} would take about 50 MB
+    # a table of all 2^18 - 1 subsets of {1..18} would take about 50 MB
     tracemalloc.start()
     try:
         assert grothendieck_tableau_sum((), 18) == 1
         assert grothendieck_tableau_sum((1,) * 19, 18) == 0
+        assert grothendieck_tableau_sum((1,) * 18, 18) == prod(Poly.variable(f"x{i}")
+                                                               for i in range(1, 19))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,9 @@
 """Seeded bugs in the kernels that verify must catch.
 
-Two bugs sit in the packed bi-alternant kernel, two in the weight table of
-the packed tableau-sum fill, two in the refined quotient at a point and one
-in the backtracker's column cap.  Each mutant is put in place in this
-process with monkeypatch, so nothing on disk changes, and
+Two bugs sit in the packed bi-alternant kernel, two in the per-letter
+units of the packed tableau-sum fill, two in the refined quotient at a
+point and one in the backtracker's column cap.  Each mutant is put in
+place in this process with monkeypatch, so nothing on disk changes, and
 run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
 each mutant to the checks that must then report failing instances, each
 with a witness; every other check must still pass.  The tableau-sum memo
@@ -34,10 +34,10 @@ MUTANTS = {
         polynomials._expand_packed, "sign = -1 if t % 2 else 1", "sign = 1 if t % 2 else -1")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
     "cell weighed by its largest letter only": lambda: (grothendieck, "_tableau_sum", _edited(
-        grothendieck._tableau_sum.__wrapped__, "sum(1 << (width * v) for v in entry)",
-        "(1 << (width * entry[-1]))")),
-    "excess field dropped": lambda: (grothendieck, "_tableau_sum", _edited(
-        grothendieck._tableau_sum.__wrapped__, "len(entry) - 1 + sum(", "sum(")),
+        grothendieck._tableau_sum.__wrapped__, "chain.from_iterable(chain.from_iterable(t.rows))",
+        "(cell[-1] for row in t.rows for cell in row for _ in cell)")),
+    "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
+        grothendieck._tableau_sum.__wrapped__, "1 + (1 << (width * v))", "(1 << (width * v))")),
     # identities holds its own binding of refined_bialternant_at
     "column scale exponent n - k": lambda: (identities, "refined_bialternant_at", _edited(
         grothendieck.refined_bialternant_at, "d ** (n - 1 - k)", "d ** (n - k)")),
@@ -52,8 +52,9 @@ CAUGHT_BY = {
     "minor sign flipped": {"gg-eq-w", "thm-3.5"},
     # thm-3.5 takes its determinant on ints, where every exponent is 0
     "field width forced to 2 bits": {"gg-eq-w"},
-    "cell weighed by its largest letter only": {"gg-eq-w", "prop-AA"},
-    "excess field dropped": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
+    # the letter count, hence the excess, stays right; only the x-weight is wrong
+    "cell weighed by its largest letter only": {"gg-eq-w"},
+    "excess unit dropped": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
     "column scale exponent n - k": {"thm-3.5"},
     "Vandermonde factor flipped": {"thm-3.5"},
     # every check that enumerates; thm-3.5 and thm-3.13 never do

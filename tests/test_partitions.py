@@ -25,6 +25,14 @@ def test_rejects_bad_input():
         Partition((2, -1))
 
 
+def test_equality_with_a_bad_tuple_is_false():
+    lam = Partition((2, 1))
+    for other in ((1, 2), (2.5,), (-1,), ("2", "1")):
+        assert (lam == other) is False
+        assert (lam != other) is True
+    assert lam == (2, 1, 0)
+
+
 def test_size_and_parts_access():
     lam = Partition((4, 3))
     assert lam.size == 7

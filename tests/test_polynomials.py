@@ -33,6 +33,23 @@ def test_float_inputs_are_refused():
             build()
 
 
+def test_bad_exponents_and_coefficients_are_refused():
+    for vars, exps in ((("x",), (-1,)), (("x",), ()), (("x", "y"), (1,)), (("x",), (True,)),
+                       (("x",), (1.0,)), (("x",), (1, 0))):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            Poly(vars, {exps: 1})
+    with pytest.raises(ValueError, match="non-negative ints"):
+        Poly.from_json({"variables": ["x", "y"], "terms": [{"exponents": [1], "coeff": "1"}]})
+    with pytest.raises(ValueError, match="not a string"):
+        Poly.from_json({"variables": ["x"], "terms": [{"exponents": [1], "coeff": 1}]})
+
+
+def test_equality_with_a_bool_is_false():
+    assert (x1 == True) is False  # noqa: E712
+    assert (Poly.constant(1) != True) is True  # noqa: E712
+    assert Poly.constant(1) == 1
+
+
 def test_basic_arithmetic():
     p = (x1 + x2) ** 2
     assert p == x1 ** 2 + 2 * x1 * x2 + x2 ** 2
