@@ -72,7 +72,7 @@ def _tableau_sum(shape: Partition, nvars: int) -> Poly:
     names = tuple([BETA, *_x_names(nvars)])
     width = max(shape.size * nvars, 1).bit_length()
     unit = [1 + (1 << (width * v)) for v in range(nvars + 1)]
-    counts = Counter(sum(map(unit.__getitem__, chain.from_iterable(chain.from_iterable(t.rows))))
+    counts = Counter(sum(map(unit.__getitem__, chain.from_iterable(t.cells)))
                      for t in enumerate_svt(shape, nvars))
     mask, shifts = (1 << width) - 1, range(0, width * (nvars + 1), width)
     return Poly._of(names, {tuple([(key - shape.size) >> s & mask for s in shifts]): count

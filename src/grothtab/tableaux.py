@@ -10,12 +10,13 @@ column, so that every partial filling has a completion.  One iterative
 backtracker serves both streams: an explicit stack of entry iterators over
 tables of (entry, largest letter) keyed by the alphabet {lo..hi}, each
 built on first use (streamed instead for an alphabet of more than
-_TABLE_LETTERS letters), with each row above the current one frozen into
-a tuple once, when its last cell is set, so a filling builds only its last
-row.
+_TABLE_LETTERS letters).  A filling is stored as the backtracker fills it:
+the row-major tuple of its cells, which the tableau sum weighs as one flat
+stream; its rows are a view.
 """
 
 import operator
+from itertools import accumulate
 
 from .partitions import Partition
 
@@ -25,33 +26,51 @@ from .partitions import Partition
 _TABLE_LETTERS = 12
 
 
+def _letter(v) -> int:
+    """v itself if it is an int (a bool is not); ValueError otherwise."""
+    if type(v) is not int:
+        raise ValueError(f"letter {v!r} is not an int")
+    return v
+
+
 class SetValuedTableau:
     """Filling of a Young diagram by non-empty subsets of {1..n}.
 
-    Entries are stored row-major as tuples of sorted letter tuples; the
-    constructor sorts each cell it is given, and the enumerators build
-    their tableaux, already sorted, unchecked.  A filling is valid when
-    every row satisfies max(cell) <= min(right neighbour) and every column
-    satisfies max(cell) < min(lower neighbour); an all-singleton filling is
-    an ordinary semistandard tableau.
+    Entries are stored as `cells`, the row-major tuple of sorted letter
+    tuples, and `rows` cuts them by the shape's parts.  The constructor
+    takes rows, refuses with ValueError rows off the shape and a letter
+    that is not an int (bools included), and sorts each cell; the
+    enumerators build their tableaux, already sorted, unchecked.  A filling
+    is valid when every row satisfies max(cell) <= min(right neighbour) and
+    every column satisfies max(cell) < min(lower neighbour); an
+    all-singleton filling is an ordinary semistandard tableau.
     """
 
-    __slots__ = ("shape", "n", "rows")
+    __slots__ = ("shape", "n", "cells")
 
     def __init__(self, shape, n: int, rows):
         self.shape = Partition(shape)
         self.n = operator.index(n)
-        self.rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in rows)
+        rows = [tuple(row) for row in rows]
+        if tuple(map(len, rows)) != self.shape.parts:
+            raise ValueError(f"rows of lengths {tuple(map(len, rows))} do not fill the "
+                             f"shape {self.shape.parts}")
+        self.cells = tuple(tuple(sorted(map(_letter, cell))) for row in rows for cell in row)
 
     @classmethod
-    def _of(cls, shape: Partition, n: int, rows: tuple) -> "SetValuedTableau":
-        """A tableau from a Partition, an int and rows of sorted letter
+    def _of(cls, shape: Partition, n: int, cells: tuple) -> "SetValuedTableau":
+        """A tableau from a Partition, an int and row-major sorted letter
         tuples, set unchecked: the enumerators build only such values."""
         tableau = object.__new__(cls)
         tableau.shape = shape
         tableau.n = n
-        tableau.rows = rows
+        tableau.cells = cells
         return tableau
+
+    @property
+    def rows(self) -> tuple:
+        """The cells cut into rows by the shape's parts."""
+        return tuple(self.cells[end - p:end] for p, end in zip(self.shape, accumulate(self.shape)))
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:
         """The letters assigned to cell (i, j), 1-based, sorted."""
@@ -60,7 +79,7 @@ class SetValuedTableau:
     @property
     def size(self) -> int:
         """Total number of assigned letters |T|."""
-        return sum(len(cell) for row in self.rows for cell in row)
+        return sum(map(len, self.cells))
 
     @property
     def excess(self) -> int:
@@ -70,19 +89,22 @@ class SetValuedTableau:
     def __eq__(self, other):
         if not isinstance(other, SetValuedTableau):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        # (2,) and (1,1) can hold the same row-major cells
+        return self.shape == other.shape and self.n == other.n and self.cells == other.cells
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self.shape, self.n, self.cells))
 
     def __repr__(self):
         return f"SetValuedTableau({self.shape!r}, {self.n}, {self.compact_str()!r})"
 
     def compact_str(self) -> str:
-        """One-line rendering: letters of a cell concatenated ('23' for
-        {2,3}), cells separated by spaces, rows by commas.  Meant for
-        single-digit alphabets."""
-        return ",".join(" ".join("".join(str(v) for v in cell) for cell in row) for row in self.rows)
+        """One-line rendering: cells separated by spaces, rows by commas.
+        The letters of a cell are concatenated ('23' for {2,3}) when n <= 9
+        and joined by dots ('1.2' for {1,2}) when n >= 10, so that {12} and
+        {1,2} differ."""
+        sep = "." if self.n >= 10 else ""
+        return ",".join(" ".join(sep.join(map(str, cell)) for cell in row) for row in self.rows)
 
     def to_json(self):
         """Nested arrays: rows of cells of letters."""
@@ -97,21 +119,17 @@ class SetValuedTableau:
 def is_valid(tableau: SetValuedTableau) -> bool:
     """Whether the filling satisfies both ordering conditions.
 
-    Also checks the structural basics: the rows match the shape and every
-    entry is a non-empty strictly increasing tuple of letters in 1..n.
+    Also checks that every entry is a non-empty strictly increasing tuple
+    of letters in 1..n; the constructor has matched the rows to the shape.
     """
-    shape = tableau.shape
-    if tuple(len(row) for row in tableau.rows) != shape.parts:
-        return False
-    for row in tableau.rows:
-        for cell in row:
-            if not cell:
-                return False
-            if any(v < 1 or v > tableau.n for v in cell):
-                return False
-            if any(a >= b for a, b in zip(cell, cell[1:])):
-                return False
-    for i, j in shape.cells():
+    for cell in tableau.cells:
+        if not cell:
+            return False
+        if any(v < 1 or v > tableau.n for v in cell):
+            return False
+        if any(a >= b for a, b in zip(cell, cell[1:])):
+            return False
+    for i, j in tableau.shape.cells():
         cell = tableau.entry(i, j)
         if j > 1 and tableau.entry(i, j - 1)[-1] > cell[0]:
             return False
@@ -141,7 +159,7 @@ def _backtrack(shape, nvars: int, entries):
     neighbours allow and hi is nvars minus the number of cells below the
     cell in its column; cells are filled row-major.  Every cell but the
     last keeps an iterator on the stack; the last cell runs through its
-    choices in a plain loop.
+    choices in a plain loop, each filling being its row-major cells.
 
     Each cell below needs a larger letter than the one above it, so the
     cap drops only entries that no completion can hold: entries(lo, hi) is
@@ -165,24 +183,18 @@ def _backtrack(shape, nvars: int, entries):
     last = size - 1
     # for each cell: its left and upper neighbours (size, whose largest
     # letter is tops[size] = 0, where there is none) and its largest
-    # letter hi; for the last cell of every row but the last: (row, first
-    # cell of the row)
-    left, up, caps, row_ends = [], [], [], {}
+    # letter hi
+    left, up, caps = [], [], []
     start = 0
     for i, p in enumerate(parts):
         for j in range(p):
             left.append(start + j - 1 if j else size)
             up.append(start - parts[i - 1] + j if i else size)
             caps.append(nvars - sum(1 for below in parts[i + 1:] if below > j))
-        row_ends[start + p - 1] = (i, start)
         start += p
-    del row_ends[last]
-    last_start = size - parts[-1]
     stack = [None] * size
     cells = [None] * size
     tops = [0] * (size + 1)
-    # frozen[i]: rows 0..i-1 as a tuple of row tuples
-    frozen = [()] * len(parts)
     make = SetValuedTableau._of
     k = 0  # the cell to open
     while True:
@@ -194,9 +206,9 @@ def _backtrack(shape, nvars: int, entries):
             if hi - lo < _TABLE_LETTERS:
                 table = tables[span] = tuple(table)
         if k == last:
-            above, stem = frozen[-1], tuple(cells[last_start:last])
+            stem = tuple(cells[:last])
             for entry, _ in table:
-                yield make(shape, nvars, above + (stem + (entry,),))
+                yield make(shape, nvars, stem + (entry,))
             k -= 1
         else:
             stack[k] = iter(table)
@@ -210,9 +222,6 @@ def _backtrack(shape, nvars: int, entries):
             break
         else:
             return
-        if k in row_ends:
-            i, first = row_ends[k]
-            frozen[i + 1] = frozen[i] + (tuple(cells[first:k + 1]),)
         k += 1
 
 

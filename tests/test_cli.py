@@ -132,6 +132,18 @@ def test_enumerate_csv(capsys):
     assert out.splitlines()[1] == "0,1"
 
 
+@pytest.mark.parametrize("shape, count", [("1", 4095), ("2", 45057)])
+def test_enumerate_lines_are_distinct_from_ten_letters_on(capsys, shape, count):
+    # {12} and {1,2} once both printed as 12
+    code, out, _ = run_cli(capsys, "enumerate", "--shape", shape, "--vars", "12")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(set(lines)) == count
+    code, out, _ = run_cli(capsys, "enumerate", "--shape", shape, "--vars", "12",
+                           "--format", "csv")
+    tableaux = [line.split(",", 1)[1] for line in out.splitlines()[1:]]
+    assert code == 0 and len(tableaux) == len(set(tableaux)) == count
+
+
 def test_eval_groth_symbolic(capsys):
     code, out, _ = run_cli(capsys, "eval-groth", "--shape", "1", "--vars", "2")
     assert code == 0 and out.strip() == "x1 + x2 + b*x1*x2"

@@ -2,7 +2,9 @@
 
 Two bugs sit in the packed bi-alternant kernel, two in the per-letter
 units of the packed tableau-sum fill, two in the refined quotient at a
-point and one in the backtracker's column cap.  Each mutant is put in
+point, one in the backtracker's column cap, and one in each of the
+coupling triangle, the content/hook count, the column Gauss binomial,
+the binomial-shift count formula and the 2F1 term.  Each mutant is put in
 place in this process with monkeypatch, so nothing on disk changes, and
 run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
 each mutant to the checks that must then report failing instances, each
@@ -15,7 +17,7 @@ import inspect
 
 import pytest
 
-from grothtab import grothendieck, identities, polynomials, tableaux
+from grothtab import grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
 
 
@@ -34,8 +36,8 @@ MUTANTS = {
         polynomials._expand_packed, "sign = -1 if t % 2 else 1", "sign = 1 if t % 2 else -1")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
     "cell weighed by its largest letter only": lambda: (grothendieck, "_tableau_sum", _edited(
-        grothendieck._tableau_sum.__wrapped__, "chain.from_iterable(chain.from_iterable(t.rows))",
-        "(cell[-1] for row in t.rows for cell in row for _ in cell)")),
+        grothendieck._tableau_sum.__wrapped__, "chain.from_iterable(t.cells)",
+        "(cell[-1] for cell in t.cells for _ in cell)")),
     "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
         grothendieck._tableau_sum.__wrapped__, "1 + (1 << (width * v))", "(1 << (width * v))")),
     # identities holds its own binding of refined_bialternant_at
@@ -46,6 +48,18 @@ MUTANTS = {
         "num_j * den_i - num_i * den_j")),
     "column cap one letter too tight": lambda: (tableaux, "_backtrack", _edited(
         tableaux._backtrack, "caps.append(nvars - sum(", "caps.append(nvars - 1 - sum(")),
+    # the coupling sign the README pins; HolmanInstance.from_shape looks it up
+    "coupling sign l_i + l_j": lambda: (hypergeom, "shape_coupling", _edited(
+        hypergeom.shape_coupling, "lam[i - 1] - lam[j - 1] + j - i",
+        "lam[i - 1] + lam[j - 1] + j - i")),
+    "hook content n + i - j": lambda: (identities, "count_sst_hook", _edited(
+        partitions.count_sst_hook, "nvars + j - i", "nvars + i - j")),
+    "column binomial C(n + 1, k)": lambda: (identities, "_gauss", _edited(
+        identities._gauss, "binomial(n, k)", "binomial(n + 1, k)")),
+    "count formula cross factor sign": lambda: (identities, "count_svt_formula", _edited(
+        grothendieck.count_svt_formula, "c[i] + ki - c[j] - kj", "c[i] - ki - c[j] + kj")),
+    "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
+        hypergeom.gauss_2f1_terminating, "(gamma + m) * (m + 1)", "(gamma + m) * (m + 2)")),
 }
 
 CAUGHT_BY = {
@@ -61,6 +75,11 @@ CAUGHT_BY = {
     "column cap one letter too tight": {"hook-counts", "gg-eq-w", "prop-3.1", "prop-3.2",
                                         "cor-3.3", "cor-3.4", "cor-3.8", "thm-3.9",
                                         "cor-3.11", "prop-AA", "oddness"},
+    "coupling sign l_i + l_j": {"thm-3.9", "cor-3.11", "thm-3.13"},
+    "hook content n + i - j": {"hook-counts"},
+    "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
+    "count formula cross factor sign": {"cor-3.8"},
+    "2F1 term over m + 2": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4"},
 }
 
 

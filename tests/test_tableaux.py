@@ -147,8 +147,26 @@ def test_validity_rejects_structural_garbage():
     assert is_valid(SetValuedTableau((2, 1), 2, [[[1], [1]], [[2]]]))
     # letter outside 1..n
     assert not is_valid(SetValuedTableau((2, 1), 1, [[[1], [1]], [[2]]]))
+
+
+@pytest.mark.parametrize("shape, rows", [
     # rows not matching the declared shape
-    assert not is_valid(SetValuedTableau((2, 1), 2, [[[1], [1]]]))
+    ((2, 1), [[[1], [1]]]),
+    ((2, 1), [[[1]], [[1], [2]]]),
+    ((1,), [[[1]], []]),
+    # letters that are not ints
+    ((1,), [[[1.5]]]),
+    ((1,), [[[True]]]),
+    ((2,), [[[1], [2, "3"]]]),
+])
+def test_constructor_refuses_rows_off_the_shape_and_non_int_letters(shape, rows):
+    with pytest.raises(ValueError):
+        SetValuedTableau(shape, 3, rows)
+
+
+def test_from_json_refuses_a_non_int_letter():
+    with pytest.raises(ValueError, match="not an int"):
+        SetValuedTableau.from_json([[["a"]]], 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -176,13 +194,35 @@ def test_compact_str_and_json_round_trip():
 
 
 def test_enumerated_tableaux_equal_their_checked_construction():
-    # the enumerators build tableaux unchecked; the public constructor sorts
-    # each cell and normalises shape and n
+    # the enumerators build tableaux unchecked from their row-major cells;
+    # the public constructor takes rows, sorts each cell and normalises
+    # shape and n; every pair of Grid(4, 4)
     for size in range(5):
         for shape in partitions_of(size):
-            for n in range(1, 4):
+            for n in range(1, 5):
                 for t in enumerate_svt(shape, n):
                     checked = SetValuedTableau(t.shape, t.n, t.rows)
                     assert t == checked and hash(t) == hash(checked), t
                     assert t.shape == checked.shape
     assert SetValuedTableau((1,), 2, [[[2, 1]]]).rows == (((1, 2),),)
+
+
+def test_cells_are_the_rows_row_major():
+    t = SetValuedTableau((2, 1), 3, [[[1], [2, 3]], [[2]]])
+    assert t.cells == ((1,), (2, 3), (2,))
+    assert t.rows == (((1,), (2, 3)), ((2,),))
+    assert SetValuedTableau((), 3, []).rows == ()
+
+
+def test_equal_cells_in_different_shapes_are_different_tableaux():
+    row = SetValuedTableau((2,), 2, [[[1], [2]]])
+    column = SetValuedTableau((1, 1), 2, [[[1]], [[2]]])
+    assert row.cells == column.cells
+    assert row != column and len({row, column}) == 2
+
+
+def test_compact_str_separates_letters_from_ten_letters_on():
+    assert SetValuedTableau((1,), 12, [[[12]]]).compact_str() == "12"
+    assert SetValuedTableau((1,), 12, [[[1, 2]]]).compact_str() == "1.2"
+    assert SetValuedTableau((2, 1), 10, [[[1], [2, 10]], [[3]]]).compact_str() == "1 2.10,3"
+    assert SetValuedTableau((1,), 9, [[[1, 2]]]).compact_str() == "12"
