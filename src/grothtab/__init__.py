@@ -22,7 +22,7 @@ from .hypergeom import (
 from .identities import Grid, check_ids, run_all, run_check
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from .polynomials import Poly, determinant
-from .tableaux import SetValuedTableau, enumerate_sst, enumerate_svt, is_valid
+from .tableaux import SetValuedTableau, enumerate_sst, enumerate_svt
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "Grid", "check_ids", "run_all", "run_check",
     "Partition", "count_sst_hook", "count_sst_product", "partitions_of",
     "Poly", "determinant",
-    "SetValuedTableau", "enumerate_sst", "enumerate_svt", "is_valid",
+    "SetValuedTableau", "enumerate_sst", "enumerate_svt",
     "__version__",
 ]

@@ -8,16 +8,15 @@ a Fraction is kept as it is, a 'p/q' string is parsed, and a float is
 refused, since 0.1 is a binary approximation, not the rational it was
 written as.  over_common_denominator is the one integer rule: a table over
 the lcm of its Fraction denominators, so that a loop multiplies integer
-numerators and divides once.  coupled_sum, the one loop of the n!-term sums
-(the count formula, the coupled series and the principal specialization),
-and Poly.substitute both follow it.  Every such sum is refused above
-MAX_SERIES_TERMS terms (so is a determinant with more minors).  All
-functions here are pure; values are immutable and safe to share between
-threads.
+numerators and divides once.  coupled_sum, the one depth-first kernel of
+the n!-term sums (the count formula, the coupled series and the principal
+specialization), and Poly.substitute both follow it.  Every such sum is
+refused above MAX_SERIES_TERMS terms (so is a determinant with more
+minors).  All functions here are pure; values are immutable and safe to
+share between threads.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, lcm, prod
 
 # The most terms a series may have; a larger one is refused before any term
@@ -101,25 +100,48 @@ def coupled_sum(weights, cross):
     factors may be ints, Fractions or Polys.  Each table is put over the lcm
     of its Fraction denominators (over_common_denominator), so the loop
     multiplies integer weights (or Polys, for symbolic ones) and the sum is
-    divided once at the end; it
-    stays an int while every cross factor is an int and every weight an int
-    or a Fraction with denominator 1.  The caller's tables are not changed.
-    A term whose weight product is zero is skipped without calling cross.
-    More than MAX_SERIES_TERMS terms are refused with ValueError before the
-    first one.
+    divided once at the end; it stays an int while every cross factor is an
+    int and every weight an int or a Fraction with denominator 1.  The
+    caller's tables are not changed.  More than MAX_SERIES_TERMS terms (the
+    product of the table lengths) are refused with ValueError before any
+    work.
+
+    Each table keeps only its nonzero entries, with their indices, and
+    cross is called once per pair of kept indices, into one table per pair
+    (i, j): an index whose weight is zero is skipped without calling cross.
+    The sum then runs depth-first over the kept entries, carrying the
+    product of the entries chosen so far.  For each later index m it also
+    carries row m: the weights of table m times their cross factors with
+    the indices already chosen.  Choosing entry t at depth j multiplies the
+    prefix by row j's entry t and each later row m by the cross factors
+    (j, m) at t, and a choice whose factor is zero drops the prefix with
+    every term below it.  The last row is summed, so a last index costs one
+    multiplication per entry.
     """
     _check_size(prod(len(w) for w in weights))
-    tables, denom = [], 1
+    kept, denom = [], 1
     for table in weights:
         table, d = over_common_denominator(table)
-        tables.append(table)
+        kept.append([(k, w) for k, w in enumerate(table) if w])
         denom *= d
-    pairs = list(combinations(range(len(tables)), 2))
-    total = 0
-    for ks in product(*(range(len(w)) for w in tables)):
-        term = prod(w[k] for w, k in zip(tables, ks))
-        if term:
-            for i, j in pairs:
-                term *= cross(i, j, ks[i], ks[j])
-            total += term
+    if not all(kept):
+        return 0
+    n = len(kept)
+    # below[j][m - j - 1][s][t]: cross(j, m, .., ..) at kept entry s of table
+    # j and kept entry t of table m
+    below = [[[[cross(j, m, ks, kt) for kt, _ in kept[m]] for ks, _ in kept[j]]
+              for m in range(j + 1, n)] for j in range(n)]
+
+    def walk(j, prefix, rows):
+        if len(rows) == 1:
+            return prefix * sum(rows[0])
+        total = 0
+        for t, factor in enumerate(rows[0]):
+            if factor:
+                total += walk(j + 1, prefix * factor,
+                              [[a * c for a, c in zip(row, pair[t])]
+                               for row, pair in zip(rows[1:], below[j])])
+        return total
+
+    total = walk(0, 1, [[w for _, w in table] for table in kept]) if n else 1
     return total if denom == 1 else total * Fraction(1, denom)

@@ -16,9 +16,11 @@ one failed instance whose witness names its shape, n, exception type and
 the function, file and line of the innermost traceback frame, and the
 sweep goes on.  An empty Grid is rejected.  Set-valued counts are
 coefficient sums of the memoized tableau sum, so a process enumerates each
-(shape, n) once.  run_all executes the whole registry, in parallel
-processes when more than one worker is available; the GROTH_THREADS
-environment variable caps the worker count.
+(shape, n) once; its values at x = 1 and at x = (beta, .., beta) are taken
+on its diagonal x_1 = ... = x_n = t (Poly.collapse), once per row
+function.  run_all executes the whole registry, in parallel processes when
+more than one worker is available; the GROTH_THREADS environment variable
+caps the worker count.
 """
 
 import os
@@ -46,6 +48,9 @@ DEFAULT_BETAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fractio
 DEFAULT_QS = (Fraction(2), Fraction(3, 2), Fraction(5, 7))
 
 MAX_WITNESSES = 5
+
+# the one variable that x_1, ..., x_n are set equal to on the diagonal
+_T = "t"
 
 
 class UnknownCheckError(LookupError):
@@ -259,10 +264,18 @@ def _gauss(shape, n, z):
     return binomial(n, k) * gauss_2f1_terminating(k, k - n, k + 1, z)
 
 
+def _diagonal(shape, n):
+    """The tableau sum at x_1 = ... = x_n = t: a polynomial in (b, t)
+    with one term per excess, since a filling with excess e has |shape| + e
+    letters.  The values at x = 1 and at x = (beta, .., beta) are taken on
+    it, so a row function passes over the full sum's terms once."""
+    return grothendieck_tableau_sum(shape, n).collapse(
+        [f"x{i}" for i in range(1, n + 1)], _T)
+
+
 def _all_ones_rows(grid, shape, n, closed_form):
     """Rows comparing closed_form(beta) with the tableau sum at x = 1."""
-    ones = {f"x{i}": 1 for i in range(1, n + 1)}
-    at_ones = grothendieck_tableau_sum(shape, n).substitute(ones)
+    at_ones = _diagonal(shape, n).substitute({_T: 1})
     for beta in DEFAULT_BETAS:
         yield ({"shape": shape, "n": n, "beta": beta}, closed_form(beta),
                at_ones.substitute({BETA: beta}).as_fraction())
@@ -374,11 +387,9 @@ def _tilted_point_value(grid, shape, n):
     the monomial b^e(T) x^w(T) with |w(T)| = |shape| + e(T).  At x = beta
     and b = -1/beta it is (-1)^e(T) beta^|shape|, so each row, whatever its
     beta, restates the one scalar identity sum_T (-1)^e(T) = 1."""
-    poly = grothendieck_tableau_sum(shape, n)
+    diagonal = _diagonal(shape, n)
     for beta in DEFAULT_BETAS:
-        point = {f"x{i}": beta for i in range(1, n + 1)}
-        point[BETA] = -1 / beta
-        left = poly.substitute(point).as_fraction()
+        left = diagonal.substitute({_T: beta, BETA: -1 / beta}).as_fraction()
         right = beta ** shape.size
         yield {"shape": shape, "n": n, "beta": beta}, left, right
 

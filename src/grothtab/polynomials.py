@@ -5,9 +5,10 @@ from ints keeps int coefficients, and Fractions appear only where a rational
 input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
-substitution, determinants of polynomial matrices, and exact synthetic
-division by a product of differences (u - v_1) ... (u - v_k) sharing one
-variable u, which groups the terms by their power of u once.  Division
+substitution, setting variables equal (collapse), determinants of
+polynomial matrices, and exact synthetic division by a product of
+differences (u - v_1) ... (u - v_k) sharing one variable u, which groups
+the terms by their power of u once.  Division
 checks the remainder of every factor and raises on a nonzero one instead of
 ever returning an approximation; an int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
@@ -210,17 +211,27 @@ class Poly:
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
 
-    def coefficient(self, var: str, power: int) -> "Poly":
-        """The coefficient of var**power, as a polynomial without var."""
-        if var not in self.vars:
-            return self if power == 0 else Poly._of(self.vars, {})
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
+    def collapse(self, names, var: str) -> "Poly":
+        """The polynomial with every variable in names set equal to var:
+        each term's exponents of those variables, and of var itself, are
+        summed into var's.  Names the polynomial does not use are ignored.
+        Exact: terms that meet add their coefficients, and nothing else
+        changes.
+        """
+        if not _NAME_RE.match(var):
+            raise ValueError(f"bad variable name: {var!r}")
+        merged = set(names) | {var}
+        keep = [i for i, v in enumerate(self.vars) if v not in merged]
+        vars = tuple(sorted([self.vars[i] for i in keep] + [var], key=_var_key))
+        at = vars.index(var)
         terms = {}
         for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                terms[exps[:i] + exps[i + 1:]] = coeff
-        return Poly._of(rest, terms)
+            e = [exps[i] for i in keep]
+            # var's exponent: the term's degree less that of the kept variables
+            e.insert(at, sum(exps) - sum(e))
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + coeff
+        return Poly._of(vars, {e: c for e, c in terms.items() if c})
 
     def substitute(self, values: dict) -> "Poly":
         """Evaluate some variables at rationals; names the polynomial does
@@ -253,10 +264,6 @@ class Poly:
         if scale != 1:
             terms = {e: Fraction(c, scale) for e, c in terms.items()}
         return Poly._of(tuple(self.vars[i] for i in keep), terms)
-
-    def evaluate(self, values: dict) -> Fraction:
-        """Full evaluation; every variable must receive a value."""
-        return self.substitute(values).as_fraction()
 
     # -- exact division ----------------------------------------------
 

@@ -72,10 +72,6 @@ class SetValuedTableau:
         """The cells cut into rows by the shape's parts."""
         return tuple(self.cells[end - p:end] for p, end in zip(self.shape, accumulate(self.shape)))
 
-    def entry(self, i: int, j: int) -> tuple[int, ...]:
-        """The letters assigned to cell (i, j), 1-based, sorted."""
-        return self.rows[i - 1][j - 1]
-
     @property
     def size(self) -> int:
         """Total number of assigned letters |T|."""
@@ -114,28 +110,6 @@ class SetValuedTableau:
     def from_json(cls, data, n: int) -> "SetValuedTableau":
         shape = Partition(len(row) for row in data)
         return cls(shape, n, data)
-
-
-def is_valid(tableau: SetValuedTableau) -> bool:
-    """Whether the filling satisfies both ordering conditions.
-
-    Also checks that every entry is a non-empty strictly increasing tuple
-    of letters in 1..n; the constructor has matched the rows to the shape.
-    """
-    for cell in tableau.cells:
-        if not cell:
-            return False
-        if any(v < 1 or v > tableau.n for v in cell):
-            return False
-        if any(a >= b for a, b in zip(cell, cell[1:])):
-            return False
-    for i, j in tableau.shape.cells():
-        cell = tableau.entry(i, j)
-        if j > 1 and tableau.entry(i, j - 1)[-1] > cell[0]:
-            return False
-        if i > 1 and tableau.entry(i - 1, j)[-1] >= cell[0]:
-            return False
-    return True
 
 
 def _subsets_lex(lo: int, n: int):

@@ -2,8 +2,9 @@
 
 The recursive backtracker and the letter-loop tableau sum are the
 straightforward forms of the package's iterative backtracker and packed
-fill; the tests pin the package against them.  conjugate, is_semistandard
-and schur_tableau_sum are used by the tests alone.
+fill; the tests pin the package against them.  conjugate, entry,
+is_semistandard, is_valid and schur_tableau_sum are used by the tests
+alone.
 """
 
 import operator
@@ -12,6 +13,8 @@ from grothtab.grothendieck import BETA
 from grothtab.partitions import Partition
 from grothtab.polynomials import Poly
 from grothtab.tableaux import SetValuedTableau, enumerate_sst
+
+from poly_reference import coefficient
 
 
 def conjugate(shape) -> Partition:
@@ -25,6 +28,33 @@ def conjugate(shape) -> Partition:
 def is_semistandard(tableau: SetValuedTableau) -> bool:
     """Whether every entry is a single letter."""
     return all(len(cell) == 1 for row in tableau.rows for cell in row)
+
+
+def entry(tableau: SetValuedTableau, i: int, j: int) -> tuple[int, ...]:
+    """The letters assigned to cell (i, j), 1-based, sorted."""
+    return tableau.rows[i - 1][j - 1]
+
+
+def is_valid(tableau: SetValuedTableau) -> bool:
+    """Whether the filling satisfies both ordering conditions.
+
+    Also checks that every entry is a non-empty strictly increasing tuple
+    of letters in 1..n; the constructor has matched the rows to the shape.
+    """
+    for cell in tableau.cells:
+        if not cell:
+            return False
+        if any(v < 1 or v > tableau.n for v in cell):
+            return False
+        if any(a >= b for a, b in zip(cell, cell[1:])):
+            return False
+    for i, j in tableau.shape.cells():
+        cell = entry(tableau, i, j)
+        if j > 1 and entry(tableau, i, j - 1)[-1] > cell[0]:
+            return False
+        if i > 1 and entry(tableau, i - 1, j)[-1] >= cell[0]:
+            return False
+    return True
 
 
 def _subsets_lex(lo: int, n: int):
@@ -99,4 +129,4 @@ def schur_tableau_sum(shape, nvars: int) -> Poly:
 
     Zero polynomial when the shape has more rows than variables.
     """
-    return reference_tableau_sum(enumerate_sst(shape, nvars), shape, nvars).coefficient(BETA, 0)
+    return coefficient(reference_tableau_sum(enumerate_sst(shape, nvars), shape, nvars), BETA, 0)

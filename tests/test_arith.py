@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothtab import arith
@@ -17,6 +17,7 @@ from grothtab.arith import (
     format_rational,
     parse_rational,
 )
+from grothtab.polynomials import Poly
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -114,23 +115,41 @@ def _written_out(weights, cross):
 
 
 scalars = st.one_of(st.integers(-6, 6), small_rationals)
+# about half zeros, in some examples, so that the kernel drops indices and
+# prunes prefixes
+sparse = st.one_of(st.just(0), scalars)
+b = Poly.variable("b")
 
 
 @st.composite
 def coupled_tables(draw):
-    n = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 5))
     sizes = [draw(st.integers(0, 3)) for _ in range(n)]
-    weights = [draw(st.lists(scalars, min_size=s, max_size=s)) for s in sizes]
-    cross = {(i, j): [[draw(scalars) for _ in range(sizes[j])] for _ in range(sizes[i])]
+    values = draw(st.sampled_from((scalars, sparse)))
+    weights = [draw(st.lists(values, min_size=s, max_size=s)) for s in sizes]
+    if n <= 3 and draw(st.booleans()):
+        # symbolic weights, as the principal specialization has for symbolic betas
+        weights = [[v * (b + k) for k, v in enumerate(w)] for w in weights]
+    cross = {(i, j): [[draw(values) for _ in range(sizes[j])] for _ in range(sizes[i])]
              for i in range(n) for j in range(i + 1, n)}
     return weights, cross
 
 
+@settings(deadline=None)
 @given(coupled_tables())
 def test_coupled_sum_equals_the_written_out_loop(tables):
     weights, cross = tables
-    got = coupled_sum(weights, lambda i, j, ki, kj: cross[i, j][ki][kj])
+    calls = []
+
+    def factor(i, j, ki, kj):
+        calls.append((i, j, ki, kj))
+        return cross[i, j][ki][kj]
+
+    got = coupled_sum(weights, factor)
     assert got == _written_out(weights, cross)
+    # cross is called once per pair of nonzero-weight indices, and never elsewhere
+    assert len(calls) == len(set(calls))
+    assert all(weights[i][ki] and weights[j][kj] for i, j, ki, kj in calls)
     if all(type(v) is int for w in weights for v in w) and all(
             type(v) is int for t in cross.values() for row in t for v in row):
         assert type(got) is int

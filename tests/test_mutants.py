@@ -4,8 +4,11 @@ Two bugs sit in the packed bi-alternant kernel, two in the per-letter
 units of the packed tableau-sum fill, two in the refined quotient at a
 point, one in the backtracker's column cap, and one in each of the
 coupling triangle, the content/hook count, the column Gauss binomial,
-the binomial-shift count formula and the 2F1 term.  Each mutant is put in
-place in this process with monkeypatch, so nothing on disk changes, and
+the binomial-shift count formula, the 2F1 term, the pruning step of the
+n!-term kernel coupled_sum, the e_k window of the principal
+specialization, Poly.substitute and the pairwise-difference count.  Each
+mutant is put in place in this process with monkeypatch (the kernel in
+each module that calls it), so nothing on disk changes, and
 run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
 each mutant to the checks that must then report failing instances, each
 with a witness; every other check must still pass.  The tableau-sum memo
@@ -14,21 +17,28 @@ hides a mutant below it and no sum computed under a mutant outlives it.
 """
 
 import inspect
+import textwrap
 
 import pytest
 
-from grothtab import grothendieck, hypergeom, identities, partitions, polynomials, tableaux
+from grothtab import arith, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
 
 
 def _edited(function, old: str, new: str):
     """`function` recompiled from its source with `old` replaced by `new`,
     over a copy of its module's globals."""
-    source = inspect.getsource(function)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, f"{old!r} not found once in {function.__name__}"
     namespace = dict(vars(inspect.getmodule(function)))
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
+
+
+def _kernel(old: str, new: str):
+    """arith.coupled_sum edited, in each module that holds a binding of it."""
+    kernel = _edited(arith.coupled_sum, old, new)
+    return [(module, "coupled_sum", kernel) for module in (grothendieck, hypergeom)]
 
 
 MUTANTS = {
@@ -60,6 +70,13 @@ MUTANTS = {
         grothendieck.count_svt_formula, "c[i] + ki - c[j] - kj", "c[i] - ki - c[j] + kj")),
     "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
         hypergeom.gauss_2f1_terminating, "(gamma + m) * (m + 1)", "(gamma + m) * (m + 2)")),
+    "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
+    "e_k window shifted": lambda: (identities, "principal_specialization_q", _edited(
+        grothendieck.principal_specialization_q, "bvals[:j]", "bvals[1:j + 1]")),
+    "substitute without the d^D scale": lambda: (polynomials.Poly, "substitute", _edited(
+        polynomials.Poly.substitute, "scale *= d ** top", "scale *= 1")),
+    "pairwise factor one too large": lambda: (identities, "count_sst_product", _edited(
+        partitions.count_sst_product, "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1")),
 }
 
 CAUGHT_BY = {
@@ -80,14 +97,24 @@ CAUGHT_BY = {
     "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
     "count formula cross factor sign": {"cor-3.8"},
     "2F1 term over m + 2": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4"},
+    # every check that sums over coupled_sum; the betas and z = -beta give
+    # negative weights and cross factors
+    "kernel drops negative prefixes": {"thm-3.5", "cor-3.8", "thm-3.9", "cor-3.11",
+                                       "thm-3.13"},
+    "e_k window shifted": {"thm-3.5"},
+    # the checks that substitute a non-integer beta: the rows at x = 1 and
+    # at the tilted point
+    "substitute without the d^D scale": {"prop-3.1", "prop-3.2", "thm-3.9", "prop-AA"},
+    "pairwise factor one too large": {"hook-counts", "thm-3.9", "cor-3.11", "thm-3.13"},
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_catches_the_mutant(mutant, monkeypatch):
-    module, name, replacement = MUTANTS[mutant]()
+    patches = MUTANTS[mutant]()
     memo = grothendieck._tableau_sum
-    monkeypatch.setattr(module, name, replacement)
+    for module, name, replacement in patches if isinstance(patches, list) else [patches]:
+        monkeypatch.setattr(module, name, replacement)
     memo.cache_clear()
     try:
         report = run_all(Grid(4, 4), workers=1)
