@@ -1,15 +1,16 @@
 """Schur and Grothendieck polynomials, four independent ways.
 
-The set-valued tableau generating sum (driven by enumerate_svt and
-counted on sums of per-letter packed int units), determinant quotients
-with exact Vandermonde division, the refined multi-parameter determinant
-(taken over int columns, with the betas' denominators divided out once;
-its determinant and Vandermonde division are one pass on packed monomials,
-polynomials.alternant_quotient), the same integral matrix taken at n
-distinct rational points on ints (refined_bialternant_at: an int
-determinant divided once, with no polynomial in x built),
-and the shifted-exponent expansion that evaluates the refined quotient at
-the geometric point x = (1, q, ..., q^(n-1)) without any determinant.
+The set-valued tableau generating sum (enumerate_svt weighs each filling
+as the sum of its letters' packed int units, and the sum counts those
+keys), determinant quotients with exact Vandermonde division, the refined
+multi-parameter determinant (taken over int columns, with the betas'
+denominators divided out once; polynomials.alternant_quotient expands its
+determinant row by row on packed monomials and divides by the Vandermonde
+as it goes), the same integral matrix taken at n distinct rational points
+on ints (refined_bialternant_at: an int determinant divided once, with no
+polynomial in x built), and the shifted-exponent expansion that evaluates
+the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
+without any determinant.
 Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion and the binomial-shift count formula
 are arith.coupled_sum with integer cross factors over weight tables of exact
@@ -25,7 +26,6 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
@@ -59,21 +59,20 @@ def _tableau_sum(shape: Partition, nvars: int) -> Poly:
     """Sum of b^excess x^weight over the fillings enumerate_svt yields.
 
     Letter v weighs the packed unit 1 + (1 << (w v)): field 0 counts
-    letters and field v counts letter v, each field w bits wide.  A
-    filling's key is the sum of its letters' units, counted once per
-    filling; each distinct key less |shape| (the excess, letters minus
-    cells, left in field 0) is unpacked once into the Poly over
-    (b, x1..xn).  Every cell holds a letter, so the subtraction never
-    borrows.  Width rule: 2^w > max(|shape| n, 1).  Letter v occurs at most
-    once per cell, so field v is at most |shape|, and a cell holds at most
-    n letters, so field 0 is at most |shape| n: no field can carry into
-    the next.
+    letters and field v counts letter v, each field w bits wide.
+    enumerate_svt, given the units, yields each filling's key, the sum of
+    its letters' units, which the backtracker carries cell by cell; each
+    distinct key less |shape| (the excess, letters minus cells, left in
+    field 0) is unpacked once into the Poly over (b, x1..xn).  Every cell
+    holds a letter, so the subtraction never borrows.  Width rule:
+    2^w > max(|shape| n, 1).  Letter v occurs at most once per cell, so
+    field v is at most |shape|, and a cell holds at most n letters, so
+    field 0 is at most |shape| n: no field can carry into the next.
     """
     names = tuple([BETA, *_x_names(nvars)])
     width = max(shape.size * nvars, 1).bit_length()
     unit = [1 + (1 << (width * v)) for v in range(nvars + 1)]
-    counts = Counter(sum(map(unit.__getitem__, chain.from_iterable(t.cells)))
-                     for t in enumerate_svt(shape, nvars))
+    counts = Counter(enumerate_svt(shape, nvars, unit))
     mask, shifts = (1 << width) - 1, range(0, width * (nvars + 1), width)
     return Poly._of(names, {tuple([(key - shape.size) >> s & mask for s in shifts]): count
                             for key, count in counts.items()})
@@ -187,18 +186,22 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     return determinant(_integral_rows(lam, factors, points)).as_fraction() / denominator
 
 
+def _elementary_tables(values):
+    """[e_0, ..., e_j] of values[:j] for j = 0, 1, ..., len(values) in
+    turn, each from the one before: e_k(.., v) = e_k(..) + v e_(k-1)(..)."""
+    table = [1]
+    yield table
+    for v in values:
+        table = [1, *(table[k] + v * table[k - 1] for k in range(1, len(table))), v * table[-1]]
+        yield table
+
+
 def elementary_symmetric(k: int, values):
     """e_k of the given values (rationals or polynomials); e_0 = 1."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    values = list(values)
-    if k > len(values):
-        return 0
-    table = [1] + [0] * k
-    for v in values:
-        for t in range(k, 0, -1):
-            table[t] = table[t] + v * table[t - 1]
-    return table[k]
+    *_, table = _elementary_tables(values)
+    return table[k] if k < len(table) else 0
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):
@@ -235,9 +238,8 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     denom = prod(qp[n - 1 - j] - qp[n - 1 - i] for j in range(n) for i in range(j))
     if denom == 0:
         raise ValueError(f"q-Vandermonde vanishes at q = {q}")
-    total = coupled_sum(
-        [[elementary_symmetric(k, bvals[:j]) for k in range(j + 1)] for j in range(n)],
-        lambda i, j, ki, kj: qp[c[j] + kj] - qp[c[i] + ki])
+    total = coupled_sum(list(_elementary_tables(bvals)),
+                        lambda i, j, ki, kj: qp[c[j] + kj] - qp[c[i] + ki])
     return total * Fraction(1, denom)
 
 

@@ -7,21 +7,24 @@ input or a rational operation puts them.
 Just enough ring machinery for the determinant formulas: arithmetic,
 substitution, setting variables equal (collapse), determinants of
 polynomial matrices, and exact synthetic division by a product of
-differences (u - v_1) ... (u - v_k) sharing one variable u, which groups
-the terms by their power of u once.  Division
-checks the remainder of every factor and raises on a nonzero one instead of
-ever returning an approximation; an int dividend keeps int coefficients.
+differences (u - v_1) ... (u - v_k) sharing one variable u, on the terms
+grouped by their power of u once.  Division checks the remainder of every
+factor and raises on a nonzero one instead of ever returning an
+approximation; an int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
 once (the integer rule of arith), so all-int data keeps int coefficients.
 
 The determinant and the division run on packed monomials: an exponent
 vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t), with one
 field width rule, 2^w > D for the degree bound D (_Packing says why D
-bounds every exponent).  There is one minor expansion and one synthetic
-division on these keys.  alternant_quotient(matrix, names), the
-determinant divided by the Vandermonde in the names, packs the entries
-once, expands, runs all n-1 grouped divisions and unpacks once;
-determinant and Poly.divide_by_difference wrap the same two kernels.
+bounds every exponent).  There is one expansion and one synthetic division
+on these keys.  alternant_quotient(matrix, names), for a matrix whose row
+i holds the column functions at names[i], is the determinant divided by
+the Vandermonde in the names: it packs the entries once, expands along
+the rows top down, divides each leading minor by the Vandermonde in its
+rows' names as soon as the minor is summed, so that the full determinant
+is never built, and unpacks once.  determinant is the same kernel with no
+names, and Poly.divide_by_difference runs the same division.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
@@ -278,7 +281,8 @@ class Poly:
         if not vs or u in vs:
             raise ValueError("each divisor (u - v) needs a v, distinct from u")
         packing = _Packing(_union_vars(self.vars, (u, *vs)), self.degree())
-        return packing.unpack(_divide_packed(packing, packing.pack(self), u, vs))
+        groups = packing.split(packing.pack(self), u)
+        return packing.unpack(packing.join(_divide_packed(packing, groups, u, vs), u))
 
     # -- presentation ------------------------------------------------
 
@@ -337,14 +341,19 @@ class _Packing:
 
     Keys add without carries while no exponent reaches 2^w, so the caller
     passes a bound D on every exponent that will arise and w is chosen with
-    2^w > D (_field_width).  For a determinant, D is the sum over columns
-    of the largest total degree of an entry (0 for a zero column): a minor
-    on the last columns is a sum of products of one entry per column, so no
-    monomial of any minor has total degree, hence any exponent, above D.
-    A synthetic division step by (u - v) is a sum of the dividend's
-    u^m-slices times v^(m-k), whose total degree is at most the dividend's,
-    and every quotient has a smaller total degree than its dividend; so D
-    also bounds every key of every division that follows.
+    2^w > D (_field_width).  For a determinant or an alternant quotient, D
+    is the sum over columns of the largest total degree of an entry (0 for
+    a zero column).  A leading minor on the columns S is a sum of products
+    of one entry per column, so its degree is at most the sum of its
+    columns' degrees, and its quotient by a Vandermonde has a smaller
+    degree still.  Each product rows[k][S_t] Q_(S - S_t) that a per-level
+    dividend of _quotient_packed sums therefore has total degree at most
+    the sum over the columns S, which is at most D: no monomial of any
+    dividend has total degree, hence any exponent, above D.  A synthetic
+    division step by (u - v) is a sum of the dividend's u^m-slices times
+    v^(m-k), whose total degree is at most the dividend's, and every
+    quotient has a smaller total degree than its dividend; so D also
+    bounds every key of every division step.
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -366,75 +375,122 @@ class _Packing:
         return Poly._of(self.vars, {tuple((key >> s) & mask for s in shifts): coeff
                                     for key, coeff in terms.items()})
 
+    def split(self, terms: dict, u) -> dict:
+        """The terms grouped by their power of u, {k: {key with u's
+        exponent zeroed: coeff}}; with u None, all in group 0."""
+        if u is None:
+            return {0: terms} if terms else {}
+        shift, mask = self.shift[u], self.mask
+        groups = {}
+        for key, coeff in terms.items():
+            k = (key >> shift) & mask
+            groups.setdefault(k, {})[key - (k << shift)] = coeff
+        return groups
 
-def _expand_packed(rows) -> dict:
-    """Determinant of a square matrix of packed entries.
-
-    Minor expansion along columns, bottom-up, one layer of minors (keyed by
-    surviving rows) at a time; zero entries are skipped.
-    """
-    n = len(rows)
-    minors = {(): {0: 1}}
-    for col in range(n - 1, -1, -1):
-        layer = {}
-        for alive in combinations(range(n), n - col):
-            total = {}
-            for t, r in enumerate(alive):
-                entry = rows[r][col]
-                if entry:
-                    sign = -1 if t % 2 else 1
-                    minor = minors[alive[:t] + alive[t + 1:]].items()
-                    for e1, c1 in entry.items():
-                        c1 *= sign
-                        for e2, c2 in minor:
-                            e = e1 + e2
-                            total[e] = total.get(e, 0) + c1 * c2
-            layer[alive] = {e: c for e, c in total.items() if c}
-        minors = layer
-    return minors[tuple(range(n))]
+    def join(self, groups: dict, u) -> dict:
+        """The terms that split grouped, less any zero coefficient."""
+        shift = self.shift.get(u, 0)
+        return {e + (k << shift): c for k, group in groups.items() for e, c in group.items() if c}
 
 
-def _divide_packed(packing: _Packing, terms: dict, u: str, vs) -> dict:
-    """Packed terms divided by (u - v_1) ... (u - v_k): synthetic division
-    in u, with the terms grouped by their power of u once.  A nonzero
-    remainder raises ValueError."""
-    ushift, mask = packing.shift[u], packing.mask
-    # slices[k] holds the coefficient of u^k, with the u exponent zeroed
-    slices: dict[int, dict] = {}
-    for key, coeff in terms.items():
-        k = (key >> ushift) & mask
-        slices.setdefault(k, {})[key - (k << ushift)] = coeff
+def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
+    """sum_k u^k groups[k] divided by (u - v) for each v in vs, as the
+    quotient's groups (_Packing.split): synthetic division in u.  A
+    nonzero remainder raises ValueError.  Zero coefficients in the groups
+    are allowed; the quotient has none."""
     for v in vs:
         one_v = 1 << packing.shift[v]
-        # from the top power of u down, step = slice_k + v * (the step
+        # from the top power of u down, step = groups[k] + v * (the step
         # before) is the quotient's coefficient of u^(k-1); at k = 0 it is
         # the remainder
         quotient, step = {}, {}
-        for k in range(max(slices, default=0), -1, -1):
+        for k in range(max(groups, default=0), -1, -1):
             step = _accumulate({e + one_v: c for e, c in step.items()},
-                               slices.get(k, {}).items())
+                               groups.get(k, {}).items())
             if k and step:
                 quotient[k - 1] = step
         if step:
             raise ValueError(f"inexact division by ({u} - {v})")
-        slices = quotient
-    return {e + (k << ushift): c for k, group in slices.items() for e, c in group.items()}
+        groups = quotient
+    return groups
+
+
+def _quotient_packed(packing: _Packing, rows, names) -> dict:
+    """det(rows) / prod_(i<j) (names[i] - names[j]) on packed entries, row
+    i being at names[i]; with no names, det(rows).
+
+    Laplace expansion along the rows, top down.  Layer k holds, for each
+    set S of k + 1 columns, Q_S: the minor on rows 0..k and the columns S
+    divided by the Vandermonde in names[0..k].  Expanding that minor along
+    its last row gives
+
+        Q_S = sum_t (-1)^(k+t) rows[k][S_t] Q_(S - S_t) / prod_(i<k) (names[i] - names[k]),
+
+    and each Q_S is divided, its remainder checked, as soon as it is summed.
+    Only row k's entries hold names[k], so the sum is built already grouped
+    by its power of names[k], as the division wants it (were names[k] in
+    another row, the groups would keep its powers as coefficients, and
+    each division's identity would still hold once they are joined).
+    _divide_packed divides by prod_(i<k) (names[k] - names[i]), which is
+    (-1)^k times the product above, so with names the term's sign is
+    (-1)^t.  By induction on k, a result that every division let through
+    satisfies Q V = det exactly.  Zero entries and zero quotients are
+    skipped.
+    """
+    n = len(rows)
+    layer = {(): {0: 1}}
+    for k, row in enumerate(rows):
+        # the name row k is at; row 0 has nothing to divide by
+        u = names[k] if k and names else None
+        # the cofactor's (-1)^k, unless the division takes it out
+        level = -1 if k % 2 and not names else 1
+        row = [packing.split(entry, u) for entry in row]
+        quotients = {}
+        for cols in combinations(range(n), k + 1):
+            groups = {}
+            for t, col in enumerate(cols):
+                entry = row[col]
+                minor = layer[cols[:t] + cols[t + 1:]]
+                if entry and minor:
+                    sign = -level if t % 2 else level
+                    minor = minor.items()
+                    for power, part in entry.items():
+                        total = groups.setdefault(power, {})
+                        for e1, c1 in part.items():
+                            c1 *= sign
+                            for e2, c2 in minor:
+                                e = e1 + e2
+                                total[e] = total.get(e, 0) + c1 * c2
+            if u is not None:
+                groups = _divide_packed(packing, groups, u, names[:k])
+            quotients[cols] = packing.join(groups, u)
+        layer = quotients
+    return layer[tuple(range(n))]
 
 
 def alternant_quotient(matrix, names) -> Poly:
-    """det(matrix) / prod_{i<j} (names[i] - names[j]), exactly.
+    """det(matrix) / prod_{i<j} (names[i] - names[j]), exactly, for a
+    matrix whose row i holds the column functions at names[i]: entry (i, j)
+    is f_j(names[i]) for polynomials f_j in one name and in variables that
+    are not names.
 
-    One pass: the entries are packed once (see _Packing), expanded by
-    minors, divided by (names[i] - names[i+1]) ... (names[i] - names[-1])
-    for each i in turn, and unpacked once.  A nonzero remainder (a matrix
-    that is not alternating in the names) raises ValueError.  The result is
-    over the entries' variables, and the names when there are two or more.
+    One pass: the entries are packed once (see _Packing), expanded row by
+    row and divided at every row (_quotient_packed), and unpacked once; the
+    full determinant is never built.  A matrix whose determinant the
+    Vandermonde does not divide (one that is not alternating) raises
+    ValueError at a nonzero remainder, and so can rows that are not at
+    their names; whatever is returned, times the Vandermonde, is the
+    determinant exactly.  There must be one name per row, or none (the
+    determinant).  The result is over the entries' variables, and the
+    names when there are two or more.
     """
     rows = [[Poly._coerce(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     names = tuple(names)
+    if names and len(names) != n:
+        raise ValueError(f"need one name per row, got {len(names)} names for {n} rows")
     if len(set(names)) != len(names):
         raise ValueError(f"the names must be distinct: {names}")
     used = {v for row in rows for entry in row for v in entry.vars}
@@ -442,10 +498,8 @@ def alternant_quotient(matrix, names) -> Poly:
         used.update(names)
     degree = sum(max(0, *(entry.degree() for entry in column)) for column in zip(*rows))
     packing = _Packing(tuple(sorted(used, key=_var_key)), degree)
-    terms = _expand_packed([[packing.pack(entry) for entry in row] for row in rows])
-    for i in range(len(names) - 1):
-        terms = _divide_packed(packing, terms, names[i], names[i + 1:])
-    return packing.unpack(terms)
+    return packing.unpack(_quotient_packed(
+        packing, [[packing.pack(entry) for entry in row] for row in rows], names))
 
 
 def determinant(matrix) -> Poly:

@@ -11,8 +11,10 @@ backtracker serves both streams: an explicit stack of entry iterators over
 tables of (entry, largest letter) keyed by the alphabet {lo..hi}, each
 built on first use (streamed instead for an alphabet of more than
 _TABLE_LETTERS letters).  A filling is stored as the backtracker fills it:
-the row-major tuple of its cells, which the tableau sum weighs as one flat
-stream; its rows are a view.
+the row-major tuple of its cells; its rows are a view.  Given int weights
+per letter, enumerate_svt yields each filling's key, the sum of its
+letters' weights, in place of the tableau: the tableau sum counts those
+keys, which the backtracker carries on its stack, and no tableau is built.
 """
 
 import operator
@@ -127,13 +129,21 @@ def _singletons(lo: int, n: int):
         yield (v,)
 
 
-def _backtrack(shape, nvars: int, entries):
+def _backtrack(shape, nvars: int, entries, units=None):
     """Lazy stream of the fillings whose cells take entries from
     entries(lo, hi), where lo is the smallest letter the left and upper
     neighbours allow and hi is nvars minus the number of cells below the
     cell in its column; cells are filled row-major.  Every cell but the
     last keeps an iterator on the stack; the last cell runs through its
-    choices in a plain loop, each filling being its row-major cells.
+    choices in a plain loop.
+
+    Without units each filling is a tableau of its row-major cells.  With
+    units (units[v] the int weight of letter v) each filling is its key,
+    the sum of its letters' weights, and no tableau is built: each table
+    item carries its entry's weight, prefix[k] holds the key of cells
+    0..k-1 as the stack sets them, and the last cell yields prefix plus
+    its own weight.  Without units prefix[k] holds those cells as a tuple
+    in the same way.
 
     Each cell below needs a larger letter than the one above it, so the
     cap drops only entries that no completion can hold: entries(lo, hi) is
@@ -145,13 +155,16 @@ def _backtrack(shape, nvars: int, entries):
     shape, nvars = Partition(shape), operator.index(nvars)
     if len(shape) > nvars:
         return
+    make = SetValuedTableau._of
+    empty = () if units is None else 0
     parts = shape.parts
     if not parts:
-        yield SetValuedTableau._of(shape, nvars, ())
+        yield make(shape, nvars, empty) if units is None else empty
         return
-    # tables[lo, hi]: (entry, largest letter) for each entry of
-    # entries(lo, hi), built on first use; an alphabet {lo..hi} of more
-    # than _TABLE_LETTERS letters is streamed each time instead
+    # tables[lo, hi]: (entry as a 1-tuple, or its weight; largest letter)
+    # for each entry of entries(lo, hi), built on first use; an alphabet
+    # {lo..hi} of more than _TABLE_LETTERS letters is streamed each time
+    # instead
     tables = {}
     size = shape.size
     last = size - 1
@@ -167,28 +180,35 @@ def _backtrack(shape, nvars: int, entries):
             caps.append(nvars - sum(1 for below in parts[i + 1:] if below > j))
         start += p
     stack = [None] * size
-    cells = [None] * size
+    prefix = [empty] * size
     tops = [0] * (size + 1)
-    make = SetValuedTableau._of
     k = 0  # the cell to open
     while True:
         span = (max(tops[left[k]], tops[up[k]] + 1), caps[k])
         table = tables.get(span)
         if table is None:
             lo, hi = span
-            table = ((e, e[-1]) for e in entries(lo, hi))
+            if units is None:
+                table = (((e,), e[-1]) for e in entries(lo, hi))
+            else:
+                table = ((sum(map(units.__getitem__, e)), e[-1]) for e in entries(lo, hi))
             if hi - lo < _TABLE_LETTERS:
                 table = tables[span] = tuple(table)
         if k == last:
-            stem = tuple(cells[:last])
-            for entry, _ in table:
-                yield make(shape, nvars, stem + (entry,))
+            stem = prefix[last]
+            if units is None:
+                for cell, _ in table:
+                    yield make(shape, nvars, stem + cell)
+            else:
+                for weight, _ in table:
+                    yield stem + weight
             k -= 1
         else:
             stack[k] = iter(table)
         # the next choice of cell k, backing up past exhausted cells
         while k >= 0:
-            for cells[k], tops[k] in stack[k]:
+            for item, tops[k] in stack[k]:
+                prefix[k + 1] = prefix[k] + item
                 break
             else:
                 k -= 1
@@ -199,14 +219,16 @@ def _backtrack(shape, nvars: int, entries):
         k += 1
 
 
-def enumerate_svt(shape, nvars: int):
+def enumerate_svt(shape, nvars: int, units=None):
     """All set-valued tableaux of the given shape on letters 1..nvars.
 
     Lazy stream; each tableau appears exactly once, cells filled row-major
     with candidate entries in (min, lexicographic) order.  Empty when the
-    shape has more rows than letters.
+    shape has more rows than letters.  With units, a sequence of int
+    weights indexed by letter (index 0 unused), the stream yields in place
+    of each tableau its key, the sum of the weights of all its letters.
     """
-    return _backtrack(shape, nvars, _subsets_lex)
+    return _backtrack(shape, nvars, _subsets_lex, units)
 
 
 def enumerate_sst(shape, nvars: int):

@@ -1,13 +1,14 @@
 """Seeded bugs in the kernels that verify must catch.
 
-Two bugs sit in the packed bi-alternant kernel, two in the per-letter
-units of the packed tableau-sum fill, two in the refined quotient at a
-point, one in the backtracker's column cap, and one in each of the
-coupling triangle, the content/hook count, the column Gauss binomial,
-the binomial-shift count formula, the 2F1 term, the pruning step of the
-n!-term kernel coupled_sum, the e_k window of the principal
-specialization, Poly.substitute and the pairwise-difference count.  Each
-mutant is put in place in this process with monkeypatch (the kernel in
+Three bugs sit in the packed bi-alternant kernel (one in its per-row
+division), three in the packed tableau-sum fill (the per-letter units,
+the entries' weights and the key the backtracker carries), two in the
+refined quotient at a point, one in the backtracker's column cap, and
+one in each of the coupling triangle, the content/hook count, the column
+Gauss binomial, the binomial-shift count formula, the 2F1 term, the
+pruning step of the n!-term kernel coupled_sum, the e_k window of the
+principal specialization, Poly.substitute and the pairwise-difference
+count.  Each mutant is put in place in this process with monkeypatch (the kernel in
 each module that calls it), so nothing on disk changes, and
 run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
 each mutant to the checks that must then report failing instances, each
@@ -42,12 +43,16 @@ def _kernel(old: str, new: str):
 
 
 MUTANTS = {
-    "minor sign flipped": lambda: (polynomials, "_expand_packed", _edited(
-        polynomials._expand_packed, "sign = -1 if t % 2 else 1", "sign = 1 if t % 2 else -1")),
+    "minor sign flipped": lambda: (polynomials, "_quotient_packed", _edited(
+        polynomials._quotient_packed, "sign = -level if t % 2 else level",
+        "sign = level if t % 2 else -level")),
+    "level sign kept through the division": lambda: (polynomials, "_quotient_packed", _edited(
+        polynomials._quotient_packed, "-1 if k % 2 and not names else 1", "-1 if k % 2 else 1")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
-    "cell weighed by its largest letter only": lambda: (grothendieck, "_tableau_sum", _edited(
-        grothendieck._tableau_sum.__wrapped__, "chain.from_iterable(t.cells)",
-        "(cell[-1] for cell in t.cells for _ in cell)")),
+    "cell weighed by its largest letter only": lambda: (tableaux, "_backtrack", _edited(
+        tableaux._backtrack, "sum(map(units.__getitem__, e))", "units[e[-1]] * len(e)")),
+    "last cell drops the prefix key": lambda: (tableaux, "_backtrack", _edited(
+        tableaux._backtrack, "yield stem + weight", "yield weight")),
     "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
         grothendieck._tableau_sum.__wrapped__, "1 + (1 << (width * v))", "(1 << (width * v))")),
     # identities holds its own binding of refined_bialternant_at
@@ -72,7 +77,8 @@ MUTANTS = {
         hypergeom.gauss_2f1_terminating, "(gamma + m) * (m + 1)", "(gamma + m) * (m + 2)")),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
     "e_k window shifted": lambda: (identities, "principal_specialization_q", _edited(
-        grothendieck.principal_specialization_q, "bvals[:j]", "bvals[1:j + 1]")),
+        grothendieck.principal_specialization_q, "_elementary_tables(bvals)",
+        "_elementary_tables(bvals[1:] + [0])")),
     "substitute without the d^D scale": lambda: (polynomials.Poly, "substitute", _edited(
         polynomials.Poly.substitute, "scale *= d ** top", "scale *= 1")),
     "pairwise factor one too large": lambda: (identities, "count_sst_product", _edited(
@@ -83,8 +89,14 @@ CAUGHT_BY = {
     "minor sign flipped": {"gg-eq-w", "thm-3.5"},
     # thm-3.5 takes its determinant on ints, where every exponent is 0
     "field width forced to 2 bits": {"gg-eq-w"},
+    # a sign (-1)^(n(n-1)/2) on the quotient; thm-3.5's determinant has no
+    # names, so no division
+    "level sign kept through the division": {"gg-eq-w"},
     # the letter count, hence the excess, stays right; only the x-weight is wrong
     "cell weighed by its largest letter only": {"gg-eq-w"},
+    # every filling is still counted once, so the counts hold; the
+    # weights and the excess go wrong
+    "last cell drops the prefix key": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
     "excess unit dropped": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
     "column scale exponent n - k": {"thm-3.5"},
     "Vandermonde factor flipped": {"thm-3.5"},

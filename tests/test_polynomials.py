@@ -381,16 +381,16 @@ def vandermonde(names):
 
 @st.composite
 def alternants(draw, size=st.integers(1, 4)):
-    """(matrix, names): row i holds f_1(x_i, b), ..., f_n(x_i, b) for drawn
-    f_j, so the determinant alternates in the x's; the names are the x's
-    in a drawn order."""
+    """(matrix, names): the names are x1..xn in a drawn order, and row i
+    holds f_1(names[i], b), ..., f_n(names[i], b) for drawn f_j, so the
+    determinant alternates in the names and each row is at its name."""
     n = draw(size)
     columns = draw(st.lists(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 4)),
                                             st.integers(-4, 4), max_size=3),
                             min_size=n, max_size=n))
-    xs = [f"x{i}" for i in range(1, n + 1)]
-    matrix = [[Poly(("b", x), f) for f in columns] for x in xs]
-    return matrix, tuple(draw(st.permutations(xs)))
+    names = tuple(draw(st.permutations([f"x{i}" for i in range(1, n + 1)])))
+    matrix = [[Poly(("b", x), f) for f in columns] for x in names]
+    return matrix, names
 
 
 @settings(deadline=None)
@@ -405,8 +405,9 @@ def test_alternant_quotient_times_the_vandermonde_is_the_determinant(case):
 @settings(deadline=None)
 @given(alternants(size=st.integers(2, 4)), st.sampled_from([-2, -1, 1, 3]))
 def test_alternant_quotient_of_a_non_alternating_matrix_raises(case, bump):
-    # det + bump * M, M the (0, 0) minor: M has no x1 (the first row is
-    # x1's), so if M != 0 the sum is not divisible by (x1 - x2)
+    # det + bump * M, M the (0, 0) minor: M has no names[0] (the first row
+    # is at names[0]), so if M != 0 the sum is not divisible by
+    # (names[0] - names[1])
     matrix, names = case
     assume(determinant([row[1:] for row in matrix[1:]]) != 0)
     matrix[0][0] = matrix[0][0] + bump
@@ -416,7 +417,8 @@ def test_alternant_quotient_of_a_non_alternating_matrix_raises(case, bump):
 
 def test_alternant_quotient_small_cases():
     assert alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 1]], ("x1", "x2")) == x1 + x2
-    assert alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 1]], ("x2", "x1")) == -x1 - x2
+    assert alternant_quotient([[x2 ** 2, 1], [x1 ** 2, 1]], ("x2", "x1")) == x1 + x2
+    assert alternant_quotient([[x2 ** 2, x2], [x1 ** 2, x1]], ("x2", "x1")) == x1 * x2
     assert alternant_quotient([[2 * x1]], ("x1",)) == 2 * x1
     # a single name divides by nothing and adds no variable
     assert alternant_quotient([[3]], ("x1",)).vars == ()
@@ -425,6 +427,17 @@ def test_alternant_quotient_small_cases():
         alternant_quotient([[x1, 1], [x2, 1]], ("x1", "x1"))
     with pytest.raises(ValueError, match="square"):
         alternant_quotient([[x1, 1]], ("x1", "x2"))
+    with pytest.raises(ValueError, match="one name per row"):
+        alternant_quotient([[x1, 1], [x2, 1]], ("x1", "x2", "x3"))
+
+
+def test_alternant_quotient_of_rows_not_at_their_names_raises():
+    # the rows are at x1, x2, x3 but the names say x3, x1, x2: the first
+    # two rows' minor x1 x2 (x1 - x2) is not divisible by (x1 - x3)
+    matrix = [[x ** 2, x, 1] for x in (x1, x2, x3)]
+    assert alternant_quotient(matrix, ("x1", "x2", "x3")) == 1
+    with pytest.raises(ValueError, match=r"inexact division by \("):
+        alternant_quotient(matrix, ("x3", "x1", "x2"))
 
 
 def test_json_round_trip_and_canonical_order():

@@ -34,6 +34,21 @@ def test_enumeration_equals_the_recursive_reference(table_letters, monkeypatch):
             assert got == [(t.shape, t.n, t.rows) for t in reference(lam, n)], (lam, n)
 
 
+def test_the_keyed_stream_weighs_each_tableau_in_turn():
+    # every pair of Grid(5, 5), shapes too tall for n and the empty shape;
+    # (1^k)/13 opens its first cell on {1..13}, an alphabet that is
+    # streamed rather than kept in a table
+    cases = [(lam, n) for size in range(6) for lam in partitions_of(size) for n in range(1, 6)]
+    for lam, n in cases + [((1,), 13), ((1, 1), 13)]:
+        # a count field and one 8-bit field per letter, so that distinct
+        # letter multisets get distinct keys
+        units = [1 + (1 << (8 * v)) for v in range(n + 1)]
+        keys = list(enumerate_svt(lam, n, units))
+        want = [sum(units[v] for cell in t.cells for v in cell) for t in enumerate_svt(lam, n)]
+        assert keys == want, (lam, n)
+    assert len(keys) == 45057
+
+
 def test_column_counts():
     # a column filling is a set of m letters cut into k non-empty runs;
     # without the column cap, (1^18)/18 took minutes to find its one filling
