@@ -5,7 +5,6 @@ with a registry of machine-checked identities tying them together."""
 from .arith import binomial, format_rational, parse_rational
 from .grothendieck import (
     count_svt_formula,
-    elementary_symmetric,
     grothendieck_bialternant,
     grothendieck_tableau_sum,
     principal_specialization_q,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "binomial", "format_rational", "parse_rational",
-    "count_svt_formula", "elementary_symmetric",
+    "count_svt_formula",
     "grothendieck_bialternant", "grothendieck_tableau_sum",
     "principal_specialization_q", "refined_bialternant",
     "HolmanInstance", "NonTerminatingSeriesError",

@@ -30,7 +30,7 @@ from math import prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import Poly, alternant_quotient, determinant
+from .polynomials import Poly, _Packing, alternant_quotient, determinant
 from .tableaux import enumerate_svt
 
 BETA = "b"
@@ -58,24 +58,20 @@ def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
 def _tableau_sum(shape: Partition, nvars: int) -> Poly:
     """Sum of b^excess x^weight over the fillings enumerate_svt yields.
 
-    Letter v weighs the packed unit 1 + (1 << (w v)): field 0 counts
-    letters and field v counts letter v, each field w bits wide.
-    enumerate_svt, given the units, yields each filling's key, the sum of
-    its letters' units, which the backtracker carries cell by cell; each
-    distinct key less |shape| (the excess, letters minus cells, left in
-    field 0) is unpacked once into the Poly over (b, x1..xn).  Every cell
-    holds a letter, so the subtraction never borrows.  Width rule:
-    2^w > max(|shape| n, 1).  Letter v occurs at most once per cell, so
-    field v is at most |shape|, and a cell holds at most n letters, so
-    field 0 is at most |shape| n: no field can carry into the next.
+    Letter v weighs the packed monomial b x_v, so the key enumerate_svt
+    yields for a filling counts its letters in field b and letter v in
+    field x_v; each distinct key is unpacked once, less b^|shape| (the
+    excess is letters minus cells, and no cell is empty).  Field b is at
+    most |shape| n and each x field at most |shape|; _Packing sizes the
+    fields for that bound.
     """
-    names = tuple([BETA, *_x_names(nvars)])
-    width = max(shape.size * nvars, 1).bit_length()
-    unit = [1 + (1 << (width * v)) for v in range(nvars + 1)]
-    counts = Counter(enumerate_svt(shape, nvars, unit))
-    mask, shifts = (1 << width) - 1, range(0, width * (nvars + 1), width)
-    return Poly._of(names, {tuple([(key - shape.size) >> s & mask for s in shifts]): count
-                            for key, count in counts.items()})
+    names = (BETA, *_x_names(nvars))
+    packing = _Packing(names, shape.size * nvars)
+    b = packing.variable(BETA)
+    units = [0, *(b + packing.variable(x) for x in names[1:])]
+    counts = Counter(enumerate_svt(shape, nvars, units))
+    cells = shape.size * b
+    return packing.unpack({key - cells: count for key, count in counts.items()})
 
 
 def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
@@ -194,14 +190,6 @@ def _elementary_tables(values):
     for v in values:
         table = [1, *(table[k] + v * table[k - 1] for k in range(1, len(table))), v * table[-1]]
         yield table
-
-
-def elementary_symmetric(k: int, values):
-    """e_k of the given values (rationals or polynomials); e_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    *_, table = _elementary_tables(values)
-    return table[k] if k < len(table) else 0
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):

@@ -273,7 +273,7 @@ def _diagonal(shape, n):
         [f"x{i}" for i in range(1, n + 1)], _T)
 
 
-def _all_ones_rows(grid, shape, n, closed_form):
+def _all_ones_rows(shape, n, closed_form):
     """Rows comparing closed_form(beta) with the tableau sum at x = 1."""
     at_ones = _diagonal(shape, n).substitute({_T: 1})
     for beta in DEFAULT_BETAS:
@@ -305,7 +305,7 @@ def _tableau_sum_vs_bialternant(grid, shape, n):
            "C(n+k-1,k) * 2F1(k,1-n;k+1;-beta)", "tableau sum at x = 1")
 def _single_row_values(grid, shape, n):
     if len(shape) == 1:
-        yield from _all_ones_rows(grid, shape, n, lambda beta: _gauss(shape, n, -beta))
+        yield from _all_ones_rows(shape, n, lambda beta: _gauss(shape, n, -beta))
 
 
 @_register("prop-3.2",
@@ -313,7 +313,7 @@ def _single_row_values(grid, shape, n):
            "C(n,k) * 2F1(k,k-n;k+1;-beta)", "tableau sum at x = 1")
 def _single_column_values(grid, shape, n):
     if shape[0] == 1:
-        yield from _all_ones_rows(grid, shape, n, lambda beta: _gauss(shape, n, -beta))
+        yield from _all_ones_rows(shape, n, lambda beta: _gauss(shape, n, -beta))
 
 
 @_register("cor-3.3",
@@ -366,7 +366,7 @@ def _count_formula(grid, shape, n):
            "|SST| * coupled series at z = -beta", "tableau sum at x = 1")
 def _all_ones_factorization(grid, shape, n):
     sst = count_sst_product(shape, n)
-    yield from _all_ones_rows(grid, shape, n, lambda beta: sst * holman_series(
+    yield from _all_ones_rows(shape, n, lambda beta: sst * holman_series(
         HolmanInstance.from_shape(shape, n, -beta)))
 
 

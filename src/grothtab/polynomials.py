@@ -353,7 +353,9 @@ class _Packing:
     division step by (u - v) is a sum of the dividend's u^m-slices times
     v^(m-k), whose total degree is at most the dividend's, and every
     quotient has a smaller total degree than its dividend; so D also
-    bounds every key of every division step.
+    bounds every key of every division step.  The tableau sum
+    (grothendieck._tableau_sum) packs its fillings' weights over (b, x_1,
+    ..., x_n) with D = |shape| n, the bound on its letter count in b.
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -363,6 +365,10 @@ class _Packing:
         self.vars = vars
         self.mask = (1 << width) - 1
         self.shift = {v: width * t for t, v in enumerate(vars)}
+
+    def variable(self, v) -> int:
+        """The key of the monomial v."""
+        return 1 << self.shift[v]
 
     def pack(self, poly: Poly) -> dict:
         shifts = [self.shift[v] for v in poly.vars]
@@ -399,7 +405,7 @@ def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
     nonzero remainder raises ValueError.  Zero coefficients in the groups
     are allowed; the quotient has none."""
     for v in vs:
-        one_v = 1 << packing.shift[v]
+        one_v = packing.variable(v)
         # from the top power of u down, step = groups[k] + v * (the step
         # before) is the quotient's coefficient of u^(k-1); at k = 0 it is
         # the remainder

@@ -7,14 +7,16 @@ conditions only constrain a cell against its left and upper neighbours, so
 each cell is checked as it is set and the generators are lazy.  A cell's
 largest letter is capped at n minus the number of cells below it in its
 column, so that every partial filling has a completion.  One iterative
-backtracker serves both streams: an explicit stack of entry iterators over
-tables of (entry, largest letter) keyed by the alphabet {lo..hi}, each
-built on first use (streamed instead for an alphabet of more than
-_TABLE_LETTERS letters).  A filling is stored as the backtracker fills it:
-the row-major tuple of its cells; its rows are a view.  Given int weights
-per letter, enumerate_svt yields each filling's key, the sum of its
-letters' weights, in place of the tableau: the tableau sum counts those
-keys, which the backtracker carries on its stack, and no tableau is built.
+backtracker serves every stream: an explicit stack of entry iterators over
+tables of (entry's weight, largest letter) keyed by the alphabet {lo..hi},
+each built on first use (streamed instead for an alphabet of more than
+_TABLE_LETTERS letters), and each filling yielded as the sum of its cells'
+weights.  Weighing an entry as the 1-tuple (entry,) gives a filling's
+row-major tuple of cells, which is how a SetValuedTableau stores it (its
+rows are a view).  Given int weights per letter, enumerate_svt weighs an
+entry by the sum of its letters' weights and yields each filling's key in
+place of the tableau: the tableau sum counts those keys, and no tableau is
+built.
 """
 
 import operator
@@ -129,21 +131,16 @@ def _singletons(lo: int, n: int):
         yield (v,)
 
 
-def _backtrack(shape, nvars: int, entries, units=None):
+def _backtrack(shape, nvars: int, entries, weigh, empty):
     """Lazy stream of the fillings whose cells take entries from
     entries(lo, hi), where lo is the smallest letter the left and upper
     neighbours allow and hi is nvars minus the number of cells below the
-    cell in its column; cells are filled row-major.  Every cell but the
-    last keeps an iterator on the stack; the last cell runs through its
-    choices in a plain loop.
-
-    Without units each filling is a tableau of its row-major cells.  With
-    units (units[v] the int weight of letter v) each filling is its key,
-    the sum of its letters' weights, and no tableau is built: each table
-    item carries its entry's weight, prefix[k] holds the key of cells
-    0..k-1 as the stack sets them, and the last cell yields prefix plus
-    its own weight.  Without units prefix[k] holds those cells as a tuple
-    in the same way.
+    cell in its column; cells are filled row-major.  Each filling is
+    yielded as empty plus weigh(entry) for each of its cells in turn: each
+    table item carries its entry's weight, prefix[k] holds the sum for
+    cells 0..k-1 as the stack sets them, and the last cell yields prefix
+    plus its own weight.  Every cell but the last keeps an iterator on the
+    stack; the last cell runs through its choices in a plain loop.
 
     Each cell below needs a larger letter than the one above it, so the
     cap drops only entries that no completion can hold: entries(lo, hi) is
@@ -155,16 +152,13 @@ def _backtrack(shape, nvars: int, entries, units=None):
     shape, nvars = Partition(shape), operator.index(nvars)
     if len(shape) > nvars:
         return
-    make = SetValuedTableau._of
-    empty = () if units is None else 0
     parts = shape.parts
     if not parts:
-        yield make(shape, nvars, empty) if units is None else empty
+        yield empty
         return
-    # tables[lo, hi]: (entry as a 1-tuple, or its weight; largest letter)
-    # for each entry of entries(lo, hi), built on first use; an alphabet
-    # {lo..hi} of more than _TABLE_LETTERS letters is streamed each time
-    # instead
+    # tables[lo, hi]: (weight, largest letter) for each entry of
+    # entries(lo, hi), built on first use; an alphabet {lo..hi} of more
+    # than _TABLE_LETTERS letters is streamed each time instead
     tables = {}
     size = shape.size
     last = size - 1
@@ -188,27 +182,20 @@ def _backtrack(shape, nvars: int, entries, units=None):
         table = tables.get(span)
         if table is None:
             lo, hi = span
-            if units is None:
-                table = (((e,), e[-1]) for e in entries(lo, hi))
-            else:
-                table = ((sum(map(units.__getitem__, e)), e[-1]) for e in entries(lo, hi))
+            table = ((weigh(e), e[-1]) for e in entries(lo, hi))
             if hi - lo < _TABLE_LETTERS:
                 table = tables[span] = tuple(table)
         if k == last:
             stem = prefix[last]
-            if units is None:
-                for cell, _ in table:
-                    yield make(shape, nvars, stem + cell)
-            else:
-                for weight, _ in table:
-                    yield stem + weight
+            for weight, _ in table:
+                yield stem + weight
             k -= 1
         else:
             stack[k] = iter(table)
         # the next choice of cell k, backing up past exhausted cells
         while k >= 0:
-            for item, tops[k] in stack[k]:
-                prefix[k + 1] = prefix[k] + item
+            for weight, tops[k] in stack[k]:
+                prefix[k + 1] = prefix[k] + weight
                 break
             else:
                 k -= 1
@@ -217,6 +204,15 @@ def _backtrack(shape, nvars: int, entries, units=None):
         else:
             return
         k += 1
+
+
+def _tableaux(shape, nvars, entries):
+    """The fillings of _backtrack as SetValuedTableau values: an entry
+    weighs the 1-tuple (entry,), so a filling sums to its cells."""
+    shape, nvars = Partition(shape), operator.index(nvars)
+    make = SetValuedTableau._of
+    for cells in _backtrack(shape, nvars, entries, lambda entry: (entry,), ()):
+        yield make(shape, nvars, cells)
 
 
 def enumerate_svt(shape, nvars: int, units=None):
@@ -228,10 +224,12 @@ def enumerate_svt(shape, nvars: int, units=None):
     weights indexed by letter (index 0 unused), the stream yields in place
     of each tableau its key, the sum of the weights of all its letters.
     """
-    return _backtrack(shape, nvars, _subsets_lex, units)
+    if units is None:
+        return _tableaux(shape, nvars, _subsets_lex)
+    return _backtrack(shape, nvars, _subsets_lex, lambda e: sum(map(units.__getitem__, e)), 0)
 
 
 def enumerate_sst(shape, nvars: int):
     """All semistandard tableaux (singleton entries), same conventions as
     enumerate_svt."""
-    return _backtrack(shape, nvars, _singletons)
+    return _tableaux(shape, nvars, _singletons)

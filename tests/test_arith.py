@@ -84,6 +84,62 @@ def test_exact_count_still_raises_under_optimize():
     assert result.returncode == 0
 
 
+# each snippet exits 0 only when an invariant guard raises its real error
+OPTIMIZE_PROBES = {
+    "inexact divide_by_difference": """
+from grothtab.polynomials import Poly
+x1, x2 = Poly.variable('x1'), Poly.variable('x2')
+try:
+    (x1 ** 2 + x2).divide_by_difference('x1', 'x2')
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit('an inexact divide_by_difference did not raise under python -O')
+""",
+    "inexact alternant_quotient": """
+from grothtab.polynomials import Poly, alternant_quotient
+x1, x2 = Poly.variable('x1'), Poly.variable('x2')
+try:
+    alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 2]], ('x1', 'x2'))
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit('an inexact alternant_quotient did not raise under python -O')
+""",
+    "negative exponent": """
+from grothtab.polynomials import Poly
+try:
+    Poly(('x',), {(-1,): 1})
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit('a negative exponent did not raise under python -O')
+""",
+    "repeated coordinate": """
+from grothtab.grothendieck import refined_bialternant_at
+try:
+    refined_bialternant_at((2, 1), 3, [1, 2], [1, 2, 2])
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit('a repeated coordinate did not raise under python -O')
+""",
+    "tableau rows off the shape or a non-int letter": """
+from grothtab.tableaux import SetValuedTableau
+for shape, rows in (((1,), [[[1.5]]]), ((2, 1), [[[1], [1]]])):
+    try:
+        SetValuedTableau(shape, 2, rows)
+    except ValueError:
+        continue
+    raise SystemExit(f'{rows} for shape {shape} did not raise under python -O')
+""",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(OPTIMIZE_PROBES))
+def test_invariant_guards_still_raise_under_optimize(probe):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-O", "-c", OPTIMIZE_PROBES[probe]], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 def test_exact_rational_accepts_exact_values_and_refuses_the_rest():
     # an int or a Fraction is kept as it is; only a string is converted
     assert type(exact_rational(3)) is int and exact_rational(3) == 3

@@ -12,7 +12,6 @@ from grothtab.arith import binomial
 from grothtab.grothendieck import (
     BETA,
     count_svt_formula,
-    elementary_symmetric,
     grothendieck_bialternant,
     grothendieck_tableau_sum,
     principal_specialization_q,
@@ -424,14 +423,16 @@ def test_single_column_expansion_alternative_coefficient_fails():
     assert alternative(2, 3) != grothendieck_tableau_sum((1, 1), 3)
 
 
-def test_elementary_symmetric_values_and_polys():
+def test_elementary_tables_follow_the_recurrence():
+    # table j holds e_0..e_j of the first j values
     vals = [Fraction(1), Fraction(2), Fraction(3)]
-    assert elementary_symmetric(0, vals) == 1
-    assert elementary_symmetric(2, vals) == 11
-    assert elementary_symmetric(4, vals) == 0
+    tables = list(grothendieck._elementary_tables(vals))
+    assert tables == [[1], [1, 1], [1, 3, 2], [1, 6, 11, 6]]
     point = {"x1": 1, "x2": 2, "x3": 3}
-    for k in range(4):
-        assert elementary_symmetric_poly(k, 3).substitute(point).as_fraction() \
-            == elementary_symmetric(k, vals)
+    assert tables[-1] == [elementary_symmetric_poly(k, 3).substitute(point).as_fraction()
+                          for k in range(4)]
+    *_, last = grothendieck._elementary_tables([x1, x2, x3])
+    assert last == [elementary_symmetric_poly(k, 3) for k in range(4)]
     # equal values give binomial coefficients
-    assert elementary_symmetric(2, [Fraction(1)] * 4) == binomial(4, 2)
+    *_, last = grothendieck._elementary_tables([Fraction(1)] * 4)
+    assert last == [binomial(4, k) for k in range(5)]

@@ -1,20 +1,22 @@
 """Seeded bugs in the kernels that verify must catch.
 
-Three bugs sit in the packed bi-alternant kernel (one in its per-row
-division), three in the packed tableau-sum fill (the per-letter units,
-the entries' weights and the key the backtracker carries), two in the
-refined quotient at a point, one in the backtracker's column cap, and
-one in each of the coupling triangle, the content/hook count, the column
-Gauss binomial, the binomial-shift count formula, the 2F1 term, the
-pruning step of the n!-term kernel coupled_sum, the e_k window of the
-principal specialization, Poly.substitute and the pairwise-difference
-count.  Each mutant is put in place in this process with monkeypatch (the kernel in
-each module that calls it), so nothing on disk changes, and
-run_all(Grid(4, 4), workers=1) runs in this process too.  CAUGHT_BY maps
-each mutant to the checks that must then report failing instances, each
-with a witness; every other check must still pass.  The tableau-sum memo
-is cleared before and after each run, so no sum cached by another test
-hides a mutant below it and no sum computed under a mutant outlives it.
+One bug sits in the field width of the packed monomials, which the
+bi-alternant kernel and the tableau sum share, two in the bi-alternant
+kernel (one in its per-row division), three in the packed tableau-sum
+fill (the per-letter units, the entries' weights and the key the
+backtracker carries), two in the refined quotient at a point, one in the
+backtracker's column cap, and one in each of the coupling triangle, the
+content/hook count, the column Gauss binomial, the binomial-shift count
+formula, the 2F1 term, the pruning step of the n!-term kernel
+coupled_sum, the e_k window of the principal specialization,
+Poly.substitute and the pairwise-difference count.  Each mutant is put
+in place in this process with monkeypatch (the kernel in each module
+that calls it), so nothing on disk changes, and run_all(Grid(4, 4),
+workers=1) runs in this process too.  CAUGHT_BY maps each mutant to the
+checks that must then report failing instances, each with a witness;
+every other check must still pass.  The tableau-sum memo is cleared
+before and after each run, so no sum cached by another test hides a
+mutant below it and no sum computed under a mutant outlives it.
 """
 
 import inspect
@@ -49,12 +51,13 @@ MUTANTS = {
     "level sign kept through the division": lambda: (polynomials, "_quotient_packed", _edited(
         polynomials._quotient_packed, "-1 if k % 2 and not names else 1", "-1 if k % 2 else 1")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
-    "cell weighed by its largest letter only": lambda: (tableaux, "_backtrack", _edited(
-        tableaux._backtrack, "sum(map(units.__getitem__, e))", "units[e[-1]] * len(e)")),
+    # grothendieck holds its own binding of enumerate_svt
+    "cell weighed by its largest letter only": lambda: (grothendieck, "enumerate_svt", _edited(
+        tableaux.enumerate_svt, "sum(map(units.__getitem__, e))", "units[e[-1]] * len(e)")),
     "last cell drops the prefix key": lambda: (tableaux, "_backtrack", _edited(
         tableaux._backtrack, "yield stem + weight", "yield weight")),
     "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
-        grothendieck._tableau_sum.__wrapped__, "1 + (1 << (width * v))", "(1 << (width * v))")),
+        grothendieck._tableau_sum.__wrapped__, "b + packing.variable(x)", "packing.variable(x)")),
     # identities holds its own binding of refined_bialternant_at
     "column scale exponent n - k": lambda: (identities, "refined_bialternant_at", _edited(
         grothendieck.refined_bialternant_at, "d ** (n - 1 - k)", "d ** (n - k)")),
@@ -87,8 +90,9 @@ MUTANTS = {
 
 CAUGHT_BY = {
     "minor sign flipped": {"gg-eq-w", "thm-3.5"},
-    # thm-3.5 takes its determinant on ints, where every exponent is 0
-    "field width forced to 2 bits": {"gg-eq-w"},
+    # the bi-alternant and the tableau sum share the packing; thm-3.5 takes
+    # its determinant on ints, where every exponent is 0
+    "field width forced to 2 bits": {"gg-eq-w", "prop-AA", "thm-3.9"},
     # a sign (-1)^(n(n-1)/2) on the quotient; thm-3.5's determinant has no
     # names, so no division
     "level sign kept through the division": {"gg-eq-w"},

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 from itertools import combinations, islice, product
@@ -47,6 +48,16 @@ def test_the_keyed_stream_weighs_each_tableau_in_turn():
         want = [sum(units[v] for cell in t.cells for v in cell) for t in enumerate_svt(lam, n)]
         assert keys == want, (lam, n)
     assert len(keys) == 45057
+
+
+def test_the_streams_are_generators_that_close_mid_stream():
+    units = [1 + (1 << (8 * v)) for v in range(5)]
+    for stream in (enumerate_svt((2, 1), 4), enumerate_sst((2, 1), 4),
+                   enumerate_svt((2, 1), 4, units)):
+        assert inspect.isgenerator(stream)
+        next(stream)
+        stream.close()
+        assert next(stream, None) is None
 
 
 def test_column_counts():
