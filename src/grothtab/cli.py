@@ -15,6 +15,7 @@ from fractions import Fraction
 from .arith import exact_count, format_rational, parse_rational
 from .grothendieck import (
     BETA,
+    _x_names,
     count_svt_formula,
     grothendieck_tableau_sum,
     principal_specialization_q,
@@ -25,6 +26,7 @@ from .hypergeom import (
     classical_summation_conditions,
     gauss_2f1_terminating,
     holman_series,
+    ones_value_by_series,
 )
 from .identities import CHECKS, Grid, SuiteReport, UnknownCheckError, run_all, run_check
 from .partitions import Partition, count_sst_hook, count_sst_product
@@ -82,20 +84,13 @@ def _print_csv(rows: list[list], header: list[str]) -> None:
 # counting
 # ----------------------------------------------------------------------
 
-def _holman_count(shape: Partition, nvars: int) -> int:
-    if len(shape) > nvars:
-        return 0
-    value = count_sst_product(shape, nvars) * holman_series(
-        HolmanInstance.from_shape(shape, nvars, -1))
-    return exact_count(value, f"coupled-series count for {shape}, n={nvars}")
-
-
 # Method name -> counter(shape, nvars), in the order `--method all` lists
 # them.  The lambdas look each function up when they run, not at import.
 SVT_COUNTERS = {
     "enum": lambda shape, n: sum(1 for _ in enumerate_svt(shape, n)),
     "formula": lambda shape, n: count_svt_formula(shape, n),
-    "holman": _holman_count,
+    "holman": lambda shape, n: exact_count(ones_value_by_series(shape, n, 1),
+                                           f"coupled-series count for {shape}, n={n}"),
 }
 SST_COUNTERS = {
     "enum": lambda shape, n: sum(1 for _ in enumerate_sst(shape, n)),
@@ -192,13 +187,11 @@ def cmd_eval_groth(args) -> int:
             poly = grothendieck_tableau_sum(shape, n)
             if args.beta is not None:
                 poly = poly.substitute({BETA: beta})
-        if args.at is not None:
-            point = _parse_rational_list("--at", args.at)
+        if args.at is not None or args.ones:
+            point = [1] * n if args.ones else _parse_rational_list("--at", args.at)
             if len(point) != n:
                 raise ValueError(f"--at needs exactly {n} values")
-            poly = poly.substitute({f"x{i + 1}": v for i, v in enumerate(point)})
-        elif args.ones:
-            poly = poly.substitute({f"x{i}": 1 for i in range(1, n + 1)})
+            poly = poly.substitute(dict(zip(_x_names(n), point)))
         result = poly
 
     if not isinstance(result, Fraction) and result.is_constant():

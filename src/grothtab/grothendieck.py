@@ -95,15 +95,20 @@ def _ratio(value):
 
 def _integral_rows(lam, factors, points):
     """The integral bi-alternant's rows, one per point x_i = num/den given
-    as (num, den): entry (i, j) is
+    as (num, den), and their scale: entry (i, j) is
 
         num^(l_j+n-1-j) den^(l_1-l_j) prod_(k<j) (d_k den + p_k num)
 
     for the factors (p_k, d_k), that is den^(l_1+n-1) times
     x^(l_j+n-1-j) prod_(k<j) (d_k + p_k x).  With (Poly x_i, 1) the rows
-    are the symbolic matrix.
+    are the symbolic matrix.  The scale prod_k d_k^(n-1-k) prod_i
+    den_i^(l_1) is what scaling the columns and homogenising the rows put
+    into the determinant.  A determinant of more than
+    arith.MAX_SERIES_TERMS minors (2^n) is refused with ValueError before
+    any row is built.
     """
     n = len(lam)
+    _check_size(2 ** n, "the determinant has {} minors")
     rows = []
     for num, den in points:
         row, entry_factor = [], 1
@@ -113,7 +118,8 @@ def _integral_rows(lam, factors, points):
                 entry_factor = entry_factor * (d * den + p * num)
             row.append(num ** (lam[j] + n - 1 - j) * den ** (lam[0] - lam[j]) * entry_factor)
         rows.append(row)
-    return rows
+    scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
+    return rows, scale * prod(den ** lam[0] for _, den in points)
 
 
 def refined_bialternant(shape, nvars: int, betas) -> Poly:
@@ -127,10 +133,9 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     With beta_k = p_k/d_k the columns carry (d_k + p_k x_i) instead, so the
     matrix, its determinant and the Vandermonde quotient have int
     coefficients; every coefficient is then divided once by
-    prod_k d_k^(n-1-k), the factor that scaling the columns put in.  Int
-    betas give int coefficients.  A determinant of more than
-    arith.MAX_SERIES_TERMS minors (2^n) is refused with ValueError before
-    any row is built.
+    prod_k d_k^(n-1-k), the scale _integral_rows returns.  Int betas give
+    int coefficients.  A determinant of more than arith.MAX_SERIES_TERMS
+    minors (2^n) is refused with ValueError before any row is built.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -138,12 +143,9 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
         raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
     if len(shape) > n:
         return Poly.constant(0)
-    factors = [_ratio(b) for b in betas]
-    _check_size(2 ** n, "the determinant has {} minors")
-    rows = _integral_rows(shape.padded(n), factors,
-                          [(Poly.variable(name), 1) for name in _x_names(n)])
+    rows, scale = _integral_rows(shape.padded(n), [_ratio(b) for b in betas],
+                                 [(Poly.variable(name), 1) for name in _x_names(n)])
     quotient = alternant_quotient(rows, _x_names(n))
-    scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
     return quotient if scale == 1 else quotient * Fraction(1, scale)
 
 
@@ -156,10 +158,10 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     coordinates must be distinct.  Each x_i = num_i/den_i is homogenised
     (_integral_rows), so the matrix has int entries; its determinant is
     divided once by the int Vandermonde prod_(i<j) (num_i den_j - num_j
-    den_i), the columns' scale prod_k d_k^(n-1-k) and prod_i den_i^(l_1).
-    A repeated coordinate (the Vandermonde is 0) raises ValueError before
-    the determinant, and so does a determinant of more than
-    arith.MAX_SERIES_TERMS minors (2^n).
+    den_i) and the scale prod_k d_k^(n-1-k) prod_i den_i^(l_1) that
+    _integral_rows returns.  A repeated coordinate (the Vandermonde is 0)
+    raises ValueError before the determinant, and so does a determinant of
+    more than arith.MAX_SERIES_TERMS minors (2^n).
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -175,11 +177,8 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
         raise ValueError(f"the point coordinates must be distinct: {list(point)}")
     if len(shape) > n:
         return Fraction(0)
-    _check_size(2 ** n, "the determinant has {} minors")
-    lam = shape.padded(n)
-    scale = prod(d ** (n - 1 - k) for k, (_, d) in enumerate(factors))
-    denominator = vandermonde * scale * prod(den ** lam[0] for _, den in points)
-    return determinant(_integral_rows(lam, factors, points)).as_fraction() / denominator
+    rows, scale = _integral_rows(shape.padded(n), factors, points)
+    return determinant(rows).as_fraction() / (vandermonde * scale)
 
 
 def _elementary_tables(values):

@@ -6,8 +6,11 @@ summation index ends at its first vanishing numerator Pochhammer, one rule
 (_cutoff) for both series; an index with none is refused rather than
 approximated, and so is a series of more than arith.MAX_SERIES_TERMS terms.
 The coupled series is arith.coupled_sum over its Pochhammer weight tables,
-with integer cross factors, divided once by prod A_ij.  Parameters are ints, Fractions or 'p/q' strings; a float is
-refused, since it is not the rational it was written as.
+with integer cross factors, divided once by prod A_ij.  ones_value_by_series
+is the one home of the series side of Thm 3.9 and Cor 3.11, |SST_n| times
+the shape's series at z = -beta, for verify and the CLI alike.  Parameters
+are ints, Fractions or 'p/q' strings; a float is refused, since it is not
+the rational it was written as.
 """
 
 import json
@@ -18,7 +21,7 @@ from math import prod
 from typing import NamedTuple
 
 from .arith import _check_size, coupled_sum, exact_rational, format_rational
-from .partitions import Partition
+from .partitions import Partition, count_sst_product
 
 
 class NonTerminatingSeriesError(ValueError):
@@ -208,6 +211,18 @@ def holman_series(inst: HolmanInstance) -> Fraction:
         weights.append(w)
     total = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
     return Fraction(total, prod(a for row in coupling for a in row))
+
+
+def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
+    """The all-ones Grothendieck value G_shape(1^n) at the given beta by
+    the coupled series (Thm 3.9): |SST_n(shape)| times the series of
+    HolmanInstance.from_shape at z = -beta, and 0 when the shape has more
+    rows than n.  At beta = 1 it is the set-valued count (Cor 3.11)."""
+    shape = Partition(shape)
+    if len(shape) > nvars:
+        return Fraction(0)
+    return count_sst_product(shape, nvars) * holman_series(
+        HolmanInstance.from_shape(shape, nvars, -beta))
 
 
 class SummationConditionReport(NamedTuple):

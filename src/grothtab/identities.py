@@ -18,9 +18,11 @@ sweep goes on.  An empty Grid is rejected.  Set-valued counts are
 coefficient sums of the memoized tableau sum, so a process enumerates each
 (shape, n) once; its values at x = 1 and at x = (beta, .., beta) are taken
 on its diagonal x_1 = ... = x_n = t (Poly.collapse), once per row
-function.  run_all executes the whole registry, in parallel processes when
-more than one worker is available; the GROTH_THREADS environment variable
-caps the worker count.
+function.  thm-3.9 and cor-3.11 take their series side from
+hypergeom.ones_value_by_series, the function behind `count-svt --method
+holman` too, so verify checks the code the CLI runs.  run_all executes
+the whole registry, in parallel processes when more than one worker is
+available; the GROTH_THREADS environment variable caps the worker count.
 """
 
 import os
@@ -34,13 +36,14 @@ from time import perf_counter
 from .arith import binomial, exact_count
 from .grothendieck import (
     BETA,
+    _x_names,
     count_svt_formula,
     grothendieck_bialternant,
     grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant_at,
 )
-from .hypergeom import HolmanInstance, gauss_2f1_terminating, holman_series
+from .hypergeom import HolmanInstance, gauss_2f1_terminating, holman_series, ones_value_by_series
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from .tableaux import enumerate_sst
 
@@ -109,11 +112,14 @@ class Witness:
 class CheckReport:
     id: str
     summary: str
-    instances: int
     passed: int
     failed: int
     witnesses: list[Witness] = field(default_factory=list)
     seconds: float = 0.0
+
+    @property
+    def instances(self) -> int:
+        return self.passed + self.failed
 
     @property
     def ok(self) -> bool:
@@ -191,7 +197,7 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
                                 f"known: {', '.join(check_ids())}")
     check = CHECKS[check_id]
     grid = grid or Grid()
-    report = CheckReport(check.id, check.summary, 0, 0, 0)
+    report = CheckReport(check.id, check.summary, 0, 0)
 
     def fail(params, left, right):
         report.failed += 1
@@ -203,7 +209,6 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
     for shape, n in grid.shapes():
         try:
             for params, left, right in check.rows(grid, shape, n):
-                report.instances += 1
                 if left == right:
                     report.passed += 1
                 else:
@@ -211,7 +216,6 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
         except Exception as exc:  # one crashing instance must not hide the rest
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
-            report.instances += 1
             fail({"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, "")
     report.seconds = perf_counter() - start
     return report
@@ -269,8 +273,7 @@ def _diagonal(shape, n):
     with one term per excess, since a filling with excess e has |shape| + e
     letters.  The values at x = 1 and at x = (beta, .., beta) are taken on
     it, so a row function passes over the full sum's terms once."""
-    return grothendieck_tableau_sum(shape, n).collapse(
-        [f"x{i}" for i in range(1, n + 1)], _T)
+    return grothendieck_tableau_sum(shape, n).collapse(_x_names(n), _T)
 
 
 def _all_ones_rows(shape, n, closed_form):
@@ -365,18 +368,14 @@ def _count_formula(grid, shape, n):
            "all-ones value factors through the coupled series",
            "|SST| * coupled series at z = -beta", "tableau sum at x = 1")
 def _all_ones_factorization(grid, shape, n):
-    sst = count_sst_product(shape, n)
-    yield from _all_ones_rows(shape, n, lambda beta: sst * holman_series(
-        HolmanInstance.from_shape(shape, n, -beta)))
+    yield from _all_ones_rows(shape, n, lambda beta: ones_value_by_series(shape, n, beta))
 
 
 @_register("cor-3.11",
            "set-valued count factors through the coupled series",
            "|SST| * coupled series at z = -1", "enumeration")
 def _count_factorization(grid, shape, n):
-    left = count_sst_product(shape, n) * holman_series(
-        HolmanInstance.from_shape(shape, n, -1))
-    yield {"shape": shape, "n": n}, left, _svt_count(shape, n)
+    yield {"shape": shape, "n": n}, ones_value_by_series(shape, n, 1), _svt_count(shape, n)
 
 
 @_register("prop-AA",

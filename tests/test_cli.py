@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import groupby
@@ -433,3 +434,38 @@ def test_cli_output_matches_the_recorded_transcript(capsys, monkeypatch, record)
     monkeypatch.chdir(DATA.parent.parent)
     code, out, err = run_cli(capsys, *record["argv"])
     assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"]), record["argv"]
+
+
+# Outputs pinned by value, or by the sha256 of the whole stdout for long
+# ones.  `enumerate --shape 1 --vars 12` (4095 distinct lines) is pinned by
+# test_enumerate_lines_are_distinct_from_ten_letters_on.
+PINNED = [
+    # substitution at rational points, checked against known values
+    ("eval-groth --shape 2,1 --vars 3 --beta=-3/5 --at 1/2,2/3,-1", "-29/2250"),
+    ("eval-groth --shape 2,1 --vars 3 --beta=1/3 --ones", "343/27"),
+    # the enumeration stream and the tableau sum, byte for byte
+    ("enumerate --shape 2,2,1 --vars 4",
+     "6d35420bc0b0896c9313fa4ad576a0077c13c8ebfb9db6ec50df4fb5bb4647ed"),
+    ("eval-groth --shape 3,2 --vars 5 --ones --beta 1", "5199"),
+    ("eval-groth --shape 3,2 --vars 5 --ones --beta=-1", "1"),
+    # one filling; without the column cap the backtracker ran for minutes
+    (f"eval-groth --shape {','.join(['1'] * 18)} --vars 18 --ones --beta 1", "1"),
+    # 35 fillings; weighing them once built a table of all 2^18 - 1 subsets
+    ("eval-groth --shape 1^17 --vars 18 --ones --beta 1", "35"),
+    # 9! = 362880 terms; the depth-first kernel prunes the zero prefixes
+    ("count-svt --shape 3,2 --vars 9 --method formula", "6865151"),
+    ("count-svt --shape 3,2 --vars 9 --method holman", "6865151"),
+    # n = 7 by both routes: the refined bi-alternant, divided as it is
+    # expanded, and the keyed tableau sum at b = 1
+    ("eval-groth --shape 2,2 --vars 7 --refined 1,1,1,1,1,1",
+     "73fcef57b43d78052df9cc4b242b5b79140127988c54169365ed73e1d2079abf"),
+    ("eval-groth --shape 2,2 --vars 7 --beta 1",
+     "73fcef57b43d78052df9cc4b242b5b79140127988c54169365ed73e1d2079abf"),
+]
+
+
+@pytest.mark.parametrize("command, want", PINNED, ids=[c[:48] for c, _ in PINNED])
+def test_pinned_outputs(capsys, command, want):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == "" and out.endswith("\n")
+    assert (hashlib.sha256(out.encode()).hexdigest() if len(want) == 64 else out[:-1]) == want

@@ -14,6 +14,7 @@ from grothtab.hypergeom import (
     classical_summation_conditions,
     gauss_2f1_terminating,
     holman_series,
+    ones_value_by_series,
     shape_coupling,
 )
 from grothtab.partitions import count_sst_product
@@ -137,6 +138,12 @@ def test_all_ones_value_via_series():
         left = count_sst_product(lam, n) * holman_series(
             HolmanInstance.from_shape(lam, n, -beta))
         assert left == g.substitute({BETA: beta}).as_fraction()
+
+
+def test_ones_value_by_series_counts_and_is_zero_past_n_rows():
+    # the count-svt counters all answer 0 for a shape with more rows than n
+    assert ones_value_by_series((2, 1), 3, 1) == 27
+    assert ones_value_by_series((2, 1), 1, 1) == 0
 
 
 def test_gauss_prefactor_identities_up_to_five_variables():

@@ -4,8 +4,9 @@ One bug sits in the field width of the packed monomials, which the
 bi-alternant kernel and the tableau sum share, two in the bi-alternant
 kernel (one in its per-row division), three in the packed tableau-sum
 fill (the per-letter units, the entries' weights and the key the
-backtracker carries), two in the refined quotient at a point, one in the
-backtracker's column cap, and one in each of the coupling triangle, the
+backtracker carries), one in the integral bi-alternant's column scale,
+which both refined routes take from _integral_rows, one in the refined
+quotient at a point, one in the backtracker's column cap, and one in each of the coupling triangle, the
 content/hook count, the column Gauss binomial, the binomial-shift count
 formula, the 2F1 term, the pruning step of the n!-term kernel
 coupled_sum, the e_k window of the principal specialization,
@@ -16,7 +17,9 @@ workers=1) runs in this process too.  CAUGHT_BY maps each mutant to the
 checks that must then report failing instances, each with a witness;
 every other check must still pass.  The tableau-sum memo is cleared
 before and after each run, so no sum cached by another test hides a
-mutant below it and no sum computed under a mutant outlives it.
+mutant below it and no sum computed under a mutant outlives it.  One
+more bug, in hypergeom.ones_value_by_series, must show both in verify
+and in `count-svt --method all`, which call that one function.
 """
 
 import inspect
@@ -24,7 +27,7 @@ import textwrap
 
 import pytest
 
-from grothtab import arith, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
+from grothtab import arith, cli, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
 
 
@@ -44,6 +47,14 @@ def _kernel(old: str, new: str):
     return [(module, "coupled_sum", kernel) for module in (grothendieck, hypergeom)]
 
 
+def _pairwise(old: str, new: str):
+    """partitions.count_sst_product edited, in each module whose checks
+    call it: identities (hook-counts, thm-3.13) and hypergeom (the series
+    side of thm-3.9 and cor-3.11)."""
+    count = _edited(partitions.count_sst_product, old, new)
+    return [(module, "count_sst_product", count) for module in (identities, hypergeom)]
+
+
 MUTANTS = {
     "minor sign flipped": lambda: (polynomials, "_quotient_packed", _edited(
         polynomials._quotient_packed, "sign = -level if t % 2 else level",
@@ -58,9 +69,11 @@ MUTANTS = {
         tableaux._backtrack, "yield stem + weight", "yield weight")),
     "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
         grothendieck._tableau_sum.__wrapped__, "b + packing.variable(x)", "packing.variable(x)")),
+    # both refined routes take their scale from _integral_rows; gg-eq-w's
+    # betas are symbolic, so every d_k is 1 there
+    "column scale exponent n - k": lambda: (grothendieck, "_integral_rows", _edited(
+        grothendieck._integral_rows, "d ** (n - 1 - k)", "d ** (n - k)")),
     # identities holds its own binding of refined_bialternant_at
-    "column scale exponent n - k": lambda: (identities, "refined_bialternant_at", _edited(
-        grothendieck.refined_bialternant_at, "d ** (n - 1 - k)", "d ** (n - k)")),
     "Vandermonde factor flipped": lambda: (identities, "refined_bialternant_at", _edited(
         grothendieck.refined_bialternant_at, "num_i * den_j - num_j * den_i",
         "num_j * den_i - num_i * den_j")),
@@ -84,8 +97,8 @@ MUTANTS = {
         "_elementary_tables(bvals[1:] + [0])")),
     "substitute without the d^D scale": lambda: (polynomials.Poly, "substitute", _edited(
         polynomials.Poly.substitute, "scale *= d ** top", "scale *= 1")),
-    "pairwise factor one too large": lambda: (identities, "count_sst_product", _edited(
-        partitions.count_sst_product, "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1")),
+    "pairwise factor one too large": lambda: _pairwise(
+        "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1"),
 }
 
 CAUGHT_BY = {
@@ -141,3 +154,17 @@ def test_verify_catches_the_mutant(mutant, monkeypatch):
     for check in report.checks:
         if check.failed:
             assert check.witnesses, check.id
+
+
+def test_a_bug_in_the_series_side_shows_in_verify_and_in_the_cli(monkeypatch, capsys):
+    # count-svt --method holman, thm-3.9 and cor-3.11 all call
+    # ones_value_by_series; with z = beta for z = -beta, the series at
+    # beta = 1 is 1/|SST|, so the count reads 1
+    wrong = _edited(hypergeom.ones_value_by_series, "nvars, -beta)", "nvars, beta)")
+    for module in (cli, identities):
+        monkeypatch.setattr(module, "ones_value_by_series", wrong)
+    assert cli.main(["count-svt", "--shape", "2,1", "--vars", "3", "--method", "all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "enum: 27", "formula: 27", "holman: 1", "DISAGREE"]
+    report = run_all(Grid(3, 3), workers=1)
+    assert {check.id for check in report.checks if check.failed} == {"thm-3.9", "cor-3.11"}
