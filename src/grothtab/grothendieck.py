@@ -26,7 +26,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
@@ -204,7 +204,8 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     rational, which must be nonzero and keep every denominator factor
     nonzero (q = 1, and other small roots of unity, are rejected by that
     check).  Returns a Fraction when every beta is rational, otherwise a
-    Poly in the symbolic betas.
+    Poly in the symbolic betas.  The sum has n! terms, refused above
+    MAX_SERIES_TERMS before any table is built.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -216,6 +217,7 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     qval = exact_rational(q)
     if qval == 0:
         raise ValueError("q must be nonzero")
+    _check_size(factorial(n))
 
     # q^e = qp[e] / d^top for q = p/d and every e <= top; the sum and the
     # q-Vandermonde multiply equally many differences, so the d^top cancel
@@ -238,11 +240,14 @@ def count_svt_formula(shape, nvars: int) -> int:
 
     The rational sum must be a non-negative integer; anything else raises
     ArithmeticError.  Zero when the shape has more rows than variables.
+    The sum has n! terms, refused above MAX_SERIES_TERMS before any table
+    is built.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
     if len(shape) > n:
         return 0
+    _check_size(factorial(n))
     c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
     total = coupled_sum([[binomial(j, k) for k in range(j + 1)] for j in range(n)],
                         lambda i, j, ki, kj: c[i] + ki - c[j] - kj)

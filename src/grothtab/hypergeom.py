@@ -1,9 +1,10 @@
 """Terminating hypergeometric series in exact rational arithmetic.
 
-The Gauss series 2F1, the coupled multi-index series with cross factors
-(A_ij + k_i - k_j) / A_ij, and the classical summation conditions.  Each
-summation index ends at its first vanishing numerator Pochhammer, one rule
-(_cutoff) for both series; an index with none is refused rather than
+The coupled multi-index series with cross factors (A_ij + k_i - k_j) / A_ij,
+the Gauss series 2F1, which is that series with one index and no cross
+factor, and the classical summation conditions.  holman_series is the one
+evaluator: each summation index ends at its first vanishing numerator
+Pochhammer (_cutoff); an index with none is refused rather than
 approximated, and so is a series of more than arith.MAX_SERIES_TERMS terms.
 The coupled series is arith.coupled_sum over its Pochhammer weight tables,
 with integer cross factors, divided once by prod A_ij.  ones_value_by_series
@@ -57,24 +58,10 @@ def _coupling_entry(value) -> int:
 def gauss_2f1_terminating(alpha, beta, gamma, z) -> Fraction:
     """Exact value of the terminating Gauss series
     sum_m (alpha)_m (beta)_m / (gamma)_m * z^m / m!, summed up to the first
-    m at which (alpha)_m or (beta)_m vanishes."""
-    alpha, beta, gamma, z = map(exact_rational, (alpha, beta, gamma, z))
-    bound = _cutoff((alpha, beta))
-    if bound is None:
-        raise NonTerminatingSeriesError(
-            f"neither {alpha} nor {beta} is a non-positive "
-            "integer; only terminating series are evaluated")
-    _check_size(bound + 1)
-    if _cutoff((gamma,)) in range(bound):
-        raise ValueError(
-            f"denominator Pochhammer ({gamma})_m vanishes inside "
-            f"the summation range 0..{bound}")
-    total = term = Fraction(1)
-    for m in range(bound):
-        term *= (alpha + m) * (beta + m) * z
-        term /= (gamma + m) * (m + 1)
-        total += term
-    return total
+    m at which (alpha)_m or (beta)_m vanishes: the coupled series of one
+    index, numerator parameters (alpha, beta) and denominator parameters
+    (gamma, 1), where (1)_m is the m!."""
+    return holman_series(HolmanInstance((), ((alpha,), (beta,)), ((gamma,), (1,)), (z,)))
 
 
 def shape_coupling(shape, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -217,12 +204,13 @@ def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
     """The all-ones Grothendieck value G_shape(1^n) at the given beta by
     the coupled series (Thm 3.9): |SST_n(shape)| times the series of
     HolmanInstance.from_shape at z = -beta, and 0 when the shape has more
-    rows than n.  At beta = 1 it is the set-valued count (Cor 3.11)."""
+    rows than n.  At beta = 1 it is the set-valued count (Cor 3.11).  The
+    series comes first, so its n! terms are refused before the count."""
     shape = Partition(shape)
     if len(shape) > nvars:
         return Fraction(0)
-    return count_sst_product(shape, nvars) * holman_series(
-        HolmanInstance.from_shape(shape, nvars, -beta))
+    series = holman_series(HolmanInstance.from_shape(shape, nvars, -beta))
+    return series * count_sst_product(shape, nvars)
 
 
 class SummationConditionReport(NamedTuple):

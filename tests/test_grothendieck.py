@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import prod
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from grothtab.grothendieck import (
     refined_bialternant,
     refined_bialternant_at,
 )
-from grothtab.hypergeom import HolmanInstance, holman_series
+from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
 from grothtab.identities import Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from grothtab.polynomials import Poly, determinant
@@ -320,6 +321,20 @@ def test_n_factorial_sums_refuse_more_terms_than_the_limit(monkeypatch):
                   lambda: principal_specialization_q((1,), 4, [0, 0, 0], 2)):
         with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: principal_specialization_q((1,), 200, [Fraction(1, 3)] * 199, 2),
+    lambda: count_svt_formula((1,), 800),
+    lambda: ones_value_by_series((1,), 800, 1),
+], ids=["principal_specialization_q", "count_svt_formula", "ones_value_by_series"])
+def test_n_factorial_sums_are_refused_before_their_setup(build):
+    # at the real limit: the q-Vandermonde, the weight tables and the
+    # semistandard count of n = 200 or 800 would each take seconds
+    start = perf_counter()
+    with pytest.raises(ValueError, match="the series has"):
+        build()
+    assert perf_counter() - start < 1
 
 
 def test_results_have_exact_types():

@@ -97,17 +97,32 @@ def test_all_zero_arguments_give_one():
     assert holman_series(inst) == 1
 
 
-def test_single_index_degeneration_matches_gauss():
-    # one summation index, numerator columns (alpha, beta), denominators
-    # (gamma, 1): the coupled series IS the Gauss series
-    alpha, beta_p, gamma, z = Fraction(-4), Fraction(3, 2), Fraction(2), Fraction(2, 3)
-    inst = HolmanInstance(
-        coupling=(),
-        numerator=((alpha,), (beta_p,)),
-        denominator=((gamma,), (Fraction(1),)),
-        z=(z,),
-    )
-    assert holman_series(inst) == gauss_2f1_terminating(alpha, beta_p, gamma, z)
+def _gauss_reference(alpha, beta, gamma, z, bound):
+    """The Gauss series summed term by term up to m = bound: each term is
+    the one before times (alpha + m)(beta + m) z / ((gamma + m)(m + 1))."""
+    alpha, beta, gamma, z = map(Fraction, (alpha, beta, gamma, z))
+    total = term = Fraction(1)
+    for m in range(bound):
+        term *= (alpha + m) * (beta + m) * z
+        term /= (gamma + m) * (m + 1)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, z, bound", [
+    (-4, "3/2", 2, "2/3", 4),
+    (2, -5, "7/3", "-1/2", 5),
+    ("7/3", -8, "1/3", "1/2", 8),
+    (-6, -3, "-5/2", -4, 3),
+    (1, -3, 9, 0, 3),
+    (0, "1/2", 3, 5, 0),
+    # gamma = -5 vanishes at m = 5, past the cutoff m = 2
+    (-2, 1, -5, 1, 2),
+])
+def test_gauss_matches_the_term_by_term_sum(alpha, beta, gamma, z, bound):
+    # the one-index coupled series against the Gauss loop written out
+    assert gauss_2f1_terminating(alpha, beta, gamma, z) == _gauss_reference(
+        alpha, beta, gamma, z, bound)
 
 
 def test_single_row_cross_evaluator_agreement():

@@ -8,9 +8,11 @@ backtracker carries), one in the integral bi-alternant's column scale,
 which both refined routes take from _integral_rows, one in the refined
 quotient at a point, one in the backtracker's column cap, and one in each of the coupling triangle, the
 content/hook count, the column Gauss binomial, the binomial-shift count
-formula, the 2F1 term, the pruning step of the n!-term kernel
-coupled_sum, the e_k window of the principal specialization,
-Poly.substitute and the pairwise-difference count.  Each mutant is put
+formula, the 2F1's m! (its denominator parameter 1), the Pochhammer
+term of holman_series, the one evaluator of the 2F1 and the coupled
+series, the pruning step of the n!-term kernel coupled_sum, the e_k
+window of the principal specialization, Poly.substitute and the
+pairwise-difference count.  Each mutant is put
 in place in this process with monkeypatch (the kernel in each module
 that calls it), so nothing on disk changes, and run_all(Grid(4, 4),
 workers=1) runs in this process too.  CAUGHT_BY maps each mutant to the
@@ -45,6 +47,12 @@ def _kernel(old: str, new: str):
     """arith.coupled_sum edited, in each module that holds a binding of it."""
     kernel = _edited(arith.coupled_sum, old, new)
     return [(module, "coupled_sum", kernel) for module in (grothendieck, hypergeom)]
+
+
+def _series(old: str, new: str):
+    """hypergeom.holman_series edited, in each module that holds a binding of it."""
+    series = _edited(hypergeom.holman_series, old, new)
+    return [(module, "holman_series", series) for module in (hypergeom, identities)]
 
 
 def _pairwise(old: str, new: str):
@@ -89,8 +97,13 @@ MUTANTS = {
         identities._gauss, "binomial(n, k)", "binomial(n + 1, k)")),
     "count formula cross factor sign": lambda: (identities, "count_svt_formula", _edited(
         grothendieck.count_svt_formula, "c[i] + ki - c[j] - kj", "c[i] - ki - c[j] + kj")),
+    # the m! of the 2F1 read as (2)_m
     "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
-        hypergeom.gauss_2f1_terminating, "(gamma + m) * (m + 1)", "(gamma + m) * (m + 2)")),
+        hypergeom.gauss_2f1_terminating, "((gamma,), (1,))", "((gamma,), (2,))")),
+    # gauss_2f1_terminating and ones_value_by_series look it up in hypergeom,
+    # thm-3.13 in identities
+    "series term over (b + k + 1)": lambda: _series(
+        "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)"),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
     "e_k window shifted": lambda: (identities, "principal_specialization_q", _edited(
         grothendieck.principal_specialization_q, "_elementary_tables(bvals)",
@@ -126,6 +139,9 @@ CAUGHT_BY = {
     "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
     "count formula cross factor sign": {"cor-3.8"},
     "2F1 term over m + 2": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4"},
+    # every check that evaluates a series, the 2F1 and the coupled one alike
+    "series term over (b + k + 1)": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4", "thm-3.9",
+                                     "cor-3.11", "thm-3.13"},
     # every check that sums over coupled_sum; the betas and z = -beta give
     # negative weights and cross factors
     "kernel drops negative prefixes": {"thm-3.5", "cor-3.8", "thm-3.9", "cor-3.11",
