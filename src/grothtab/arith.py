@@ -9,11 +9,12 @@ refused, since 0.1 is a binary approximation, not the rational it was
 written as.  over_common_denominator is the one integer rule: a table over
 the lcm of its Fraction denominators, so that a loop multiplies integer
 numerators and divides once.  coupled_sum, the one depth-first kernel of
-the n!-term sums (the count formula, the coupled series and the principal
-specialization), and Poly.substitute both follow it.  Every such sum is
-refused above MAX_SERIES_TERMS terms (so is a determinant with more
-minors).  All functions here are pure; values are immutable and safe to
-share between threads.
+the n!-term sums (the coupled series, and the shifted-exponent expansion
+that the principal specialization and the count formula share), and
+Poly.substitute both follow it.  Every such sum is refused above
+MAX_SERIES_TERMS terms (so is a determinant with more minors).  All
+functions here are pure; values are immutable and safe to share between
+threads.
 """
 
 from fractions import Fraction

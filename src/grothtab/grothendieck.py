@@ -1,4 +1,4 @@
-"""Schur and Grothendieck polynomials, four independent ways.
+"""Schur and Grothendieck polynomials, five independent ways.
 
 The set-valued tableau generating sum (enumerate_svt weighs each filling
 as the sum of its letters' packed int units, and the sum counts those
@@ -12,14 +12,20 @@ polynomial in x built), and the shifted-exponent expansion that evaluates
 the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
 without any determinant.
 Keeping the routes separate is the point: the verification harness compares
-them against each other.  The expansion and the binomial-shift count formula
-are arith.coupled_sum with integer cross factors over weight tables of exact
-numbers or Polys, which the kernel puts over one denominator; the count
-formula's sum is divided once by its product of differences, and the
-expansion's by the q-Vandermonde.
-A beta, q or point value is an int, a Fraction or a variable name; a float
-is refused.  A variable count is an int; any other number raises TypeError
-rather than being cut down.
+them against each other.  The expansion (_shifted_exponent_sum) is one
+arith.coupled_sum over the tables e_k(beta_1..beta_j) of exact numbers or
+Polys, which the kernel puts over one denominator, with integer cross
+factors that are differences in a table of powers q^e, divided once by the
+q-Vandermonde of the same table.  The binomial-shift count formula is that
+sum at every beta = 1 in the limit q -> 1, where the table of powers is the
+exponents themselves, so no check has the count formula and the expansion as
+its two sides.
+A beta is an int, a Fraction or a variable name: a string beta names a
+variable, so '1/2' is refused as a bad name (refined_bialternant_at alone,
+which takes no names, parses a 'p/q' string beta).  q and a point value are
+an int, a Fraction or a 'p/q' string.  A float is refused.  A variable
+count is an int; any other number raises TypeError rather than being cut
+down.
 """
 
 import operator
@@ -28,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .arith import _check_size, binomial, coupled_sum, exact_count, exact_rational
+from .arith import _check_size, coupled_sum, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, _Packing, alternant_quotient, determinant
 from .tableaux import enumerate_svt
@@ -191,9 +197,38 @@ def _elementary_tables(values):
         yield table
 
 
+def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor vanishes"):
+    """The shifted-exponent expansion of the refined quotient, for a table
+    of powers P with P[e] standing for q^e:
+
+        sum over k_j in 0..j-1 of
+            prod_j e_{k_j}(beta_1 .. beta_(j-1))
+            * prod_{i<j} (P[l_j+n-j+k_j] - P[l_i+n-i+k_i])
+                       / (P[n-j] - P[n-i])
+
+    with l the shape padded to n parts and j 1-based.  power_table(top)
+    builds the table P[0..top] for the largest shifted exponent top; it is
+    called after the sum's n! terms pass MAX_SERIES_TERMS, so a refused sum
+    builds no table.  The geometric point x = (1, q, ..., q^(n-1)) takes
+    P[e] = q^e, and the limit q -> 1 takes the exponents themselves (every
+    ratio of q-differences becomes a ratio of exponent differences).  A
+    vanishing divisor raises ValueError with the message `vanishing`.
+    """
+    _check_size(factorial(n))
+    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
+    powers = power_table(max(c, default=0))
+    denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
+    if denom == 0:
+        raise ValueError(vanishing)
+    total = coupled_sum(list(_elementary_tables(betas)),
+                        lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
+    return total * Fraction(1, denom)
+
+
 def principal_specialization_q(shape, nvars: int, betas, q):
     """Value at x = (1, q, ..., q^(n-1)) of the refined quotient, computed
-    by the shifted-exponent expansion instead of a determinant:
+    by the shifted-exponent expansion (_shifted_exponent_sum at P[e] = q^e)
+    instead of a determinant:
 
         sum over k_j in 0..j-1 of
             prod_j e_{k_j}(beta_1 .. beta_(j-1))
@@ -217,19 +252,12 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     qval = exact_rational(q)
     if qval == 0:
         raise ValueError("q must be nonzero")
-    _check_size(factorial(n))
-
-    # q^e = qp[e] / d^top for q = p/d and every e <= top; the sum and the
-    # q-Vandermonde multiply equally many differences, so the d^top cancel
-    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
-    top = c[0]
-    qp = [qval.numerator ** e * qval.denominator ** (top - e) for e in range(top + 1)]
-    denom = prod(qp[n - 1 - j] - qp[n - 1 - i] for j in range(n) for i in range(j))
-    if denom == 0:
-        raise ValueError(f"q-Vandermonde vanishes at q = {q}")
-    total = coupled_sum(list(_elementary_tables(bvals)),
-                        lambda i, j, ki, kj: qp[c[j] + kj] - qp[c[i] + ki])
-    return total * Fraction(1, denom)
+    # P[e] = p^e d^(top-e) = q^e d^top for q = p/d and every e <= top; the
+    # sum and the q-Vandermonde multiply equally many differences, so the
+    # d^top cancel
+    return _shifted_exponent_sum(shape, n, bvals, lambda top: [
+        qval.numerator ** e * qval.denominator ** (top - e) for e in range(top + 1)],
+        f"q-Vandermonde vanishes at q = {q}")
 
 
 def count_svt_formula(shape, nvars: int) -> int:
@@ -238,6 +266,8 @@ def count_svt_formula(shape, nvars: int) -> int:
         sum over k_j in 0..j-1 of prod_j C(j-1, k_j)
             * prod_{i<j} (l_i - l_j + k_i - k_j + j - i) / (j - i)
 
+    which is _shifted_exponent_sum at every beta = 1 (e_k of j-1 ones is
+    C(j-1, k)) in the limit q -> 1 (each power P[e] is the exponent e).
     The rational sum must be a non-negative integer; anything else raises
     ArithmeticError.  Zero when the shape has more rows than variables.
     The sum has n! terms, refused above MAX_SERIES_TERMS before any table
@@ -247,10 +277,5 @@ def count_svt_formula(shape, nvars: int) -> int:
     n = operator.index(nvars)
     if len(shape) > n:
         return 0
-    _check_size(factorial(n))
-    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
-    total = coupled_sum([[binomial(j, k) for k in range(j + 1)] for j in range(n)],
-                        lambda i, j, ki, kj: c[i] + ki - c[j] - kj)
-    denom = prod(j - i for j in range(n) for i in range(j))
-    return exact_count(Fraction(total, denom), f"formula for {shape}, n={n}")
-
+    return exact_count(_shifted_exponent_sum(shape, n, [1] * (n - 1), lambda top: range(top + 1)),
+                       f"formula for {shape}, n={n}")

@@ -20,7 +20,7 @@ from grothtab.grothendieck import (
     refined_bialternant_at,
 )
 from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
-from grothtab.identities import Grid
+from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from grothtab.polynomials import Poly, determinant
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
@@ -371,6 +371,23 @@ def test_count_formula_examples():
     assert count_svt_formula((1,), 1) == 1
     assert count_svt_formula((), 2) == 1
     assert count_svt_formula((1, 1, 1), 2) == 0
+    # no shifted exponent at n = 0, and one with no betas at n = 1
+    assert count_svt_formula((), 0) == 1
+    assert principal_specialization_q((), 1, [], 2) == 1
+
+
+def test_the_q_to_1_limit_at_equal_betas_is_thm_3_9():
+    # with the exponents themselves as its powers, the shifted-exponent sum
+    # is the all-ones value G_shape(1^n) at any beta, not only the count's
+    # beta = 1; Thm 3.9 writes that value as the coupled series
+    rows = 0
+    for shape, n in Grid(5, 5).shapes():
+        for beta in DEFAULT_BETAS:
+            got = grothendieck._shifted_exponent_sum(shape, n, [beta] * (n - 1),
+                                                     lambda top: range(top + 1))
+            assert got == ones_value_by_series(shape, n, beta), (shape, n, beta)
+            rows += 1
+    assert rows == 330
 
 
 def test_count_formula_matches_enumeration():

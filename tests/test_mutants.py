@@ -6,13 +6,14 @@ kernel (one in its per-row division), three in the packed tableau-sum
 fill (the per-letter units, the entries' weights and the key the
 backtracker carries), one in the integral bi-alternant's column scale,
 which both refined routes take from _integral_rows, one in the refined
-quotient at a point, one in the backtracker's column cap, and one in each of the coupling triangle, the
-content/hook count, the column Gauss binomial, the binomial-shift count
-formula, the 2F1's m! (its denominator parameter 1), the Pochhammer
-term of holman_series, the one evaluator of the 2F1 and the coupled
-series, the pruning step of the n!-term kernel coupled_sum, the e_k
-window of the principal specialization, Poly.substitute and the
-pairwise-difference count.  Each mutant is put
+quotient at a point, one in the backtracker's column cap, two (the cross
+factor's sign and the e_k window) in _shifted_exponent_sum, the one
+expansion behind both the principal specialization and the binomial-shift
+count formula, and one in each of the coupling triangle, the content/hook
+count, the column Gauss binomial, the 2F1's m! (its denominator parameter
+1), the Pochhammer term of holman_series, the one evaluator of the 2F1 and
+the coupled series, the pruning step of the n!-term kernel coupled_sum,
+Poly.substitute and the pairwise-difference count.  Each mutant is put
 in place in this process with monkeypatch (the kernel in each module
 that calls it), so nothing on disk changes, and run_all(Grid(4, 4),
 workers=1) runs in this process too.  CAUGHT_BY maps each mutant to the
@@ -95,8 +96,10 @@ MUTANTS = {
         partitions.count_sst_hook, "nvars + j - i", "nvars + i - j")),
     "column binomial C(n + 1, k)": lambda: (identities, "_gauss", _edited(
         identities._gauss, "binomial(n, k)", "binomial(n + 1, k)")),
-    "count formula cross factor sign": lambda: (identities, "count_svt_formula", _edited(
-        grothendieck.count_svt_formula, "c[i] + ki - c[j] - kj", "c[i] - ki - c[j] + kj")),
+    # count_svt_formula and principal_specialization_q look it up in grothendieck
+    "count formula cross factor sign": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
+        grothendieck._shifted_exponent_sum, "powers[c[j] + kj] - powers[c[i] + ki]",
+        "powers[c[i] + ki] - powers[c[j] + kj]")),
     # the m! of the 2F1 read as (2)_m
     "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
         hypergeom.gauss_2f1_terminating, "((gamma,), (1,))", "((gamma,), (2,))")),
@@ -105,9 +108,9 @@ MUTANTS = {
     "series term over (b + k + 1)": lambda: _series(
         "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)"),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
-    "e_k window shifted": lambda: (identities, "principal_specialization_q", _edited(
-        grothendieck.principal_specialization_q, "_elementary_tables(bvals)",
-        "_elementary_tables(bvals[1:] + [0])")),
+    "e_k window shifted": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
+        grothendieck._shifted_exponent_sum, "_elementary_tables(betas)",
+        "_elementary_tables(betas[1:] + [0])")),
     "substitute without the d^D scale": lambda: (polynomials.Poly, "substitute", _edited(
         polynomials.Poly.substitute, "scale *= d ** top", "scale *= 1")),
     "pairwise factor one too large": lambda: _pairwise(
@@ -137,7 +140,9 @@ CAUGHT_BY = {
     "coupling sign l_i + l_j": {"thm-3.9", "cor-3.11", "thm-3.13"},
     "hook content n + i - j": {"hook-counts"},
     "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
-    "count formula cross factor sign": {"cor-3.8"},
+    # the one shifted-exponent expansion: a sign (-1)^(n(n-1)/2) on the
+    # count formula and the principal specialization alike
+    "count formula cross factor sign": {"thm-3.5", "cor-3.8"},
     "2F1 term over m + 2": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4"},
     # every check that evaluates a series, the 2F1 and the coupled one alike
     "series term over (b + k + 1)": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4", "thm-3.9",
@@ -146,7 +151,7 @@ CAUGHT_BY = {
     # negative weights and cross factors
     "kernel drops negative prefixes": {"thm-3.5", "cor-3.8", "thm-3.9", "cor-3.11",
                                        "thm-3.13"},
-    "e_k window shifted": {"thm-3.5"},
+    "e_k window shifted": {"thm-3.5", "cor-3.8"},
     # the checks that substitute a non-integer beta: the rows at x = 1 and
     # at the tilted point
     "substitute without the d^D scale": {"prop-3.1", "prop-3.2", "thm-3.9", "prop-AA"},
