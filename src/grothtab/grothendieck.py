@@ -2,15 +2,16 @@
 
 The set-valued tableau generating sum (enumerate_svt weighs each filling
 as the sum of its letters' packed int units, and the sum counts those
-keys), determinant quotients with exact Vandermonde division, the refined
-multi-parameter determinant (taken over int columns, with the betas'
-denominators divided out once; polynomials.alternant_quotient expands its
-determinant row by row on packed monomials and divides by the Vandermonde
-as it goes), the same integral matrix taken at n distinct rational points
+keys), the bi-alternant quotient and its refined multi-parameter form
+(one symbolic row of int columns at x_1, with the betas' denominators
+divided out once; polynomials.alternant_quotient moves the row to each x_i
+and applies a chain of divided differences, so nothing is divided by the
+Vandermonde), the same integral matrix taken at n distinct rational points
 on ints (refined_bialternant_at: an int determinant divided once, with no
 polynomial in x built), and the shifted-exponent expansion that evaluates
 the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
-without any determinant.
+without any determinant.  Every refined route takes max(n - 1, 0) betas,
+so in n = 0 variables the empty shape gives 1 on every route.
 Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion (_shifted_exponent_sum) is one
 arith.coupled_sum over the tables e_k(beta_1..beta_j) of exact numbers or
@@ -84,10 +85,17 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     """Determinant quotient det[x_i^(l_j + n - j) (1 + beta x_i)^(j-1)] / V.
 
     The shape is zero-padded to n parts; beta may be a rational or a
-    variable name.  Division by the Vandermonde is exact by construction,
-    and a nonzero remainder raises (it would mean a real bug).
+    variable name.  The quotient is refined_bialternant's divided-difference
+    chain, a polynomial by construction; a result that is not symmetric in
+    the x's raises ArithmeticError (it would mean a real bug).
     """
-    return refined_bialternant(shape, nvars, [beta] * (operator.index(nvars) - 1))
+    return refined_bialternant(shape, nvars, [beta] * _beta_count(operator.index(nvars)))
+
+
+def _beta_count(n: int) -> int:
+    """The number of betas the refined routes take in n variables: one per
+    column after the first."""
+    return max(n - 1, 0)
 
 
 def _ratio(value):
@@ -137,21 +145,23 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     them to zero recovers the Schur polynomial.
 
     With beta_k = p_k/d_k the columns carry (d_k + p_k x_i) instead, so the
-    matrix, its determinant and the Vandermonde quotient have int
-    coefficients; every coefficient is then divided once by
-    prod_k d_k^(n-1-k), the scale _integral_rows returns.  Int betas give
-    int coefficients.  A determinant of more than arith.MAX_SERIES_TERMS
-    minors (2^n) is refused with ValueError before any row is built.
+    row and the alternant quotient have int coefficients; every
+    coefficient is then divided once by prod_k d_k^(n-1-k), the scale
+    _integral_rows returns.  Int betas give int coefficients.  Only the
+    first row, at x_1, is built: alternant_quotient moves it to each x_i.
+    A determinant of more than arith.MAX_SERIES_TERMS minors (2^n) is
+    refused with ValueError before the row is built.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
-    if len(betas) != n - 1:
-        raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
+    if len(betas) != _beta_count(n):
+        raise ValueError(f"need exactly {_beta_count(n)} beta values, got {len(betas)}")
     if len(shape) > n:
         return Poly.constant(0)
+    names = _x_names(n)
     rows, scale = _integral_rows(shape.padded(n), [_ratio(b) for b in betas],
-                                 [(Poly.variable(name), 1) for name in _x_names(n)])
-    quotient = alternant_quotient(rows, _x_names(n))
+                                 [(Poly.variable(name), 1) for name in names[:1]])
+    quotient = alternant_quotient(rows[0] if rows else [], names)
     return quotient if scale == 1 else quotient * Fraction(1, scale)
 
 
@@ -171,8 +181,8 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     """
     shape = Partition(shape)
     n = operator.index(nvars)
-    if len(betas) != n - 1 or len(point) != n:
-        raise ValueError(f"need exactly {n - 1} beta values and {n} point "
+    if len(betas) != _beta_count(n) or len(point) != n:
+        raise ValueError(f"need exactly {_beta_count(n)} beta values and {n} point "
                          f"coordinates, got {len(betas)} and {len(point)}")
     factors = [_ratio(exact_rational(b)) for b in betas]
     points = [_ratio(exact_rational(x)) for x in point]
@@ -244,8 +254,8 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     """
     shape = Partition(shape)
     n = operator.index(nvars)
-    if len(betas) != n - 1:
-        raise ValueError(f"need exactly {n - 1} beta values, got {len(betas)}")
+    if len(betas) != _beta_count(n):
+        raise ValueError(f"need exactly {_beta_count(n)} beta values, got {len(betas)}")
     if len(shape) > n:
         return Fraction(0)
     bvals = [_scalar_or_var(b) for b in betas]
@@ -277,5 +287,5 @@ def count_svt_formula(shape, nvars: int) -> int:
     n = operator.index(nvars)
     if len(shape) > n:
         return 0
-    return exact_count(_shifted_exponent_sum(shape, n, [1] * (n - 1), lambda top: range(top + 1)),
-                       f"formula for {shape}, n={n}")
+    total = _shifted_exponent_sum(shape, n, [1] * _beta_count(n), lambda top: range(top + 1))
+    return exact_count(total, f"formula for {shape}, n={n}")

@@ -205,11 +205,12 @@ def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
     the coupled series (Thm 3.9): |SST_n(shape)| times the series of
     HolmanInstance.from_shape at z = -beta, and 0 when the shape has more
     rows than n.  At beta = 1 it is the set-valued count (Cor 3.11).  The
-    series comes first, so its n! terms are refused before the count."""
+    series comes first, so its n! terms are refused before the count.  In
+    n = 0 variables the series has one term, the empty product 1."""
     shape = Partition(shape)
     if len(shape) > nvars:
         return Fraction(0)
-    series = holman_series(HolmanInstance.from_shape(shape, nvars, -beta))
+    series = holman_series(HolmanInstance.from_shape(shape, nvars, -beta)) if nvars else Fraction(1)
     return series * count_sst_product(shape, nvars)
 
 

@@ -346,9 +346,10 @@ def _geometric_point_expansion(grid, shape, n):
     polynomials in the n-1 betas, drawn at random from the grid's seed, so
     each row is a randomized (Schwartz-Zippel) test of the identity in the
     betas, not a proof for every beta.  The value needs no polynomial
-    remainder guard: a wrong determinant or division gives a wrong value,
-    which fails the row, and gg-eq-w divides the symbolic bi-alternant with
-    every remainder checked on every (shape, n)."""
+    guard: a wrong determinant or division gives a wrong value, which fails
+    the row, and gg-eq-w compares the symbolic bi-alternant, a
+    divided-difference chain whose result must be symmetric in the x's,
+    with the tableau sum as polynomials on every (shape, n)."""
     betas = grid.random_betas(shape, n)
     for q in DEFAULT_QS:
         left = principal_specialization_q(shape, n, betas, q)

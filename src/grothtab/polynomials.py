@@ -6,25 +6,27 @@ input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
 substitution, setting variables equal (collapse), determinants of
-polynomial matrices, and exact synthetic division by a product of
-differences (u - v_1) ... (u - v_k) sharing one variable u, on the terms
-grouped by their power of u once.  Division checks the remainder of every
-factor and raises on a nonzero one instead of ever returning an
-approximation; an int dividend keeps int coefficients.
+polynomial matrices, alternant quotients, and exact synthetic division by
+a product of differences (u - v_1) ... (u - v_k) sharing one variable u,
+on the terms grouped by their power of u once.  Division checks the
+remainder of every factor and raises on a nonzero one instead of ever
+returning an approximation; an int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
 once (the integer rule of arith), so all-int data keeps int coefficients.
 
-The determinant and the division run on packed monomials: an exponent
-vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t), with one
-field width rule, 2^w > D for the degree bound D (_Packing says why D
-bounds every exponent).  There is one expansion and one synthetic division
-on these keys.  alternant_quotient(matrix, names), for a matrix whose row
-i holds the column functions at names[i], is the determinant divided by
-the Vandermonde in the names: it packs the entries once, expands along
-the rows top down, divides each leading minor by the Vandermonde in its
-rows' names as soon as the minor is summed, so that the full determinant
-is never built, and unpacks once.  determinant is the same kernel with no
-names, and Poly.divide_by_difference runs the same division.
+The determinant, the alternant quotient and the division run on packed
+monomials: an exponent vector (e_0, ..., e_m) becomes the int key
+sum e_t << (w * t), with one field width rule, 2^w > D for the degree
+bound D (_Packing says why D bounds every exponent).  determinant is one
+Laplace expansion along the rows on these keys.  alternant_quotient(row,
+names) is det[f_j(names[i])] / prod_(i<j) (names[i] - names[j]) from the
+first row alone, f_j at names[0]: it packs each f_j once at names[j] and
+applies Lascoux-Schutzenberger divided differences
+(f - f|u<->v) / (u - v), each written out term by term as a polynomial,
+in one Horner chain, so nothing is divided and no remainder can arise;
+two guards (an entry at another row's name, a result that is not
+symmetric) raise real errors in its place.  Poly.divide_by_difference is
+the one synthetic division.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
@@ -341,21 +343,32 @@ class _Packing:
 
     Keys add without carries while no exponent reaches 2^w, so the caller
     passes a bound D on every exponent that will arise and w is chosen with
-    2^w > D (_field_width).  For a determinant or an alternant quotient, D
-    is the sum over columns of the largest total degree of an entry (0 for
-    a zero column).  A leading minor on the columns S is a sum of products
-    of one entry per column, so its degree is at most the sum of its
-    columns' degrees, and its quotient by a Vandermonde has a smaller
-    degree still.  Each product rows[k][S_t] Q_(S - S_t) that a per-level
-    dividend of _quotient_packed sums therefore has total degree at most
-    the sum over the columns S, which is at most D: no monomial of any
-    dividend has total degree, hence any exponent, above D.  A synthetic
-    division step by (u - v) is a sum of the dividend's u^m-slices times
-    v^(m-k), whose total degree is at most the dividend's, and every
-    quotient has a smaller total degree than its dividend; so D also
-    bounds every key of every division step.  The tableau sum
-    (grothendieck._tableau_sum) packs its fillings' weights over (b, x_1,
-    ..., x_n) with D = |shape| n, the bound on its letter count in b.
+    2^w > D (_field_width).  For a determinant, D is the sum over columns
+    of the largest total degree of an entry (0 for a zero column).  A
+    minor on the columns S is a sum of products of one entry per column,
+    so each product rows[k][S_t] M_(S - S_t) that _determinant_packed sums
+    has total degree at most the sum over the columns S, which is at most
+    D: no monomial of any minor has total degree, hence any exponent,
+    above D.
+
+    For an alternant quotient, D is the sum over the row of the total
+    degree of each entry f_j (0 for a zero entry).  Moving f_j's names[0]
+    field to names[j] keeps every total degree.  By induction on k, Q_k
+    has total degree at most deg f_1 + ... + deg f_k minus the k(k-1)/2
+    divided differences that made it (at k = 1 it is f_1), so each term
+    of Q_k f_(k+1) has total degree at most deg f_1 + ... + deg f_(k+1),
+    which is at most D.  A divided difference maps a term u^a v^d m to
+    terms u^(a-1-t) v^(d+t) m (or the same with a and d swapped) of total
+    degree one less, with each exponent at most max(a, d) - 1, so every
+    key of every step of the chain has total degree at most D, hence no
+    exponent above D; the symmetry guard only permutes exponents.  A
+    synthetic division step by (u - v) is a sum of the dividend's
+    u^m-slices times v^(m-k), whose total degree is at most the
+    dividend's, and every quotient has a smaller total degree than its
+    dividend; so the dividend's degree bounds every key of every division
+    step.  The tableau sum (grothendieck._tableau_sum) packs its fillings'
+    weights over (b, x_1, ..., x_n) with D = |shape| n, the bound on its
+    letter count in b.
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -370,8 +383,11 @@ class _Packing:
         """The key of the monomial v."""
         return 1 << self.shift[v]
 
-    def pack(self, poly: Poly) -> dict:
-        shifts = [self.shift[v] for v in poly.vars]
+    def pack(self, poly: Poly, moved=None) -> dict:
+        """poly's terms as {key: coeff}; a variable v in `moved` is packed
+        into the field of moved[v]."""
+        moved = moved or {}
+        shifts = [self.shift[moved.get(v, v)] for v in poly.vars]
         return {sum(e << s for e, s in zip(exps, shifts)): coeff
                 for exps, coeff in poly.terms.items()}
 
@@ -383,9 +399,7 @@ class _Packing:
 
     def split(self, terms: dict, u) -> dict:
         """The terms grouped by their power of u, {k: {key with u's
-        exponent zeroed: coeff}}; with u None, all in group 0."""
-        if u is None:
-            return {0: terms} if terms else {}
+        exponent zeroed: coeff}}."""
         shift, mask = self.shift[u], self.mask
         groups = {}
         for key, coeff in terms.items():
@@ -395,7 +409,7 @@ class _Packing:
 
     def join(self, groups: dict, u) -> dict:
         """The terms that split grouped, less any zero coefficient."""
-        shift = self.shift.get(u, 0)
+        shift = self.shift[u]
         return {e + (k << shift): c for k, group in groups.items() for e, c in group.items() if c}
 
 
@@ -421,94 +435,152 @@ def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
     return groups
 
 
-def _quotient_packed(packing: _Packing, rows, names) -> dict:
-    """det(rows) / prod_(i<j) (names[i] - names[j]) on packed entries, row
-    i being at names[i]; with no names, det(rows).
+def _add_product(total: dict, left: dict, right: dict, sign: int = 1) -> dict:
+    """Add sign * left * right, on packed keys, into total (zero
+    coefficients are left in place); returns total."""
+    right = right.items()
+    for e1, c1 in left.items():
+        c1 *= sign
+        for e2, c2 in right:
+            e = e1 + e2
+            total[e] = total.get(e, 0) + c1 * c2
+    return total
 
-    Laplace expansion along the rows, top down.  Layer k holds, for each
-    set S of k + 1 columns, Q_S: the minor on rows 0..k and the columns S
-    divided by the Vandermonde in names[0..k].  Expanding that minor along
-    its last row gives
 
-        Q_S = sum_t (-1)^(k+t) rows[k][S_t] Q_(S - S_t) / prod_(i<k) (names[i] - names[k]),
+def _determinant_packed(rows) -> dict:
+    """det(rows) on packed entries, by Laplace expansion along the rows,
+    top down.  Layer k holds, for each set S of k + 1 columns, the minor on
+    rows 0..k and the columns S, which expanding along its last row gives as
 
-    and each Q_S is divided, its remainder checked, as soon as it is summed.
-    Only row k's entries hold names[k], so the sum is built already grouped
-    by its power of names[k], as the division wants it (were names[k] in
-    another row, the groups would keep its powers as coefficients, and
-    each division's identity would still hold once they are joined).
-    _divide_packed divides by prod_(i<k) (names[k] - names[i]), which is
-    (-1)^k times the product above, so with names the term's sign is
-    (-1)^t.  By induction on k, a result that every division let through
-    satisfies Q V = det exactly.  Zero entries and zero quotients are
-    skipped.
+        M_S = sum_t (-1)^(k+t) rows[k][S_t] M_(S - S_t).
+
+    Zero entries and zero minors are skipped.
     """
     n = len(rows)
     layer = {(): {0: 1}}
     for k, row in enumerate(rows):
-        # the name row k is at; row 0 has nothing to divide by
-        u = names[k] if k and names else None
-        # the cofactor's (-1)^k, unless the division takes it out
-        level = -1 if k % 2 and not names else 1
-        row = [packing.split(entry, u) for entry in row]
-        quotients = {}
+        minors = {}
         for cols in combinations(range(n), k + 1):
-            groups = {}
+            total = {}
             for t, col in enumerate(cols):
-                entry = row[col]
-                minor = layer[cols[:t] + cols[t + 1:]]
+                entry, minor = row[col], layer[cols[:t] + cols[t + 1:]]
                 if entry and minor:
-                    sign = -level if t % 2 else level
-                    minor = minor.items()
-                    for power, part in entry.items():
-                        total = groups.setdefault(power, {})
-                        for e1, c1 in part.items():
-                            c1 *= sign
-                            for e2, c2 in minor:
-                                e = e1 + e2
-                                total[e] = total.get(e, 0) + c1 * c2
-            if u is not None:
-                groups = _divide_packed(packing, groups, u, names[:k])
-            quotients[cols] = packing.join(groups, u)
-        layer = quotients
+                    sign = -1 if (k + t) % 2 else 1
+                    _add_product(total, entry, minor, sign)
+            minors[cols] = {e: c for e, c in total.items() if c}
+        layer = minors
     return layer[tuple(range(n))]
 
 
-def alternant_quotient(matrix, names) -> Poly:
-    """det(matrix) / prod_{i<j} (names[i] - names[j]), exactly, for a
-    matrix whose row i holds the column functions at names[i]: entry (i, j)
-    is f_j(names[i]) for polynomials f_j in one name and in variables that
-    are not names.
-
-    One pass: the entries are packed once (see _Packing), expanded row by
-    row and divided at every row (_quotient_packed), and unpacked once; the
-    full determinant is never built.  A matrix whose determinant the
-    Vandermonde does not divide (one that is not alternating) raises
-    ValueError at a nonzero remainder, and so can rows that are not at
-    their names; whatever is returned, times the Vandermonde, is the
-    determinant exactly.  There must be one name per row, or none (the
-    determinant).  The result is over the entries' variables, and the
-    names when there are two or more.
+def _divided_difference(terms: dict, su: int, sv: int, mask: int) -> dict:
+    """The divided difference (f - f|u<->v) / (u - v) of the packed terms
+    f, for the variables u and v at the shifts su and sv.  A term
+    c u^a v^d m goes to c times the sum of u^(a-1-t) v^(d+t) m over
+    0 <= t < a - d when a > d, to nothing when a = d, and, when d > a, to
+    -c times the same sum for u^d v^a m; so the result is a polynomial by
+    construction and nothing is divided.
     """
-    rows = [[Poly._coerce(entry) for entry in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
+    one_u = 1 << su
+    step = (1 << sv) - one_u  # times v / u
+    out = {}
+    for key, coeff in terms.items():
+        gap = ((key >> su) & mask) - ((key >> sv) & mask)
+        if not gap:
+            continue
+        if gap < 0:
+            # u^a v^d with d > a: the swapped term u^d v^a, negated
+            key += gap * step
+            gap, coeff = -gap, -coeff
+        key -= one_u
+        for _ in range(gap):
+            out[key] = out.get(key, 0) + coeff
+            key += step
+    return {e: c for e, c in out.items() if c}
+
+
+def _alternant_chain(packing: _Packing, columns, names) -> dict:
+    """det[f_j(x_i)] / prod_(i<j) (x_i - x_j) on packed terms, for
+    x_i = names[i-1] and columns[j-1] holding f_j at x_j.
+
+    That quotient is the operator d_w0 of the longest permutation applied
+    to f_1(x_1) ... f_n(x_n), d_i being the divided difference in x_i and
+    x_(i+1) (Lascoux-Schutzenberger).  d_w0 factors as
+    (d_1 ... d_(n-1)) ... (d_1 d_2) d_1, and f_(k+1)(x_(k+1)) is symmetric
+    in x_1..x_k, so it passes through the levels to its right; Horner's
+    rule gives
+
+        Q_1 = f_1(x_1),
+        Q_(k+1) = d_1 d_2 ... d_k [Q_k f_(k+1)(x_(k+1))]   (d_k applied first),
+
+    where Q_k is the leading k x k alternant quotient.
+    """
+    shift = packing.shift
+    chain = {0: 1}
+    for k, column in enumerate(columns):
+        chain = _add_product({}, chain, column)
+        for i in range(k, 0, -1):
+            chain = _divided_difference(chain, shift[names[i - 1]], shift[names[i]], packing.mask)
+    return chain
+
+
+def _check_symmetric(packing: _Packing, terms: dict, names):
+    """Raise ArithmeticError unless the packed terms are unchanged by each
+    swap of two adjacent names, hence symmetric in the names."""
+    mask = packing.mask
+    for u, v in zip(names, names[1:]):
+        su, sv = packing.shift[u], packing.shift[v]
+        step = (1 << sv) - (1 << su)
+        # each key with u's and v's exponents swapped
+        swapped = {key + (((key >> su) & mask) - ((key >> sv) & mask)) * step: coeff
+                   for key, coeff in terms.items()}
+        if swapped != terms:
+            raise ArithmeticError(f"the alternant quotient is not symmetric in {u} and {v}")
+
+
+def alternant_quotient(row, names) -> Poly:
+    """det[f_j(names[i])]_(i,j<n) / prod_(i<j) (names[i] - names[j]),
+    exactly, from the alternant's first row: row[j] is f_j(names[0]), a
+    polynomial in names[0] and in variables that are not names.
+
+    Each f_j is packed once (see _Packing), with its names[0] field moved
+    to names[j], and the divided-difference chain (_alternant_chain) gives
+    the quotient with no division, so there is no remainder to check; the
+    terms are unpacked once.  Two guards stand in for that check: an entry
+    that holds another row's name raises ValueError, and a result that is
+    not symmetric in the names (every alternant over the Vandermonde is)
+    raises ArithmeticError.  There must be one name per entry.  The result
+    is over the entries' variables, and the names when there are two or
+    more.
+    """
+    row = [Poly._coerce(entry) for entry in row]
     names = tuple(names)
-    if names and len(names) != n:
-        raise ValueError(f"need one name per row, got {len(names)} names for {n} rows")
+    if len(names) != len(row):
+        raise ValueError(f"need one name per entry, got {len(names)} names for {len(row)} entries")
     if len(set(names)) != len(names):
         raise ValueError(f"the names must be distinct: {names}")
-    used = {v for row in rows for entry in row for v in entry.vars}
+    used = {v for entry in row for v in entry.vars}
+    if used.intersection(names[1:]):
+        held = sorted(used.intersection(names[1:]), key=_var_key)
+        raise ValueError(f"the row is at {names[0]}, but its entries hold {', '.join(held)}")
     if len(names) > 1:
         used.update(names)
-    degree = sum(max(0, *(entry.degree() for entry in column)) for column in zip(*rows))
-    packing = _Packing(tuple(sorted(used, key=_var_key)), degree)
-    return packing.unpack(_quotient_packed(
-        packing, [[packing.pack(entry) for entry in row] for row in rows], names))
+    packing = _Packing(tuple(sorted(used, key=_var_key)),
+                       sum(max(entry.degree(), 0) for entry in row))
+    columns = [packing.pack(entry, {names[0]: name}) for entry, name in zip(row, names)]
+    quotient = _alternant_chain(packing, columns, names)
+    _check_symmetric(packing, quotient, names)
+    return packing.unpack(quotient)
 
 
 def determinant(matrix) -> Poly:
     """Determinant of a square matrix of polynomials (or scalars): the
-    alternant quotient with no names to divide by."""
-    return alternant_quotient(matrix, ())
+    entries are packed once (see _Packing), expanded along the rows
+    (_determinant_packed) and unpacked once."""
+    rows = [[Poly._coerce(entry) for entry in row] for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    used = {v for row in rows for entry in row for v in entry.vars}
+    degree = sum(max(0, *(entry.degree() for entry in column)) for column in zip(*rows))
+    packing = _Packing(tuple(sorted(used, key=_var_key)), degree)
+    return packing.unpack(_determinant_packed(
+        [[packing.pack(entry) for entry in row] for row in rows]))

@@ -95,14 +95,25 @@ except ValueError:
     raise SystemExit(0)
 raise SystemExit('an inexact divide_by_difference did not raise under python -O')
 """,
-    "inexact alternant_quotient": """
+    "alternant row at another name": """
 from grothtab.polynomials import Poly, alternant_quotient
 x1, x2 = Poly.variable('x1'), Poly.variable('x2')
 try:
-    alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 2]], ('x1', 'x2'))
+    alternant_quotient([x1 ** 2, x2], ('x1', 'x2'))
 except ValueError:
     raise SystemExit(0)
-raise SystemExit('an inexact alternant_quotient did not raise under python -O')
+raise SystemExit('an alternant row holding another name did not raise under python -O')
+""",
+    "asymmetric alternant quotient": """
+from grothtab import polynomials
+from grothtab.polynomials import Poly, alternant_quotient
+polynomials._divided_difference = lambda terms, *fields: terms
+x1 = Poly.variable('x1')
+try:
+    alternant_quotient([x1 ** 2, 1], ('x1', 'x2'))
+except ArithmeticError:
+    raise SystemExit(0)
+raise SystemExit('a quotient that is not symmetric did not raise under python -O')
 """,
     "negative exponent": """
 from grothtab.polynomials import Poly

@@ -190,6 +190,44 @@ def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch)
             build()
 
 
+def test_the_symbolic_bi_alternant_builds_one_row(monkeypatch):
+    # alternant_quotient moves the first row to each x_i; an n x n symbolic
+    # matrix costs more than the chain itself on the verify grids
+    integral_rows = grothendieck._integral_rows
+    asked = []
+
+    def count_points(lam, factors, points):
+        asked.append(len(points))
+        return integral_rows(lam, factors, points)
+
+    monkeypatch.setattr(grothendieck, "_integral_rows", count_points)
+    assert grothendieck_bialternant((2, 1), 4) == grothendieck_tableau_sum((2, 1), 4)
+    assert refined_bialternant((1,), 3, ["b1", Fraction(1, 2)]) == \
+        _fraction_row_bialternant((1,), 3, ["b1", Fraction(1, 2)])
+    assert asked == [1, 1]
+
+
+def test_every_route_is_one_in_no_variables():
+    # n = 0 takes no betas (max(n - 1, 0), the one count for every refined
+    # route) and no point coordinates; the empty shape gives the empty
+    # product 1 on every route, and a shape with a row gives 0
+    assert grothendieck_tableau_sum((), 0) == 1
+    assert count_svt_formula((), 0) == 1
+    assert grothendieck_bialternant((), 0) == 1
+    assert refined_bialternant((), 0, []) == 1
+    assert refined_bialternant_at((), 0, [], []) == 1
+    assert principal_specialization_q((), 0, [], 2) == 1
+    assert ones_value_by_series((), 0, 1) == 1
+    assert grothendieck_bialternant((1,), 0) == 0
+    assert refined_bialternant_at((1,), 0, [], []) == 0
+    assert principal_specialization_q((1,), 0, [], 2) == 0
+    assert ones_value_by_series((1,), 0, 1) == 0
+    with pytest.raises(ValueError, match="need exactly 0 beta values, got 1"):
+        refined_bialternant((), 0, [1])
+    with pytest.raises(ValueError, match="need exactly 0 beta values, got 1"):
+        principal_specialization_q((), 0, [1], 2)
+
+
 def test_value_at_a_point_equals_the_substituted_polynomial():
     # pins the symbolic route of eval-groth --refined, which verify no
     # longer evaluates at distinct betas

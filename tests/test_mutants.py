@@ -1,18 +1,20 @@
 """Seeded bugs in the kernels that verify must catch.
 
 One bug sits in the field width of the packed monomials, which the
-bi-alternant kernel and the tableau sum share, two in the bi-alternant
-kernel (one in its per-row division), three in the packed tableau-sum
-fill (the per-letter units, the entries' weights and the key the
-backtracker carries), one in the integral bi-alternant's column scale,
-which both refined routes take from _integral_rows, one in the refined
-quotient at a point, one in the backtracker's column cap, two (the cross
-factor's sign and the e_k window) in _shifted_exponent_sum, the one
-expansion behind both the principal specialization and the binomial-shift
-count formula, and one in each of the coupling triangle, the content/hook
-count, the column Gauss binomial, the 2F1's m! (its denominator parameter
-1), the Pochhammer term of holman_series, the one evaluator of the 2F1 and
-the coupled series, the pruning step of the n!-term kernel coupled_sum,
+bi-alternant kernel and the tableau sum share, one in the sign of the
+Laplace determinant's cofactors, two in the bi-alternant's
+divided-difference chain (the sign of a swapped term, and a Horner level
+that skips d_1), three in the packed tableau-sum fill (the per-letter
+units, the entries' weights and the key the backtracker carries), one in
+the integral bi-alternant's column scale, which both refined routes take
+from _integral_rows, one in the refined quotient at a point, one in the
+backtracker's column cap, two (the cross factor's sign and the e_k
+window) in _shifted_exponent_sum, the one expansion behind both the
+principal specialization and the binomial-shift count formula, and one
+in each of the coupling triangle, the content/hook count, the column
+Gauss binomial, the 2F1's m! (its denominator parameter 1), the
+Pochhammer term of holman_series, the one evaluator of the 2F1 and the
+coupled series, the pruning step of the n!-term kernel coupled_sum,
 Poly.substitute and the pairwise-difference count.  Each mutant is put
 in place in this process with monkeypatch (the kernel in each module
 that calls it), so nothing on disk changes, and run_all(Grid(4, 4),
@@ -65,11 +67,13 @@ def _pairwise(old: str, new: str):
 
 
 MUTANTS = {
-    "minor sign flipped": lambda: (polynomials, "_quotient_packed", _edited(
-        polynomials._quotient_packed, "sign = -level if t % 2 else level",
-        "sign = level if t % 2 else -level")),
-    "level sign kept through the division": lambda: (polynomials, "_quotient_packed", _edited(
-        polynomials._quotient_packed, "-1 if k % 2 and not names else 1", "-1 if k % 2 else 1")),
+    "minor sign flipped": lambda: (polynomials, "_determinant_packed", _edited(
+        polynomials._determinant_packed, "sign = -1 if (k + t) % 2 else 1",
+        "sign = 1 if (k + t) % 2 else -1")),
+    "swapped term keeps its sign": lambda: (polynomials, "_divided_difference", _edited(
+        polynomials._divided_difference, "gap, coeff = -gap, -coeff", "gap, coeff = -gap, coeff")),
+    "Horner level skips d_1": lambda: (polynomials, "_alternant_chain", _edited(
+        polynomials._alternant_chain, "range(k, 0, -1)", "range(k, 1, -1)")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
     # grothendieck holds its own binding of enumerate_svt
     "cell weighed by its largest letter only": lambda: (grothendieck, "enumerate_svt", _edited(
@@ -118,13 +122,15 @@ MUTANTS = {
 }
 
 CAUGHT_BY = {
-    "minor sign flipped": {"gg-eq-w", "thm-3.5"},
+    # only thm-3.5 takes a determinant; gg-eq-w's bi-alternant is the chain
+    "minor sign flipped": {"thm-3.5"},
     # the bi-alternant and the tableau sum share the packing; thm-3.5 takes
     # its determinant on ints, where every exponent is 0
     "field width forced to 2 bits": {"gg-eq-w", "prop-AA", "thm-3.9"},
-    # a sign (-1)^(n(n-1)/2) on the quotient; thm-3.5's determinant has no
-    # names, so no division
-    "level sign kept through the division": {"gg-eq-w"},
+    # the chain's result is wrong, or not symmetric in the x's, which the
+    # kernel's guard refuses with ArithmeticError; only gg-eq-w runs it
+    "swapped term keeps its sign": {"gg-eq-w"},
+    "Horner level skips d_1": {"gg-eq-w"},
     # the letter count, hence the excess, stays right; only the x-weight is wrong
     "cell weighed by its largest letter only": {"gg-eq-w"},
     # every filling is still counted once, so the counts hold; the

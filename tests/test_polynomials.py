@@ -4,9 +4,10 @@ from itertools import permutations
 from math import lcm
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grothtab import polynomials
 from grothtab.polynomials import Poly, alternant_quotient, determinant
 
 from poly_reference import coefficient, evaluate
@@ -393,51 +394,79 @@ def alternants(draw, size=st.integers(1, 4)):
     return matrix, names
 
 
+# D, the sum of the entries' total degrees, at 2^6 - 1 and 2^6: b^D and
+# x1^D fill a 6-bit field, b^64 needs a 7th bit
+@example(([[b ** 31, b ** 32 + x1], [b ** 31, b ** 32 + x2]], ("x1", "x2")))
+@example(([[b ** 32, b ** 32 + x1], [b ** 32, b ** 32 + x2]], ("x1", "x2")))
+@example(([[x1 ** 63, 1], [x2 ** 63, 1]], ("x1", "x2")))
+@example(([[x2 ** 40, x2 * b ** 23, 1], [x1 ** 40, x1 * b ** 23, 1], [x3 ** 40, x3 * b ** 23, 1]],
+          ("x2", "x1", "x3")))
 @settings(deadline=None)
 @given(alternants())
 def test_alternant_quotient_times_the_vandermonde_is_the_determinant(case):
+    # the kernel sees only the first row; the Laplace determinant of the
+    # whole matrix is the reference
     matrix, names = case
-    quotient = alternant_quotient(matrix, names)
+    quotient = alternant_quotient(matrix[0], names)
     assert quotient * vandermonde(names) == determinant(matrix)
     assert all(type(c) is int for c in quotient.terms.values())
 
 
 @settings(deadline=None)
-@given(alternants(size=st.integers(2, 4)), st.sampled_from([-2, -1, 1, 3]))
-def test_alternant_quotient_of_a_non_alternating_matrix_raises(case, bump):
-    # det + bump * M, M the (0, 0) minor: M has no names[0] (the first row
-    # is at names[0]), so if M != 0 the sum is not divisible by
-    # (names[0] - names[1])
+@given(alternants(size=st.integers(2, 4)), st.data())
+def test_alternant_quotient_of_a_non_alternating_matrix_raises(case, data):
+    # an entry of the first row that holds another row's name: the rows
+    # made from it would not alternate in the names, so it is refused
+    # before any work
     matrix, names = case
-    assume(determinant([row[1:] for row in matrix[1:]]) != 0)
-    matrix[0][0] = matrix[0][0] + bump
-    with pytest.raises(ValueError, match=r"inexact division by \("):
-        alternant_quotient(matrix, names)
+    row = matrix[0]
+    col = data.draw(st.integers(0, len(row) - 1))
+    other = data.draw(st.sampled_from(names[1:]))
+    row[col] = row[col] + data.draw(st.sampled_from([-2, -1, 1, 3])) * Poly.variable(other)
+    with pytest.raises(ValueError, match=f"the row is at {names[0]}, but its entries hold {other}"):
+        alternant_quotient(row, names)
 
 
 def test_alternant_quotient_small_cases():
-    assert alternant_quotient([[x1 ** 2, 1], [x2 ** 2, 1]], ("x1", "x2")) == x1 + x2
-    assert alternant_quotient([[x2 ** 2, 1], [x1 ** 2, 1]], ("x2", "x1")) == x1 + x2
-    assert alternant_quotient([[x2 ** 2, x2], [x1 ** 2, x1]], ("x2", "x1")) == x1 * x2
-    assert alternant_quotient([[2 * x1]], ("x1",)) == 2 * x1
-    # a single name divides by nothing and adds no variable
-    assert alternant_quotient([[3]], ("x1",)).vars == ()
+    assert alternant_quotient([x1 ** 2, 1], ("x1", "x2")) == x1 + x2
+    assert alternant_quotient([x2 ** 2, 1], ("x2", "x1")) == x1 + x2
+    assert alternant_quotient([x2 ** 2, x2], ("x2", "x1")) == x1 * x2
+    assert alternant_quotient([x1 ** 4, x1 ** 2, 1], ("x1", "x2", "x3")) == (
+        (x1 + x2) * (x1 + x3) * (x2 + x3))
+    # constant columns alternate to 0 from two names on
+    assert alternant_quotient([1, 2], ("x1", "x2")) == 0
+    assert alternant_quotient([2 * x1], ("x1",)) == 2 * x1
+    # a single name has nothing to move or divide, and adds no variable
+    assert alternant_quotient([3], ("x1",)).vars == ()
     assert alternant_quotient([], ()) == 1
     with pytest.raises(ValueError, match="distinct"):
-        alternant_quotient([[x1, 1], [x2, 1]], ("x1", "x1"))
-    with pytest.raises(ValueError, match="square"):
-        alternant_quotient([[x1, 1]], ("x1", "x2"))
-    with pytest.raises(ValueError, match="one name per row"):
-        alternant_quotient([[x1, 1], [x2, 1]], ("x1", "x2", "x3"))
+        alternant_quotient([x1, 1], ("x1", "x1"))
+    with pytest.raises(ValueError, match="need one name per entry, got 2 names for 1 entries"):
+        alternant_quotient([x1], ("x1", "x2"))
+    with pytest.raises(ValueError, match="need one name per entry, got 3 names for 2 entries"):
+        alternant_quotient([x1, 1], ("x1", "x2", "x3"))
 
 
 def test_alternant_quotient_of_rows_not_at_their_names_raises():
-    # the rows are at x1, x2, x3 but the names say x3, x1, x2: the first
-    # two rows' minor x1 x2 (x1 - x2) is not divisible by (x1 - x3)
-    matrix = [[x ** 2, x, 1] for x in (x1, x2, x3)]
-    assert alternant_quotient(matrix, ("x1", "x2", "x3")) == 1
-    with pytest.raises(ValueError, match=r"inexact division by \("):
-        alternant_quotient(matrix, ("x3", "x1", "x2"))
+    # the row is at x1, but the names put the first row at x3: its
+    # entries hold x1, the second row's name
+    row = [x1 ** 2, x1, 1]
+    assert alternant_quotient(row, ("x1", "x2", "x3")) == 1
+    with pytest.raises(ValueError, match="the row is at x3, but its entries hold x1"):
+        alternant_quotient(row, ("x3", "x1", "x2"))
+    with pytest.raises(ValueError, match="its entries hold x2, x3"):
+        alternant_quotient([x1 * x3, x2, 1], ("x1", "x2", "x3"))
+
+
+def test_a_chain_without_its_divided_differences_is_refused(monkeypatch):
+    # with each divided difference a no-op the chain returns
+    # f_1(x1) f_2(x2), which is not symmetric; the guard raises a real error
+    monkeypatch.setattr(polynomials, "_divided_difference", lambda terms, *fields: terms)
+    with pytest.raises(ArithmeticError, match="not symmetric in x1 and x2"):
+        alternant_quotient([x1 ** 2, 1], ("x1", "x2"))
+    # x1 x2 is symmetric in x1 and x2, and the guard goes on to the next pair
+    with pytest.raises(ArithmeticError, match="not symmetric in x2 and x3"):
+        alternant_quotient([x1, x1, 1], ("x1", "x2", "x3"))
 
 
 def test_json_round_trip_and_canonical_order():
