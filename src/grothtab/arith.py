@@ -11,10 +11,12 @@ the lcm of its Fraction denominators, so that a loop multiplies integer
 numerators and divides once.  coupled_sum, the one depth-first kernel of
 the n!-term sums (the coupled series, and the shifted-exponent expansion
 that the principal specialization and the count formula share), and
-Poly.substitute both follow it.  Every such sum is refused above
-MAX_SERIES_TERMS terms (so is a determinant with more minors).  All
-functions here are pure; values are immutable and safe to share between
-threads.
+Poly.substitute both follow it.  coupled_sum returns its sum graded by
+total index, as integer (or Poly) parts over one denominator, so a series
+whose indices share one argument z is summed once as a polynomial in z.
+Every such sum is refused above MAX_SERIES_TERMS terms (so is a
+determinant with more minors).  All functions here are pure; values are
+immutable and safe to share between threads.
 """
 
 from fractions import Fraction
@@ -92,32 +94,37 @@ def over_common_denominator(values) -> tuple[list, int]:
             for v in values], d
 
 
-def coupled_sum(weights, cross):
+def coupled_sum(weights, cross) -> tuple[list, int]:
     """The sum over k in range(len(w_1)) x ... x range(len(w_n)) of
 
         prod_i w_i[k_i] * prod_{i<j} cross(i, j, k_i, k_j)
 
-    for the weight tables w_1 .. w_n (i and j 0-based).  Weights and cross
-    factors may be ints, Fractions or Polys.  Each table is put over the lcm
-    of its Fraction denominators (over_common_denominator), so the loop
-    multiplies integer weights (or Polys, for symbolic ones) and the sum is
-    divided once at the end; it stays an int while every cross factor is an
-    int and every weight an int or a Fraction with denominator 1.  The
-    caller's tables are not changed.  More than MAX_SERIES_TERMS terms (the
-    product of the table lengths) are refused with ValueError before any
-    work.
+    for the weight tables w_1 .. w_n (i and j 0-based), split by total
+    index: (parts, d), where parts[s] is d times the sum of the terms with
+    k_1 + ... + k_n = s, for s = 0 .. sum_i (len(w_i) - 1), so the sum is
+    sum(parts) / d; with n = 0 it is ([1], 1), the empty product, and an
+    empty table, which leaves no term, gives no part.  A caller whose
+    tables carry z^k (a series whose indices share one argument z) has its
+    sum as a polynomial in z.  Weights and cross factors may be ints,
+    Fractions or Polys.  Each table is put over the lcm of its Fraction
+    denominators (over_common_denominator), and d is the product of those
+    lcms, so the loop multiplies integer weights (or Polys, for symbolic
+    ones); the parts are ints while every cross factor is an int and every
+    weight an int or a Fraction.  The caller's tables are not changed.
+    More than MAX_SERIES_TERMS terms (the product of the table lengths)
+    are refused with ValueError before any work.
 
     Each table keeps only its nonzero entries, with their indices, and
     cross is called once per pair of kept indices, into one table per pair
     (i, j): an index whose weight is zero is skipped without calling cross.
     The sum then runs depth-first over the kept entries, carrying the
-    product of the entries chosen so far.  For each later index m it also
-    carries row m: the weights of table m times their cross factors with
-    the indices already chosen.  Choosing entry t at depth j multiplies the
-    prefix by row j's entry t and each later row m by the cross factors
-    (j, m) at t, and a choice whose factor is zero drops the prefix with
-    every term below it.  The last row is summed, so a last index costs one
-    multiplication per entry.
+    product of the entries chosen so far and the sum of their indices.
+    For each later index m it also carries row m: the weights of table m
+    times their cross factors with the indices already chosen.  Choosing
+    entry t at depth j multiplies the prefix by row j's entry t and each
+    later row m by the cross factors (j, m) at t, and a choice whose factor
+    is zero drops the prefix with every term below it.  A last index costs
+    one multiplication per entry, added to the part of its total index.
     """
     _check_size(prod(len(w) for w in weights))
     kept, denom = [], 1
@@ -125,24 +132,29 @@ def coupled_sum(weights, cross):
         table, d = over_common_denominator(table)
         kept.append([(k, w) for k, w in enumerate(table) if w])
         denom *= d
+    # one part per total index 0 .. sum_i (len(w_i) - 1); none without a term
+    parts = [0] * (1 + sum(len(w) - 1 for w in weights)) if all(map(len, weights)) else []
     if not all(kept):
-        return 0
+        return parts, denom
     n = len(kept)
+    if not n:
+        return [1], 1
     # below[j][m - j - 1][s][t]: cross(j, m, .., ..) at kept entry s of table
     # j and kept entry t of table m
     below = [[[[cross(j, m, ks, kt) for kt, _ in kept[m]] for ks, _ in kept[j]]
               for m in range(j + 1, n)] for j in range(n)]
+    last = [k for k, _ in kept[-1]]
 
-    def walk(j, prefix, rows):
+    def walk(j, grade, prefix, rows):
         if len(rows) == 1:
-            return prefix * sum(rows[0])
-        total = 0
+            for k, factor in zip(last, rows[0]):
+                parts[grade + k] += prefix * factor
+            return
         for t, factor in enumerate(rows[0]):
             if factor:
-                total += walk(j + 1, prefix * factor,
-                              [[a * c for a, c in zip(row, pair[t])]
-                               for row, pair in zip(rows[1:], below[j])])
-        return total
+                walk(j + 1, grade + kept[j][t][0], prefix * factor,
+                     [[a * c for a, c in zip(row, pair[t])]
+                      for row, pair in zip(rows[1:], below[j])])
 
-    total = walk(0, 1, [[w for _, w in table] for table in kept]) if n else 1
-    return total if denom == 1 else total * Fraction(1, denom)
+    walk(0, 0, 1, [[w for _, w in table] for table in kept])
+    return parts, denom

@@ -16,11 +16,11 @@ Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion (_shifted_exponent_sum) is one
 arith.coupled_sum over the tables e_k(beta_1..beta_j) of exact numbers or
 Polys, which the kernel puts over one denominator, with integer cross
-factors that are differences in a table of powers q^e, divided once by the
-q-Vandermonde of the same table.  The binomial-shift count formula is that
-sum at every beta = 1 in the limit q -> 1, where the table of powers is the
-exponents themselves, so no check has the count formula and the expansion as
-its two sides.
+factors that are differences in a table of powers q^e; its graded parts
+are added and divided once by the q-Vandermonde of the same table.  The
+binomial-shift count formula is that sum at every beta = 1 in the limit
+q -> 1, where the table of powers is the exponents themselves, so no check
+has the count formula and the expansion as its two sides.
 A beta is an int, a Fraction or a variable name: a string beta names a
 variable, so '1/2' is refused as a bad name (refined_bialternant_at alone,
 which takes no names, parses a 'p/q' string beta).  q and a point value are
@@ -230,9 +230,9 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
     if denom == 0:
         raise ValueError(vanishing)
-    total = coupled_sum(list(_elementary_tables(betas)),
-                        lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
-    return total * Fraction(1, denom)
+    parts, d = coupled_sum(list(_elementary_tables(betas)),
+                           lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
+    return sum(parts) * Fraction(1, d * denom)
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):

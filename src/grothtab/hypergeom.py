@@ -2,22 +2,27 @@
 
 The coupled multi-index series with cross factors (A_ij + k_i - k_j) / A_ij,
 the Gauss series 2F1, which is that series with one index and no cross
-factor, and the classical summation conditions.  holman_series is the one
-evaluator: each summation index ends at its first vanishing numerator
-Pochhammer (_cutoff); an index with none is refused rather than
-approximated, and so is a series of more than arith.MAX_SERIES_TERMS terms.
-The coupled series is arith.coupled_sum over its Pochhammer weight tables,
-with integer cross factors, divided once by prod A_ij.  ones_value_by_series
-is the one home of the series side of Thm 3.9 and Cor 3.11, |SST_n| times
-the shape's series at z = -beta, for verify and the CLI alike.  Parameters
-are ints, Fractions or 'p/q' strings; a float is refused, since it is not
-the rational it was written as.
+factor, and the classical summation conditions.  _series_parts is the one
+evaluator, and holman_series adds its parts: each summation index ends at
+its first vanishing numerator Pochhammer (_cutoff); an index with none is
+refused rather than approximated, and so is a series of more than
+arith.MAX_SERIES_TERMS terms.  The coupled series is arith.coupled_sum
+over its Pochhammer weight tables, with integer cross factors, divided
+once by prod A_ij; the kernel grades its sum by total index, so the parts
+are the series as a polynomial in z when every index has the same
+argument z.  ones_value_by_series is the one home of the series side of Thm
+3.9 and Cor 3.11, |SST_n| times the shape's series at z = -beta, for
+verify and the CLI alike.  It keeps one memo entry per (shape, n): the
+series at z = 1 by degree, its denominator and |SST_n|, so every beta
+reads one n!-term sum.  Parameters are ints, Fractions or 'p/q' strings;
+a float is refused, since it is not the rational it was written as.
 """
 
 import json
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -181,6 +186,15 @@ def holman_series(inst: HolmanInstance) -> Fraction:
             / prod denominator Pochhammers (b_ij)_{k_i}
             * prod z_i^{k_i}
     """
+    parts, d = _series_parts(inst)
+    return Fraction(sum(parts), d)
+
+
+def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
+    """The terms of holman_series(inst) summed by total index k_1 + ... +
+    k_n, as (parts, d) over one denominator d (arith.coupled_sum's
+    convention); when every z_i is z, parts[s] / d is the coefficient of
+    z^s at z = 1."""
     bounds = inst.termination_bounds()
     _check_size(prod(N + 1 for N in bounds))
     coupling = inst.coupling
@@ -196,8 +210,20 @@ def holman_series(inst: HolmanInstance) -> Fraction:
         for k in range(top):
             w.append(w[-1] * prod(a + k for a in nums) * inst.z[i] / prod(b + k for b in dens))
         weights.append(w)
-    total = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
-    return Fraction(total, prod(a for row in coupling for a in row))
+    parts, d = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
+    return parts, d * prod(a for row in coupling for a in row)
+
+
+@lru_cache(maxsize=None)
+def _ones_series(shape: Partition, n: int) -> tuple[tuple, int, int]:
+    """(parts, d, count) for n variables: the series of
+    HolmanInstance.from_shape(shape, n, z) as a polynomial in z, its
+    coefficients parts[s] / d (_series_parts at z = 1), and |SST_n(shape)|.
+    The series comes first, so its n! terms are refused before the count,
+    and a refusal leaves no entry.  In n = 0 variables the series is the
+    empty product 1."""
+    parts, d = _series_parts(HolmanInstance.from_shape(shape, n, 1)) if n else ([1], 1)
+    return tuple(parts), d, count_sst_product(shape, n)
 
 
 def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
@@ -205,13 +231,18 @@ def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
     the coupled series (Thm 3.9): |SST_n(shape)| times the series of
     HolmanInstance.from_shape at z = -beta, and 0 when the shape has more
     rows than n.  At beta = 1 it is the set-valued count (Cor 3.11).  The
-    series comes first, so its n! terms are refused before the count.  In
-    n = 0 variables the series has one term, the empty product 1."""
+    series is summed once per (shape, n) as a polynomial in z (_ones_series)
+    and read here at z = -beta = p/q as sum_s c_s p^s q^(top-s) over
+    d q^top, one int pass and one division."""
     shape = Partition(shape)
     if len(shape) > nvars:
         return Fraction(0)
-    series = holman_series(HolmanInstance.from_shape(shape, nvars, -beta)) if nvars else Fraction(1)
-    return series * count_sst_product(shape, nvars)
+    n = operator.index(nvars)
+    z = Fraction(-exact_rational(beta))
+    parts, d, count = _ones_series(shape, n)
+    p, q, top = z.numerator, z.denominator, len(parts) - 1
+    return Fraction(count * sum(c * p ** s * q ** (top - s) for s, c in enumerate(parts)),
+                    d * q ** top)
 
 
 class SummationConditionReport(NamedTuple):

@@ -17,12 +17,14 @@ the function, file and line of the innermost traceback frame, and the
 sweep goes on.  An empty Grid is rejected.  Set-valued counts are
 coefficient sums of the memoized tableau sum, so a process enumerates each
 (shape, n) once; its values at x = 1 and at x = (beta, .., beta) are taken
-on its diagonal x_1 = ... = x_n = t (Poly.collapse), once per row
-function.  thm-3.9 and cor-3.11 take their series side from
-hypergeom.ones_value_by_series, the function behind `count-svt --method
-holman` too, so verify checks the code the CLI runs.  run_all executes
-the whole registry, in parallel processes when more than one worker is
-available; the GROTH_THREADS environment variable caps the worker count.
+on its diagonal x_1 = ... = x_n = t (Poly.collapse), also memoized, so a
+process collapses each sum once.  thm-3.9 and cor-3.11 take their series
+side from hypergeom.ones_value_by_series, the function behind `count-svt
+--method holman` too, so verify checks the code the CLI runs; it sums
+each (shape, n)'s series once, as a polynomial in z, and reads it at
+every beta.  run_all executes the whole registry, in parallel processes
+when more than one worker is available; the GROTH_THREADS environment
+variable caps the worker count.
 """
 
 import os
@@ -31,6 +33,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from time import perf_counter
 
 from .arith import binomial, exact_count
@@ -268,11 +271,13 @@ def _gauss(shape, n, z):
     return binomial(n, k) * gauss_2f1_terminating(k, k - n, k + 1, z)
 
 
+@lru_cache(maxsize=None)
 def _diagonal(shape, n):
     """The tableau sum at x_1 = ... = x_n = t: a polynomial in (b, t)
     with one term per excess, since a filling with excess e has |shape| + e
     letters.  The values at x = 1 and at x = (beta, .., beta) are taken on
-    it, so a row function passes over the full sum's terms once."""
+    it, memoized per (shape, n), so a process passes over each full sum's
+    terms once."""
     return grothendieck_tableau_sum(shape, n).collapse(_x_names(n), _T)
 
 

@@ -163,14 +163,17 @@ def test_exact_rational_accepts_exact_values_and_refuses_the_rest():
             exact_rational(bad)
 
 
-def _written_out(weights, cross):
+def _written_out(weights, cross, grade=None):
     """The coupled sum by one nested loop per index, then the double loop
-    over the pairs, with no term skipped."""
+    over the pairs, with no term skipped; with a grade, only the terms
+    whose indices add up to it."""
     n = len(weights)
 
     def summed(ks):
         if len(ks) < n:
             return sum((summed(ks + [k]) for k in range(len(weights[len(ks)]))), 0)
+        if grade is not None and sum(ks) != grade:
+            return 0
         term = 1
         for i in range(n):
             term *= weights[i][ks[i]]
@@ -179,6 +182,11 @@ def _written_out(weights, cross):
         return term
 
     return summed([])
+
+
+def _over(part, d):
+    """A graded part divided by the kernel's one denominator."""
+    return part * Fraction(1, d)
 
 
 scalars = st.one_of(st.integers(-6, 6), small_rationals)
@@ -212,42 +220,54 @@ def test_coupled_sum_equals_the_written_out_loop(tables):
         calls.append((i, j, ki, kj))
         return cross[i, j][ki][kj]
 
-    got = coupled_sum(weights, factor)
-    assert got == _written_out(weights, cross)
+    parts, d = coupled_sum(weights, factor)
+    # one part per total index 0 .. sum of the largest indices, each the
+    # written-out loop restricted to that grade; together, the whole sum
+    assert len(parts) == (1 + sum(len(w) - 1 for w in weights) if all(weights) else 0)
+    for grade, part in enumerate(parts):
+        assert _over(part, d) == _written_out(weights, cross, grade)
+    assert _over(sum(parts), d) == _written_out(weights, cross)
     # cross is called once per pair of nonzero-weight indices, and never elsewhere
     assert len(calls) == len(set(calls))
     assert all(weights[i][ki] and weights[j][kj] for i, j, ki, kj in calls)
     if all(type(v) is int for w in weights for v in w) and all(
             type(v) is int for t in cross.values() for row in t for v in row):
-        assert type(got) is int
+        assert d == 1 and all(type(part) is int for part in parts)
 
 
 def test_coupled_sum_edge_cases():
     def no_pairs(*args):
         raise AssertionError(f"cross called with {args}")
 
-    assert coupled_sum([], no_pairs) == 1
-    assert coupled_sum([[2, Fraction(1, 3), -1]], no_pairs) == Fraction(4, 3)
-    assert coupled_sum([[1, 2], []], no_pairs) == 0
+    assert coupled_sum([], no_pairs) == ([1], 1)
+    # one table over its lcm 3: the grades are its entries
+    parts, d = coupled_sum([[2, Fraction(1, 3), -1]], no_pairs)
+    assert (parts, d) == ([6, 1, -3], 3) and _over(sum(parts), d) == Fraction(4, 3)
+    # an empty table leaves no term, so no part
+    assert coupled_sum([[1, 2], []], no_pairs) == ([], 1)
     # a term whose weight product is zero never reaches cross
     seen = []
-    total = coupled_sum([[0, 1], [5, 0]], lambda i, j, ki, kj: seen.append((ki, kj)) or 3)
-    assert total == 15 and seen == [(1, 0)]
+    parts, d = coupled_sum([[0, 1], [5, 0]], lambda i, j, ki, kj: seen.append((ki, kj)) or 3)
+    assert (parts, d) == ([0, 15, 0], 1) and sum(parts) == 15 and seen == [(1, 0)]
 
 
 def test_coupled_sum_turns_whole_fractions_into_ints():
     # a Fraction with denominator 1 is scaled like any other, so the loop
-    # multiplies ints and the sum is an int
+    # multiplies ints and every part is an int
     weights = [[Fraction(1), Fraction(-2)], [Fraction(3), Fraction(0), Fraction(5)]]
-    total = coupled_sum(weights, lambda i, j, ki, kj: ki - kj + 2)
-    assert total == 1 * 3 * 2 + 1 * 5 * 0 + -2 * 3 * 3 + -2 * 5 * 1
-    assert type(total) is int
+    parts, d = coupled_sum(weights, lambda i, j, ki, kj: ki - kj + 2)
+    assert parts == [1 * 3 * 2, -2 * 3 * 3, 1 * 5 * 0, -2 * 5 * 1] and d == 1
+    assert sum(parts) == 1 * 3 * 2 + 1 * 5 * 0 + -2 * 3 * 3 + -2 * 5 * 1
+    assert all(type(part) is int for part in parts)
 
 
 def test_coupled_sum_leaves_the_tables_unchanged():
     weights = [[1, Fraction(1, 2)], [Fraction(2, 3), Fraction(4), 5]]
     before = [list(w) for w in weights]
-    assert coupled_sum(weights, lambda i, j, ki, kj: 1) == Fraction(3, 2) * Fraction(29, 3)
+    parts, d = coupled_sum(weights, lambda i, j, ki, kj: 1)
+    # the tables over 2 and 3: (2, 1) and (2, 12, 15)
+    assert (parts, d) == ([2 * 2, 2 * 12 + 1 * 2, 2 * 15 + 1 * 12, 1 * 15], 6)
+    assert _over(sum(parts), d) == Fraction(3, 2) * Fraction(29, 3)
     assert weights == before
     assert [[type(v) for v in w] for w in weights] == [[type(v) for v in w] for w in before]
 
@@ -258,6 +278,6 @@ def test_coupled_sum_refuses_more_terms_than_the_limit(monkeypatch):
         raise AssertionError(f"cross called with {args}")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
-    assert coupled_sum([[1], [1, 0], [1, 0, 0]], lambda i, j, ki, kj: 2) == 8
+    assert coupled_sum([[1], [1, 0], [1, 0, 0]], lambda i, j, ki, kj: 2) == ([8, 0, 0, 0], 1)
     with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
         coupled_sum([[1], [1, 0], [1, 0, 0], [1, 0, 0, 0]], cross)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from grothtab import arith
+from grothtab import arith, hypergeom
 from grothtab.arith import binomial
 from grothtab.grothendieck import BETA, grothendieck_tableau_sum
 from grothtab.hypergeom import (
@@ -17,6 +17,7 @@ from grothtab.hypergeom import (
     ones_value_by_series,
     shape_coupling,
 )
+from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import count_sst_product
 from grothtab.tableaux import enumerate_svt
 
@@ -159,6 +160,45 @@ def test_ones_value_by_series_counts_and_is_zero_past_n_rows():
     # the count-svt counters all answer 0 for a shape with more rows than n
     assert ones_value_by_series((2, 1), 3, 1) == 27
     assert ones_value_by_series((2, 1), 1, 1) == 0
+
+
+def test_ones_value_by_series_reads_the_series_of_each_beta():
+    # the memoized polynomial in z, read at z = -beta, against the series
+    # summed afresh at that z
+    for shape, n in Grid(5, 5).shapes():
+        sst = count_sst_product(shape, n)
+        for beta in (*DEFAULT_BETAS, 0, Fraction(7, 3), Fraction(-11, 13)):
+            expected = sst * holman_series(HolmanInstance.from_shape(shape, n, -beta))
+            assert ones_value_by_series(shape, n, beta) == expected, (shape, n, beta)
+
+
+def test_ones_value_by_series_sums_each_instance_once(monkeypatch):
+    # the first call sums the series of (3,1,1) in 5 variables; every later
+    # beta reads it without entering the kernel
+    betas = (2, Fraction(-1, 2), 0)
+    expected = [count_sst_product((3, 1, 1), 5) * holman_series(
+        HolmanInstance.from_shape((3, 1, 1), 5, -beta)) for beta in betas]
+    count = ones_value_by_series((3, 1, 1), 5, 1)
+
+    def no_sum(*args):
+        raise AssertionError("the series was summed again")
+
+    monkeypatch.setattr(hypergeom, "coupled_sum", no_sum)
+    assert [ones_value_by_series((3, 1, 1), 5, beta) for beta in betas] == expected
+    assert ones_value_by_series((3, 1, 1), 5, 1) == count
+
+
+def test_ones_value_by_series_refuses_inexact_betas():
+    for beta in (0.5, -1.0, True, False):
+        with pytest.raises(ValueError, match="is not an exact rational"):
+            ones_value_by_series((2, 1), 3, beta)
+
+
+def test_a_refused_series_leaves_no_memo_entry():
+    before = hypergeom._ones_series.cache_info().currsize
+    with pytest.raises(ValueError, match="the series has"):
+        ones_value_by_series((1,), 800, 1)
+    assert hypergeom._ones_series.cache_info().currsize == before
 
 
 def test_gauss_prefactor_identities_up_to_five_variables():

@@ -13,17 +13,19 @@ window) in _shifted_exponent_sum, the one expansion behind both the
 principal specialization and the binomial-shift count formula, and one
 in each of the coupling triangle, the content/hook count, the column
 Gauss binomial, the 2F1's m! (its denominator parameter 1), the
-Pochhammer term of holman_series, the one evaluator of the 2F1 and the
-coupled series, the pruning step of the n!-term kernel coupled_sum,
-Poly.substitute and the pairwise-difference count.  Each mutant is put
-in place in this process with monkeypatch (the kernel in each module
-that calls it), so nothing on disk changes, and run_all(Grid(4, 4),
-workers=1) runs in this process too.  CAUGHT_BY maps each mutant to the
-checks that must then report failing instances, each with a witness;
-every other check must still pass.  The tableau-sum memo is cleared
-before and after each run, so no sum cached by another test hides a
-mutant below it and no sum computed under a mutant outlives it.  One
-more bug, in hypergeom.ones_value_by_series, must show both in verify
+Pochhammer term of _series_parts, the one evaluator behind the 2F1, the
+coupled series and its per-instance polynomial in z, the pruning step of
+the graded n!-term kernel coupled_sum, Poly.substitute and the
+pairwise-difference count.  Each mutant is put in place in this process
+with monkeypatch (the kernel in each module that calls it), so nothing
+on disk changes, and run_all(Grid(4, 4), workers=1) runs in this
+process too.  CAUGHT_BY maps each mutant to the checks that must then
+report failing instances, each with a witness; every other check must
+still pass.  The per-(shape, n) memos (the tableau sum, its diagonal and
+the series as a polynomial in z) are cleared before and after each run,
+so no value cached by another test hides a mutant below it and no value
+computed under a mutant outlives it.  One more bug, the sign of
+z = -beta in hypergeom.ones_value_by_series, must show both in verify
 and in `count-svt --method all`, which call that one function.
 """
 
@@ -50,12 +52,6 @@ def _kernel(old: str, new: str):
     """arith.coupled_sum edited, in each module that holds a binding of it."""
     kernel = _edited(arith.coupled_sum, old, new)
     return [(module, "coupled_sum", kernel) for module in (grothendieck, hypergeom)]
-
-
-def _series(old: str, new: str):
-    """hypergeom.holman_series edited, in each module that holds a binding of it."""
-    series = _edited(hypergeom.holman_series, old, new)
-    return [(module, "holman_series", series) for module in (hypergeom, identities)]
 
 
 def _pairwise(old: str, new: str):
@@ -107,10 +103,10 @@ MUTANTS = {
     # the m! of the 2F1 read as (2)_m
     "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
         hypergeom.gauss_2f1_terminating, "((gamma,), (1,))", "((gamma,), (2,))")),
-    # gauss_2f1_terminating and ones_value_by_series look it up in hypergeom,
-    # thm-3.13 in identities
-    "series term over (b + k + 1)": lambda: _series(
-        "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)"),
+    # the one evaluator behind holman_series (the 2F1 and thm-3.13) and the
+    # per-instance series of ones_value_by_series, which look it up in hypergeom
+    "series term over (b + k + 1)": lambda: (hypergeom, "_series_parts", _edited(
+        hypergeom._series_parts, "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)")),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
     "e_k window shifted": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
         grothendieck._shifted_exponent_sum, "_elementary_tables(betas)",
@@ -165,17 +161,26 @@ CAUGHT_BY = {
 }
 
 
+# the per-(shape, n) memos: the tableau sum, its diagonal and the series as
+# a polynomial in z
+MEMOS = (grothendieck._tableau_sum, identities._diagonal, hypergeom._ones_series)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_catches_the_mutant(mutant, monkeypatch):
     patches = MUTANTS[mutant]()
-    memo = grothendieck._tableau_sum
     for module, name, replacement in patches if isinstance(patches, list) else [patches]:
         monkeypatch.setattr(module, name, replacement)
-    memo.cache_clear()
+    _clear_memos()
     try:
         report = run_all(Grid(4, 4), workers=1)
     finally:
-        memo.cache_clear()
+        _clear_memos()
     failing = {check.id for check in report.checks if check.failed}
     assert failing == CAUGHT_BY[mutant]
     for check in report.checks:
@@ -187,7 +192,8 @@ def test_a_bug_in_the_series_side_shows_in_verify_and_in_the_cli(monkeypatch, ca
     # count-svt --method holman, thm-3.9 and cor-3.11 all call
     # ones_value_by_series; with z = beta for z = -beta, the series at
     # beta = 1 is 1/|SST|, so the count reads 1
-    wrong = _edited(hypergeom.ones_value_by_series, "nvars, -beta)", "nvars, beta)")
+    wrong = _edited(hypergeom.ones_value_by_series, "-exact_rational(beta)",
+                    "exact_rational(beta)")
     for module in (cli, identities):
         monkeypatch.setattr(module, "ones_value_by_series", wrong)
     assert cli.main(["count-svt", "--shape", "2,1", "--vars", "3", "--method", "all"]) == 1
