@@ -27,6 +27,7 @@ from .hypergeom import (
     gauss_2f1_terminating,
     holman_series,
     ones_value_by_series,
+    shape_series,
 )
 from .identities import CHECKS, Grid, SuiteReport, UnknownCheckError, run_all, run_check
 from .partitions import Partition, count_sst_hook, count_sst_product
@@ -219,13 +220,14 @@ def cmd_eval_holman(args) -> int:
             if value is not None:
                 raise ValueError(f"{option} cannot be used with --fixture")
         inst = HolmanInstance.load(args.fixture)
+        value = holman_series(inst)
     else:
         shape = parse_shape(args.from_shape)
         if args.vars is None:
             raise ValueError("--from-shape needs --vars")
         z = parse_rational(args.z) if args.z is not None else 1
         inst = HolmanInstance.from_shape(shape, args.vars, z)
-    value = holman_series(inst)
+        value = shape_series(shape, args.vars, z)
     conditions = classical_summation_conditions(inst) if args.conditions else None
     if args.format == "json":
         payload = {"value": format_rational(value), "instance": inst.to_json()}

@@ -10,12 +10,16 @@ arith.MAX_SERIES_TERMS terms.  The coupled series is arith.coupled_sum
 over its Pochhammer weight tables, with integer cross factors, divided
 once by prod A_ij; the kernel grades its sum by total index, so the parts
 are the series as a polynomial in z when every index has the same
-argument z.  ones_value_by_series is the one home of the series side of Thm
-3.9 and Cor 3.11, |SST_n| times the shape's series at z = -beta, for
-verify and the CLI alike.  It keeps one memo entry per (shape, n): the
-series at z = 1 by degree, its denominator and |SST_n|, so every beta
-reads one n!-term sum.  Parameters are ints, Fractions or 'p/q' strings;
-a float is refused, since it is not the rational it was written as.
+argument z.  shape_series is the one reader of a shape's series
+(HolmanInstance.from_shape): it keeps one memo entry per (shape, n), the
+series at z = 1 by degree and its denominator, so thm-3.9's betas,
+cor-3.11, thm-3.13, `count-svt --method holman` and `eval-holman
+--from-shape` read one n!-term walk; holman_series is left to instances
+that do not come from a shape (fixtures and the 2F1).
+ones_value_by_series is the one home of the series side of Thm 3.9 and
+Cor 3.11, |SST_n| times shape_series at z = -beta, for verify and the CLI
+alike.  Parameters are ints, Fractions or 'p/q' strings; a float is
+refused, since it is not the rational it was written as.
 """
 
 import json
@@ -215,34 +219,40 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=None)
-def _ones_series(shape: Partition, n: int) -> tuple[tuple, int, int]:
-    """(parts, d, count) for n variables: the series of
-    HolmanInstance.from_shape(shape, n, z) as a polynomial in z, its
-    coefficients parts[s] / d (_series_parts at z = 1), and |SST_n(shape)|.
-    The series comes first, so its n! terms are refused before the count,
-    and a refusal leaves no entry.  In n = 0 variables the series is the
-    empty product 1."""
-    parts, d = _series_parts(HolmanInstance.from_shape(shape, n, 1)) if n else ([1], 1)
-    return tuple(parts), d, count_sst_product(shape, n)
+def _shape_series(shape: Partition, n: int) -> tuple[tuple, int]:
+    """(parts, d) for n variables: the series of
+    HolmanInstance.from_shape(shape, n, z) as a polynomial in z, with
+    coefficients parts[s] / d (_series_parts at z = 1).  A refusal (more
+    rows than n, or more than arith.MAX_SERIES_TERMS terms) leaves no
+    entry.  In n = 0 variables the series of the empty shape is the empty
+    product 1."""
+    parts, d = _series_parts(HolmanInstance.from_shape(shape, n, 1)) if n or shape else ([1], 1)
+    return tuple(parts), d
+
+
+def shape_series(shape, nvars: int, z) -> Fraction:
+    """holman_series(HolmanInstance.from_shape(shape, nvars, z)), read off
+    the one memoized walk per (shape, n) (_shape_series) at z = p/q as
+    sum_s c_s p^s q^(top-s) over d q^top: one int pass and one division.
+    A shape with more rows than n raises from_shape's ValueError."""
+    n = operator.index(nvars)
+    z = Fraction(exact_rational(z))
+    parts, d = _shape_series(Partition(shape), n)
+    p, q, top = z.numerator, z.denominator, len(parts) - 1
+    return Fraction(sum(c * p ** s * q ** (top - s) for s, c in enumerate(parts)), d * q ** top)
 
 
 def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
     """The all-ones Grothendieck value G_shape(1^n) at the given beta by
-    the coupled series (Thm 3.9): |SST_n(shape)| times the series of
-    HolmanInstance.from_shape at z = -beta, and 0 when the shape has more
-    rows than n.  At beta = 1 it is the set-valued count (Cor 3.11).  The
-    series is summed once per (shape, n) as a polynomial in z (_ones_series)
-    and read here at z = -beta = p/q as sum_s c_s p^s q^(top-s) over
-    d q^top, one int pass and one division."""
-    shape = Partition(shape)
-    if len(shape) > nvars:
-        return Fraction(0)
+    the coupled series (Thm 3.9): shape_series at z = -beta times
+    |SST_n(shape)|, and 0 when the shape has more rows than n.  At beta = 1
+    it is the set-valued count (Cor 3.11).  The series comes before the
+    count, so its n! terms are refused first."""
     n = operator.index(nvars)
-    z = Fraction(-exact_rational(beta))
-    parts, d, count = _ones_series(shape, n)
-    p, q, top = z.numerator, z.denominator, len(parts) - 1
-    return Fraction(count * sum(c * p ** s * q ** (top - s) for s, c in enumerate(parts)),
-                    d * q ** top)
+    shape = Partition(shape)
+    if len(shape) > n:
+        return Fraction(0)
+    return shape_series(shape, n, -exact_rational(beta)) * count_sst_product(shape, n)
 
 
 class SummationConditionReport(NamedTuple):

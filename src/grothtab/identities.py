@@ -14,17 +14,19 @@ shape (lexicographically), then number of variables, so the first reported
 witness of a failure is the smallest offender.  An instance that raises is
 one failed instance whose witness names its shape, n, exception type and
 the function, file and line of the innermost traceback frame, and the
-sweep goes on.  An empty Grid is rejected.  Set-valued counts are
-coefficient sums of the memoized tableau sum, so a process enumerates each
-(shape, n) once; its values at x = 1 and at x = (beta, .., beta) are taken
-on its diagonal x_1 = ... = x_n = t (Poly.collapse), also memoized, so a
-process collapses each sum once.  thm-3.9 and cor-3.11 take their series
-side from hypergeom.ones_value_by_series, the function behind `count-svt
---method holman` too, so verify checks the code the CLI runs; it sums
-each (shape, n)'s series once, as a polynomial in z, and reads it at
-every beta.  run_all executes the whole registry, in parallel processes
-when more than one worker is available; the GROTH_THREADS environment
-variable caps the worker count.
+sweep goes on.  An empty Grid is rejected.  The tableau sum of each
+(shape, n) is memoized, so a process enumerates it once, and so is its
+diagonal x_1 = ... = x_n = t (Poly.collapse), a polynomial in (b, t) with
+one term per excess: the values at x = 1 and at x = (beta, .., beta) and
+the set-valued counts (its coefficient sum) are read off the diagonal,
+and only gg-eq-w and the diagonal itself read the full sum.  thm-3.9 and
+cor-3.11 take their series side from hypergeom.ones_value_by_series, the
+function behind `count-svt --method holman` too, so verify checks the
+code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
+`eval-holman --from-shape` does; all of them read one memoized walk of
+each (shape, n)'s series, a polynomial in z.  run_all executes the whole
+registry, in parallel processes when more than one worker is available;
+the GROTH_THREADS environment variable caps the worker count.
 """
 
 import os
@@ -46,7 +48,7 @@ from .grothendieck import (
     principal_specialization_q,
     refined_bialternant_at,
 )
-from .hypergeom import HolmanInstance, gauss_2f1_terminating, holman_series, ones_value_by_series
+from .hypergeom import gauss_2f1_terminating, ones_value_by_series, shape_series
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from .tableaux import enumerate_sst
 
@@ -257,8 +259,9 @@ def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport
 
 def _svt_count(shape, nvars) -> int:
     """Number of set-valued tableaux: the coefficient sum of the memoized
-    tableau sum, so the fillings of (shape, nvars) are enumerated once."""
-    return exact_count(sum(grothendieck_tableau_sum(shape, nvars).terms.values()),
+    diagonal, one term per excess, so the fillings of (shape, nvars) are
+    enumerated once and their sum is not walked again."""
+    return exact_count(sum(_diagonal(shape, nvars).terms.values()),
                        f"set-valued count for {shape}, n={nvars}")
 
 
@@ -276,8 +279,8 @@ def _diagonal(shape, n):
     """The tableau sum at x_1 = ... = x_n = t: a polynomial in (b, t)
     with one term per excess, since a filling with excess e has |shape| + e
     letters.  The values at x = 1 and at x = (beta, .., beta) are taken on
-    it, memoized per (shape, n), so a process passes over each full sum's
-    terms once."""
+    it, and so are the set-valued counts (its coefficient sum), memoized
+    per (shape, n), so a process passes over each full sum's terms once."""
     return grothendieck_tableau_sum(shape, n).collapse(_x_names(n), _T)
 
 
@@ -403,7 +406,7 @@ def _tilted_point_value(grid, shape, n):
            "coupled series at z = 1 is the reciprocal semistandard count",
            "coupled series at z = 1", "1 / |SST|")
 def _reciprocal_count(grid, shape, n):
-    left = holman_series(HolmanInstance.from_shape(shape, n, 1))
+    left = shape_series(shape, n, 1)
     yield {"shape": shape, "n": n}, left, Fraction(1, count_sst_product(shape, n))
 
 

@@ -100,6 +100,7 @@ def count_sst_product(shape, nvars: int) -> int:
     prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i).
     Returns 0 when the shape has more rows than letters.
     """
+    nvars = operator.index(nvars)
     shape = Partition(shape)
     if len(shape) > nvars:
         return 0
@@ -112,6 +113,7 @@ def count_sst_product(shape, nvars: int) -> int:
 
 def count_sst_hook(shape, nvars: int) -> int:
     """Same count as a content-over-hook product over the diagram cells."""
+    nvars = operator.index(nvars)
     shape = Partition(shape)
     if len(shape) > nvars:
         return 0

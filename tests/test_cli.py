@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grothtab import arith, cli
+from grothtab import arith, cli, hypergeom
 from grothtab.grothendieck import principal_specialization_q
 from grothtab.hypergeom import HolmanInstance
-from grothtab.identities import CHECKS, Check
+from grothtab.identities import CHECKS, Check, Grid, run_check
 from grothtab.partitions import Partition
 
 DATA = Path(__file__).parent / "data"
@@ -273,6 +273,31 @@ def test_eval_holman_from_shape(capsys):
     code, out, _ = run_cli(capsys, "eval-holman", "--from-shape", "2,1",
                            "--vars", "3", "--z", "1")
     assert code == 0 and out.strip() == "1/8"
+
+
+def test_every_reader_of_a_shape_series_walks_it_once(capsys, monkeypatch):
+    # thm-3.9's betas, cor-3.11, thm-3.13, count-svt --method holman and
+    # eval-holman --from-shape all read one memoized walk per (shape, n)
+    original = hypergeom._series_parts
+    walks = []
+
+    def counting(inst):
+        walks.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(hypergeom, "_series_parts", counting)
+    grid = Grid(4, 4)
+    hypergeom._shape_series.cache_clear()
+    try:
+        for check_id in ("thm-3.9", "cor-3.11", "thm-3.13"):
+            assert run_check(check_id, grid).ok, check_id
+        assert run_cli(capsys, "count-svt", "--shape", "2,1", "--vars", "3",
+                       "--method", "holman") == (0, "27\n", "")
+        assert run_cli(capsys, "eval-holman", "--from-shape", "2,1", "--vars", "3",
+                       "--z", "1/2") == (0, "27/64\n", "")
+    finally:
+        hypergeom._shape_series.cache_clear()
+    assert len(walks) == len(list(grid.shapes()))
 
 
 def test_eval_holman_fixture_and_conditions(capsys):

@@ -16,9 +16,10 @@ from grothtab.hypergeom import (
     holman_series,
     ones_value_by_series,
     shape_coupling,
+    shape_series,
 )
 from grothtab.identities import DEFAULT_BETAS, Grid
-from grothtab.partitions import count_sst_product
+from grothtab.partitions import count_sst_hook, count_sst_product
 from grothtab.tableaux import enumerate_svt
 
 DATA = Path(__file__).parent / "data"
@@ -195,10 +196,44 @@ def test_ones_value_by_series_refuses_inexact_betas():
 
 
 def test_a_refused_series_leaves_no_memo_entry():
-    before = hypergeom._ones_series.cache_info().currsize
+    before = hypergeom._shape_series.cache_info().currsize
     with pytest.raises(ValueError, match="the series has"):
         ones_value_by_series((1,), 800, 1)
-    assert hypergeom._ones_series.cache_info().currsize == before
+    assert hypergeom._shape_series.cache_info().currsize == before
+
+
+def test_shape_series_reads_the_from_shape_series():
+    # the memoized polynomial in z, read at z, against the series of the
+    # from_shape instance summed afresh at that z
+    zs = (1, 0, -1, Fraction(7, 3), Fraction(-11, 13), *(-beta for beta in DEFAULT_BETAS))
+    for shape, n in Grid(5, 5).shapes():
+        for z in zs:
+            expected = holman_series(HolmanInstance.from_shape(shape, n, z))
+            assert shape_series(shape, n, z) == expected, (shape, n, z)
+
+
+def test_shape_series_refuses_more_rows_than_n():
+    # from_shape's refusal, in n = 0 variables too, where the empty shape's
+    # series is the empty product 1
+    assert shape_series((), 0, 1) == 1
+    for shape, n in [((1,), 0), ((2, 1), 1), ((1, 1, 1), 2)]:
+        with pytest.raises(ValueError, match=f"rows, more than n = {n}"):
+            shape_series(shape, n, 1)
+
+
+def test_shape_series_refuses_inexact_z():
+    for z in (0.5, -1.0, True, False):
+        with pytest.raises(ValueError, match="is not an exact rational"):
+            shape_series((2, 1), 3, z)
+
+
+def test_a_variable_count_is_an_int_even_past_the_rows():
+    # the count is checked before the rows > n test, which would answer 0
+    for call in (lambda: count_sst_product((1, 1), 1.5), lambda: count_sst_hook((1, 1), 1.5),
+                 lambda: ones_value_by_series((1, 1), 1.5, 1),
+                 lambda: shape_series((1, 1), 1.5, 1)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_gauss_prefactor_identities_up_to_five_variables():

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from grothtab import grothendieck, tableaux
+from grothtab import grothendieck, identities, tableaux
+from grothtab.grothendieck import grothendieck_tableau_sum
 from grothtab.identities import (
     CHECKS,
     MAX_WITNESSES,
@@ -160,6 +161,13 @@ def test_serial_run_enumerates_each_pair_once(monkeypatch):
     finally:
         grothendieck._tableau_sum.cache_clear()
     assert seen == Counter((tuple(shape), n) for shape, n in grid.shapes())
+
+
+def test_svt_count_is_the_coefficient_sum_of_the_tableau_sum():
+    # the count read off the memoized diagonal against the full sum's terms
+    for shape, n in Grid(5, 5).shapes():
+        full = sum(grothendieck_tableau_sum(shape, n).terms.values())
+        assert identities._svt_count(shape, n) == full, (shape, n)
 
 
 def _strip_seconds(payload):

@@ -24,9 +24,11 @@ report failing instances, each with a witness; every other check must
 still pass.  The per-(shape, n) memos (the tableau sum, its diagonal and
 the series as a polynomial in z) are cleared before and after each run,
 so no value cached by another test hides a mutant below it and no value
-computed under a mutant outlives it.  One more bug, the sign of
-z = -beta in hypergeom.ones_value_by_series, must show both in verify
-and in `count-svt --method all`, which call that one function.
+computed under a mutant outlives it.  Two more bugs must show both in
+verify and in the CLI: the sign of z = -beta in
+hypergeom.ones_value_by_series, which `count-svt --method all` calls too,
+and a wrong power of the denominator in hypergeom.shape_series, the one
+reader of the memoized series, which `eval-holman --from-shape` calls too.
 """
 
 import inspect
@@ -103,8 +105,8 @@ MUTANTS = {
     # the m! of the 2F1 read as (2)_m
     "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
         hypergeom.gauss_2f1_terminating, "((gamma,), (1,))", "((gamma,), (2,))")),
-    # the one evaluator behind holman_series (the 2F1 and thm-3.13) and the
-    # per-instance series of ones_value_by_series, which look it up in hypergeom
+    # the one evaluator behind holman_series (the 2F1) and the memoized
+    # series that shape_series reads, which look it up in hypergeom
     "series term over (b + k + 1)": lambda: (hypergeom, "_series_parts", _edited(
         hypergeom._series_parts, "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)")),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
@@ -163,7 +165,7 @@ CAUGHT_BY = {
 
 # the per-(shape, n) memos: the tableau sum, its diagonal and the series as
 # a polynomial in z
-MEMOS = (grothendieck._tableau_sum, identities._diagonal, hypergeom._ones_series)
+MEMOS = (grothendieck._tableau_sum, identities._diagonal, hypergeom._shape_series)
 
 
 def _clear_memos():
@@ -201,3 +203,20 @@ def test_a_bug_in_the_series_side_shows_in_verify_and_in_the_cli(monkeypatch, ca
         "enum: 27", "formula: 27", "holman: 1", "DISAGREE"]
     report = run_all(Grid(3, 3), workers=1)
     assert {check.id for check in report.checks if check.failed} == {"thm-3.9", "cor-3.11"}
+
+
+def test_a_bug_in_the_series_read_shows_in_verify_and_in_the_cli(monkeypatch, capsys):
+    # thm-3.9, cor-3.11, thm-3.13 and eval-holman --from-shape all read the
+    # memoized series through shape_series; with q^s for q^(top - s) only a
+    # z with a denominator reads wrong, so of the checks only thm-3.9 fails
+    wrong = _edited(hypergeom.shape_series, "q ** (top - s)", "q ** s")
+    for module in (cli, hypergeom, identities):
+        monkeypatch.setattr(module, "shape_series", wrong)
+    _clear_memos()
+    try:
+        assert cli.main(["eval-holman", "--from-shape", "2,1", "--vars", "3", "--z", "1/2"]) == 0
+        assert capsys.readouterr().out != "27/64\n"
+        report = run_all(Grid(4, 4), workers=1)
+    finally:
+        _clear_memos()
+    assert {check.id for check in report.checks if check.failed} == {"thm-3.9"}
