@@ -9,9 +9,10 @@ evaluations.
 
 A check is a row function rows(grid, shape, n) that yields (params, left,
 right) for one instance; the row and column checks filter the shape.
-run_check owns the one sweep over the Grid, ordered by shape size, then
-shape (lexicographically), then number of variables, so the first reported
-witness of a failure is the smallest offender.  An instance that raises is
+_sweep owns the one sweep over the Grid, check by check and, within a
+check, ordered by shape size, then shape (lexicographically), then number
+of variables, so the first reported witness of a failure is the smallest
+offender.  An instance that raises is
 one failed instance whose witness names its shape, n, exception type and
 the function, file and line of the innermost traceback frame, and the
 sweep goes on.  An empty Grid is rejected.  The tableau sum of each
@@ -24,9 +25,14 @@ cor-3.11 take their series side from hypergeom.ones_value_by_series, the
 function behind `count-svt --method holman` too, so verify checks the
 code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
 `eval-holman --from-shape` does; all of them read one memoized walk of
-each (shape, n)'s series, a polynomial in z.  run_all executes the whole
-registry, in parallel processes when more than one worker is available;
-the GROTH_THREADS environment variable caps the worker count.
+each (shape, n)'s series, a polynomial in z.  run_check sweeps one check
+over the whole Grid and run_all the whole registry.  With more than one
+worker (the GROTH_THREADS environment variable caps the count), run_all
+cuts the Grid's pairs into contiguous chunks, about four per worker,
+largest first, and each worker sweeps every check over its chunk, so
+each pair's memos live in one worker.  The chunk reports are merged in
+Grid order, so the counts and witnesses are those of the serial run; a
+check's seconds are then its time summed over the chunks.
 """
 
 import os
@@ -194,36 +200,62 @@ def check_ids() -> list[str]:
     return list(CHECKS)
 
 
+def _fail(report: CheckReport, params, left, right) -> None:
+    report.failed += 1
+    if len(report.witnesses) < MAX_WITNESSES:
+        report.witnesses.append(Witness(
+            {k: str(v) for k, v in params.items()}, str(left), str(right)))
+
+
+def _sweep(grid: Grid, pairs, ids) -> list[CheckReport]:
+    """One report per check in ids, each over the (shape, n) pairs in the
+    order given: check by check, then pair by pair."""
+    reports = []
+    for check_id in ids:
+        check = CHECKS[check_id]
+        report = CheckReport(check.id, check.summary, 0, 0)
+        start = perf_counter()
+        for shape, n in pairs:
+            try:
+                for params, left, right in check.rows(grid, shape, n):
+                    if left == right:
+                        report.passed += 1
+                    else:
+                        _fail(report, params, left, right)
+            except Exception as exc:  # one crashing instance must not hide the rest
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
+                _fail(report, {"shape": shape, "n": n, "error": type(exc).__name__, "at": at},
+                      exc, "")
+        report.seconds = perf_counter() - start
+        reports.append(report)
+    return reports
+
+
+def _merge(parts) -> CheckReport:
+    """One check's reports over consecutive chunks of the grid, in grid
+    order, as the one report of a sweep over all of them: the counts and
+    seconds add up, and the first MAX_WITNESSES witnesses are kept."""
+    witnesses = [w for part in parts for w in part.witnesses][:MAX_WITNESSES]
+    return CheckReport(parts[0].id, parts[0].summary, sum(p.passed for p in parts),
+                       sum(p.failed for p in parts), witnesses, sum(p.seconds for p in parts))
+
+
+def _chunks(pairs: list, workers: int) -> list[list]:
+    """The pairs cut into contiguous chunks of near-equal length, about
+    four per worker, so that the load balances to within one chunk."""
+    count = min(len(pairs), 4 * workers)
+    return [pairs[i * len(pairs) // count:(i + 1) * len(pairs) // count] for i in range(count)]
+
+
 def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
     """Run one registered check over the grid and report per-instance
     pass/fail counts with the first few failing witnesses."""
     if check_id not in CHECKS:
         raise UnknownCheckError(f"unknown check id {check_id!r}; "
                                 f"known: {', '.join(check_ids())}")
-    check = CHECKS[check_id]
     grid = grid or Grid()
-    report = CheckReport(check.id, check.summary, 0, 0)
-
-    def fail(params, left, right):
-        report.failed += 1
-        if len(report.witnesses) < MAX_WITNESSES:
-            report.witnesses.append(Witness(
-                {k: str(v) for k, v in params.items()}, str(left), str(right)))
-
-    start = perf_counter()
-    for shape, n in grid.shapes():
-        try:
-            for params, left, right in check.rows(grid, shape, n):
-                if left == right:
-                    report.passed += 1
-                else:
-                    fail(params, left, right)
-        except Exception as exc:  # one crashing instance must not hide the rest
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
-            fail({"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, "")
-    report.seconds = perf_counter() - start
-    return report
+    return _sweep(grid, list(grid.shapes()), [check_id])[0]
 
 
 def resolve_workers(explicit: int | None = None) -> int:
@@ -239,17 +271,23 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 
 def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport:
-    """Run every registered check; reports come back in registry order."""
+    """Run every registered check; reports come back in registry order.
+    With more than one worker, the grid's chunks are swept in worker
+    processes, the last (largest) chunk first."""
     grid = grid or Grid()
     ids = check_ids()
+    pairs = list(grid.shapes())
     count = resolve_workers(workers)
-    if count > 1 and len(ids) > 1:
+    if count > 1 and len(pairs) > 1:
         # imported here, so that a CLI process that starts no pool does not pay for it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(count, len(ids))) as pool:
-            reports = list(pool.map(run_check, ids, [grid] * len(ids)))
+        chunks = _chunks(pairs, count)
+        with ProcessPoolExecutor(max_workers=min(count, len(chunks))) as pool:
+            futures = [pool.submit(_sweep, grid, chunk, ids) for chunk in reversed(chunks)]
+            parts = [future.result() for future in reversed(futures)]
+        reports = [_merge(column) for column in zip(*parts)]
     else:
-        reports = [run_check(i, grid) for i in ids]
+        reports = _sweep(grid, pairs, ids)
     return SuiteReport(grid.max_size, grid.max_vars, reports)
 
 

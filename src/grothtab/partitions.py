@@ -106,9 +106,12 @@ def count_sst_product(shape, nvars: int) -> int:
         return 0
     lam = shape.padded(nvars)
     pairs = [(i, j) for j in range(nvars) for i in range(j)]
-    total = Fraction(prod(lam[i] - lam[j] + j - i for i, j in pairs),
-                     prod(j - i for i, j in pairs))
-    return exact_count(total, f"count for {shape}, n={nvars}")
+    num = prod(lam[i] - lam[j] + j - i for i, j in pairs)
+    den = prod(j - i for i, j in pairs)
+    count, rest = divmod(num, den)
+    if rest or count < 0:  # exact_count's refusal, with the rational built only on failure
+        return exact_count(Fraction(num, den), f"count for {shape}, n={nvars}")
+    return count
 
 
 def count_sst_hook(shape, nvars: int) -> int:

@@ -115,6 +115,17 @@ except ArithmeticError:
     raise SystemExit(0)
 raise SystemExit('a quotient that is not symmetric did not raise under python -O')
 """,
+    "inexact pairwise count": """
+from grothtab import partitions
+products = iter([4, 3])
+partitions.prod = lambda factors: next(products)
+try:
+    partitions.count_sst_product((2, 1), 3)
+except ArithmeticError as exc:
+    if str(exc) == 'count for (2,1), n=3: 4/3 is not a non-negative integer':
+        raise SystemExit(0)
+raise SystemExit('an inexact pairwise count did not raise its message under python -O')
+""",
     "negative exponent": """
 from grothtab.polynomials import Poly
 try:

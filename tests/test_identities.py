@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import sys
 from collections import Counter
 from pathlib import Path
@@ -182,6 +183,63 @@ def test_parallel_and_serial_runs_agree():
     parallel = _strip_seconds(run_all(grid, workers=2).to_json())
     assert serial == parallel
     assert serial["ok"] is True
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 5])
+def test_chunks_cover_every_pair_once_in_grid_order(workers):
+    for max_size in range(1, 5):
+        for max_vars in range(1, 7):
+            pairs = list(Grid(max_size, max_vars).shapes())
+            chunks = identities._chunks(pairs, workers)
+            assert all(chunks), (max_size, max_vars)
+            assert [pair for chunk in chunks for pair in chunk] == pairs
+            assert len(chunks) == min(len(pairs), 4 * workers)
+            # within one pair of each other in length
+            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+
+
+def test_merged_chunk_reports_equal_one_sweep():
+    grid = Grid(max_size=4, max_vars=4)
+
+    def odd_n_fails(grid, shape, n):
+        if shape == (1,) and n == 2:
+            raise RuntimeError("boom")
+        yield {"shape": shape, "n": n}, n % 2, 0
+
+    CHECKS["odd-n-fails"] = Check("odd-n-fails", "fails at odd n", "n mod 2", "0", odd_n_fails)
+    try:
+        pairs = list(grid.shapes())
+        ids = ["cor-3.3", "odd-n-fails"]
+        whole = identities._sweep(grid, pairs, ids)
+        parts = [identities._sweep(grid, chunk, ids) for chunk in identities._chunks(pairs, 3)]
+        merged = [identities._merge(column) for column in zip(*parts)]
+    finally:
+        del CHECKS["odd-n-fails"]
+    # the failures fall in many chunks, and the first witnesses in more than one
+    assert sum(chunk[1].failed > 0 for chunk in parts) > 2
+    assert 0 < len(parts[0][1].witnesses) < MAX_WITNESSES < whole[1].failed
+    assert any(w.params.get("error") == "RuntimeError" for w in whole[1].witnesses)
+    def stripped(reports):
+        return [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
+
+    assert stripped(merged) == stripped(whole)
+    assert all(m.seconds == sum(p[i].seconds for p in parts) for i, m in enumerate(merged))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a monkeypatched bug reaches the workers only when they are forked")
+def test_parallel_run_reports_a_bug_as_the_serial_run_does(monkeypatch):
+    original = identities.count_sst_product
+    monkeypatch.setattr(identities, "count_sst_product",
+                        lambda shape, n: original(shape, n) + (n >= 3))
+    grid = Grid(max_size=4, max_vars=4)
+    serial = _strip_seconds(run_all(grid, workers=1).to_json())
+    parallel = _strip_seconds(run_all(grid, workers=2).to_json())
+    assert serial == parallel
+    failing = {check["id"] for check in serial["checks"] if check["failed"]}
+    assert failing == {"hook-counts", "thm-3.13"}
+    assert all(len(check["witnesses"]) == MAX_WITNESSES
+               for check in serial["checks"] if check["failed"])
 
 
 def test_suite_report_validates_against_schema():

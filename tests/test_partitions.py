@@ -1,5 +1,6 @@
 import pytest
 
+from grothtab import partitions
 from grothtab.partitions import (
     Partition,
     count_sst_hook,
@@ -81,6 +82,16 @@ def test_count_examples():
     # brute-force oracle values
     assert count_sst_hook((2, 2), 3) == sum(1 for _ in enumerate_sst((2, 2), 3))
     assert count_sst_product((4, 3), 4) == sum(1 for _ in enumerate_sst((4, 3), 4))
+
+
+@pytest.mark.parametrize("products, shown", [((4, 3), "4/3"), ((-6, 2), "-3")])
+def test_pairwise_count_refuses_a_product_that_is_no_count(monkeypatch, products, shown):
+    # the product of the differences over the product of the gaps
+    values = iter(products)
+    monkeypatch.setattr(partitions, "prod", lambda factors: next(values))
+    with pytest.raises(ArithmeticError,
+                       match=rf"^count for \(2,1\), n=3: {shown} is not a non-negative integer$"):
+        count_sst_product((2, 1), 3)
 
 
 def test_count_zero_iff_too_many_rows():
