@@ -2,7 +2,7 @@
 Grothendieck/Schur polynomials, and terminating hypergeometric series,
 with a registry of machine-checked identities tying them together."""
 
-from .arith import binomial, format_rational, parse_rational
+from .arith import binomial, determinant, format_rational, parse_rational
 from .grothendieck import (
     count_svt_formula,
     grothendieck_bialternant,
@@ -20,13 +20,13 @@ from .hypergeom import (
 )
 from .identities import Grid, check_ids, run_all, run_check
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from .polynomials import Poly, determinant
+from .polynomials import Poly
 from .tableaux import SetValuedTableau, enumerate_sst, enumerate_svt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "binomial", "format_rational", "parse_rational",
+    "binomial", "determinant", "format_rational", "parse_rational",
     "count_svt_formula",
     "grothendieck_bialternant", "grothendieck_tableau_sum",
     "principal_specialization_q", "refined_bialternant",
@@ -35,7 +35,7 @@ __all__ = [
     "shape_coupling",
     "Grid", "check_ids", "run_all", "run_check",
     "Partition", "count_sst_hook", "count_sst_product", "partitions_of",
-    "Poly", "determinant",
+    "Poly",
     "SetValuedTableau", "enumerate_sst", "enumerate_svt",
     "__version__",
 ]

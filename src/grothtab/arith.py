@@ -14,9 +14,10 @@ that the principal specialization and the count formula share), and
 Poly.substitute both follow it.  coupled_sum returns its sum graded by
 total index, as integer (or Poly) parts over one denominator, so a series
 whose indices share one argument z is summed once as a polynomial in z.
-Every such sum is refused above MAX_SERIES_TERMS terms (so is a
-determinant with more minors).  All functions here are pure; values are
-immutable and safe to share between threads.
+Every such sum is refused above MAX_SERIES_TERMS terms.  determinant is
+the int determinant, by fraction-free elimination: every division in it
+is exact and checked, and its cost is O(n^3) int products.  All functions
+here are pure; values are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
@@ -92,6 +93,43 @@ def over_common_denominator(values) -> tuple[list, int]:
     d = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
     return [v.numerator * (d // v.denominator) if isinstance(v, Fraction) else v * d
             for v in values], d
+
+
+def determinant(matrix) -> int:
+    """Determinant of a square matrix of ints, by fraction-free (Bareiss)
+    elimination: step k replaces each entry below and right of the pivot p
+    by (p a_ij - a_ik a_kj) / p', p' the pivot before, a minor of the
+    matrix and so an int; each division is checked, and a remainder raises
+    ArithmeticError (also under python -O).  A zero pivot is swapped with
+    the first row below that has a nonzero entry there, negated so that
+    the determinant keeps its value; a column with none gives 0.  O(n^3)
+    int products.  A non-square matrix raises ValueError and an entry that
+    is not an int (a Poly, a Fraction, a float or a bool) TypeError; the
+    caller's rows are not changed.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if any(isinstance(e, bool) or not isinstance(e, int) for row in rows for e in row):
+        raise TypeError("determinant entries must be ints")
+    previous = 1
+    for k in range(n):
+        if not rows[k][k]:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = [-e for e in rows[pivot]], rows[k]
+        top = rows[k]
+        p = top[k]
+        for row in rows[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j], remainder = divmod(p * row[j] - a * top[j], previous)
+                if remainder:
+                    raise ArithmeticError(f"inexact elimination step: remainder {remainder}")
+        previous = p
+    return previous
 
 
 def coupled_sum(weights, cross) -> tuple[list, int]:

@@ -7,8 +7,9 @@ keys), the bi-alternant quotient and its refined multi-parameter form
 divided out once; polynomials.alternant_quotient moves the row to each x_i
 and applies a chain of divided differences, so nothing is divided by the
 Vandermonde), the same integral matrix taken at n distinct rational points
-on ints (refined_bialternant_at: an int determinant divided once, with no
-polynomial in x built), and the shifted-exponent expansion that evaluates
+on ints (refined_bialternant_at: arith.determinant, fraction-free
+elimination in O(n^3) int products, divided once, with no polynomial in x
+built), and the shifted-exponent expansion that evaluates
 the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
 without any determinant.  Every refined route takes max(n - 1, 0) betas,
 so in n = 0 variables the empty shape gives 1 on every route.
@@ -35,9 +36,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .arith import _check_size, coupled_sum, exact_count, exact_rational
+from .arith import _check_size, coupled_sum, determinant, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import Poly, _Packing, alternant_quotient, determinant
+from .polynomials import Poly, _Packing, alternant_quotient
 from .tableaux import enumerate_svt
 
 BETA = "b"
@@ -117,12 +118,9 @@ def _integral_rows(lam, factors, points):
     x^(l_j+n-1-j) prod_(k<j) (d_k + p_k x).  With (Poly x_i, 1) the rows
     are the symbolic matrix.  The scale prod_k d_k^(n-1-k) prod_i
     den_i^(l_1) is what scaling the columns and homogenising the rows put
-    into the determinant.  A determinant of more than
-    arith.MAX_SERIES_TERMS minors (2^n) is refused with ValueError before
-    any row is built.
+    into the determinant.
     """
     n = len(lam)
-    _check_size(2 ** n, "the determinant has {} minors")
     rows = []
     for num, den in points:
         row, entry_factor = [], 1
@@ -158,6 +156,7 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
         raise ValueError(f"need exactly {_beta_count(n)} beta values, got {len(betas)}")
     if len(shape) > n:
         return Poly.constant(0)
+    _check_size(2 ** n, "the determinant has {} minors")
     names = _x_names(n)
     rows, scale = _integral_rows(shape.padded(n), [_ratio(b) for b in betas],
                                  [(Poly.variable(name), 1) for name in names[:1]])
@@ -172,12 +171,13 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     Exactly n-1 betas and n point coordinates, all exact rationals (a
     variable name or a float is refused), are required, and the
     coordinates must be distinct.  Each x_i = num_i/den_i is homogenised
-    (_integral_rows), so the matrix has int entries; its determinant is
-    divided once by the int Vandermonde prod_(i<j) (num_i den_j - num_j
-    den_i) and the scale prod_k d_k^(n-1-k) prod_i den_i^(l_1) that
-    _integral_rows returns.  A repeated coordinate (the Vandermonde is 0)
-    raises ValueError before the determinant, and so does a determinant of
-    more than arith.MAX_SERIES_TERMS minors (2^n).
+    (_integral_rows), so the matrix has int entries; its determinant
+    (arith.determinant, fraction-free elimination in O(n^3) int products,
+    so no limit on n) is divided once by the int Vandermonde
+    prod_(i<j) (num_i den_j - num_j den_i) and the scale
+    prod_k d_k^(n-1-k) prod_i den_i^(l_1) that _integral_rows returns.  A
+    repeated coordinate (the Vandermonde is 0) raises ValueError before
+    the determinant.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -194,7 +194,7 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     if len(shape) > n:
         return Fraction(0)
     rows, scale = _integral_rows(shape.padded(n), factors, points)
-    return determinant(rows).as_fraction() / (vandermonde * scale)
+    return Fraction(determinant(rows), vandermonde * scale)
 
 
 def _elementary_tables(values):

@@ -5,38 +5,41 @@ from ints keeps int coefficients, and Fractions appear only where a rational
 input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
-substitution, setting variables equal (collapse), determinants of
-polynomial matrices, alternant quotients, and exact synthetic division by
-a product of differences (u - v_1) ... (u - v_k) sharing one variable u,
-on the terms grouped by their power of u once.  Division checks the
-remainder of every factor and raises on a nonzero one instead of ever
-returning an approximation; an int dividend keeps int coefficients.
+substitution, setting variables equal (collapse), alternant quotients,
+and exact synthetic division by a product of differences
+(u - v_1) ... (u - v_k) sharing one variable u, on the terms grouped by
+their power of u once.  Division checks the remainder of every factor and
+raises on a nonzero one instead of ever returning an approximation; an
+int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
 once (the integer rule of arith), so all-int data keeps int coefficients.
 
-The determinant, the alternant quotient and the division run on packed
-monomials: an exponent vector (e_0, ..., e_m) becomes the int key
-sum e_t << (w * t), with one field width rule, 2^w > D for the degree
-bound D (_Packing says why D bounds every exponent).  determinant is one
-Laplace expansion along the rows on these keys.  alternant_quotient(row,
-names) is det[f_j(names[i])] / prod_(i<j) (names[i] - names[j]) from the
+The alternant quotient and the division run on packed monomials: an
+exponent vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t),
+with one field width rule, 2^w > D for the degree bound D (_Packing says
+why D bounds every exponent).  alternant_quotient(row, names) is
+det[f_j(names[i])] / prod_(i<j) (names[i] - names[j]) from the
 first row alone, f_j at names[0]: it packs each f_j once at names[j] and
 applies Lascoux-Schutzenberger divided differences
 (f - f|u<->v) / (u - v), each written out term by term as a polynomial,
 in one Horner chain, so nothing is divided and no remainder can arise;
 two guards (an entry at another row's name, a result that is not
 symmetric) raise real errors in its place.  Poly.divide_by_difference is
-the one synthetic division.
+the one synthetic division.  The one determinant the package takes, of
+the refined bi-alternant at a point, is on ints: determinant here is
+arith.determinant, which refuses a Poly entry with TypeError.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
 
 import re
 from fractions import Fraction
-from itertools import combinations
 from operator import add
 
 from .arith import exact_rational, format_rational, over_common_denominator, parse_rational
+# arith's int kernel, also bound here: perfbench/spans.py traces it as
+# polynomials.determinant
+from .arith import determinant  # noqa: F401
 
 _NAME_RE = re.compile(r"[A-Za-z]+[0-9]*\Z")
 
@@ -343,13 +346,7 @@ class _Packing:
 
     Keys add without carries while no exponent reaches 2^w, so the caller
     passes a bound D on every exponent that will arise and w is chosen with
-    2^w > D (_field_width).  For a determinant, D is the sum over columns
-    of the largest total degree of an entry (0 for a zero column).  A
-    minor on the columns S is a sum of products of one entry per column,
-    so each product rows[k][S_t] M_(S - S_t) that _determinant_packed sums
-    has total degree at most the sum over the columns S, which is at most
-    D: no monomial of any minor has total degree, hence any exponent,
-    above D.
+    2^w > D (_field_width).
 
     For an alternant quotient, D is the sum over the row of the total
     degree of each entry f_j (0 for a zero entry).  Moving f_j's names[0]
@@ -435,41 +432,15 @@ def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
     return groups
 
 
-def _add_product(total: dict, left: dict, right: dict, sign: int = 1) -> dict:
-    """Add sign * left * right, on packed keys, into total (zero
-    coefficients are left in place); returns total."""
+def _add_product(total: dict, left: dict, right: dict) -> dict:
+    """Add left * right, on packed keys, into total (zero coefficients are
+    left in place); returns total."""
     right = right.items()
     for e1, c1 in left.items():
-        c1 *= sign
         for e2, c2 in right:
             e = e1 + e2
             total[e] = total.get(e, 0) + c1 * c2
     return total
-
-
-def _determinant_packed(rows) -> dict:
-    """det(rows) on packed entries, by Laplace expansion along the rows,
-    top down.  Layer k holds, for each set S of k + 1 columns, the minor on
-    rows 0..k and the columns S, which expanding along its last row gives as
-
-        M_S = sum_t (-1)^(k+t) rows[k][S_t] M_(S - S_t).
-
-    Zero entries and zero minors are skipped.
-    """
-    n = len(rows)
-    layer = {(): {0: 1}}
-    for k, row in enumerate(rows):
-        minors = {}
-        for cols in combinations(range(n), k + 1):
-            total = {}
-            for t, col in enumerate(cols):
-                entry, minor = row[col], layer[cols[:t] + cols[t + 1:]]
-                if entry and minor:
-                    sign = -1 if (k + t) % 2 else 1
-                    _add_product(total, entry, minor, sign)
-            minors[cols] = {e: c for e, c in total.items() if c}
-        layer = minors
-    return layer[tuple(range(n))]
 
 
 def _divided_difference(terms: dict, su: int, sv: int, mask: int) -> dict:
@@ -570,17 +541,3 @@ def alternant_quotient(row, names) -> Poly:
     quotient = _alternant_chain(packing, columns, names)
     _check_symmetric(packing, quotient, names)
     return packing.unpack(quotient)
-
-
-def determinant(matrix) -> Poly:
-    """Determinant of a square matrix of polynomials (or scalars): the
-    entries are packed once (see _Packing), expanded along the rows
-    (_determinant_packed) and unpacked once."""
-    rows = [[Poly._coerce(entry) for entry in row] for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    used = {v for row in rows for entry in row for v in entry.vars}
-    degree = sum(max(0, *(entry.degree() for entry in column)) for column in zip(*rows))
-    packing = _Packing(tuple(sorted(used, key=_var_key)), degree)
-    return packing.unpack(_determinant_packed(
-        [[packing.pack(entry) for entry in row] for row in rows]))

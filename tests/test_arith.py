@@ -12,12 +12,15 @@ from grothtab import arith
 from grothtab.arith import (
     binomial,
     coupled_sum,
+    determinant,
     exact_count,
     exact_rational,
     format_rational,
     parse_rational,
 )
 from grothtab.polynomials import Poly
+
+from poly_reference import leibniz
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -125,6 +128,20 @@ except ArithmeticError as exc:
     if str(exc) == 'count for (2,1), n=3: 4/3 is not a non-negative integer':
         raise SystemExit(0)
 raise SystemExit('an inexact pairwise count did not raise its message under python -O')
+""",
+    "inexact elimination step": """
+from grothtab.arith import determinant
+
+class OffByOne(int):
+    # products off by one, so that a later elimination step is inexact
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+try:
+    determinant([[OffByOne(2), 1, 0], [1, 2, 1], [0, 1, 2]])
+except ArithmeticError:
+    raise SystemExit(0)
+raise SystemExit('an inexact elimination step did not raise under python -O')
 """,
     "negative exponent": """
 from grothtab.polynomials import Poly
@@ -292,3 +309,52 @@ def test_coupled_sum_refuses_more_terms_than_the_limit(monkeypatch):
     assert coupled_sum([[1], [1, 0], [1, 0, 0]], lambda i, j, ki, kj: 2) == ([8, 0, 0, 0], 1)
     with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
         coupled_sum([[1], [1, 0], [1, 0, 0], [1, 0, 0, 0]], cross)
+
+
+@st.composite
+def int_matrices(draw):
+    """Square int matrices up to 6 x 6 with entries in -3..3, so that zero
+    pivots and singular matrices come up often, and now and then a few
+    entries of 60 bits and more."""
+    n = draw(st.integers(0, 6))
+    matrix = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            matrix[i][j] = draw(st.integers(2 ** 60, 2 ** 70)) * draw(st.sampled_from([-1, 1]))
+    return matrix
+
+
+@given(int_matrices())
+def test_determinant_matches_the_leibniz_sum(matrix):
+    before = [list(row) for row in matrix]
+    got = determinant(matrix)
+    assert type(got) is int and got == leibniz(matrix)
+    assert matrix == before
+
+
+def test_determinant_examples():
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+    # step 2's pivot 1*4 - 2*2 is 0, so rows 2 and 3 are swapped
+    assert determinant([[1, 2, 3], [2, 4, 5], [3, 7, 1]]) == 1
+    assert determinant([[1, 2, 3], [2, 4, 6], [3, 7, 1]]) == 0
+
+
+def test_determinant_refusals():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        determinant([[1, 2]])
+    for entry in (Poly.variable("x"), Fraction(1, 2), Fraction(2), 1.0, True):
+        with pytest.raises(TypeError, match="determinant entries must be ints"):
+            determinant([[1, 0], [0, entry]])
+
+
+def test_determinant_raises_on_an_inexact_step():
+    class OffByOne(int):
+        def __mul__(self, other):
+            return int(self) * other + 1
+
+    # step 1 makes rows (4, 3) and (3, 5) with the wrong products; step 2's
+    # 4 * 5 - 3 * 3 = 11 over the pivot 2 leaves remainder 1
+    with pytest.raises(ArithmeticError, match="inexact elimination step: remainder 1"):
+        determinant([[OffByOne(2), 1, 0], [1, 2, 1], [0, 1, 2]])

@@ -22,11 +22,11 @@ from grothtab.grothendieck import (
 from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
 from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from grothtab.polynomials import Poly, determinant
+from grothtab.polynomials import Poly
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
-from poly_reference import coefficient, evaluate
+from poly_reference import coefficient, evaluate, leibniz
 from tableau_reference import reference_svt, reference_tableau_sum, schur_tableau_sum
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
@@ -131,8 +131,8 @@ def test_refined_symbolic_hand_oracle():
 
 
 def _fraction_row_bialternant(shape, n, betas):
-    """The refined quotient built over Fraction rows (1 + beta x_i), with
-    one division per Vandermonde factor."""
+    """The refined quotient built over Fraction rows (1 + beta x_i): the
+    Leibniz sum, with one division per Vandermonde factor."""
     lam = Partition(shape).padded(n)
     xs = [Poly.variable(f"x{i}") for i in range(1, n + 1)]
     factors = [Poly.variable(b) if isinstance(b, str) else Fraction(b) for b in betas]
@@ -144,7 +144,7 @@ def _fraction_row_bialternant(shape, n, betas):
                 entry = entry * (1 + factors[j - 1] * x)
             row.append(x ** (lam[j] + n - 1 - j) * entry)
         rows.append(row)
-    out = determinant(rows)
+    out = leibniz(rows)
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             out = out.divide_by_difference(f"x{i}", f"x{j}")
@@ -173,19 +173,20 @@ def test_integral_quotient_equals_the_fraction_row_quotient(case):
 
 
 def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
-    # n variables give 2^n minors: 2^3 = 8 pass, 2^4 = 16 are refused
-    def no_determinant(*args):
-        raise AssertionError("the determinant ran")
+    # the symbolic route is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
+    # refused; the value at a point takes an int determinant in O(n^3)
+    # products, with no such limit
+    def not_run(*args):
+        raise AssertionError("a row or the quotient was built")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
     assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
     assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
-    assert refined_bialternant_at((1,), 3, [0, 0], [1, 2, 3]) == 6
-    monkeypatch.setattr(grothendieck, "alternant_quotient", no_determinant)
-    monkeypatch.setattr(grothendieck, "determinant", no_determinant)
+    assert refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4]) == 10
+    monkeypatch.setattr(grothendieck, "alternant_quotient", not_run)
+    monkeypatch.setattr(grothendieck, "_integral_rows", not_run)
     for build in (lambda: refined_bialternant((1,), 4, [0, 0, 0]),
-                  lambda: grothendieck_bialternant((2, 1), 4),
-                  lambda: refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4])):
+                  lambda: grothendieck_bialternant((2, 1), 4)):
         with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
             build()
 

@@ -2,7 +2,8 @@
 
 One bug sits in the field width of the packed monomials, which the
 bi-alternant kernel and the tableau sum share, one in the sign of the
-Laplace determinant's cofactors, two in the bi-alternant's
+2 x 2 minor that each step of the int determinant's fraction-free
+elimination takes, two in the bi-alternant's
 divided-difference chain (the sign of a swapped term, and a Horner level
 that skips d_1), three in the packed tableau-sum fill (the per-letter
 units, the entries' weights and the key the backtracker carries), one in
@@ -65,9 +66,11 @@ def _pairwise(old: str, new: str):
 
 
 MUTANTS = {
-    "minor sign flipped": lambda: (polynomials, "_determinant_packed", _edited(
-        polynomials._determinant_packed, "sign = -1 if (k + t) % 2 else 1",
-        "sign = 1 if (k + t) % 2 else -1")),
+    # grothendieck holds its own binding of the int determinant; every
+    # division stays exact, and the value comes out negated at n = 2 and 3
+    # (mod 4)
+    "minor sign flipped": lambda: (grothendieck, "determinant", _edited(
+        arith.determinant, "p * row[j] - a * top[j]", "a * top[j] - p * row[j]")),
     "swapped term keeps its sign": lambda: (polynomials, "_divided_difference", _edited(
         polynomials._divided_difference, "gap, coeff = -gap, -coeff", "gap, coeff = -gap, coeff")),
     "Horner level skips d_1": lambda: (polynomials, "_alternant_chain", _edited(
@@ -120,10 +123,11 @@ MUTANTS = {
 }
 
 CAUGHT_BY = {
-    # only thm-3.5 takes a determinant; gg-eq-w's bi-alternant is the chain
+    # only thm-3.5 takes a determinant, on ints at a point; gg-eq-w's
+    # bi-alternant is the chain
     "minor sign flipped": {"thm-3.5"},
-    # the bi-alternant and the tableau sum share the packing; thm-3.5 takes
-    # its determinant on ints, where every exponent is 0
+    # the bi-alternant and the tableau sum share the packing; thm-3.5's
+    # determinant is on plain ints, with nothing packed
     "field width forced to 2 bits": {"gg-eq-w", "prop-AA", "thm-3.9"},
     # the chain's result is wrong, or not symmetric in the x's, which the
     # kernel's guard refuses with ArithmeticError; only gg-eq-w runs it
