@@ -2,15 +2,19 @@
 
 The set-valued tableau generating sum (enumerate_svt weighs each filling
 as the sum of its letters' packed int units, and the sum counts those
-keys), the bi-alternant quotient and its refined multi-parameter form
-(one symbolic row of int columns at x_1, with the betas' denominators
-divided out once; polynomials.alternant_quotient moves the row to each x_i
-and applies a chain of divided differences, so nothing is divided by the
-Vandermonde), the same integral matrix taken at n distinct rational points
-on ints (refined_bialternant_at: arith.determinant, fraction-free
-elimination in O(n^3) int products, divided once, with no polynomial in x
-built), and the shifted-exponent expansion that evaluates
-the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
+keys and keeps them, memoized per (shape, n); its diagonal
+x_1 = ... = x_n = t is read off their b field, and the public sum is
+unpacked on request), the bi-alternant quotient and its refined
+multi-parameter form (one symbolic row of int columns at x_1, with the
+betas' denominators divided out once; polynomials.alternant_quotient moves
+the row to each x_i and applies a chain of divided differences, so nothing
+is divided by the Vandermonde; at the symbolic beta b the chain can leave
+its result on the packed keys of the tableau sum, since both take the one
+packing polynomials._shape_packing gives a shape), the same integral
+matrix taken at n distinct rational points on ints (refined_bialternant_at:
+arith.determinant, fraction-free elimination in O(n^3) int products,
+divided once, with no polynomial in x built), and the shifted-exponent
+expansion that evaluates the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
 without any determinant.  Every refined route takes max(n - 1, 0) betas,
 so in n = 0 variables the empty shape gives 1 on every route.
 Keeping the routes separate is the point: the verification harness compares
@@ -38,7 +42,13 @@ from math import factorial, prod
 
 from .arith import _check_size, coupled_sum, determinant, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import Poly, _Packing, alternant_quotient
+from .polynomials import (
+    Poly,
+    _Packed,
+    _packed_alternant_quotient,
+    _shape_packing,
+    alternant_quotient,
+)
 from .tableaux import enumerate_svt
 
 BETA = "b"
@@ -59,27 +69,42 @@ def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
 
     The coefficient of b^0 is the Schur polynomial of the same shape.
     """
-    return _tableau_sum(Partition(shape), operator.index(nvars))
+    return _tableau_sum(Partition(shape), operator.index(nvars)).unpack()
 
 
 @lru_cache(maxsize=None)
-def _tableau_sum(shape: Partition, nvars: int) -> Poly:
-    """Sum of b^excess x^weight over the fillings enumerate_svt yields.
+def _tableau_sum(shape: Partition, nvars: int) -> _Packed:
+    """Sum of b^excess x^weight over the fillings enumerate_svt yields, on
+    packed keys.
 
     Letter v weighs the packed monomial b x_v, so the key enumerate_svt
     yields for a filling counts its letters in field b and letter v in
-    field x_v; each distinct key is unpacked once, less b^|shape| (the
-    excess is letters minus cells, and no cell is empty).  Field b is at
-    most |shape| n and each x field at most |shape|; _Packing sizes the
-    fields for that bound.
+    field x_v; the distinct keys are counted, and b^|shape| is taken off
+    each (the excess is letters minus cells, and no cell is empty).  Field
+    b is at most |shape| n and each x field at most |shape|; the packing
+    is _shape_packing's, which covers that bound and the symbolic
+    bi-alternant's, so _packed_bialternant comes out on the same keys.
     """
-    names = (BETA, *_x_names(nvars))
-    packing = _Packing(names, shape.size * nvars)
+    packing = _shape_packing((BETA, *_x_names(nvars)), shape.size)
     b = packing.variable(BETA)
-    units = [0, *(b + packing.variable(x) for x in names[1:])]
+    units = [0, *(b + packing.variable(x) for x in packing.vars[1:])]
     counts = Counter(enumerate_svt(shape, nvars, units))
     cells = shape.size * b
-    return packing.unpack({key - cells: count for key, count in counts.items()})
+    return _Packed(packing, {key - cells: count for key, count in counts.items()})
+
+
+def _tableau_sum_diagonal(shape: Partition, nvars: int, var: str) -> Poly:
+    """The tableau sum at x_1 = ... = x_n = var: a polynomial in (b, var)
+    read off the b field of _tableau_sum's packed counts, with nothing
+    unpacked.  A filling of excess e has |shape| + e letters, so its key
+    goes to b^e var^(|shape| + e), one term per excess."""
+    packed = _tableau_sum(shape, nvars)
+    shift, mask = packed.packing.shift[BETA], packed.packing.mask
+    by_excess = {}
+    for key, count in packed.terms.items():
+        excess = (key >> shift) & mask
+        by_excess[excess] = by_excess.get(excess, 0) + count
+    return Poly((BETA, var), {(e, shape.size + e): count for e, count in by_excess.items()})
 
 
 def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
@@ -156,12 +181,32 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
         raise ValueError(f"need exactly {_beta_count(n)} beta values, got {len(betas)}")
     if len(shape) > n:
         return Poly.constant(0)
-    _check_size(2 ** n, "the determinant has {} minors")
-    names = _x_names(n)
-    rows, scale = _integral_rows(shape.padded(n), [_ratio(b) for b in betas],
-                                 [(Poly.variable(name), 1) for name in names[:1]])
-    quotient = alternant_quotient(rows[0] if rows else [], names)
+    row, scale = _first_row(shape, n, betas)
+    quotient = alternant_quotient(row, _x_names(n))
     return quotient if scale == 1 else quotient * Fraction(1, scale)
+
+
+def _first_row(shape: Partition, n: int, betas):
+    """The integral bi-alternant's row at x_1 and its scale (_integral_rows),
+    once a determinant of 2^n minors has passed the refusal."""
+    _check_size(2 ** n, "the determinant has {} minors")
+    rows, scale = _integral_rows(shape.padded(n), [_ratio(b) for b in betas],
+                                 [(Poly.variable(name), 1) for name in _x_names(n)[:1]])
+    return (rows[0] if rows else []), scale
+
+
+def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
+    """grothendieck_bialternant(shape, nvars) at the symbolic beta b, left
+    on the keys of _shape_packing, the packing _tableau_sum's counts are
+    on, so that the two compare without unpacking.  The chain checks that
+    the packing covers its row and keeps both guards; the betas are
+    symbolic, so the scale is 1."""
+    names = (BETA, *_x_names(nvars))
+    packing = _shape_packing(names, shape.size)
+    if len(shape) > nvars:
+        return _Packed(packing, {})
+    row, _ = _first_row(shape, nvars, [BETA] * _beta_count(nvars))
+    return _packed_alternant_quotient(row, names[1:], packing)
 
 
 def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:

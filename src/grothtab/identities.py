@@ -16,11 +16,15 @@ offender.  An instance that raises is
 one failed instance whose witness names its shape, n, exception type and
 the function, file and line of the innermost traceback frame, and the
 sweep goes on.  An empty Grid is rejected.  The tableau sum of each
-(shape, n) is memoized, so a process enumerates it once, and so is its
-diagonal x_1 = ... = x_n = t (Poly.collapse), a polynomial in (b, t) with
-one term per excess: the values at x = 1 and at x = (beta, .., beta) and
-the set-valued counts (its coefficient sum) are read off the diagonal,
-and only gg-eq-w and the diagonal itself read the full sum.  thm-3.9 and
+(shape, n) is memoized on packed keys, so a process enumerates it once,
+and so is its diagonal x_1 = ... = x_n = t, a polynomial in (b, t) with
+one term per excess, read off the keys' b field with nothing unpacked:
+the values at x = 1 and at x = (beta, .., beta) and the set-valued counts
+(its coefficient sum) are read off the diagonal, and only gg-eq-w and the
+diagonal itself read the full sum.  gg-eq-w compares the packed sum with
+the bi-alternant's divided-difference chain left on keys of the same
+packing (polynomials._shape_packing), so neither side is unpacked; a
+packing mismatch raises, and fails the instance.  thm-3.9 and
 cor-3.11 take their series side from hypergeom.ones_value_by_series, the
 function behind `count-svt --method holman` too, so verify checks the
 code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
@@ -44,13 +48,12 @@ from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
 
+from . import grothendieck
 from .arith import binomial, exact_count
 from .grothendieck import (
     BETA,
-    _x_names,
+    _packed_bialternant,
     count_svt_formula,
-    grothendieck_bialternant,
-    grothendieck_tableau_sum,
     principal_specialization_q,
     refined_bialternant_at,
 )
@@ -316,10 +319,12 @@ def _gauss(shape, n, z):
 def _diagonal(shape, n):
     """The tableau sum at x_1 = ... = x_n = t: a polynomial in (b, t)
     with one term per excess, since a filling with excess e has |shape| + e
-    letters.  The values at x = 1 and at x = (beta, .., beta) are taken on
-    it, and so are the set-valued counts (its coefficient sum), memoized
-    per (shape, n), so a process passes over each full sum's terms once."""
-    return grothendieck_tableau_sum(shape, n).collapse(_x_names(n), _T)
+    letters, read off the packed counts' b field.  The values at x = 1 and
+    at x = (beta, .., beta) are taken on it, and so are the set-valued
+    counts (its coefficient sum), memoized per (shape, n), so a process
+    passes over each full sum's terms once.  The reader looks the memoized
+    sum up in grothendieck, as gg-eq-w does."""
+    return grothendieck._tableau_sum_diagonal(shape, n, _T)
 
 
 def _all_ones_rows(shape, n, closed_form):
@@ -344,9 +349,13 @@ def _hook_counts(grid, shape, n):
            "set-valued tableau sum equals the determinant quotient",
            "tableau generating sum", "bi-alternant / Vandermonde")
 def _tableau_sum_vs_bialternant(grid, shape, n):
+    """Both sides stay on the packed keys of polynomials._shape_packing:
+    the fill's counts, less b^|shape|, and the divided-difference chain's
+    result at the symbolic beta b.  Keys over packings that differ raise
+    rather than compare, so there is no second, unpacked comparison."""
     yield ({"shape": shape, "n": n},
-           grothendieck_tableau_sum(shape, n),
-           grothendieck_bialternant(shape, n))
+           grothendieck._tableau_sum(shape, n),
+           _packed_bialternant(shape, n))
 
 
 @_register("prop-3.1",

@@ -5,12 +5,11 @@ from ints keeps int coefficients, and Fractions appear only where a rational
 input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
-substitution, setting variables equal (collapse), alternant quotients,
-and exact synthetic division by a product of differences
-(u - v_1) ... (u - v_k) sharing one variable u, on the terms grouped by
-their power of u once.  Division checks the remainder of every factor and
-raises on a nonzero one instead of ever returning an approximation; an
-int dividend keeps int coefficients.
+substitution, alternant quotients, and exact synthetic division by a
+product of differences (u - v_1) ... (u - v_k) sharing one variable u, on
+the terms grouped by their power of u once.  Division checks the
+remainder of every factor and raises on a nonzero one instead of ever
+returning an approximation; an int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
 once (the integer rule of arith), so all-int data keeps int coefficients.
 
@@ -24,8 +23,14 @@ applies Lascoux-Schutzenberger divided differences
 (f - f|u<->v) / (u - v), each written out term by term as a polynomial,
 in one Horner chain, so nothing is divided and no remainder can arise;
 two guards (an entry at another row's name, a result that is not
-symmetric) raise real errors in its place.  Poly.divide_by_difference is
-the one synthetic division.  The one determinant the package takes, of
+symmetric) raise real errors in its place.  A result can stay packed:
+_Packed holds terms with their packing, compares equal only to terms over
+an equal packing (a different one raises rather than unpacking either
+side) and unpacks on request.  _shape_packing is the one packing of a
+shape's polynomials in n variables, over (b, x_1, ..., x_n), wide enough
+for both the set-valued tableau sum and the bi-alternant's chain, so the
+two compare on keys.  Poly.divide_by_difference is the one synthetic
+division.  The one determinant the package takes, of
 the refined bi-alternant at a point, is on ints: determinant here is
 arith.determinant, which refuses a Poly entry with TypeError.
 
@@ -219,28 +224,6 @@ class Poly:
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
 
-    def collapse(self, names, var: str) -> "Poly":
-        """The polynomial with every variable in names set equal to var:
-        each term's exponents of those variables, and of var itself, are
-        summed into var's.  Names the polynomial does not use are ignored.
-        Exact: terms that meet add their coefficients, and nothing else
-        changes.
-        """
-        if not _NAME_RE.match(var):
-            raise ValueError(f"bad variable name: {var!r}")
-        merged = set(names) | {var}
-        keep = [i for i, v in enumerate(self.vars) if v not in merged]
-        vars = tuple(sorted([self.vars[i] for i in keep] + [var], key=_var_key))
-        at = vars.index(var)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = [exps[i] for i in keep]
-            # var's exponent: the term's degree less that of the kept variables
-            e.insert(at, sum(exps) - sum(e))
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + coeff
-        return Poly._of(vars, {e: c for e, c in terms.items() if c})
-
     def substitute(self, values: dict) -> "Poly":
         """Evaluate some variables at rationals; names the polynomial does
         not use are ignored.  Returns a Poly in the remaining variables.
@@ -363,9 +346,23 @@ class _Packing:
     u^m-slices times v^(m-k), whose total degree is at most the
     dividend's, and every quotient has a smaller total degree than its
     dividend; so the dividend's degree bounds every key of every division
-    step.  The tableau sum (grothendieck._tableau_sum) packs its fillings'
-    weights over (b, x_1, ..., x_n) with D = |shape| n, the bound on its
-    letter count in b.
+    step.
+
+    A shape's polynomials in n variables have one packing, over
+    (b, x_1, ..., x_n), by one rule (_shape_packing): D is the larger of
+    two a-priori bounds, so that the set-valued tableau sum and the
+    symbolic bi-alternant's chain, each packed on its own, come out on the
+    same keys and compare without unpacking.  The first bound, |shape| n,
+    is the tableau sum's (grothendieck._tableau_sum): a filling's key
+    counts its letters in field b, at most n per cell, and letter v in
+    field x_v, at most once per cell, and every prefix of a filling the
+    backtracker carries counts fewer.  The second, |shape| + 3n(n-1)/2,
+    is the chain's D above for the bi-alternant's first row: entry j
+    (from 0) is x_1^(l_j + n - 1 - j) (1 + b x_1)^j, of total degree
+    l_j + n - 1 + j, and these add up to |shape| + n(n-1) + n(n-1)/2.
+    Either bound alone gives the two sides different widths on some
+    pairs, and packed terms over different packings do not compare
+    (_Packed).
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -408,6 +405,50 @@ class _Packing:
         """The terms that split grouped, less any zero coefficient."""
         shift = self.shift[u]
         return {e + (k << shift): c for k, group in groups.items() for e, c in group.items() if c}
+
+
+def _shape_packing(names, size: int) -> _Packing:
+    """The one packing of a shape's polynomials over names = (b, x_1, ...,
+    x_n), for a shape of the given size: D = max(size n, size +
+    3n(n-1)/2), the tableau sum's bound and the symbolic bi-alternant
+    chain's (see _Packing)."""
+    n = len(names) - 1
+    return _Packing(tuple(names), max(size * n, size + 3 * n * (n - 1) // 2))
+
+
+class _Packed:
+    """Terms {key: nonzero coefficient} on the keys of a packing.
+
+    Two compare equal when their terms are.  Packed terms over packings
+    that differ, in their variables or their field width, raise ValueError
+    instead: their keys stand for different monomials, and neither side is
+    unpacked to compare them.  A value that is not packed raises
+    TypeError.  str is that of the unpacked polynomial.
+    """
+
+    __slots__ = ("packing", "terms")
+
+    def __init__(self, packing: _Packing, terms: dict):
+        self.packing = packing
+        self.terms = terms
+
+    def __eq__(self, other):
+        if not isinstance(other, _Packed):
+            raise TypeError(f"packed terms do not compare with {type(other).__name__}")
+        mine, theirs = self.packing, other.packing
+        if (mine.vars, mine.mask) != (theirs.vars, theirs.mask):
+            raise ValueError(f"packed terms over {mine.vars} in {mine.mask.bit_length()}-bit "
+                             f"fields do not compare with packed terms over {theirs.vars} "
+                             f"in {theirs.mask.bit_length()}-bit fields")
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def unpack(self) -> Poly:
+        return self.packing.unpack(self.terms)
+
+    def __str__(self):
+        return str(self.unpack())
 
 
 def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
@@ -523,6 +564,15 @@ def alternant_quotient(row, names) -> Poly:
     is over the entries' variables, and the names when there are two or
     more.
     """
+    return _packed_alternant_quotient(row, names).unpack()
+
+
+def _packed_alternant_quotient(row, names, packing: _Packing | None = None) -> _Packed:
+    """alternant_quotient(row, names), guards and all, left on packed keys:
+    over `packing` when one is given, which must hold the names and the
+    entries' variables in fields wide enough for the row's degree bound
+    (ValueError if not), and otherwise over the packing alternant_quotient
+    describes."""
     row = [Poly._coerce(entry) for entry in row]
     names = tuple(names)
     if len(names) != len(row):
@@ -533,11 +583,16 @@ def alternant_quotient(row, names) -> Poly:
     if used.intersection(names[1:]):
         held = sorted(used.intersection(names[1:]), key=_var_key)
         raise ValueError(f"the row is at {names[0]}, but its entries hold {', '.join(held)}")
-    if len(names) > 1:
-        used.update(names)
-    packing = _Packing(tuple(sorted(used, key=_var_key)),
-                       sum(max(entry.degree(), 0) for entry in row))
+    bound = sum(max(entry.degree(), 0) for entry in row)
+    if packing is None:
+        if len(names) > 1:
+            used.update(names)
+        packing = _Packing(tuple(sorted(used, key=_var_key)), bound)
+    elif not used.union(names) <= set(packing.vars) or packing.mask < bound:
+        raise ValueError(f"a packing over {packing.vars} in {packing.mask.bit_length()}-bit "
+                         f"fields cannot hold a row over {tuple(sorted(used, key=_var_key))} "
+                         f"with degree bound {bound}")
     columns = [packing.pack(entry, {names[0]: name}) for entry, name in zip(row, names)]
     quotient = _alternant_chain(packing, columns, names)
     _check_symmetric(packing, quotient, names)
-    return packing.unpack(quotient)
+    return _Packed(packing, quotient)

@@ -118,6 +118,15 @@ except ArithmeticError:
     raise SystemExit(0)
 raise SystemExit('a quotient that is not symmetric did not raise under python -O')
 """,
+    "packing narrower than the alternant's row": """
+from grothtab.polynomials import Poly, _Packing, _packed_alternant_quotient
+x1 = Poly.variable('x1')
+try:
+    _packed_alternant_quotient([x1 ** 4, 1], ('x1', 'x2'), _Packing(('x1', 'x2'), 3))
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit('a packing narrower than the row did not raise under python -O')
+""",
     "inexact pairwise count": """
 from grothtab import partitions
 products = iter([4, 3])

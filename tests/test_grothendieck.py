@@ -22,11 +22,11 @@ from grothtab.grothendieck import (
 from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
 from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from grothtab.polynomials import Poly
+from grothtab.polynomials import Poly, _packed_alternant_quotient, _Packing, _shape_packing
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
-from poly_reference import coefficient, evaluate, leibniz
+from poly_reference import coefficient, collapse, evaluate, leibniz
 from tableau_reference import reference_svt, reference_tableau_sum, schur_tableau_sum
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
@@ -55,9 +55,13 @@ def test_grothendieck_tableau_sum_examples():
     assert g.substitute({BETA: 0}) == schur_tableau_sum((2, 1), 3)
 
 
-# |shape| n at 2^k - 1 and 2^k, where the packed fill's field width steps up
+# |shape| n at 2^k - 1 and 2^k, where the fill's own bound would step the
+# field width up, and the one packing's bound max(|shape| n,
+# |shape| + 3n(n-1)/2) (polynomials._shape_packing) at 2^k - 1 and 2^k,
+# by either term: 15 at (5,) n = 3, 16 at n = 2, 31 and 32 at n = 5
 WIDTH_BOUNDARIES = [((7,), 1), ((8,), 1), ((31,), 1), ((32,), 1), ((1,), 7), ((1,), 8),
-                    ((3,), 5), ((4,), 4), ((2, 2), 4), ((5, 3), 4)]
+                    ((3,), 5), ((4,), 4), ((2, 2), 4), ((5, 3), 4),
+                    ((5,), 3), ((8,), 2), ((5, 3), 2), ((1,), 5), ((2,), 5), ((1, 1), 5)]
 
 
 def test_tableau_sum_equals_the_letter_loop_reference():
@@ -67,6 +71,44 @@ def test_tableau_sum_equals_the_letter_loop_reference():
         want = reference_tableau_sum(reference_svt(shape, n), shape, n)
         assert (got.vars, got.terms) == (want.vars, want.terms), (shape, n)
         assert all(type(c) is int for c in got.terms.values())
+
+
+def test_the_packed_diagonal_is_the_collapsed_tableau_sum():
+    # read off the b field of the packed counts, against the reference
+    # that collapses the unpacked sum: n = 1, shapes with more rows than n
+    # (the sum is 0) and the empty shape included
+    cases = list(Grid(5, 5).shapes()) + [((1, 1, 1), 2), ((2, 1), 1), ((), 3), ((), 1)]
+    for shape, n in cases:
+        got = grothendieck._tableau_sum_diagonal(Partition(shape), n, "t")
+        want = collapse(grothendieck_tableau_sum(shape, n), [f"x{i}" for i in range(1, n + 1)], "t")
+        assert (got.vars, got.terms) == (want.vars, want.terms), (shape, n)
+
+
+def test_gg_eq_w_sides_are_packed_alike():
+    # the fill and the bi-alternant's chain each take the one packing of
+    # polynomials._shape_packing, so they compare on keys, n = 1 included,
+    # and each unpacks to its public route's polynomial
+    cases = [(Partition(shape), n) for shape, n in WIDTH_BOUNDARIES if n <= 5 and sum(shape) < 30]
+    for shape, n in list(Grid(5, 5).shapes()) + cases + [(Partition((2, 1)), 1)]:
+        fill = grothendieck._tableau_sum(shape, n)
+        chain = grothendieck._packed_bialternant(shape, n)
+        assert fill.packing.vars == ("b", *(f"x{i}" for i in range(1, n + 1))), (shape, n)
+        assert (fill.packing.vars, fill.packing.mask) == (chain.packing.vars, chain.packing.mask)
+        assert fill == chain, (shape, n)
+        assert chain.unpack() == grothendieck_bialternant(shape, n)
+        assert fill.unpack() == grothendieck_tableau_sum(shape, n)
+
+
+def test_the_chain_refuses_the_fills_bound_alone():
+    # (1,) in 3 variables has at most 3 letters, but the bi-alternant's
+    # row has degree 1 + 3n(n-1)/2 = 10: a packing sized for the fill
+    # alone is refused before the chain runs
+    shape, names = Partition((1,)), ("b", "x1", "x2", "x3")
+    row, _ = grothendieck._first_row(shape, 3, ["b", "b"])
+    with pytest.raises(ValueError, match=r"cannot hold a row .* with degree bound 10"):
+        _packed_alternant_quotient(row, names[1:], _Packing(names, 3))
+    assert _packed_alternant_quotient(row, names[1:], _shape_packing(names, 1)) == \
+        grothendieck._tableau_sum(shape, 3)
 
 
 def test_a_shape_without_a_first_cell_builds_no_weight_table():

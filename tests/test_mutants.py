@@ -1,7 +1,8 @@
 """Seeded bugs in the kernels that verify must catch.
 
 One bug sits in the field width of the packed monomials, which the
-bi-alternant kernel and the tableau sum share, one in the sign of the
+bi-alternant kernel and the tableau sum share, one in the field the
+diagonal reads the excess from, one in the sign of the
 2 x 2 minor that each step of the int determinant's fraction-free
 elimination takes, two in the bi-alternant's
 divided-difference chain (the sign of a swapped term, and a Horner level
@@ -32,11 +33,14 @@ and a wrong power of the denominator in hypergeom.shape_series, the one
 reader of the memoized series, which `eval-holman --from-shape` calls too.
 """
 
+import importlib
 import inspect
+import pkgutil
 import textwrap
 
 import pytest
 
+import grothtab
 from grothtab import arith, cli, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
 
@@ -83,6 +87,10 @@ MUTANTS = {
         tableaux._backtrack, "yield stem + weight", "yield weight")),
     "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
         grothendieck._tableau_sum.__wrapped__, "b + packing.variable(x)", "packing.variable(x)")),
+    # identities looks the reader up in grothendieck
+    "diagonal excess read from the x_1 field": lambda: (
+        grothendieck, "_tableau_sum_diagonal",
+        _edited(grothendieck._tableau_sum_diagonal, "shift[BETA]", 'shift["x1"]')),
     # both refined routes take their scale from _integral_rows; gg-eq-w's
     # betas are symbolic, so every d_k is 1 there
     "column scale exponent n - k": lambda: (grothendieck, "_integral_rows", _edited(
@@ -126,9 +134,13 @@ CAUGHT_BY = {
     # only thm-3.5 takes a determinant, on ints at a point; gg-eq-w's
     # bi-alternant is the chain
     "minor sign flipped": {"thm-3.5"},
-    # the bi-alternant and the tableau sum share the packing; thm-3.5's
-    # determinant is on plain ints, with nothing packed
-    "field width forced to 2 bits": {"gg-eq-w", "prop-AA", "thm-3.9"},
+    # the bi-alternant and the tableau sum share the packing rule, and the
+    # chain refuses fields narrower than its row; thm-3.5's determinant is
+    # on plain ints, with nothing packed.  The diagonal reads the b field
+    # alone and gives t the power |shape| + e, so it stays homogeneous, and
+    # the b field read mod 4 keeps the excess's parity: prop-AA's rows,
+    # which restate sum_T (-1)^excess(T) = 1, still pass
+    "field width forced to 2 bits": {"gg-eq-w", "thm-3.9"},
     # the chain's result is wrong, or not symmetric in the x's, which the
     # kernel's guard refuses with ArithmeticError; only gg-eq-w runs it
     "swapped term keeps its sign": {"gg-eq-w"},
@@ -139,6 +151,9 @@ CAUGHT_BY = {
     # weights and the excess go wrong
     "last cell drops the prefix key": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
     "excess unit dropped": {"gg-eq-w", "prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
+    # every key is still counted once, so the counts hold; gg-eq-w reads the
+    # packed sum, not its diagonal
+    "diagonal excess read from the x_1 field": {"prop-3.1", "prop-3.2", "prop-AA", "thm-3.9"},
     "column scale exponent n - k": {"thm-3.5"},
     "Vandermonde factor flipped": {"thm-3.5"},
     # every check that enumerates; thm-3.5 and thm-3.13 never do
@@ -175,6 +190,18 @@ MEMOS = (grothendieck._tableau_sum, identities._diagonal, hypergeom._shape_serie
 def _clear_memos():
     for memo in MEMOS:
         memo.cache_clear()
+
+
+def test_every_memo_in_the_package_is_cleared():
+    # a memo left out of MEMOS would hand a mutant values computed before
+    # it was seeded, and the mutant would go uncaught
+    found = {}
+    for info in pkgutil.iter_modules(grothtab.__path__):
+        module = importlib.import_module(f"grothtab.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear"):
+                found.setdefault(value, f"{info.name}.{name}")
+    assert set(found) == set(MEMOS), sorted(found.values())
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))

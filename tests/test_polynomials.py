@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from grothtab import arith, polynomials
 from grothtab.polynomials import Poly, alternant_quotient, determinant
 
-from poly_reference import coefficient, evaluate, leibniz
+from poly_reference import coefficient, collapse, evaluate, leibniz
 
 x1 = Poly.variable("x1")
 x2 = Poly.variable("x2")
@@ -204,7 +204,7 @@ def test_operations_return_canonical_polys(p, q, point, name, names):
     # the operations build their results unchecked, so rebuilding one through
     # the checking constructor must change nothing
     u, v = names[:2]
-    for r in (p + q, p - q, p * q, -p, p ** 2, p.substitute(point), p.collapse(names[:2], name),
+    for r in (p + q, p - q, p * q, -p, p ** 2, p.substitute(point), collapse(p, names[:2], name),
               (p * (Poly.variable(u) - Poly.variable(v))).divide_by_difference(u, v)):
         rebuilt = Poly(r.vars, r.terms)
         assert rebuilt.vars == r.vars and rebuilt.terms == r.terms
@@ -253,15 +253,15 @@ def test_substitute_equals_the_term_by_term_reference(p, point):
 
 def test_collapse_sets_the_names_equal_to_one_variable():
     t = Poly.variable("t")
-    assert (x1 ** 2 * x2 + b * x1).collapse(["x1", "x2"], "t") == t ** 3 + b * t
+    assert collapse(x1 ** 2 * x2 + b * x1, ["x1", "x2"], "t") == t ** 3 + b * t
     # terms that meet add their coefficients, and a zero sum is dropped
-    collapsed = (x1 - x2 + 3 * x1 * x2).collapse(["x1", "x2", "x3"], "t")
+    collapsed = collapse(x1 - x2 + 3 * x1 * x2, ["x1", "x2", "x3"], "t")
     assert collapsed.vars == ("t",) and collapsed.terms == {(2,): 3}
     # var's own exponents count too; names the poly lacks are ignored
-    assert (x1 * x2 ** 2).collapse(["x1", "zz"], "x2") == x2 ** 3
-    assert (b * x1).collapse([], "t") == b * x1
+    assert collapse(x1 * x2 ** 2, ["x1", "zz"], "x2") == x2 ** 3
+    assert collapse(b * x1, [], "t") == b * x1
     with pytest.raises(ValueError, match="bad variable name"):
-        x1.collapse(["x1"], "2t")
+        collapse(x1, ["x1"], "2t")
 
 
 @given(polys(), st.lists(st.sampled_from(NAMES + ("zz",)), unique=True),
@@ -269,7 +269,7 @@ def test_collapse_sets_the_names_equal_to_one_variable():
 def test_collapse_then_substitute_equals_substituting_every_name(p, names, var, value):
     # names the poly lacks ("zz", "t" and any NAMES it was not drawn over)
     # are ignored by both sides
-    got = p.collapse(names, var).substitute({var: value})
+    got = collapse(p, names, var).substitute({var: value})
     want = p.substitute({name: value for name in (*names, var)})
     assert (got.vars, got.terms) == (want.vars, want.terms)
 
@@ -378,6 +378,41 @@ def test_a_chain_without_its_divided_differences_is_refused(monkeypatch):
     # x1 x2 is symmetric in x1 and x2, and the guard goes on to the next pair
     with pytest.raises(ArithmeticError, match="not symmetric in x2 and x3"):
         alternant_quotient([x1, x1, 1], ("x1", "x2", "x3"))
+
+
+def test_packed_terms_compare_only_over_one_packing():
+    # keys over another packing stand for other monomials: a different
+    # variable tuple or field width raises, and nothing is unpacked
+    packing = polynomials._Packing(("b", "x1"), 3)
+    terms = packing.pack(b * x1 + 2 * x1 ** 3)
+    packed = polynomials._Packed(packing, terms)
+    assert packed == polynomials._Packed(polynomials._Packing(("b", "x1"), 3), dict(terms))
+    assert packed != polynomials._Packed(packing, {**terms, 0: 1})
+    assert str(packed) == str(b * x1 + 2 * x1 ** 3) and packed.unpack() == b * x1 + 2 * x1 ** 3
+    for other in (polynomials._Packing(("b", "x1", "x2"), 3), polynomials._Packing(("b", "x1"), 4),
+                  polynomials._Packing(("x1", "x2"), 3)):
+        with pytest.raises(ValueError, match="do not compare"):
+            packed == polynomials._Packed(other, dict(terms))
+    for value in (b * x1 + 2 * x1 ** 3, 0):
+        with pytest.raises(TypeError, match="do not compare"):
+            packed == value
+        with pytest.raises(TypeError, match="do not compare"):
+            value == packed
+
+
+def test_the_chain_refuses_a_packing_that_cannot_hold_its_row():
+    row, names = [x1 ** 2 * b, 1], ("x1", "x2")
+    fits = polynomials._Packing(("b", "x1", "x2"), 3)
+    quotient = polynomials._packed_alternant_quotient(row, names, fits)
+    assert quotient.packing is fits and quotient.unpack() == b * (x1 + x2)
+    # 1-bit fields, too narrow for the degree bound 3, or a variable missing
+    for packing in (polynomials._Packing(("b", "x1", "x2"), 1),
+                    polynomials._Packing(("x1", "x2"), 3), polynomials._Packing(("b", "x1"), 3)):
+        with pytest.raises(ValueError, match="cannot hold a row over"):
+            polynomials._packed_alternant_quotient(row, names, packing)
+    # the guards run on a given packing too
+    with pytest.raises(ValueError, match="the row is at x1, but its entries hold x2"):
+        polynomials._packed_alternant_quotient([x1 * x2, 1], names, fits)
 
 
 def test_json_round_trip_and_canonical_order():
