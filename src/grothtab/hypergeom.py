@@ -24,7 +24,6 @@ refused, since it is not the rational it was written as.
 
 import json
 import operator
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -83,8 +82,14 @@ def shape_coupling(shape, nvars: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class HolmanInstance:
+class _HolmanFields(NamedTuple):
+    coupling: tuple[tuple[int, ...], ...]
+    numerator: tuple[tuple[Fraction, ...], ...]
+    denominator: tuple[tuple[Fraction, ...], ...]
+    z: tuple[Fraction, ...]
+
+
+class HolmanInstance(_HolmanFields):
     """Parameter pack of the coupled multi-index series.
 
     coupling: rows ((A_12,), (A_13, A_23), ...) of the strict lower
@@ -93,16 +98,13 @@ class HolmanInstance:
       one parameter per summation index.  z: one argument per index.
     """
 
-    coupling: tuple[tuple[int, ...], ...]
-    numerator: tuple[tuple[Fraction, ...], ...]
-    denominator: tuple[tuple[Fraction, ...], ...]
-    z: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coupling", _table(self.coupling, "coupling", _coupling_entry))
-        for name in ("numerator", "denominator"):
-            object.__setattr__(self, name, _table(getattr(self, name), name, exact_rational))
-        object.__setattr__(self, "z", _entries(self.z, "z", exact_rational))
+    def __new__(cls, coupling, numerator, denominator, z):
+        self = super().__new__(cls, _table(coupling, "coupling", _coupling_entry),
+                               _table(numerator, "numerator", exact_rational),
+                               _table(denominator, "denominator", exact_rational),
+                               _entries(z, "z", exact_rational))
         n = self.n
         if n < 1:
             raise ValueError("need at least one summation index")
@@ -112,6 +114,7 @@ class HolmanInstance:
         for col in self.numerator + self.denominator:
             if len(col) != n:
                 raise ValueError(f"parameter columns must have length {n}")
+        return self
 
     @property
     def n(self) -> int:
@@ -169,7 +172,7 @@ class HolmanInstance:
     def from_json(cls, data) -> "HolmanInstance":
         """The instance a JSON document describes: an object with exactly
         the fields coupling, numerator, denominator and z."""
-        if not isinstance(data, dict) or data.keys() != {f.name for f in fields(cls)}:
+        if not isinstance(data, dict) or data.keys() != set(cls._fields):
             found = sorted(data) if isinstance(data, dict) else f"a JSON {type(data).__name__}"
             raise ValueError("an instance is a JSON object with exactly the fields coupling, "
                              f"numerator, denominator and z, not {found}")

@@ -32,21 +32,28 @@ code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
 each (shape, n)'s series, a polynomial in z.  run_check sweeps one check
 over the whole Grid and run_all the whole registry.  With more than one
 worker (the GROTH_THREADS environment variable caps the count), run_all
-cuts the Grid's pairs into contiguous chunks, about four per worker,
-largest first, and each worker sweeps every check over its chunk, so
-each pair's memos live in one worker.  The chunk reports are merged in
-Grid order, so the counts and witnesses are those of the serial run; a
-check's seconds are then its time summed over the chunks.
+cuts the Grid's pairs into contiguous chunks, about four per worker, and
+deals them, largest first, to worker processes forked by os.fork; each
+worker sweeps every check over its chunks, so each pair's memos live in
+one worker, and sends its reports back through a pipe as marshalled
+tuples.  The chunk reports are merged in Grid order, so the counts and
+witnesses are those of the serial run; a check's seconds are then its
+time summed over the chunks.  Where os.fork does not exist, run_all
+sweeps serially.  The records are NamedTuples or plain classes, and the
+workers need no process pool, so importing the package and running in
+parallel load neither dataclasses (nor, through it, inspect) nor
+multiprocessing.
 """
 
+import marshal
 import os
 import random
 import sys
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
+from typing import NamedTuple
 
 from . import grothendieck
 from .arith import binomial, exact_count
@@ -74,8 +81,13 @@ class UnknownCheckError(LookupError):
     """Requested check id is not registered."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class _GridFields(NamedTuple):
+    max_size: int = 6
+    max_vars: int = 4
+    seed: int = 2718
+
+
+class Grid(_GridFields):
     """Parameter grid a check runs over.
 
     Shapes are all partitions of size 1..max_size paired with every
@@ -84,14 +96,14 @@ class Grid:
     every denominator nonzero; seed sets the random betas of thm-3.5.
     """
 
-    max_size: int = 6
-    max_vars: int = 4
-    seed: int = 2718
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_size < 1 or self.max_vars < 1:
             raise ValueError(f"empty grid: max_size={self.max_size} and "
                              f"max_vars={self.max_vars} must both be at least 1")
+        return self
 
     def shapes(self):
         """(shape, nvars) pairs, ordered by size, shape, nvars; pairs whose
@@ -112,8 +124,7 @@ class Grid:
                      for _ in range(nvars - 1))
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     params: dict[str, str]
     left: str
     right: str
@@ -122,14 +133,35 @@ class Witness:
         return {"params": dict(self.params), "left": self.left, "right": self.right}
 
 
-@dataclass
-class CheckReport:
-    id: str
-    summary: str
-    passed: int
-    failed: int
-    witnesses: list[Witness] = field(default_factory=list)
-    seconds: float = 0.0
+class _Record:
+    """Equality and repr by the attributes named in __slots__."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+
+class CheckReport(_Record):
+    __slots__ = ("id", "summary", "passed", "failed", "witnesses", "seconds")
+
+    def __init__(self, id: str, summary: str, passed: int, failed: int,
+                 witnesses: list[Witness] | None = None, seconds: float = 0.0):
+        self.id = id
+        self.summary = summary
+        self.passed = passed
+        self.failed = failed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seconds = seconds
 
     @property
     def instances(self) -> int:
@@ -151,11 +183,13 @@ class CheckReport:
         }
 
 
-@dataclass
-class SuiteReport:
-    max_size: int
-    max_vars: int
-    checks: list[CheckReport]
+class SuiteReport(_Record):
+    __slots__ = ("max_size", "max_vars", "checks")
+
+    def __init__(self, max_size: int, max_vars: int, checks: list[CheckReport]):
+        self.max_size = max_size
+        self.max_vars = max_vars
+        self.checks = checks
 
     @property
     def passed(self) -> int:
@@ -180,8 +214,7 @@ class SuiteReport:
         }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     summary: str
     left: str
@@ -275,23 +308,99 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport:
     """Run every registered check; reports come back in registry order.
-    With more than one worker, the grid's chunks are swept in worker
-    processes, the last (largest) chunk first."""
+    With more than one worker, and where os.fork exists, the grid's chunks
+    are swept in forked worker processes (_fork_sweeps)."""
     grid = grid or Grid()
     ids = check_ids()
     pairs = list(grid.shapes())
     count = resolve_workers(workers)
-    if count > 1 and len(pairs) > 1:
-        # imported here, so that a CLI process that starts no pool does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
+    if count > 1 and len(pairs) > 1 and hasattr(os, "fork"):
         chunks = _chunks(pairs, count)
-        with ProcessPoolExecutor(max_workers=min(count, len(chunks))) as pool:
-            futures = [pool.submit(_sweep, grid, chunk, ids) for chunk in reversed(chunks)]
-            parts = [future.result() for future in reversed(futures)]
+        parts = _fork_sweeps(grid, chunks, ids, min(count, len(chunks)))
         reports = [_merge(column) for column in zip(*parts)]
     else:
         reports = _sweep(grid, pairs, ids)
     return SuiteReport(grid.max_size, grid.max_vars, reports)
+
+
+def _fork_sweeps(grid: Grid, chunks: list, ids, workers: int) -> list[list[CheckReport]]:
+    """_sweep(grid, chunk, ids) for every chunk, in chunk order, swept in
+    `workers` forked processes.  The chunks are dealt round-robin, the last
+    (largest) first.  The parent reads every worker's pipe to its end, then
+    reaps the workers; a worker that dies or exits non-zero raises
+    RuntimeError naming the chunks it held.  On any exception, an interrupt
+    included, the parent kills and reaps every worker before re-raising."""
+    order = list(reversed(range(len(chunks))))
+    held = [order[w::workers] for w in range(workers)]
+    pids, pipes = [], []  # the workers not yet reaped, the read ends not yet closed
+    try:
+        for mine in held:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _worker(grid, [chunks[i] for i in mine], ids, write_end)
+            os.close(write_end)
+            pids.append(pid)
+        payloads = []
+        for read_end in pipes:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        codes = []
+        while pids:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+            del pids[0]
+    except BaseException:
+        from signal import SIGKILL
+        for pid in pids:
+            try:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
+        raise
+    finally:
+        for read_end in pipes:
+            os.close(read_end)
+    errors = [_worker_failure(code, mine, chunks) for code, mine in zip(codes, held) if code]
+    if errors:
+        raise RuntimeError("; ".join(errors))
+    parts = [None] * len(chunks)
+    for payload, mine in zip(payloads, held):
+        for i, reports in zip(mine, marshal.loads(payload)):
+            parts[i] = [CheckReport(check_id, summary, passed, failed,
+                                    [Witness(*w) for w in witnesses], seconds)
+                        for check_id, summary, passed, failed, witnesses, seconds in reports]
+    return parts
+
+
+def _worker(grid: Grid, chunks: list, ids, write_end: int) -> None:
+    """A forked worker: sweeps its chunks, marshals the reports as plain
+    tuples into its pipe, and leaves by os._exit, so it flushes no
+    inherited stdio and runs no atexit hook."""
+    code = 1
+    try:
+        payload = marshal.dumps([
+            [(r.id, r.summary, r.passed, r.failed, [tuple(w) for w in r.witnesses], r.seconds)
+             for r in _sweep(grid, chunk, ids)] for chunk in chunks])
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _worker_failure(code: int, held, chunks: list) -> str:
+    """The error of a worker that ended with exit code `code` (minus the
+    signal number when a signal killed it): it names the chunks it held."""
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+    names = ", ".join(f"{i} ({chunks[i][0][0]} n={chunks[i][0][1]} "
+                      f"to {chunks[i][-1][0]} n={chunks[i][-1][1]})" for i in held)
+    return f"a verify worker {how} holding chunk(s) {names}"
 
 
 # ----------------------------------------------------------------------

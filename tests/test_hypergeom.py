@@ -318,6 +318,20 @@ def test_json_round_trip_and_fixture_load():
     assert holman_series(loaded) == Fraction(1, 8)
 
 
+def test_instance_is_an_immutable_value():
+    inst = HolmanInstance.from_shape((2, 1), 3, Fraction(1, 2))
+    same = HolmanInstance([[2], [4, 2]], [[0, -1, -2]], [["1", 1, 1]], ["1/2"] * 3)
+    assert same == inst and hash(same) == hash(inst)
+    assert same.numerator == ((Fraction(0), Fraction(-1), Fraction(-2)),)
+    assert inst != HolmanInstance.from_shape((2, 1), 3, 1)
+    with pytest.raises(AttributeError):
+        inst.z = (1, 1, 1)
+    data = inst.to_json()
+    for document in ({k: v for k, v in data.items() if k != "z"}, {**data, "n": 3}):
+        with pytest.raises(ValueError, match="exactly the fields"):
+            HolmanInstance.from_json(document)
+
+
 def test_fixture_file_matches_documented_layout():
     data = json.loads((DATA / "holman_2_1_3.json").read_text())
     assert set(data) == {"coupling", "numerator", "denominator", "z"}

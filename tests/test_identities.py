@@ -1,6 +1,9 @@
 import json
-import multiprocessing
+import os
+import signal
+import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -61,6 +64,26 @@ def test_run_check_unknown_id():
 def test_empty_grid_is_rejected(max_size, max_vars):
     with pytest.raises(ValueError, match="at least 1"):
         Grid(max_size=max_size, max_vars=max_vars)
+
+
+def test_grid_is_an_immutable_value():
+    grid = Grid(max_size=3, max_vars=2)
+    assert grid == Grid(3, 2, 2718) and hash(grid) == hash(Grid(3, 2, 2718))
+    assert grid != Grid(3, 2, seed=1)
+    assert Grid() == Grid(6, 4, 2718)
+    with pytest.raises(AttributeError):
+        grid.max_size = 4
+    assert repr(grid) == "Grid(max_size=3, max_vars=2, seed=2718)"
+
+
+def test_witnesses_and_reports_compare_by_value():
+    witness = identities.Witness({"shape": "(1)"}, "1", "2")
+    assert witness == identities.Witness({"shape": "(1)"}, "1", "2")
+    assert witness != identities.Witness({"shape": "(1)"}, "1", "3")
+    report = identities.CheckReport("x", "s", 1, 1, [witness], 0.5)
+    assert report == identities.CheckReport("x", "s", 1, 1, [witness], 0.5)
+    assert report != identities.CheckReport("x", "s", 2, 1, [witness], 0.5)
+    assert identities.CheckReport("x", "s", 0, 0).witnesses == []
 
 
 def test_grid_order_is_size_then_shape_then_vars():
@@ -226,7 +249,7 @@ def test_merged_chunk_reports_equal_one_sweep():
     assert all(m.seconds == sum(p[i].seconds for p in parts) for i, m in enumerate(merged))
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+@pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="a monkeypatched bug reaches the workers only when they are forked")
 def test_parallel_run_reports_a_bug_as_the_serial_run_does(monkeypatch):
     original = identities.count_sst_product
@@ -240,6 +263,87 @@ def test_parallel_run_reports_a_bug_as_the_serial_run_does(monkeypatch):
     assert failing == {"hook-counts", "thm-3.13"}
     assert all(len(check["witnesses"]) == MAX_WITNESSES
                for check in serial["checks"] if check["failed"])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_a_failing_worker_raises_naming_its_chunks(monkeypatch):
+    grid = Grid(max_size=3, max_vars=3)
+    chunks = identities._chunks(list(grid.shapes()), 2)
+    parent, original = os.getpid(), identities._sweep
+
+    def sweep(grid, pairs, ids):
+        if os.getpid() != parent and pairs == chunks[-1]:
+            os._exit(3)
+        return original(grid, pairs, ids)
+
+    monkeypatch.setattr(identities, "_sweep", sweep)
+    with pytest.raises(RuntimeError, match=r"exited with code 3 holding chunk\(s\) 7 ") as caught:
+        run_all(grid, workers=2)
+    # the worker dealt the last chunk held every other chunk down from it
+    assert ", 5 (" in str(caught.value) and "6 (" not in str(caught.value)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
+    parent, original = os.getpid(), identities._sweep
+
+    def sweep(grid, pairs, ids):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return original(grid, pairs, ids)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(identities, "_sweep", sweep)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            run_all(Grid(max_size=3, max_vars=3), workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_without_fork_the_run_is_serial(monkeypatch):
+    grid = Grid(max_size=3, max_vars=3)
+    serial = run_all(grid, workers=1).to_json()
+    sweeps, original = [], identities._sweep
+
+    def sweep(grid, pairs, ids):
+        sweeps.append(len(pairs))  # a forked worker's append would not reach this list
+        return original(grid, pairs, ids)
+
+    monkeypatch.setattr(identities, "_sweep", sweep)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _strip_seconds(run_all(grid, workers=2).to_json()) == _strip_seconds(serial)
+    assert sweeps == [len(list(grid.shapes()))]
+
+
+def test_cli_import_and_parallel_run_load_no_dataclasses_or_pool():
+    code = ("import sys, grothtab.cli\n"
+            "from grothtab.identities import Grid, run_all\n"
+            "assert run_all(Grid(3, 3), workers=2).ok\n"
+            "print(sorted({'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))\n")
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("GROTH_THREADS", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_suite_report_validates_against_schema():
