@@ -31,18 +31,21 @@ code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
 `eval-holman --from-shape` does; all of them read one memoized walk of
 each (shape, n)'s series, a polynomial in z.  run_check sweeps one check
 over the whole Grid and run_all the whole registry.  With more than one
-worker (the GROTH_THREADS environment variable caps the count), run_all
-cuts the Grid's pairs into contiguous chunks, about four per worker, and
-deals them, largest first, to worker processes forked by os.fork; each
-worker sweeps every check over its chunks, so each pair's memos live in
-one worker, and sends its reports back through a pipe as marshalled
-tuples.  The chunk reports are merged in Grid order, so the counts and
-witnesses are those of the serial run; a check's seconds are then its
-time summed over the chunks.  Where os.fork does not exist, run_all
-sweeps serially.  The records are NamedTuples or plain classes, and the
-workers need no process pool, so importing the package and running in
-parallel load neither dataclasses (nor, through it, inspect) nor
-multiprocessing.
+worker (at most the CPUs the process may run on, and the GROTH_THREADS
+environment variable caps the count), run_all estimates each (shape, n)
+pair's cost a priori as its semistandard count |SST(shape, n)| and
+assigns the pairs by Graham's longest-processing-time rule: largest
+estimate first (ties in Grid order), each to the worker with the least
+estimated load so far.  Each worker is forked by os.fork and sweeps every
+check over its own pairs, kept in Grid order, so each pair's memos live
+in one worker, and sends its reports back through a pipe as marshalled
+tuples.  A report records the pair of each witness, so the reports are
+merged in Grid order and the counts and witnesses are those of the
+serial run; a check's seconds are then its time summed over the workers.
+Where os.fork does not exist, run_all sweeps serially.  The records are
+NamedTuples or plain classes, and the workers need no process pool, so
+importing the package and running in parallel load neither dataclasses
+(nor, through it, inspect) nor multiprocessing.
 """
 
 import marshal
@@ -152,16 +155,22 @@ class _Record:
 
 
 class CheckReport(_Record):
-    __slots__ = ("id", "summary", "passed", "failed", "witnesses", "seconds")
+    """One check's counts, first witnesses and time.  places holds, for
+    each witness, the index of its (shape, n) pair in the pairs swept; it
+    orders the witnesses of a parallel run and is not reported."""
+
+    __slots__ = ("id", "summary", "passed", "failed", "witnesses", "seconds", "places")
 
     def __init__(self, id: str, summary: str, passed: int, failed: int,
-                 witnesses: list[Witness] | None = None, seconds: float = 0.0):
+                 witnesses: list[Witness] | None = None, seconds: float = 0.0,
+                 places: list[int] | None = None):
         self.id = id
         self.summary = summary
         self.passed = passed
         self.failed = failed
         self.witnesses = [] if witnesses is None else witnesses
         self.seconds = seconds
+        self.places = [] if places is None else places
 
     @property
     def instances(self) -> int:
@@ -236,52 +245,79 @@ def check_ids() -> list[str]:
     return list(CHECKS)
 
 
-def _fail(report: CheckReport, params, left, right) -> None:
+def _fail(report: CheckReport, place: int, params, left, right) -> None:
     report.failed += 1
     if len(report.witnesses) < MAX_WITNESSES:
         report.witnesses.append(Witness(
             {k: str(v) for k, v in params.items()}, str(left), str(right)))
+        report.places.append(place)
 
 
 def _sweep(grid: Grid, pairs, ids) -> list[CheckReport]:
     """One report per check in ids, each over the (shape, n) pairs in the
-    order given: check by check, then pair by pair."""
+    order given: check by check, then pair by pair.  Each witness's place
+    is the index in pairs of the pair that gave it."""
     reports = []
     for check_id in ids:
         check = CHECKS[check_id]
         report = CheckReport(check.id, check.summary, 0, 0)
         start = perf_counter()
-        for shape, n in pairs:
+        for place, (shape, n) in enumerate(pairs):
             try:
                 for params, left, right in check.rows(grid, shape, n):
                     if left == right:
                         report.passed += 1
                     else:
-                        _fail(report, params, left, right)
+                        _fail(report, place, params, left, right)
             except Exception as exc:  # one crashing instance must not hide the rest
                 frame = traceback.extract_tb(exc.__traceback__)[-1]
                 at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
-                _fail(report, {"shape": shape, "n": n, "error": type(exc).__name__, "at": at},
-                      exc, "")
+                _fail(report, place,
+                      {"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, "")
         report.seconds = perf_counter() - start
         reports.append(report)
     return reports
 
 
-def _merge(parts) -> CheckReport:
-    """One check's reports over consecutive chunks of the grid, in grid
-    order, as the one report of a sweep over all of them: the counts and
-    seconds add up, and the first MAX_WITNESSES witnesses are kept."""
-    witnesses = [w for part in parts for w in part.witnesses][:MAX_WITNESSES]
+def _merge(parts, held) -> CheckReport:
+    """One check's reports, part k swept over the grid's pairs at the
+    indices held[k] (in grid order, every pair in one part), as the one
+    report of a sweep over the whole grid: the counts and seconds add up,
+    and the first MAX_WITNESSES witnesses in grid order are kept, placed
+    by their pairs' grid indices.  The sort is stable, so the witnesses of
+    one pair keep their order."""
+    placed = sorted(((mine[place], witness) for part, mine in zip(parts, held)
+                     for place, witness in zip(part.places, part.witnesses)),
+                    key=lambda item: item[0])[:MAX_WITNESSES]
     return CheckReport(parts[0].id, parts[0].summary, sum(p.passed for p in parts),
-                       sum(p.failed for p in parts), witnesses, sum(p.seconds for p in parts))
+                       sum(p.failed for p in parts), [w for _, w in placed],
+                       sum(p.seconds for p in parts), [place for place, _ in placed])
 
 
-def _chunks(pairs: list, workers: int) -> list[list]:
-    """The pairs cut into contiguous chunks of near-equal length, about
-    four per worker, so that the load balances to within one chunk."""
-    count = min(len(pairs), 4 * workers)
-    return [pairs[i * len(pairs) // count:(i + 1) * len(pairs) // count] for i in range(count)]
+def _estimate(shape, n) -> int:
+    """A pair's a-priori cost: its semistandard count |SST(shape, n)|, which
+    tracks the time of its checks.  A count that raises gives 1, so the
+    run goes on and the pair fails in the checks that take the count."""
+    try:
+        return count_sst_product(shape, n)
+    except Exception:
+        return 1
+
+
+def _assign(pairs: list, workers: int) -> list[list[int]]:
+    """Each worker's pairs, as indices into pairs in ascending (grid)
+    order, by Graham's longest-processing-time rule on _estimate: the pairs
+    go out largest estimate first, ties in grid order, each to the first
+    worker with the least estimated load so far.  Every estimate is at
+    least 1, so each of the first `workers` pairs opens a worker of its
+    own, and the estimated loads differ by at most the largest estimate."""
+    costs = [_estimate(shape, n) for shape, n in pairs]
+    loads, held = [0] * workers, [[] for _ in range(workers)]
+    for i in sorted(range(len(pairs)), key=lambda i: -costs[i]):
+        least = loads.index(min(loads))
+        held[least].append(i)
+        loads[least] += costs[i]
+    return [sorted(mine) for mine in held]
 
 
 def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
@@ -294,9 +330,24 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
     return _sweep(grid, list(grid.shapes()), [check_id])[0]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: os.process_cpu_count (Python
+    3.13+), else the size of its affinity mask, else os.cpu_count, so a
+    run pinned by taskset or a container forks no more workers than it
+    may run."""
+    if hasattr(os, "process_cpu_count"):
+        count = os.process_cpu_count()
+    elif hasattr(os, "sched_getaffinity"):
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count()
+    return count or 1
+
+
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit request or cpu count, capped by GROTH_THREADS."""
-    workers = explicit if explicit is not None else (os.cpu_count() or 1)
+    """Worker count: explicit request or the usable CPUs, capped by
+    GROTH_THREADS."""
+    workers = explicit if explicit is not None else _usable_cpus()
     cap = os.environ.get("GROTH_THREADS")
     if cap:
         try:
@@ -308,30 +359,29 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport:
     """Run every registered check; reports come back in registry order.
-    With more than one worker, and where os.fork exists, the grid's chunks
-    are swept in forked worker processes (_fork_sweeps)."""
+    With more than one worker, and where os.fork exists, the grid's pairs
+    are assigned by _assign and swept in forked worker processes
+    (_fork_sweeps)."""
     grid = grid or Grid()
     ids = check_ids()
     pairs = list(grid.shapes())
-    count = resolve_workers(workers)
-    if count > 1 and len(pairs) > 1 and hasattr(os, "fork"):
-        chunks = _chunks(pairs, count)
-        parts = _fork_sweeps(grid, chunks, ids, min(count, len(chunks)))
-        reports = [_merge(column) for column in zip(*parts)]
+    count = min(resolve_workers(workers), len(pairs))
+    if count > 1 and hasattr(os, "fork"):
+        held = _assign(pairs, count)
+        parts = _fork_sweeps(grid, pairs, held, ids)
+        reports = [_merge(column, held) for column in zip(*parts)]
     else:
         reports = _sweep(grid, pairs, ids)
     return SuiteReport(grid.max_size, grid.max_vars, reports)
 
 
-def _fork_sweeps(grid: Grid, chunks: list, ids, workers: int) -> list[list[CheckReport]]:
-    """_sweep(grid, chunk, ids) for every chunk, in chunk order, swept in
-    `workers` forked processes.  The chunks are dealt round-robin, the last
-    (largest) first.  The parent reads every worker's pipe to its end, then
-    reaps the workers; a worker that dies or exits non-zero raises
-    RuntimeError naming the chunks it held.  On any exception, an interrupt
-    included, the parent kills and reaps every worker before re-raising."""
-    order = list(reversed(range(len(chunks))))
-    held = [order[w::workers] for w in range(workers)]
+def _fork_sweeps(grid: Grid, pairs: list, held: list, ids) -> list[list[CheckReport]]:
+    """For each list of indices in held, the reports of _sweep over those
+    of the pairs, each list swept in one forked worker.  The parent reads
+    every worker's pipe to its end, then reaps the workers; a worker that
+    dies or exits non-zero raises RuntimeError naming the pairs it held.
+    On any exception, an interrupt included, the parent kills and reaps
+    every worker before re-raising."""
     pids, pipes = [], []  # the workers not yet reaped, the read ends not yet closed
     try:
         for mine in held:
@@ -343,7 +393,7 @@ def _fork_sweeps(grid: Grid, chunks: list, ids, workers: int) -> list[list[Check
                 os.close(write_end)
                 raise
             if pid == 0:
-                _worker(grid, [chunks[i] for i in mine], ids, write_end)
+                _worker(grid, [pairs[i] for i in mine], ids, write_end)
             os.close(write_end)
             pids.append(pid)
         payloads = []
@@ -366,27 +416,25 @@ def _fork_sweeps(grid: Grid, chunks: list, ids, workers: int) -> list[list[Check
     finally:
         for read_end in pipes:
             os.close(read_end)
-    errors = [_worker_failure(code, mine, chunks) for code, mine in zip(codes, held) if code]
+    errors = [_worker_failure(code, [pairs[i] for i in mine])
+              for code, mine in zip(codes, held) if code]
     if errors:
         raise RuntimeError("; ".join(errors))
-    parts = [None] * len(chunks)
-    for payload, mine in zip(payloads, held):
-        for i, reports in zip(mine, marshal.loads(payload)):
-            parts[i] = [CheckReport(check_id, summary, passed, failed,
-                                    [Witness(*w) for w in witnesses], seconds)
-                        for check_id, summary, passed, failed, witnesses, seconds in reports]
-    return parts
+    return [[CheckReport(check_id, summary, passed, failed, [Witness(*w) for w in witnesses],
+                         seconds, places)
+             for check_id, summary, passed, failed, witnesses, seconds, places
+             in marshal.loads(payload)] for payload in payloads]
 
 
-def _worker(grid: Grid, chunks: list, ids, write_end: int) -> None:
-    """A forked worker: sweeps its chunks, marshals the reports as plain
+def _worker(grid: Grid, pairs: list, ids, write_end: int) -> None:
+    """A forked worker: sweeps its pairs, marshals the reports as plain
     tuples into its pipe, and leaves by os._exit, so it flushes no
     inherited stdio and runs no atexit hook."""
     code = 1
     try:
         payload = marshal.dumps([
-            [(r.id, r.summary, r.passed, r.failed, [tuple(w) for w in r.witnesses], r.seconds)
-             for r in _sweep(grid, chunk, ids)] for chunk in chunks])
+            (r.id, r.summary, r.passed, r.failed, [tuple(w) for w in r.witnesses], r.seconds,
+             r.places) for r in _sweep(grid, pairs, ids)])
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -394,13 +442,13 @@ def _worker(grid: Grid, chunks: list, ids, write_end: int) -> None:
         os._exit(code)
 
 
-def _worker_failure(code: int, held, chunks: list) -> str:
+def _worker_failure(code: int, pairs: list) -> str:
     """The error of a worker that ended with exit code `code` (minus the
-    signal number when a signal killed it): it names the chunks it held."""
+    signal number when a signal killed it): it names how many pairs it
+    held, and the first and the last of them."""
     how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-    names = ", ".join(f"{i} ({chunks[i][0][0]} n={chunks[i][0][1]} "
-                      f"to {chunks[i][-1][0]} n={chunks[i][-1][1]})" for i in held)
-    return f"a verify worker {how} holding chunk(s) {names}"
+    (first, m), (last, n) = pairs[0], pairs[-1]
+    return f"a verify worker {how} holding {len(pairs)} pair(s), {first} n={m} to {last} n={n}"
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from grothtab.identities import (
     run_all,
     run_check,
 )
+from grothtab.partitions import count_sst_product
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "grothtab" / "schemas" / "report.schema.json").read_text())
@@ -208,20 +209,34 @@ def test_parallel_and_serial_runs_agree():
     assert serial["ok"] is True
 
 
+def _estimated_loads(pairs, held):
+    return [sum(count_sst_product(*pairs[i]) for i in mine) for mine in held]
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4, 5])
-def test_chunks_cover_every_pair_once_in_grid_order(workers):
+def test_assignment_holds_each_pair_once_within_the_lpt_bound(workers):
     for max_size in range(1, 5):
         for max_vars in range(1, 7):
             pairs = list(Grid(max_size, max_vars).shapes())
-            chunks = identities._chunks(pairs, workers)
-            assert all(chunks), (max_size, max_vars)
-            assert [pair for chunk in chunks for pair in chunk] == pairs
-            assert len(chunks) == min(len(pairs), 4 * workers)
-            # within one pair of each other in length
-            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+            count = min(workers, len(pairs))
+            held = identities._assign(pairs, count)
+            assert len(held) == count and all(held), (max_size, max_vars)
+            assert sorted(i for mine in held for i in mine) == list(range(len(pairs)))
+            assert all(mine == sorted(mine) for mine in held)
+            # Graham's bound: the last pair given to the busiest worker went
+            # to the least loaded one, so the loads differ by at most one pair
+            loads = _estimated_loads(pairs, held)
+            assert max(loads) - min(loads) <= max(count_sst_product(*pair) for pair in pairs)
+
+
+def test_assignment_splits_the_benchmark_grids_evenly():
+    for grid, loads in ((Grid(4, 6), [707, 707]), (Grid(6, 5), [2205, 2204])):
+        pairs = list(grid.shapes())
+        assert _estimated_loads(pairs, identities._assign(pairs, 2)) == loads
 
 
 def test_merged_chunk_reports_equal_one_sweep():
+    # each worker's pairs, non-contiguous, swept alone and merged
     grid = Grid(max_size=4, max_vars=4)
 
     def odd_n_fails(grid, shape, n):
@@ -233,19 +248,26 @@ def test_merged_chunk_reports_equal_one_sweep():
     try:
         pairs = list(grid.shapes())
         ids = ["cor-3.3", "odd-n-fails"]
+        held = identities._assign(pairs, 3)
         whole = identities._sweep(grid, pairs, ids)
-        parts = [identities._sweep(grid, chunk, ids) for chunk in identities._chunks(pairs, 3)]
-        merged = [identities._merge(column) for column in zip(*parts)]
+        parts = [identities._sweep(grid, [pairs[i] for i in mine], ids) for mine in held]
+        merged = [identities._merge(column, held) for column in zip(*parts)]
     finally:
         del CHECKS["odd-n-fails"]
-    # the failures fall in many chunks, and the first witnesses in more than one
-    assert sum(chunk[1].failed > 0 for chunk in parts) > 2
-    assert 0 < len(parts[0][1].witnesses) < MAX_WITNESSES < whole[1].failed
+    assert all(mine[-1] - mine[0] >= len(mine) for mine in held)
+    # the failures fall in every worker, and the first witnesses in more than
+    # one, interleaved: taken worker by worker they would be out of order
+    assert all(part[1].failed > 0 for part in parts)
+    assert MAX_WITNESSES < whole[1].failed
+    assert len({w for w, mine in enumerate(held) for place in whole[1].places
+                if place in mine}) > 1
+    assert [w for part in parts for w in part[1].witnesses][:MAX_WITNESSES] != whole[1].witnesses
     assert any(w.params.get("error") == "RuntimeError" for w in whole[1].witnesses)
     def stripped(reports):
         return [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
 
     assert stripped(merged) == stripped(whole)
+    assert [m.places for m in merged] == [r.places for r in whole]
     assert all(m.seconds == sum(p[i].seconds for p in parts) for i, m in enumerate(merged))
 
 
@@ -273,20 +295,47 @@ def _no_child_left():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 def test_a_failing_worker_raises_naming_its_chunks(monkeypatch):
     grid = Grid(max_size=3, max_vars=3)
-    chunks = identities._chunks(list(grid.shapes()), 2)
+    pairs = list(grid.shapes())
+    doomed = [pairs[i] for i in identities._assign(pairs, 2)[1]]
+    (first, m), (last, n) = doomed[0], doomed[-1]
+    assert 1 < len(doomed) < len(pairs)
     parent, original = os.getpid(), identities._sweep
+    for end, how in [(lambda: os._exit(3), "exited with code 3"),
+                     (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                      f"was killed by signal {int(signal.SIGKILL)}")]:
+        def sweep(grid, pairs, ids):
+            if os.getpid() != parent and pairs == doomed:
+                end()
+            return original(grid, pairs, ids)
 
-    def sweep(grid, pairs, ids):
-        if os.getpid() != parent and pairs == chunks[-1]:
-            os._exit(3)
-        return original(grid, pairs, ids)
+        monkeypatch.setattr(identities, "_sweep", sweep)
+        with pytest.raises(RuntimeError) as caught:
+            run_all(grid, workers=2)
+        assert str(caught.value) == (f"a verify worker {how} holding {len(doomed)} pair(s), "
+                                     f"{first} n={m} to {last} n={n}")
+        _no_child_left()
 
-    monkeypatch.setattr(identities, "_sweep", sweep)
-    with pytest.raises(RuntimeError, match=r"exited with code 3 holding chunk\(s\) 7 ") as caught:
-        run_all(grid, workers=2)
-    # the worker dealt the last chunk held every other chunk down from it
-    assert ", 5 (" in str(caught.value) and "6 (" not in str(caught.value)
-    _no_child_left()
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="a monkeypatched count reaches the workers only when they are forked")
+def test_an_estimate_that_raises_does_not_abort_the_run(monkeypatch):
+    original = identities.count_sst_product
+
+    def count(shape, n):
+        if shape == (2, 1) and n == 3:
+            raise ArithmeticError("broken count")
+        return original(shape, n)
+
+    monkeypatch.setattr(identities, "count_sst_product", count)
+    grid = Grid(max_size=4, max_vars=4)
+    assert identities._estimate(identities.Partition((2, 1)), 3) == 1
+    serial = _strip_seconds(run_all(grid, workers=1).to_json())
+    assert _strip_seconds(run_all(grid, workers=2).to_json()) == serial
+    failing = {check["id"]: check for check in serial["checks"] if check["failed"]}
+    assert set(failing) == {"hook-counts", "thm-3.13"}
+    assert failing["hook-counts"]["failed"] == 1
+    assert failing["hook-counts"]["witnesses"][0]["params"] | {"at": ""} == {
+        "shape": "(2,1)", "n": "3", "error": "ArithmeticError", "at": ""}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
@@ -364,3 +413,30 @@ def test_resolve_workers_cap(monkeypatch, capsys):
     monkeypatch.delenv("GROTH_THREADS")
     assert resolve_workers(3) == 3
     assert resolve_workers() >= 1
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("process_cpu_count", 3), ("sched_getaffinity", 5), ("cpu_count", 8)])
+def test_resolve_workers_defaults_to_the_usable_cpus(monkeypatch, source, expected):
+    # the sources before `source` do not exist, so `source` is the one read
+    monkeypatch.delenv("GROTH_THREADS", raising=False)
+    counts = {"process_cpu_count": lambda: 3,
+              "sched_getaffinity": lambda pid: {0, 2, 4, 6, 7},
+              "cpu_count": lambda: 8}
+    names = list(counts)
+    for name in names[:names.index(source)]:
+        monkeypatch.delattr(os, name, raising=False)
+    for name in names[names.index(source):]:
+        monkeypatch.setattr(os, name, counts[name], raising=False)
+    assert resolve_workers() == expected
+    assert resolve_workers(4) == 4
+    monkeypatch.setenv("GROTH_THREADS", "2")
+    assert resolve_workers() == 2
+
+
+def test_resolve_workers_without_a_cpu_count_is_one(monkeypatch):
+    monkeypatch.delenv("GROTH_THREADS", raising=False)
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
