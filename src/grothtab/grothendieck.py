@@ -5,12 +5,13 @@ as the sum of its letters' packed int units, and the sum counts those
 keys and keeps them, memoized per (shape, n); its diagonal
 x_1 = ... = x_n = t is read off their b field, and the public sum is
 unpacked on request), the bi-alternant quotient and its refined
-multi-parameter form (one symbolic row of int columns at x_1, with the
-betas' denominators divided out once; polynomials.alternant_quotient moves
-the row to each x_i and applies a chain of divided differences, so nothing
-is divided by the Vandermonde; at the symbolic beta b the chain can leave
-its result on the packed keys of the tableau sum, since both take the one
-packing polynomials._shape_packing gives a shape), the same integral
+multi-parameter form (polynomials._bialternant_chain: a tail-first chain
+of divided differences from the shifted exponents and the betas, with
+int columns d + p x for beta = p/d and the denominators divided out once,
+so no matrix or row is built and nothing is divided by the Vandermonde;
+at the symbolic beta b the chain leaves its result on the packed keys of
+the tableau sum, since both take the one packing
+polynomials._shape_packing gives a shape), the integral bi-alternant
 matrix taken at n distinct rational points on ints (refined_bialternant_at:
 arith.determinant, fraction-free elimination in O(n^3) int products,
 divided once, with no polynomial in x built), and the shifted-exponent
@@ -27,11 +28,12 @@ binomial-shift count formula is that sum at every beta = 1 in the limit
 q -> 1, where the table of powers is the exponents themselves, so no check
 has the count formula and the expansion as its two sides.
 A beta is an int, a Fraction or a variable name: a string beta names a
-variable, so '1/2' is refused as a bad name (refined_bialternant_at alone,
-which takes no names, parses a 'p/q' string beta).  q and a point value are
-an int, a Fraction or a 'p/q' string.  A float is refused.  A variable
-count is an int; any other number raises TypeError rather than being cut
-down.
+variable, so '1/2' is refused as a bad name, and so is a name that sorts
+as one of x1..xn, which would be that variable (refined_bialternant_at
+alone, which takes no names, parses a 'p/q' string beta).  q and a point
+value are an int, a Fraction or a 'p/q' string.  A float is refused.  A
+variable count is an int; any other number raises TypeError rather than
+being cut down.
 """
 
 import operator
@@ -42,13 +44,7 @@ from math import factorial, prod
 
 from .arith import _check_size, coupled_sum, determinant, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import (
-    Poly,
-    _Packed,
-    _packed_alternant_quotient,
-    _shape_packing,
-    alternant_quotient,
-)
+from .polynomials import Poly, _bialternant_chain, _Packed, _shape_packing, _var_key
 from .tableaux import enumerate_svt
 
 BETA = "b"
@@ -111,9 +107,10 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     """Determinant quotient det[x_i^(l_j + n - j) (1 + beta x_i)^(j-1)] / V.
 
     The shape is zero-padded to n parts; beta may be a rational or a
-    variable name.  The quotient is refined_bialternant's divided-difference
-    chain, a polynomial by construction; a result that is not symmetric in
-    the x's raises ArithmeticError (it would mean a real bug).
+    variable name other than x1..xn.  The quotient is refined_bialternant's
+    divided-difference chain, a polynomial by construction; a result that
+    is not symmetric in the x's raises ArithmeticError (it would mean a
+    real bug).
     """
     return refined_bialternant(shape, nvars, [beta] * _beta_count(operator.index(nvars)))
 
@@ -125,25 +122,23 @@ def _beta_count(n: int) -> int:
 
 
 def _ratio(value):
-    """value = p/d as (p, d), so that d + p x is d times 1 + value x; a
-    variable name is (its Poly, 1)."""
-    if isinstance(value, str):
-        return Poly.variable(value), 1
+    """An exact rational value = p/d as (p, d), so that d + p x is d times
+    1 + value x."""
     value = Fraction(exact_rational(value))
     return value.numerator, value.denominator
 
 
 def _integral_rows(lam, factors, points):
-    """The integral bi-alternant's rows, one per point x_i = num/den given
-    as (num, den), and their scale: entry (i, j) is
+    """The integral bi-alternant's rows at the rational point
+    refined_bialternant_at takes, one per x_i = num/den given as
+    (num, den), and their scale: entry (i, j) is
 
         num^(l_j+n-1-j) den^(l_1-l_j) prod_(k<j) (d_k den + p_k num)
 
     for the factors (p_k, d_k), that is den^(l_1+n-1) times
-    x^(l_j+n-1-j) prod_(k<j) (d_k + p_k x).  With (Poly x_i, 1) the rows
-    are the symbolic matrix.  The scale prod_k d_k^(n-1-k) prod_i
-    den_i^(l_1) is what scaling the columns and homogenising the rows put
-    into the determinant.
+    x^(l_j+n-1-j) prod_(k<j) (d_k + p_k x).  The scale
+    prod_k d_k^(n-1-k) prod_i den_i^(l_1) is what scaling the columns and
+    homogenising the rows put into the determinant.
     """
     n = len(lam)
     rows = []
@@ -165,48 +160,56 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
 
     Exactly n-1 beta values (rationals or variable names) are required.
     Setting all of them equal recovers grothendieck_bialternant; setting
-    them to zero recovers the Schur polynomial.
+    them to zero recovers the Schur polynomial.  A beta named like one of
+    x1..xn is refused with ValueError.
 
-    With beta_k = p_k/d_k the columns carry (d_k + p_k x_i) instead, so the
-    row and the alternant quotient have int coefficients; every
-    coefficient is then divided once by prod_k d_k^(n-1-k), the scale
-    _integral_rows returns.  Int betas give int coefficients.  Only the
-    first row, at x_1, is built: alternant_quotient moves it to each x_i.
+    The quotient is polynomials._bialternant_chain's tail-first chain of
+    divided differences on packed keys, with no determinant, no row and
+    no division but one: with beta_k = p_k/d_k the columns carry
+    (d_k + p_k x_i), so the chain has int coefficients, and each is
+    divided once by prod_k d_k^(n-1-k).  Int betas give int coefficients.
     A determinant of more than arith.MAX_SERIES_TERMS minors (2^n) is
-    refused with ValueError before the row is built.
+    refused with ValueError before the chain runs.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
     if len(betas) != _beta_count(n):
         raise ValueError(f"need exactly {_beta_count(n)} beta values, got {len(betas)}")
+    betas = [_symbol(beta, n) if isinstance(beta, str) else exact_rational(beta)
+             for beta in betas]
     if len(shape) > n:
         return Poly.constant(0)
-    row, scale = _first_row(shape, n, betas)
-    quotient = alternant_quotient(row, _x_names(n))
-    return quotient if scale == 1 else quotient * Fraction(1, scale)
+    return _bialternant(shape, n, betas).unpack()
 
 
-def _first_row(shape: Partition, n: int, betas):
-    """The integral bi-alternant's row at x_1 and its scale (_integral_rows),
-    once a determinant of 2^n minors has passed the refusal."""
+def _symbol(name: str, n: int) -> str:
+    """A symbolic beta's name, once Poly.variable has checked it; a name
+    that sorts as one of x1..xn would be that variable, so it raises
+    ValueError."""
+    head, index = _var_key(Poly.variable(name).vars[0])
+    if head == "x" and 1 <= index <= n:
+        raise ValueError(f"the beta {name!r} is named like one of the variables x1..x{n}")
+    return name
+
+
+def _bialternant(shape: Partition, n: int, betas, packing=None) -> _Packed:
+    """The refined quotient of a shape with at most n rows, on packed keys
+    (polynomials._bialternant_chain), once a determinant of 2^n minors has
+    passed the refusal; betas are exact rationals or checked names."""
     _check_size(2 ** n, "the determinant has {} minors")
-    rows, scale = _integral_rows(shape.padded(n), [_ratio(b) for b in betas],
-                                 [(Poly.variable(name), 1) for name in _x_names(n)[:1]])
-    return (rows[0] if rows else []), scale
+    return _bialternant_chain([p + n - 1 - j for j, p in enumerate(shape.padded(n))],
+                              betas, _x_names(n), packing)
 
 
 def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
     """grothendieck_bialternant(shape, nvars) at the symbolic beta b, left
     on the keys of _shape_packing, the packing _tableau_sum's counts are
     on, so that the two compare without unpacking.  The chain checks that
-    the packing covers its row and keeps both guards; the betas are
-    symbolic, so the scale is 1."""
-    names = (BETA, *_x_names(nvars))
-    packing = _shape_packing(names, shape.size)
+    the packing covers its bound and keeps its symmetry guard."""
+    packing = _shape_packing((BETA, *_x_names(nvars)), shape.size)
     if len(shape) > nvars:
         return _Packed(packing, {})
-    row, _ = _first_row(shape, nvars, [BETA] * _beta_count(nvars))
-    return _packed_alternant_quotient(row, names[1:], packing)
+    return _bialternant(shape, nvars, [BETA] * _beta_count(nvars), packing)
 
 
 def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
@@ -229,8 +232,8 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     if len(betas) != _beta_count(n) or len(point) != n:
         raise ValueError(f"need exactly {_beta_count(n)} beta values and {n} point "
                          f"coordinates, got {len(betas)} and {len(point)}")
-    factors = [_ratio(exact_rational(b)) for b in betas]
-    points = [_ratio(exact_rational(x)) for x in point]
+    factors = [_ratio(b) for b in betas]
+    points = [_ratio(x) for x in point]
     vandermonde = prod(num_i * den_j - num_j * den_i
                        for i, (num_i, den_i) in enumerate(points)
                        for num_j, den_j in points[i + 1:])

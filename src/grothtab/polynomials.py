@@ -5,7 +5,7 @@ from ints keeps int coefficients, and Fractions appear only where a rational
 input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
-substitution, alternant quotients, and exact synthetic division by a
+substitution, the bi-alternant quotient, and exact synthetic division by a
 product of differences (u - v_1) ... (u - v_k) sharing one variable u, on
 the terms grouped by their power of u once.  Division checks the
 remainder of every factor and raises on a nonzero one instead of ever
@@ -13,25 +13,25 @@ returning an approximation; an int dividend keeps int coefficients.
 Substitution sums integer numerators and divides each remaining coefficient
 once (the integer rule of arith), so all-int data keeps int coefficients.
 
-The alternant quotient and the division run on packed monomials: an
-exponent vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t),
-with one field width rule, 2^w > D for the degree bound D (_Packing says
-why D bounds every exponent).  alternant_quotient(row, names) is
-det[f_j(names[i])] / prod_(i<j) (names[i] - names[j]) from the
-first row alone, f_j at names[0]: it packs each f_j once at names[j] and
-applies Lascoux-Schutzenberger divided differences
-(f - f|u<->v) / (u - v), each written out term by term as a polynomial,
-in one Horner chain, so nothing is divided and no remainder can arise;
-two guards (an entry at another row's name, a result that is not
-symmetric) raise real errors in its place.  A result can stay packed:
-_Packed holds terms with their packing, compares equal only to terms over
-an equal packing (a different one raises rather than unpacking either
-side) and unpacks on request.  _shape_packing is the one packing of a
-shape's polynomials in n variables, over (b, x_1, ..., x_n), wide enough
-for both the set-valued tableau sum and the bi-alternant's chain, so the
-two compare on keys.  Poly.divide_by_difference is the one synthetic
-division.  The one determinant the package takes, of
-the refined bi-alternant at a point, is on ints: determinant here is
+The bi-alternant and the division run on packed monomials: an exponent
+vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t), with one
+field width rule, 2^w > D for the degree bound D (_Packing says why D
+bounds every exponent).  _bialternant_chain(exponents, betas, names) is
+det[x_i^(c_j) prod_(k<j) (1 + beta_k x_i)] / prod_(i<j) (x_i - x_j) from
+the exponents and the betas alone: a tail-first chain of
+Lascoux-Schutzenberger divided differences (f - f|u<->v) / (u - v), each
+written out term by term as a polynomial, whose intermediates are the
+quotients of the columns' tails in fewer variables, so nothing is divided
+and no remainder can arise; a packing narrower than its bound raises
+ValueError and a result that is not symmetric ArithmeticError.  Its result
+stays packed: _Packed holds terms with their packing, compares equal only
+to terms over an equal packing (a different one raises rather than
+unpacking either side) and unpacks on request.  _shape_packing is the one
+packing of a shape's polynomials in n variables, over (b, x_1, ..., x_n),
+wide enough for both the set-valued tableau sum and the bi-alternant's
+chain, so the two compare on keys.  Poly.divide_by_difference is the one
+synthetic division.  The one determinant the package takes, of the refined
+bi-alternant at a point, is on ints: determinant here is
 arith.determinant, which refuses a Poly entry with TypeError.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
@@ -331,38 +331,37 @@ class _Packing:
     passes a bound D on every exponent that will arise and w is chosen with
     2^w > D (_field_width).
 
-    For an alternant quotient, D is the sum over the row of the total
-    degree of each entry f_j (0 for a zero entry).  Moving f_j's names[0]
-    field to names[j] keeps every total degree.  By induction on k, Q_k
-    has total degree at most deg f_1 + ... + deg f_k minus the k(k-1)/2
-    divided differences that made it (at k = 1 it is f_1), so each term
-    of Q_k f_(k+1) has total degree at most deg f_1 + ... + deg f_(k+1),
-    which is at most D.  A divided difference maps a term u^a v^d m to
-    terms u^(a-1-t) v^(d+t) m (or the same with a and d swapped) of total
-    degree one less, with each exponent at most max(a, d) - 1, so every
-    key of every step of the chain has total degree at most D, hence no
-    exponent above D; the symmetry guard only permutes exponents.  A
-    synthetic division step by (u - v) is a sum of the dividend's
-    u^m-slices times v^(m-k), whose total degree is at most the
-    dividend's, and every quotient has a smaller total degree than its
-    dividend; so the dividend's degree bounds every key of every division
-    step.
+    For the bi-alternant chain (_bialternant_chain) over the exponents
+    c_0 > ... > c_(n-1), D = max(c_0, n(n-1)/2) bounds every field.  A
+    beta's field counts the factors (1 + beta x) multiplied in, one per
+    divided difference, n(n-1)/2 in all, and a divided difference leaves
+    it alone.  A divided difference in u and v maps a term u^a v^d m to
+    terms whose u and v exponents are at most max(a, d) - 1 and leaves m
+    alone.  By induction on the level m, with top = n - m: T_(m-1)'s x
+    fields are at most c_(top+1) < c_top, the lead x^(c_top) goes into a
+    field T_(m-1) leaves empty, and each step i multiplies x_(i+1), still
+    at most c_(top+1), by at most x once before d_i: so no field of the
+    level passes c_top, and T_m's fields (m >= 2) are at most c_top - 1.
+    Every x field is thus at most c_0 = l_1 + n - 1; the symmetry guard
+    only permutes exponents.  A synthetic division step by (u - v) is a sum of
+    the dividend's u^m-slices times v^(m-k), whose total degree is at most
+    the dividend's, and every quotient has a smaller total degree than
+    its dividend; so the dividend's degree bounds every key of every
+    division step.
 
     A shape's polynomials in n variables have one packing, over
-    (b, x_1, ..., x_n), by one rule (_shape_packing): D is the larger of
-    two a-priori bounds, so that the set-valued tableau sum and the
-    symbolic bi-alternant's chain, each packed on its own, come out on the
-    same keys and compare without unpacking.  The first bound, |shape| n,
-    is the tableau sum's (grothendieck._tableau_sum): a filling's key
-    counts its letters in field b, at most n per cell, and letter v in
-    field x_v, at most once per cell, and every prefix of a filling the
-    backtracker carries counts fewer.  The second, |shape| + 3n(n-1)/2,
-    is the chain's D above for the bi-alternant's first row: entry j
-    (from 0) is x_1^(l_j + n - 1 - j) (1 + b x_1)^j, of total degree
-    l_j + n - 1 + j, and these add up to |shape| + n(n-1) + n(n-1)/2.
-    Either bound alone gives the two sides different widths on some
-    pairs, and packed terms over different packings do not compare
-    (_Packed).
+    (b, x_1, ..., x_n), by one rule (_shape_packing): D = max(|shape| n,
+    |shape| + 3n(n-1)/2), which covers both the set-valued tableau sum
+    and the symbolic bi-alternant's chain, each packed on its own, so
+    they come out on the same keys and compare without unpacking.
+    |shape| n is the tableau sum's bound (grothendieck._tableau_sum): a
+    filling's key counts its letters in field b, at most n per cell, and
+    letter v in field x_v, at most once per cell, and every prefix of a
+    filling the backtracker carries counts fewer.  The chain's bound for a
+    shape l is max(l_1 + n - 1, n(n-1)/2), and l_1 + n - 1 <= |shape| +
+    n(n-1) and n(n-1)/2 are both below the second term.  Packed terms over
+    different packings do not compare (_Packed), so both sides take this
+    one rule, whichever bound is the larger.
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -377,11 +376,9 @@ class _Packing:
         """The key of the monomial v."""
         return 1 << self.shift[v]
 
-    def pack(self, poly: Poly, moved=None) -> dict:
-        """poly's terms as {key: coeff}; a variable v in `moved` is packed
-        into the field of moved[v]."""
-        moved = moved or {}
-        shifts = [self.shift[moved.get(v, v)] for v in poly.vars]
+    def pack(self, poly: Poly) -> dict:
+        """poly's terms as {key: coeff}."""
+        shifts = [self.shift[v] for v in poly.vars]
         return {sum(e << s for e, s in zip(exps, shifts)): coeff
                 for exps, coeff in poly.terms.items()}
 
@@ -410,8 +407,8 @@ class _Packing:
 def _shape_packing(names, size: int) -> _Packing:
     """The one packing of a shape's polynomials over names = (b, x_1, ...,
     x_n), for a shape of the given size: D = max(size n, size +
-    3n(n-1)/2), the tableau sum's bound and the symbolic bi-alternant
-    chain's (see _Packing)."""
+    3n(n-1)/2), which covers the tableau sum's bound and the symbolic
+    bi-alternant chain's (see _Packing)."""
     n = len(names) - 1
     return _Packing(tuple(names), max(size * n, size + 3 * n * (n - 1) // 2))
 
@@ -473,17 +470,6 @@ def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
     return groups
 
 
-def _add_product(total: dict, left: dict, right: dict) -> dict:
-    """Add left * right, on packed keys, into total (zero coefficients are
-    left in place); returns total."""
-    right = right.items()
-    for e1, c1 in left.items():
-        for e2, c2 in right:
-            e = e1 + e2
-            total[e] = total.get(e, 0) + c1 * c2
-    return total
-
-
 def _divided_difference(terms: dict, su: int, sv: int, mask: int) -> dict:
     """The divided difference (f - f|u<->v) / (u - v) of the packed terms
     f, for the variables u and v at the shifts su and sv.  A term
@@ -510,29 +496,15 @@ def _divided_difference(terms: dict, su: int, sv: int, mask: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _alternant_chain(packing: _Packing, columns, names) -> dict:
-    """det[f_j(x_i)] / prod_(i<j) (x_i - x_j) on packed terms, for
-    x_i = names[i-1] and columns[j-1] holding f_j at x_j.
-
-    That quotient is the operator d_w0 of the longest permutation applied
-    to f_1(x_1) ... f_n(x_n), d_i being the divided difference in x_i and
-    x_(i+1) (Lascoux-Schutzenberger).  d_w0 factors as
-    (d_1 ... d_(n-1)) ... (d_1 d_2) d_1, and f_(k+1)(x_(k+1)) is symmetric
-    in x_1..x_k, so it passes through the levels to its right; Horner's
-    rule gives
-
-        Q_1 = f_1(x_1),
-        Q_(k+1) = d_1 d_2 ... d_k [Q_k f_(k+1)(x_(k+1))]   (d_k applied first),
-
-    where Q_k is the leading k x k alternant quotient.
-    """
-    shift = packing.shift
-    chain = {0: 1}
-    for k, column in enumerate(columns):
-        chain = _add_product({}, chain, column)
-        for i in range(k, 0, -1):
-            chain = _divided_difference(chain, shift[names[i - 1]], shift[names[i]], packing.mask)
-    return chain
+def _times(terms: dict, step: int, p, d) -> dict:
+    """The packed terms times d + p m, for the monomial m of key `step`
+    (zero coefficients are left in place)."""
+    out = dict(terms) if d == 1 else {key: d * coeff for key, coeff in terms.items()}
+    if p:
+        for key, coeff in terms.items():
+            key += step
+            out[key] = out.get(key, 0) + p * coeff
+    return out
 
 
 def _check_symmetric(packing: _Packing, terms: dict, names):
@@ -549,50 +521,67 @@ def _check_symmetric(packing: _Packing, terms: dict, names):
             raise ArithmeticError(f"the alternant quotient is not symmetric in {u} and {v}")
 
 
-def alternant_quotient(row, names) -> Poly:
-    """det[f_j(names[i])]_(i,j<n) / prod_(i<j) (names[i] - names[j]),
-    exactly, from the alternant's first row: row[j] is f_j(names[0]), a
-    polynomial in names[0] and in variables that are not names.
+def _bialternant_chain(exponents, betas, names, packing: _Packing | None = None) -> _Packed:
+    """det[x_i^(c_j) prod_(k<j) (1 + beta_k x_i)]_(i,j<n) / prod_(i<j) (x_i - x_j),
+    exactly and left on packed keys, for x_i = names[i], c = exponents and
+    beta_k = betas[k], each an int, a Fraction or a variable name (indices
+    from 0).  The terms are over `packing` when one is given, which must
+    hold the names and the betas' names in fields wide enough for
+    _Packing's bound max(c_0, n(n-1)/2) (ValueError if not), and otherwise
+    over those names in fields of that bound.
 
-    Each f_j is packed once (see _Packing), with its names[0] field moved
-    to names[j], and the divided-difference chain (_alternant_chain) gives
-    the quotient with no division, so there is no remainder to check; the
-    terms are unpacked once.  Two guards stand in for that check: an entry
-    that holds another row's name raises ValueError, and a result that is
-    not symmetric in the names (every alternant over the Vandermonde is)
-    raises ArithmeticError.  There must be one name per entry.  The result
-    is over the entries' variables, and the names when there are two or
-    more.
+    The chain is built from the last column forward.  T_m is the quotient of
+    the last m columns, in the last m names y_1..y_m, with the factors
+    those columns share left out:
+
+        T_1 = y_1^(c_(n-1)),
+        T_m = d_(m-1) (1 + beta y_m) ... d_1 (1 + beta y_2) [y_1^(c_(n-m)) T_(m-1)(y_2..y_m)]
+
+    (the rightmost operator first), for beta = beta_(n-m) and d_i the
+    divided difference (f - f|y_i<->y_(i+1)) / (y_i - y_(i+1)) of
+    Lascoux-Schutzenberger, written out term by term (_divided_difference).
+    An alternant over the Vandermonde in m variables is d_w0 applied to its
+    diagonal product, and d_w0 = (d_(m-1) ... d_1) d_w0', where w0' is the
+    longest permutation of y_2..y_m.  Column n-m's factor (1 + beta y) is in
+    every later column, so those columns in y_2..y_m are T_(m-1) times
+    prod_(k>=2) (1 + beta y_k), which is symmetric in y_2..y_m and passes
+    through d_w0'.  A factor in y_k commutes with d_i for k > i + 1, so each
+    joins just before d_(k-1).  T_n is the quotient.  Every intermediate is
+    the quotient of a tail of the columns, in fewer variables, so it stays
+    small, and nothing is divided, so no remainder can arise.  A rational
+    beta = p/d multiplies by d + p y, which keeps int coefficients, and the
+    result is divided once by prod_k d_k^(n-1-k).  A result that is not
+    symmetric in the names, as every alternant quotient is, raises
+    ArithmeticError.
     """
-    return _packed_alternant_quotient(row, names).unpack()
-
-
-def _packed_alternant_quotient(row, names, packing: _Packing | None = None) -> _Packed:
-    """alternant_quotient(row, names), guards and all, left on packed keys:
-    over `packing` when one is given, which must hold the names and the
-    entries' variables in fields wide enough for the row's degree bound
-    (ValueError if not), and otherwise over the packing alternant_quotient
-    describes."""
-    row = [Poly._coerce(entry) for entry in row]
     names = tuple(names)
-    if len(names) != len(row):
-        raise ValueError(f"need one name per entry, got {len(names)} names for {len(row)} entries")
-    if len(set(names)) != len(names):
-        raise ValueError(f"the names must be distinct: {names}")
-    used = {v for entry in row for v in entry.vars}
-    if used.intersection(names[1:]):
-        held = sorted(used.intersection(names[1:]), key=_var_key)
-        raise ValueError(f"the row is at {names[0]}, but its entries hold {', '.join(held)}")
-    bound = sum(max(entry.degree(), 0) for entry in row)
+    n = len(names)
+    symbols = {beta for beta in betas if isinstance(beta, str)}
+    bound = max(exponents[0] if n else 0, n * (n - 1) // 2)
     if packing is None:
-        if len(names) > 1:
-            used.update(names)
-        packing = _Packing(tuple(sorted(used, key=_var_key)), bound)
-    elif not used.union(names) <= set(packing.vars) or packing.mask < bound:
+        packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)), bound)
+    elif not symbols.union(names) <= set(packing.vars) or packing.mask < bound:
         raise ValueError(f"a packing over {packing.vars} in {packing.mask.bit_length()}-bit "
-                         f"fields cannot hold a row over {tuple(sorted(used, key=_var_key))} "
+                         f"fields cannot hold a bi-alternant over {names} "
                          f"with degree bound {bound}")
-    columns = [packing.pack(entry, {names[0]: name}) for entry, name in zip(row, names)]
-    quotient = _alternant_chain(packing, columns, names)
-    _check_symmetric(packing, quotient, names)
-    return _Packed(packing, quotient)
+    factors, scale = [], 1
+    for k, beta in enumerate(betas):
+        if isinstance(beta, str):
+            factors.append((packing.variable(beta), 1, 1))
+        else:
+            factors.append((0, beta.numerator, beta.denominator))
+            scale *= beta.denominator ** (n - 1 - k)
+    shift, mask = packing.shift, packing.mask
+    chain = {0: 1}
+    for top in range(n - 1, -1, -1):
+        lead = exponents[top] << shift[names[top]]
+        chain = {key + lead: coeff for key, coeff in chain.items()}
+        for i in range(top, n - 1):
+            extra, p, d = factors[top]
+            sv = shift[names[i + 1]]
+            chain = _divided_difference(_times(chain, extra + (1 << sv), p, d),
+                                        shift[names[i]], sv, mask)
+    _check_symmetric(packing, chain, names)
+    if scale != 1:
+        chain = {key: Fraction(coeff, scale) for key, coeff in chain.items()}
+    return _Packed(packing, chain)

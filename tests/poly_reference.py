@@ -6,13 +6,24 @@ Leibniz sum is the reference determinant: the package takes determinants
 of int matrices only (arith.determinant), and the tests need them of Poly
 matrices too.  collapse is the reference for the tableau sum's diagonal,
 which the package reads straight off the packed counts
-(grothendieck._tableau_sum_diagonal).
+(grothendieck._tableau_sum_diagonal).  alternant_quotient is the generic
+Horner chain of divided differences, for any alternant given by its first
+row; the package's bi-alternant runs its own chain, tail first
+(polynomials._bialternant_chain), and the tests hold the two against each
+other and against the Leibniz sum over the Vandermonde.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from grothtab.polynomials import _NAME_RE, Poly, _var_key
+from grothtab.polynomials import (
+    _NAME_RE,
+    Poly,
+    _check_symmetric,
+    _divided_difference,
+    _Packing,
+    _var_key,
+)
 
 
 def evaluate(poly: Poly, values: dict) -> Fraction:
@@ -44,6 +55,15 @@ def leibniz(matrix):
     return total
 
 
+def vandermonde(names) -> Poly:
+    """prod_(i<j) (names[i] - names[j])."""
+    out = Poly.constant(1)
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            out = out * (Poly.variable(u) - Poly.variable(v))
+    return out
+
+
 def collapse(poly: Poly, names, var: str) -> Poly:
     """poly with every variable in names set equal to var: each term's
     exponents of those variables, and of var itself, are summed into var's.
@@ -64,3 +84,57 @@ def collapse(poly: Poly, names, var: str) -> Poly:
         e = tuple(e)
         terms[e] = terms.get(e, 0) + coeff
     return Poly._of(vars, {e: c for e, c in terms.items() if c})
+
+
+def alternant_quotient(row, names) -> Poly:
+    """det[f_j(names[i])]_(i,j<n) / prod_(i<j) (names[i] - names[j]),
+    exactly, from the alternant's first row: row[j] is f_j(names[0]), a
+    polynomial in names[0] and in variables that are not names.
+
+    Each f_j is packed once with its names[0] field moved to names[j], and
+    the divided differences d_i in names[i-1] and names[i] are applied in
+    one Horner chain (the quotient is d_w0 of f_1(x_1) ... f_n(x_n), and
+    f_(k+1)(x_(k+1)) is symmetric in x_1..x_k):
+
+        Q_1 = f_1(x_1),
+        Q_(k+1) = d_1 d_2 ... d_k [Q_k f_(k+1)(x_(k+1))]   (d_k applied first),
+
+    where Q_k is the leading k x k alternant quotient, so nothing is
+    divided.  The fields are 2^w > D wide for D the sum of the entries'
+    total degrees: Q_k has total degree at most deg f_1 + ... + deg f_k
+    less the k(k-1)/2 divided differences that made it, and a divided
+    difference lowers the total degree of each term by one, so no key of
+    the chain has an exponent above D.  An entry that holds another row's
+    name raises ValueError, and a result that is not symmetric in the names
+    ArithmeticError.  The result is over the entries' variables, and the
+    names when there are two or more.
+    """
+    row = [Poly._coerce(entry) for entry in row]
+    names = tuple(names)
+    if len(names) != len(row):
+        raise ValueError(f"need one name per entry, got {len(names)} names for {len(row)} entries")
+    if len(set(names)) != len(names):
+        raise ValueError(f"the names must be distinct: {names}")
+    used = {v for entry in row for v in entry.vars}
+    if used.intersection(names[1:]):
+        held = sorted(used.intersection(names[1:]), key=_var_key)
+        raise ValueError(f"the row is at {names[0]}, but its entries hold {', '.join(held)}")
+    bound = sum(max(entry.degree(), 0) for entry in row)
+    if len(names) > 1:
+        used.update(names)
+    packing = _Packing(tuple(sorted(used, key=_var_key)), bound)
+    shift = packing.shift
+    chain = {0: 1}
+    for k, (entry, name) in enumerate(zip(row, names)):
+        shifts = [shift[name if v == names[0] else v] for v in entry.vars]
+        column = {sum(e << s for e, s in zip(exps, shifts)): coeff
+                  for exps, coeff in entry.terms.items()}
+        product = {}
+        for e1, c1 in chain.items():
+            for e2, c2 in column.items():
+                product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+        chain = product
+        for i in range(k, 0, -1):
+            chain = _divided_difference(chain, shift[names[i - 1]], shift[names[i]], packing.mask)
+    _check_symmetric(packing, chain, names)
+    return packing.unpack(chain)

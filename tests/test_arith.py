@@ -98,34 +98,30 @@ except ValueError:
     raise SystemExit(0)
 raise SystemExit('an inexact divide_by_difference did not raise under python -O')
 """,
-    "alternant row at another name": """
-from grothtab.polynomials import Poly, alternant_quotient
-x1, x2 = Poly.variable('x1'), Poly.variable('x2')
+    "beta named like an x variable": """
+from grothtab.grothendieck import refined_bialternant
 try:
-    alternant_quotient([x1 ** 2, x2], ('x1', 'x2'))
+    refined_bialternant((1,), 2, ['x1'])
 except ValueError:
     raise SystemExit(0)
-raise SystemExit('an alternant row holding another name did not raise under python -O')
+raise SystemExit('a beta named like an x variable did not raise under python -O')
 """,
     "asymmetric alternant quotient": """
 from grothtab import polynomials
-from grothtab.polynomials import Poly, alternant_quotient
 polynomials._divided_difference = lambda terms, *fields: terms
-x1 = Poly.variable('x1')
 try:
-    alternant_quotient([x1 ** 2, 1], ('x1', 'x2'))
+    polynomials._bialternant_chain((2, 0), ['b'], ('x1', 'x2'))
 except ArithmeticError:
     raise SystemExit(0)
 raise SystemExit('a quotient that is not symmetric did not raise under python -O')
 """,
     "packing narrower than the alternant's row": """
-from grothtab.polynomials import Poly, _Packing, _packed_alternant_quotient
-x1 = Poly.variable('x1')
+from grothtab.polynomials import _Packing, _bialternant_chain
 try:
-    _packed_alternant_quotient([x1 ** 4, 1], ('x1', 'x2'), _Packing(('x1', 'x2'), 3))
+    _bialternant_chain((4, 0), ['b'], ('x1', 'x2'), _Packing(('b', 'x1', 'x2'), 3))
 except ValueError:
     raise SystemExit(0)
-raise SystemExit('a packing narrower than the row did not raise under python -O')
+raise SystemExit('a packing narrower than the chain did not raise under python -O')
 """,
     "inexact pairwise count": """
 from grothtab import partitions

@@ -22,11 +22,11 @@ from grothtab.grothendieck import (
 from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
 from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from grothtab.polynomials import Poly, _packed_alternant_quotient, _Packing, _shape_packing
+from grothtab.polynomials import Poly, _Packing, _shape_packing
 from grothtab.tableaux import SetValuedTableau, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
-from poly_reference import coefficient, collapse, evaluate, leibniz
+from poly_reference import alternant_quotient, coefficient, collapse, evaluate, leibniz, vandermonde
 from tableau_reference import reference_svt, reference_tableau_sum, schur_tableau_sum
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
@@ -100,15 +100,15 @@ def test_gg_eq_w_sides_are_packed_alike():
 
 
 def test_the_chain_refuses_the_fills_bound_alone():
-    # (1,) in 3 variables has at most 3 letters, but the bi-alternant's
-    # row has degree 1 + 3n(n-1)/2 = 10: a packing sized for the fill
-    # alone is refused before the chain runs
-    shape, names = Partition((1,)), ("b", "x1", "x2", "x3")
-    row, _ = grothendieck._first_row(shape, 3, ["b", "b"])
-    with pytest.raises(ValueError, match=r"cannot hold a row .* with degree bound 10"):
-        _packed_alternant_quotient(row, names[1:], _Packing(names, 3))
-    assert _packed_alternant_quotient(row, names[1:], _shape_packing(names, 1)) == \
-        grothendieck._tableau_sum(shape, 3)
+    # (1,) in 8 variables has at most 8 letters, but the bi-alternant's
+    # chain multiplies in n(n-1)/2 = 28 factors (1 + b x): a packing sized
+    # for the fill alone has 4-bit fields and is refused before the chain
+    # runs
+    shape, names = Partition((1,)), ("b", *(f"x{i}" for i in range(1, 9)))
+    with pytest.raises(ValueError, match=r"cannot hold a bi-alternant .* with degree bound 28"):
+        grothendieck._bialternant(shape, 8, ["b"] * 7, _Packing(names, 8))
+    assert grothendieck._bialternant(shape, 8, ["b"] * 7, _shape_packing(names, 1)) == \
+        grothendieck._tableau_sum(shape, 8)
 
 
 def test_a_shape_without_a_first_cell_builds_no_weight_table():
@@ -172,21 +172,27 @@ def test_refined_symbolic_hand_oracle():
     assert got == x1 + x2 + Poly.variable("b1") * x1 * x2
 
 
-def _fraction_row_bialternant(shape, n, betas):
-    """The refined quotient built over Fraction rows (1 + beta x_i): the
-    Leibniz sum, with one division per Vandermonde factor."""
+def _fraction_rows(shape, n, betas):
+    """The bi-alternant's matrix over Fraction rows: row i holds
+    x_i^(l_j + n - 1 - j) (1 + beta_1 x_i) ... (1 + beta_j x_i)."""
     lam = Partition(shape).padded(n)
-    xs = [Poly.variable(f"x{i}") for i in range(1, n + 1)]
     factors = [Poly.variable(b) if isinstance(b, str) else Fraction(b) for b in betas]
     rows = []
-    for x in xs:
+    for i in range(1, n + 1):
+        x = Poly.variable(f"x{i}")
         row, entry = [], Poly.constant(1)
         for j in range(n):
             if j:
                 entry = entry * (1 + factors[j - 1] * x)
             row.append(x ** (lam[j] + n - 1 - j) * entry)
         rows.append(row)
-    out = leibniz(rows)
+    return rows
+
+
+def _fraction_row_bialternant(shape, n, betas):
+    """The refined quotient built over Fraction rows (1 + beta x_i): the
+    Leibniz sum, with one division per Vandermonde factor."""
+    out = leibniz(_fraction_rows(shape, n, betas))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             out = out.divide_by_difference(f"x{i}", f"x{j}")
@@ -194,7 +200,7 @@ def _fraction_row_bialternant(shape, n, betas):
 
 
 FITTING_SHAPES = {n: [lam for size in range(5) for lam in partitions_of(size) if len(lam) <= n]
-                  for n in range(1, 5)}
+                  for n in range(6)}
 refinement_betas = st.one_of(
     st.integers(-3, 3),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
@@ -214,40 +220,93 @@ def test_integral_quotient_equals_the_fraction_row_quotient(case):
         assert all(type(c) is int for c in got.terms.values()), (shape, betas)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(FITTING_SHAPES[n]),
+    st.lists(st.one_of(refinement_betas, st.just("x9")), min_size=max(n - 1, 0),
+             max_size=max(n - 1, 0)))), st.data())
+def test_the_tail_chain_equals_the_generic_chain_and_the_determinant(case, data):
+    # the generic Horner chain on the first row, and the Leibniz sum over
+    # the Vandermonde, with rational and symbolic betas mixed
+    n, shape, betas = case
+    rows = _fraction_rows(shape, n, betas)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    got = refined_bialternant(shape, n, betas)
+    assert got == alternant_quotient(rows[0] if rows else [], names), (shape, betas)
+    if n <= 4:
+        assert got * vandermonde(names) == leibniz(rows), (shape, betas)
+        return
+    # at n = 5 the Leibniz sum of 120 Poly products takes about a second,
+    # so the two sides are compared at a drawn point, every symbol set
+    values = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+    point = {**{name: data.draw(st.integers(-3, 3)) for name in ("b1", "b2", "x9")},
+             **dict(zip(names, values))}
+    at = [[evaluate(entry, point) for entry in row] for row in rows]
+    vandermonde_at = prod(u - v for i, u in enumerate(values) for v in values[i + 1:])
+    assert evaluate(got, point) * vandermonde_at == leibniz(at), (shape, betas, point)
+
+
+def test_the_tail_chain_equals_the_generic_chain_at_the_width_boundaries():
+    # the shapes where a packing's field width steps up, n = 7 and 8
+    # included
+    for shape, n in WIDTH_BOUNDARIES:
+        row = _fraction_rows(shape, n, ["b"] * (n - 1))[0]
+        assert grothendieck_bialternant(shape, n) == \
+            alternant_quotient(row, [f"x{i}" for i in range(1, n + 1)]), (shape, n)
+
+
+def test_a_beta_named_like_an_x_variable_is_refused():
+    # x1 as a beta was taken for the variable x1, and b x1 x2 was lost;
+    # every name that sorts as one of x1..xn is refused, before any work
+    for name in ("x1", "x2", "x10", "x01"):
+        message = f"the beta '{name}' is named like one of the variables x1..x10"
+        with pytest.raises(ValueError, match=message):
+            refined_bialternant((1,), 10, [name] + [0] * 8)
+        with pytest.raises(ValueError, match=message):
+            grothendieck_bialternant((1,), 10, name)
+    for build in (lambda: refined_bialternant((1,), 2, ["x1"]),
+                  lambda: refined_bialternant((1,), 2, ["x2"]),
+                  lambda: grothendieck_bialternant((1,), 2, "x1")):
+        with pytest.raises(ValueError, match="is named like one of the variables x1..x2"):
+            build()
+    # a name past x_n is another variable, and a bad name is refused as one
+    x3 = Poly.variable("x3")
+    assert refined_bialternant((1,), 2, ["x3"]) == x1 + x2 + x3 * x1 * x2
+    with pytest.raises(ValueError, match="bad variable name: '1/2'"):
+        refined_bialternant((1,), 2, ["1/2"])
+
+
 def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
     # the symbolic route is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
     # refused; the value at a point takes an int determinant in O(n^3)
     # products, with no such limit
     def not_run(*args):
-        raise AssertionError("a row or the quotient was built")
+        raise AssertionError("the quotient was built")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
     assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
     assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
     assert refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4]) == 10
-    monkeypatch.setattr(grothendieck, "alternant_quotient", not_run)
-    monkeypatch.setattr(grothendieck, "_integral_rows", not_run)
+    monkeypatch.setattr(grothendieck, "_bialternant_chain", not_run)
     for build in (lambda: refined_bialternant((1,), 4, [0, 0, 0]),
                   lambda: grothendieck_bialternant((2, 1), 4)):
         with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
             build()
 
 
-def test_the_symbolic_bi_alternant_builds_one_row(monkeypatch):
-    # alternant_quotient moves the first row to each x_i; an n x n symbolic
-    # matrix costs more than the chain itself on the verify grids
-    integral_rows = grothendieck._integral_rows
-    asked = []
+def test_the_symbolic_bi_alternant_builds_no_matrix(monkeypatch):
+    # the chain starts from the exponents and the betas: no row, no
+    # matrix and no Poly is built before it, and only the value at a point
+    # takes the integral rows
+    def not_run(*args):
+        raise AssertionError("the integral rows were built")
 
-    def count_points(lam, factors, points):
-        asked.append(len(points))
-        return integral_rows(lam, factors, points)
-
-    monkeypatch.setattr(grothendieck, "_integral_rows", count_points)
+    monkeypatch.setattr(grothendieck, "_integral_rows", not_run)
     assert grothendieck_bialternant((2, 1), 4) == grothendieck_tableau_sum((2, 1), 4)
     assert refined_bialternant((1,), 3, ["b1", Fraction(1, 2)]) == \
         _fraction_row_bialternant((1,), 3, ["b1", Fraction(1, 2)])
-    assert asked == [1, 1]
+    with pytest.raises(AssertionError, match="the integral rows were built"):
+        refined_bialternant_at((1,), 3, [1, 2], [1, 2, 3])
 
 
 def test_every_route_is_one_in_no_variables():

@@ -4,12 +4,14 @@ One bug sits in the field width of the packed monomials, which the
 bi-alternant kernel and the tableau sum share, one in the field the
 diagonal reads the excess from, one in the sign of the
 2 x 2 minor that each step of the int determinant's fraction-free
-elimination takes, two in the bi-alternant's
-divided-difference chain (the sign of a swapped term, and a Horner level
-that skips d_1), three in the packed tableau-sum fill (the per-letter
-units, the entries' weights and the key the backtracker carries), one in
-the integral bi-alternant's column scale, which both refined routes take
-from _integral_rows, one in the refined quotient at a point, one in the
+elimination takes, four in the bi-alternant's tail-first
+divided-difference chain (the sign of a swapped term, a level that skips
+its first divided difference, a column factor on the wrong variable and
+a level's lead exponent), three in the packed tableau-sum fill (the
+per-letter units, the entries' weights and the key the backtracker
+carries), one in the integral bi-alternant's column scale, which only the
+refined quotient at a point takes from _integral_rows, one in that
+quotient's Vandermonde, one in the
 backtracker's column cap, two (the cross factor's sign and the e_k
 window) in _shifted_exponent_sum, the one expansion behind both the
 principal specialization and the binomial-shift count formula, and one
@@ -77,8 +79,16 @@ MUTANTS = {
         arith.determinant, "p * row[j] - a * top[j]", "a * top[j] - p * row[j]")),
     "swapped term keeps its sign": lambda: (polynomials, "_divided_difference", _edited(
         polynomials._divided_difference, "gap, coeff = -gap, -coeff", "gap, coeff = -gap, coeff")),
-    "Horner level skips d_1": lambda: (polynomials, "_alternant_chain", _edited(
-        polynomials._alternant_chain, "range(k, 0, -1)", "range(k, 1, -1)")),
+    # grothendieck holds its own binding of the bi-alternant chain.  Each
+    # level skips its first divided difference, the one that brings in the
+    # level's lead column, and that column's factor on x_(i+1)
+    "Horner level skips d_1": lambda: (grothendieck, "_bialternant_chain", _edited(
+        polynomials._bialternant_chain, "range(top, n - 1)", "range(top + 1, n - 1)")),
+    "factor on x_i, not x_(i+1)": lambda: (grothendieck, "_bialternant_chain", _edited(
+        polynomials._bialternant_chain, "extra + (1 << sv)", "extra + (1 << shift[names[i]])")),
+    "lead exponent c_(n-m) + 1": lambda: (grothendieck, "_bialternant_chain", _edited(
+        polynomials._bialternant_chain, "exponents[top] << shift",
+        "(exponents[top] + 1) << shift")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
     # grothendieck holds its own binding of enumerate_svt
     "cell weighed by its largest letter only": lambda: (grothendieck, "enumerate_svt", _edited(
@@ -91,8 +101,8 @@ MUTANTS = {
     "diagonal excess read from the x_1 field": lambda: (
         grothendieck, "_tableau_sum_diagonal",
         _edited(grothendieck._tableau_sum_diagonal, "shift[BETA]", 'shift["x1"]')),
-    # both refined routes take their scale from _integral_rows; gg-eq-w's
-    # betas are symbolic, so every d_k is 1 there
+    # only the value at a point takes _integral_rows; the symbolic chain
+    # scales its own columns
     "column scale exponent n - k": lambda: (grothendieck, "_integral_rows", _edited(
         grothendieck._integral_rows, "d ** (n - 1 - k)", "d ** (n - k)")),
     # identities holds its own binding of refined_bialternant_at
@@ -135,7 +145,7 @@ CAUGHT_BY = {
     # bi-alternant is the chain
     "minor sign flipped": {"thm-3.5"},
     # the bi-alternant and the tableau sum share the packing rule, and the
-    # chain refuses fields narrower than its row; thm-3.5's determinant is
+    # chain refuses fields narrower than its bound; thm-3.5's determinant is
     # on plain ints, with nothing packed.  The diagonal reads the b field
     # alone and gives t the power |shape| + e, so it stays homogeneous, and
     # the b field read mod 4 keeps the excess's parity: prop-AA's rows,
@@ -145,6 +155,10 @@ CAUGHT_BY = {
     # kernel's guard refuses with ArithmeticError; only gg-eq-w runs it
     "swapped term keeps its sign": {"gg-eq-w"},
     "Horner level skips d_1": {"gg-eq-w"},
+    "factor on x_i, not x_(i+1)": {"gg-eq-w"},
+    # times x_1 ... x_n at every level: symmetric, so the guard passes it,
+    # and gg-eq-w's comparison fails
+    "lead exponent c_(n-m) + 1": {"gg-eq-w"},
     # the letter count, hence the excess, stays right; only the x-weight is wrong
     "cell weighed by its largest letter only": {"gg-eq-w"},
     # every filling is still counted once, so the counts hold; the

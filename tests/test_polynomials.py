@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grothtab import arith, polynomials
-from grothtab.polynomials import Poly, alternant_quotient, determinant
+from grothtab.polynomials import Poly, determinant
 
-from poly_reference import coefficient, collapse, evaluate, leibniz
+from poly_reference import alternant_quotient, coefficient, collapse, evaluate, leibniz, vandermonde
 
 x1 = Poly.variable("x1")
 x2 = Poly.variable("x2")
@@ -283,14 +283,6 @@ def test_determinant_scalar_entries():
         determinant([[x1]])
 
 
-def vandermonde(names):
-    out = Poly.constant(1)
-    for i, u in enumerate(names):
-        for v in names[i + 1:]:
-            out = out * (Poly.variable(u) - Poly.variable(v))
-    return out
-
-
 @st.composite
 def alternants(draw, size=st.integers(1, 4)):
     """(matrix, names): the names are x1..xn in a drawn order, and row i
@@ -315,8 +307,8 @@ def alternants(draw, size=st.integers(1, 4)):
 @settings(deadline=None)
 @given(alternants())
 def test_alternant_quotient_times_the_vandermonde_is_the_determinant(case):
-    # the kernel sees only the first row; the Leibniz sum over the whole
-    # matrix is the reference
+    # the generic chain sees only the first row; the Leibniz sum over the
+    # whole matrix checks it
     matrix, names = case
     quotient = alternant_quotient(matrix[0], names)
     assert quotient * vandermonde(names) == leibniz(matrix)
@@ -370,14 +362,15 @@ def test_alternant_quotient_of_rows_not_at_their_names_raises():
 
 
 def test_a_chain_without_its_divided_differences_is_refused(monkeypatch):
-    # with each divided difference a no-op the chain returns
-    # f_1(x1) f_2(x2), which is not symmetric; the guard raises a real error
+    # with each divided difference a no-op the bi-alternant chain returns
+    # the diagonal product x1^2 (1 + b x2), which is not symmetric; the
+    # guard raises a real error
     monkeypatch.setattr(polynomials, "_divided_difference", lambda terms, *fields: terms)
     with pytest.raises(ArithmeticError, match="not symmetric in x1 and x2"):
-        alternant_quotient([x1 ** 2, 1], ("x1", "x2"))
+        polynomials._bialternant_chain((2, 0), ["b"], ("x1", "x2"))
     # x1 x2 is symmetric in x1 and x2, and the guard goes on to the next pair
     with pytest.raises(ArithmeticError, match="not symmetric in x2 and x3"):
-        alternant_quotient([x1, x1, 1], ("x1", "x2", "x3"))
+        polynomials._bialternant_chain((1, 1, 0), [0, 0], ("x1", "x2", "x3"))
 
 
 def test_packed_terms_compare_only_over_one_packing():
@@ -401,18 +394,27 @@ def test_packed_terms_compare_only_over_one_packing():
 
 
 def test_the_chain_refuses_a_packing_that_cannot_hold_its_row():
-    row, names = [x1 ** 2 * b, 1], ("x1", "x2")
+    # det[x_i^(c_j) (1 + b x_i)^j] / (x1 - x2) for c = (3, 0): the bound
+    # max(c_0, n(n-1)/2) is 3, which 2-bit fields hold
+    names = ("x1", "x2")
     fits = polynomials._Packing(("b", "x1", "x2"), 3)
-    quotient = polynomials._packed_alternant_quotient(row, names, fits)
-    assert quotient.packing is fits and quotient.unpack() == b * (x1 + x2)
-    # 1-bit fields, too narrow for the degree bound 3, or a variable missing
+    quotient = polynomials._bialternant_chain((3, 0), ["b"], names, fits)
+    assert quotient.packing is fits
+    assert quotient.unpack() == alternant_quotient([x1 ** 3, 1 + b * x1], names)
+    # 1-bit fields, too narrow for the bound 3, or a variable missing
     for packing in (polynomials._Packing(("b", "x1", "x2"), 1),
                     polynomials._Packing(("x1", "x2"), 3), polynomials._Packing(("b", "x1"), 3)):
-        with pytest.raises(ValueError, match="cannot hold a row over"):
-            polynomials._packed_alternant_quotient(row, names, packing)
-    # the guards run on a given packing too
-    with pytest.raises(ValueError, match="the row is at x1, but its entries hold x2"):
-        polynomials._packed_alternant_quotient([x1 * x2, 1], names, fits)
+        with pytest.raises(ValueError, match=r"cannot hold a bi-alternant over \('x1', 'x2'\) "
+                                             "with degree bound 3"):
+            polynomials._bialternant_chain((3, 0), ["b"], names, packing)
+    # a rational beta needs no field of its own; the bound counts n(n-1)/2
+    # factors too, 3 at n = 3 with c_0 = 2
+    assert polynomials._bialternant_chain((2, 1, 0), [Fraction(1, 2), 3], ("x1", "x2", "x3"),
+                                          polynomials._Packing(("x1", "x2", "x3"), 3)) == \
+        polynomials._bialternant_chain((2, 1, 0), [Fraction(1, 2), 3], ("x1", "x2", "x3"))
+    with pytest.raises(ValueError, match="with degree bound 3"):
+        polynomials._bialternant_chain((2, 1, 0), [1, 1], ("x1", "x2", "x3"),
+                                       polynomials._Packing(("x1", "x2", "x3"), 1))
 
 
 def test_json_round_trip_and_canonical_order():
