@@ -4,10 +4,15 @@ Subcommands: count-svt, count-sst, enumerate, eval-groth, eval-2f1,
 eval-holman, verify.  All arithmetic is exact; rationals are written
 'p/q'.  Exit codes: 0 success, 1 identity/cross-check failure, 2 usage
 error (including non-terminating series refusals).
+
+A call whose first argument names a subcommand builds only that
+subcommand's parser (SUBCOMMANDS); help, no arguments, an unknown name or
+a leading option build the full parser, so argparse's help, usage and
+errors read as they would with every subcommand registered.  csv is
+imported by --format csv alone.
 """
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -75,6 +80,8 @@ def _parse_rational_list(option: str, text: str) -> list[Fraction]:
 
 
 def _print_csv(rows: list[list], header: list[str]) -> None:
+    import csv  # only --format csv needs it
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -288,40 +295,36 @@ def cmd_verify(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grothtab",
-        description="Exact counting, evaluation, and verification for "
-                    "set-valued tableaux and Grothendieck polynomials.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_shape_vars(p) -> None:
+    p.add_argument("--shape", required=True,
+                   help="partition, e.g. 4,3 or 1^3 (0 for the empty shape)")
+    p.add_argument("--vars", required=True, type=_positive_int,
+                   help="number of variables / letters (n >= 1)")
 
-    def add_shape_vars(p):
-        p.add_argument("--shape", required=True,
-                       help="partition, e.g. 4,3 or 1^3 (0 for the empty shape)")
-        p.add_argument("--vars", required=True, type=_positive_int,
-                       help="number of variables / letters (n >= 1)")
 
-    p = sub.add_parser("count-svt", help="count set-valued tableaux")
-    add_shape_vars(p)
+def _count_svt_arguments(p) -> None:
+    _add_shape_vars(p)
     p.add_argument("--method", choices=[*SVT_COUNTERS, "all"], default="formula")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_count_svt)
 
-    p = sub.add_parser("count-sst", help="count semistandard tableaux")
-    add_shape_vars(p)
+
+def _count_sst_arguments(p) -> None:
+    _add_shape_vars(p)
     p.add_argument("--method", choices=[*SST_COUNTERS, "all"], default="product")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_count_sst)
 
-    p = sub.add_parser("enumerate", help="list the tableaux themselves")
-    add_shape_vars(p)
+
+def _enumerate_arguments(p) -> None:
+    _add_shape_vars(p)
     p.add_argument("--kind", choices=["svt", "sst"], default="svt")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("eval-groth",
-                       help="Grothendieck polynomial, symbolic or evaluated")
-    add_shape_vars(p)
+
+def _eval_groth_arguments(p) -> None:
+    _add_shape_vars(p)
     p.add_argument("--beta", help="rational value for the parameter b")
     p.add_argument("--refined",
                    help="comma list of n-1 rationals for the refined variant")
@@ -334,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_eval_groth)
 
-    p = sub.add_parser("eval-2f1", help="terminating Gauss series")
+
+def _eval_2f1_arguments(p) -> None:
     p.add_argument("alpha")
     p.add_argument("beta")
     p.add_argument("gamma")
@@ -342,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_eval_2f1)
 
-    p = sub.add_parser("eval-holman", help="terminating coupled series")
+
+def _eval_holman_arguments(p) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--fixture", help="JSON instance file")
     source.add_argument("--from-shape", dest="from_shape",
@@ -355,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_eval_holman)
 
-    p = sub.add_parser("verify", help="run the identity checks")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--id", help="run a single check by id")
     p.add_argument("--max-size", dest="max_size", type=_positive_int, default=6)
     p.add_argument("--max-vars", dest="max_vars", type=_positive_int, default=4)
@@ -363,11 +369,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_verify)
 
+
+# Subcommand name -> (help, add_arguments), in the order the help lists them.
+SUBCOMMANDS = {
+    "count-svt": ("count set-valued tableaux", _count_svt_arguments),
+    "count-sst": ("count semistandard tableaux", _count_sst_arguments),
+    "enumerate": ("list the tableaux themselves", _enumerate_arguments),
+    "eval-groth": ("Grothendieck polynomial, symbolic or evaluated", _eval_groth_arguments),
+    "eval-2f1": ("terminating Gauss series", _eval_2f1_arguments),
+    "eval-holman": ("terminating coupled series", _eval_holman_arguments),
+    "verify": ("run the identity checks", _verify_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only `command`'s.  The
+    latter's top-level usage (printed with an unrecognized argument) still
+    lists every subcommand; its other messages come from the subparser."""
+    parser = argparse.ArgumentParser(
+        prog="grothtab",
+        description="Exact counting, evaluation, and verification for "
+                    "set-valued tableaux and Grothendieck polynomials.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # a metavar would also rename `command` in the full parser's errors
+        sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    for name in SUBCOMMANDS if command is None else [command]:
+        summary, add_arguments = SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

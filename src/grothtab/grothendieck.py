@@ -184,9 +184,9 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
 
 def _symbol(name: str, n: int) -> str:
     """A symbolic beta's name, once Poly.variable has checked it; a name
-    that sorts as one of x1..xn would be that variable, so it raises
-    ValueError."""
-    head, index = _var_key(Poly.variable(name).vars[0])
+    numbered as one of x1..xn (x01 too) would read as that variable, so it
+    raises ValueError."""
+    head, index, _ = _var_key(Poly.variable(name).vars[0])
     if head == "x" and 1 <= index <= n:
         raise ValueError(f"the beta {name!r} is named like one of the variables x1..x{n}")
     return name

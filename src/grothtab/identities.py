@@ -45,14 +45,14 @@ serial run; a check's seconds are then its time summed over the workers.
 Where os.fork does not exist, run_all sweeps serially.  The records are
 NamedTuples or plain classes, and the workers need no process pool, so
 importing the package and running in parallel load neither dataclasses
-(nor, through it, inspect) nor multiprocessing.
+(nor, through it, inspect) nor multiprocessing.  Nor does the package load
+traceback until an instance raises, or csv until `--format csv` prints.
 """
 
 import marshal
 import os
 import random
 import sys
-import traceback
 from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
@@ -270,7 +270,9 @@ def _sweep(grid: Grid, pairs, ids) -> list[CheckReport]:
                     else:
                         _fail(report, place, params, left, right)
             except Exception as exc:  # one crashing instance must not hide the rest
-                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                from traceback import extract_tb  # loaded by the first crash only
+
+                frame = extract_tb(exc.__traceback__)[-1]
                 at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
                 _fail(report, place,
                       {"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, "")

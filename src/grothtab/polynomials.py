@@ -50,10 +50,11 @@ _NAME_RE = re.compile(r"[A-Za-z]+[0-9]*\Z")
 
 
 def _var_key(name: str):
-    # 'x2' sorts before 'x10'; bare names sort before numbered ones
+    # 'x2' sorts before 'x10'; bare names sort before numbered ones; the
+    # digits themselves break a tie ('x01' before 'x1'), so the order is total
     head = name.rstrip("0123456789")
     tail = name[len(head):]
-    return (head, int(tail) if tail else -1)
+    return (head, int(tail) if tail else -1, tail)
 
 
 def _union_vars(a, b):

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -14,6 +16,7 @@ from grothtab.grothendieck import principal_specialization_q
 from grothtab.hypergeom import HolmanInstance
 from grothtab.identities import CHECKS, Check, Grid, run_check
 from grothtab.partitions import Partition
+from memos import clear_memos
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads(
@@ -22,6 +25,10 @@ SCHEMA = json.loads(
 # the benchmark's one-shot query mix for seed 1 plus eval-groth and
 # eval-holman --fixture cases, and paths in them are relative to the repo root
 TRANSCRIPT = json.loads((DATA / "cli_transcript.json").read_text())
+# argparse's own output (help, usage and its errors, all of which exit from
+# parse_args), pinned with COLUMNS=80 from the parser that registered every
+# subcommand, on the Python version named in the file
+ARGPARSE = json.loads((DATA / "cli_argparse.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -287,7 +294,7 @@ def test_every_reader_of_a_shape_series_walks_it_once(capsys, monkeypatch):
 
     monkeypatch.setattr(hypergeom, "_series_parts", counting)
     grid = Grid(4, 4)
-    hypergeom._shape_series.cache_clear()
+    clear_memos()
     try:
         for check_id in ("thm-3.9", "cor-3.11", "thm-3.13"):
             assert run_check(check_id, grid).ok, check_id
@@ -296,7 +303,7 @@ def test_every_reader_of_a_shape_series_walks_it_once(capsys, monkeypatch):
         assert run_cli(capsys, "eval-holman", "--from-shape", "2,1", "--vars", "3",
                        "--z", "1/2") == (0, "27/64\n", "")
     finally:
-        hypergeom._shape_series.cache_clear()
+        clear_memos()
     assert len(walks) == len(list(grid.shapes()))
 
 
@@ -459,6 +466,51 @@ def test_cli_output_matches_the_recorded_transcript(capsys, monkeypatch, record)
     monkeypatch.chdir(DATA.parent.parent)
     code, out, err = run_cli(capsys, *record["argv"])
     assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"]), record["argv"]
+
+
+def _parse_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("record", ARGPARSE["cases"],
+                         ids=[" ".join(r["argv"]) or "no-arguments" for r in ARGPARSE["cases"]])
+def test_argparse_output_is_that_of_the_full_parser(capsys, monkeypatch, record):
+    # main registers only the subcommand argv[0] names; its help, usage and
+    # errors must still be those of the parser with every subcommand
+    monkeypatch.setenv("COLUMNS", str(ARGPARSE["columns"]))
+    got = _parse_exit(capsys, cli.main, record["argv"])
+    assert got == _parse_exit(capsys, lambda argv: cli.build_parser().parse_args(argv),
+                              record["argv"])
+    if f"{sys.version_info[0]}.{sys.version_info[1]}" == ARGPARSE["python"]:
+        assert got == (record["exit"], record["stdout"], record["stderr"])
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["count-svt", "--shape", "2,1", "--vars", "3"], ["count-svt"]),
+    (["eval-2f1", "-1", "2", "3", "1"], ["eval-2f1"]),
+    (["verify", "--id", "nope"], ["verify"]),
+    (["--help"], list(cli.SUBCOMMANDS)),
+    ([], list(cli.SUBCOMMANDS)),
+    (["count"], list(cli.SUBCOMMANDS)),
+])
+def test_a_call_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, built):
+    names, original = [], argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        names.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    monkeypatch.setattr(sys, "argv", ["grothtab", *argv])  # as the console script calls it
+    try:
+        cli.main()
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert names == built
 
 
 # Outputs pinned by value, or by the sha256 of the whole stdout for long

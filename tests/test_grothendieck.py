@@ -257,7 +257,7 @@ def test_the_tail_chain_equals_the_generic_chain_at_the_width_boundaries():
 
 def test_a_beta_named_like_an_x_variable_is_refused():
     # x1 as a beta was taken for the variable x1, and b x1 x2 was lost;
-    # every name that sorts as one of x1..xn is refused, before any work
+    # every name numbered as one of x1..xn is refused, before any work
     for name in ("x1", "x2", "x10", "x01"):
         message = f"the beta '{name}' is named like one of the variables x1..x10"
         with pytest.raises(ValueError, match=message):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grothtab import grothendieck, identities, tableaux
+from grothtab import identities, tableaux
 from grothtab.grothendieck import grothendieck_tableau_sum
 from grothtab.identities import (
     CHECKS,
@@ -24,6 +24,7 @@ from grothtab.identities import (
     run_check,
 )
 from grothtab.partitions import count_sst_product
+from memos import clear_memos
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "grothtab" / "schemas" / "report.schema.json").read_text())
@@ -180,11 +181,11 @@ def test_serial_run_enumerates_each_pair_once(monkeypatch):
             if value is original:
                 monkeypatch.setattr(module, attr, counting)
     grid = Grid(max_size=4, max_vars=3)
-    grothendieck._tableau_sum.cache_clear()
+    clear_memos()
     try:
         assert run_all(grid, workers=1).ok
     finally:
-        grothendieck._tableau_sum.cache_clear()
+        clear_memos()
     assert seen == Counter((tuple(shape), n) for shape, n in grid.shapes())
 
 
@@ -379,12 +380,8 @@ def test_without_fork_the_run_is_serial(monkeypatch):
     assert sweeps == [len(list(grid.shapes()))]
 
 
-def test_cli_import_and_parallel_run_load_no_dataclasses_or_pool():
-    code = ("import sys, grothtab.cli\n"
-            "from grothtab.identities import Grid, run_all\n"
-            "assert run_all(Grid(3, 3), workers=2).ok\n"
-            "print(sorted({'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing'}"
-            " & set(sys.modules)))\n")
+def _fresh_python(code: str) -> str:
+    """The stdout of code run in a new interpreter on this checkout's src."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -392,7 +389,35 @@ def test_cli_import_and_parallel_run_load_no_dataclasses_or_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_and_parallel_run_load_no_dataclasses_or_pool():
+    # nor traceback (with linecache and tokenize) or csv, which only a
+    # crashing instance and --format csv need
+    code = ("import sys, grothtab.cli\n"
+            "from grothtab.identities import Grid, run_all\n"
+            "assert run_all(Grid(3, 3), workers=2).ok\n"
+            "print(sorted({'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing',"
+            " 'traceback', 'csv'} & set(sys.modules)))\n")
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_a_crash_names_its_frame_in_a_fresh_interpreter():
+    # pytest has imported traceback already, so only a new interpreter shows
+    # that the sweep imports what its crash branch uses, serially and in a
+    # forked worker
+    code = ("import sys\n"
+            "from grothtab.identities import CHECKS, Check, Grid, run_all, run_check\n"
+            "def crashing(grid, shape, n):\n"
+            "    raise RuntimeError('boom')\n"
+            "    yield\n"
+            "CHECKS['crash-demo'] = Check('crash-demo', 'raises', '-', '-', crashing)\n"
+            "assert 'traceback' not in sys.modules\n"
+            "print(run_check('crash-demo', Grid(1, 1)).witnesses[0].params['at'])\n"
+            "report = run_all(Grid(2, 2), workers=2).checks[-1]\n"
+            "print(report.failed, report.witnesses[-1].params['at'])\n")
+    assert _fresh_python(code) == "crashing (<string>:4)\n5 crashing (<string>:4)\n"
 
 
 def test_suite_report_validates_against_schema():

@@ -45,6 +45,7 @@ import pytest
 import grothtab
 from grothtab import arith, cli, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
+from memos import MEMOS, clear_memos
 
 
 def _edited(function, old: str, new: str):
@@ -196,16 +197,6 @@ CAUGHT_BY = {
 }
 
 
-# the per-(shape, n) memos: the tableau sum, its diagonal and the series as
-# a polynomial in z
-MEMOS = (grothendieck._tableau_sum, identities._diagonal, hypergeom._shape_series)
-
-
-def _clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
 def test_every_memo_in_the_package_is_cleared():
     # a memo left out of MEMOS would hand a mutant values computed before
     # it was seeded, and the mutant would go uncaught
@@ -223,11 +214,11 @@ def test_verify_catches_the_mutant(mutant, monkeypatch):
     patches = MUTANTS[mutant]()
     for module, name, replacement in patches if isinstance(patches, list) else [patches]:
         monkeypatch.setattr(module, name, replacement)
-    _clear_memos()
+    clear_memos()
     try:
         report = run_all(Grid(4, 4), workers=1)
     finally:
-        _clear_memos()
+        clear_memos()
     failing = {check.id for check in report.checks if check.failed}
     assert failing == CAUGHT_BY[mutant]
     for check in report.checks:
@@ -257,11 +248,11 @@ def test_a_bug_in_the_series_read_shows_in_verify_and_in_the_cli(monkeypatch, ca
     wrong = _edited(hypergeom.shape_series, "q ** (top - s)", "q ** s")
     for module in (cli, hypergeom, identities):
         monkeypatch.setattr(module, "shape_series", wrong)
-    _clear_memos()
+    clear_memos()
     try:
         assert cli.main(["eval-holman", "--from-shape", "2,1", "--vars", "3", "--z", "1/2"]) == 0
         assert capsys.readouterr().out != "27/64\n"
         report = run_all(Grid(4, 4), workers=1)
     finally:
-        _clear_memos()
+        clear_memos()
     assert {check.id for check in report.checks if check.failed} == {"thm-3.9"}

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -415,6 +419,30 @@ def test_the_chain_refuses_a_packing_that_cannot_hold_its_row():
     with pytest.raises(ValueError, match="with degree bound 3"):
         polynomials._bialternant_chain((2, 1, 0), [1, 1], ("x1", "x2", "x3"),
                                        polynomials._Packing(("x1", "x2", "x3"), 1))
+
+
+def test_the_variable_order_is_total_under_any_hash_seed():
+    # x01 and x1 are two variables; with one sort key for both, their order
+    # (and the printed form) followed the set's iteration, so the hash seed
+    names = ["x1", "x01", "x001", "x10", "x2", "x", "b", "y01", "y1"]
+    code = ("from grothtab.polynomials import Poly\n"
+            f"names = {names!r}\n"
+            "p = sum((k + 1) * Poly.variable(v) for k, v in enumerate(names))\n"
+            "q = sum((Poly.variable(v) for v in reversed(names)), Poly())\n"
+            "print(p, p.vars == q.vars, p.to_json() == Poly.from_json(p.to_json()).to_json())\n")
+    src = str(Path(__file__).parent.parent / "src")
+    printed = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        printed.add(done.stdout)
+    assert printed == {"7*b + 6*x + 3*x001 + 2*x01 + x1 + 5*x2 + 4*x10 + 8*y01 + 9*y1 True True\n"}
+    with pytest.raises(ValueError, match="unique and sorted"):
+        Poly(("x1", "x01"), {(1, 0): 1})
+    assert Poly(("x01", "x1"), {(1, 0): 1}) == Poly.variable("x01")
 
 
 def test_json_round_trip_and_canonical_order():
