@@ -14,9 +14,13 @@ that the principal specialization and the count formula share), and
 Poly.substitute both follow it.  coupled_sum returns its sum graded by
 total index, as integer (or Poly) parts over one denominator, so a series
 whose indices share one argument z is summed once as a polynomial in z.
-Every such sum is refused above MAX_SERIES_TERMS terms.  determinant is
-the int determinant, by fraction-free elimination: every division in it
-is exact and checked, and its cost is O(n^3) int products.  All functions
+Every such sum is refused above MAX_SERIES_TERMS terms.  polynomial_at
+is the one reader of such parts: a polynomial in one variable, int
+coefficients over one denominator, at z = p/q in one int pass and one
+division; the memoized series of a shape, the Gauss series and the
+tableau sum's diagonal (its counts by excess) are all read by it.
+determinant is the int determinant, by fraction-free elimination: every
+division in it is exact and checked, and its cost is O(n^3) int products.  All functions
 here are pure; values are immutable and safe to share between threads.
 """
 
@@ -81,6 +85,16 @@ def exact_count(value, what: str) -> int:
 def _check_size(count: int, what: str = "the series has {} terms") -> None:
     if count > MAX_SERIES_TERMS:
         raise ValueError(f"{what.format(count)}, more than the limit of {MAX_SERIES_TERMS}")
+
+
+def polynomial_at(parts, d: int, z) -> Fraction:
+    """sum_s parts[s] z^s / d for int parts and a nonzero int d, at the
+    exact rational z = p/q (exact_rational, so a float is refused), read
+    as sum_s parts[s] p^s q^(top-s) over d q^top, top = len(parts) - 1:
+    one int pass and one division.  No parts give 0."""
+    z = exact_rational(z)
+    p, q, top = z.numerator, z.denominator, max(len(parts) - 1, 0)
+    return Fraction(sum(c * p ** s * q ** (top - s) for s, c in enumerate(parts)), d * q ** top)
 
 
 def over_common_denominator(values) -> tuple[list, int]:

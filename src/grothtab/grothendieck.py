@@ -3,11 +3,12 @@
 The set-valued tableau generating sum (enumerate_svt weighs each filling
 as the sum of its letters' packed int units, and the sum counts those
 keys and keeps them, memoized per (shape, n); its diagonal
-x_1 = ... = x_n = t is read off their b field, and the public sum is
-unpacked on request), the bi-alternant quotient and its refined
-multi-parameter form (polynomials._bialternant_chain: a tail-first chain
-of divided differences from the shifted exponents and the betas, with
-int columns d + p x for beta = p/d and the denominators divided out once,
+x_1 = ... = x_n = t is read off their b field as its counts by excess,
+and the public sum is unpacked on request), the bi-alternant quotient
+and its refined multi-parameter form (polynomials._bialternant_chain: a
+tail-first chain of divided differences from the shifted exponents and
+the betas, with int columns d + p x for beta = p/d and the denominators
+divided out once,
 so no matrix or row is built and nothing is divided by the Vandermonde;
 at the symbolic beta b the chain leaves its result on the packed keys of
 the tableau sum, since both take the one packing
@@ -89,18 +90,19 @@ def _tableau_sum(shape: Partition, nvars: int) -> _Packed:
     return _Packed(packing, {key - cells: count for key, count in counts.items()})
 
 
-def _tableau_sum_diagonal(shape: Partition, nvars: int, var: str) -> Poly:
-    """The tableau sum at x_1 = ... = x_n = var: a polynomial in (b, var)
-    read off the b field of _tableau_sum's packed counts, with nothing
-    unpacked.  A filling of excess e has |shape| + e letters, so its key
-    goes to b^e var^(|shape| + e), one term per excess."""
+def _tableau_sum_diagonal(shape: Partition, nvars: int) -> tuple[int, ...]:
+    """The tableau sum at x_1 = ... = x_n = t as its counts by excess
+    (c_0, ..., c_E): c_e fillings have excess e, read off the b field of
+    _tableau_sum's packed counts with nothing unpacked.  A filling of
+    excess e has |shape| + e letters, so the diagonal is
+    sum_e c_e b^e t^(|shape| + e) and the tuple loses nothing; it is
+    empty when there is no filling."""
     packed = _tableau_sum(shape, nvars)
     shift, mask = packed.packing.shift[BETA], packed.packing.mask
-    by_excess = {}
+    by_excess = Counter()
     for key, count in packed.terms.items():
-        excess = (key >> shift) & mask
-        by_excess[excess] = by_excess.get(excess, 0) + count
-    return Poly((BETA, var), {(e, shape.size + e): count for e, count in by_excess.items()})
+        by_excess[(key >> shift) & mask] += count
+    return tuple(by_excess[e] for e in range(max(by_excess, default=-1) + 1))
 
 
 def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:

@@ -10,12 +10,17 @@ arith.MAX_SERIES_TERMS terms.  The coupled series is arith.coupled_sum
 over its Pochhammer weight tables, with integer cross factors, divided
 once by prod A_ij; the kernel grades its sum by total index, so the parts
 are the series as a polynomial in z when every index has the same
-argument z.  shape_series is the one reader of a shape's series
+argument z, and arith.polynomial_at reads such parts at a rational z in
+one int pass.  shape_series is the one reader of a shape's series
 (HolmanInstance.from_shape): it keeps one memo entry per (shape, n), the
 series at z = 1 by degree and its denominator, so thm-3.9's betas,
 cor-3.11, thm-3.13, `count-svt --method holman` and `eval-holman
---from-shape` read one n!-term walk; holman_series is left to instances
-that do not come from a shape (fixtures and the 2F1).
+--from-shape` read one n!-term walk.  _gauss_parts is the Gauss series
+as a polynomial in z, the one place its parameters (alpha, beta; gamma,
+1) are written: gauss_2f1_terminating reads it at its z, and verify's
+row and column checks keep it per (shape, n) and read it at each beta,
+so no Gauss memo here is keyed by a caller's parameters.  holman_series
+is left to instances that do not come from a shape (fixtures).
 ones_value_by_series is the one home of the series side of Thm 3.9 and
 Cor 3.11, |SST_n| times shape_series at z = -beta, for verify and the CLI
 alike.  Parameters are ints, Fractions or 'p/q' strings; a float is
@@ -29,7 +34,7 @@ from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .arith import _check_size, coupled_sum, exact_rational, format_rational
+from .arith import _check_size, coupled_sum, exact_rational, format_rational, polynomial_at
 from .partitions import Partition, count_sst_product
 
 
@@ -66,10 +71,22 @@ def _coupling_entry(value) -> int:
 def gauss_2f1_terminating(alpha, beta, gamma, z) -> Fraction:
     """Exact value of the terminating Gauss series
     sum_m (alpha)_m (beta)_m / (gamma)_m * z^m / m!, summed up to the first
-    m at which (alpha)_m or (beta)_m vanishes: the coupled series of one
-    index, numerator parameters (alpha, beta) and denominator parameters
-    (gamma, 1), where (1)_m is the m!."""
-    return holman_series(HolmanInstance((), ((alpha,), (beta,)), ((gamma,), (1,)), (z,)))
+    m at which (alpha)_m or (beta)_m vanishes: _gauss_parts read at z by
+    arith.polynomial_at.  The four arguments are taken as exact rationals
+    first, in order, so a float anywhere is refused before the series is
+    looked at."""
+    alpha, beta, gamma, z = map(exact_rational, (alpha, beta, gamma, z))
+    return polynomial_at(*_gauss_parts(alpha, beta, gamma), z)
+
+
+def _gauss_parts(alpha, beta, gamma) -> tuple[list, int]:
+    """The terminating Gauss series 2F1(alpha, beta; gamma; z) as a
+    polynomial in z, (parts, d) with coefficients parts[s] / d: the coupled
+    series of one index, numerator parameters (alpha, beta) and denominator
+    parameters (gamma, 1), where (1)_m is the m!, by _series_parts at
+    z = 1.  Nothing is memoized here; a caller with few parameter sets
+    keeps its own memo."""
+    return _series_parts(HolmanInstance((), ((alpha,), (beta,)), ((gamma,), (1,)), (1,)))
 
 
 def shape_coupling(shape, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -235,14 +252,12 @@ def _shape_series(shape: Partition, n: int) -> tuple[tuple, int]:
 
 def shape_series(shape, nvars: int, z) -> Fraction:
     """holman_series(HolmanInstance.from_shape(shape, nvars, z)), read off
-    the one memoized walk per (shape, n) (_shape_series) at z = p/q as
-    sum_s c_s p^s q^(top-s) over d q^top: one int pass and one division.
-    A shape with more rows than n raises from_shape's ValueError."""
+    the one memoized walk per (shape, n) (_shape_series) at z by
+    arith.polynomial_at: one int pass and one division.  A shape with more
+    rows than n raises from_shape's ValueError."""
     n = operator.index(nvars)
-    z = Fraction(exact_rational(z))
-    parts, d = _shape_series(Partition(shape), n)
-    p, q, top = z.numerator, z.denominator, len(parts) - 1
-    return Fraction(sum(c * p ** s * q ** (top - s) for s, c in enumerate(parts)), d * q ** top)
+    z = exact_rational(z)  # a float z is refused before the shape is looked at
+    return polynomial_at(*_shape_series(Partition(shape), n), z)
 
 
 def ones_value_by_series(shape, nvars: int, beta) -> Fraction:

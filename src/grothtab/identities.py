@@ -17,20 +17,27 @@ one failed instance whose witness names its shape, n, exception type and
 the function, file and line of the innermost traceback frame, and the
 sweep goes on.  An empty Grid is rejected.  The tableau sum of each
 (shape, n) is memoized on packed keys, so a process enumerates it once,
-and so is its diagonal x_1 = ... = x_n = t, a polynomial in (b, t) with
-one term per excess, read off the keys' b field with nothing unpacked:
-the values at x = 1 and at x = (beta, .., beta) and the set-valued counts
-(its coefficient sum) are read off the diagonal, and only gg-eq-w and the
-diagonal itself read the full sum.  gg-eq-w compares the packed sum with
-the bi-alternant's divided-difference chain left on keys of the same
-packing (polynomials._shape_packing), so neither side is unpacked; a
-packing mismatch raises, and fails the instance.  thm-3.9 and
+and so is its diagonal x_1 = ... = x_n = t as its counts by excess
+(c_0, ..., c_E), read off the keys' b field with nothing unpacked; the
+diagonal is sum_e c_e b^e t^(|shape| + e), so the tuple loses nothing.
+The value at x = 1 is sum_e c_e beta^e, the value at x = (beta, .., beta)
+with b = -1/beta is beta^|shape| sum_e c_e (-1)^e and the set-valued
+count is sum_e c_e, each read off the counts by arith.polynomial_at or a
+sum, and only gg-eq-w and the diagonal itself read the full sum.
+gg-eq-w compares the packed sum with the bi-alternant's divided-difference
+chain left on keys of the same packing (polynomials._shape_packing), so
+neither side is unpacked; a packing mismatch raises, and fails the
+instance.  thm-3.9 and
 cor-3.11 take their series side from hypergeom.ones_value_by_series, the
 function behind `count-svt --method holman` too, so verify checks the
 code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
 `eval-holman --from-shape` does; all of them read one memoized walk of
-each (shape, n)'s series, a polynomial in z.  run_check sweeps one check
-over the whole Grid and run_all the whole registry.  With more than one
+each (shape, n)'s series, a polynomial in z.  The row and column checks
+keep their Gauss side per (shape, n) too, the binomial times
+hypergeom._gauss_parts (the 2F1 that gauss_2f1_terminating reads), and
+read it at each beta by polynomial_at, so no check substitutes into a
+Poly or sums a series per point.  run_check sweeps one check over the
+whole Grid and run_all the whole registry.  With more than one
 worker (at most the CPUs the process may run on, and the GROTH_THREADS
 environment variable caps the count), run_all estimates each (shape, n)
 pair's cost a priori as its semistandard count |SST(shape, n)| and
@@ -59,15 +66,14 @@ from time import perf_counter
 from typing import NamedTuple
 
 from . import grothendieck
-from .arith import binomial, exact_count
+from .arith import binomial, exact_count, polynomial_at
 from .grothendieck import (
-    BETA,
     _packed_bialternant,
     count_svt_formula,
     principal_specialization_q,
     refined_bialternant_at,
 )
-from .hypergeom import gauss_2f1_terminating, ones_value_by_series, shape_series
+from .hypergeom import _gauss_parts, ones_value_by_series, shape_series
 from .partitions import Partition, count_sst_hook, count_sst_product, partitions_of
 from .tableaux import enumerate_sst
 
@@ -75,9 +81,6 @@ DEFAULT_BETAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fractio
 DEFAULT_QS = (Fraction(2), Fraction(3, 2), Fraction(5, 7))
 
 MAX_WITNESSES = 5
-
-# the one variable that x_1, ..., x_n are set equal to on the diagonal
-_T = "t"
 
 
 class UnknownCheckError(LookupError):
@@ -458,40 +461,50 @@ def _worker_failure(code: int, pairs: list) -> str:
 # ----------------------------------------------------------------------
 
 def _svt_count(shape, nvars) -> int:
-    """Number of set-valued tableaux: the coefficient sum of the memoized
-    diagonal, one term per excess, so the fillings of (shape, nvars) are
-    enumerated once and their sum is not walked again."""
-    return exact_count(sum(_diagonal(shape, nvars).terms.values()),
-                       f"set-valued count for {shape}, n={nvars}")
+    """Number of set-valued tableaux: the sum of the memoized diagonal's
+    counts by excess, so the fillings of (shape, nvars) are enumerated
+    once and their sum is not walked again."""
+    return exact_count(sum(_diagonal(shape, nvars)), f"set-valued count for {shape}, n={nvars}")
+
+
+@lru_cache(maxsize=None)
+def _gauss_series(shape, n):
+    """Props 3.1/3.2 as a polynomial in z, (parts, d):
+    C(n+k-1,k) * 2F1(k,1-n;k+1;z) for the row (k) and
+    C(n,k) * 2F1(k,k-n;k+1;z) for the column (1^k), the same for (1);
+    the 2F1 is hypergeom._gauss_parts, its parts times the binomial.
+    Memoized per (shape, n), so each pair sums its series once."""
+    k, row = shape.size, len(shape) == 1
+    parts, d = _gauss_parts(k, 1 - n if row else k - n, k + 1)
+    prefactor = binomial(n + k - 1, k) if row else binomial(n, k)
+    return tuple(prefactor * c for c in parts), d
 
 
 def _gauss(shape, n, z):
-    """Props 3.1/3.2: C(n+k-1,k) * 2F1(k,1-n;k+1;z) for the row (k) and
-    C(n,k) * 2F1(k,k-n;k+1;z) for the column (1^k), the same for (1)."""
-    k = shape.size
-    if len(shape) == 1:
-        return binomial(n + k - 1, k) * gauss_2f1_terminating(k, 1 - n, k + 1, z)
-    return binomial(n, k) * gauss_2f1_terminating(k, k - n, k + 1, z)
+    """The row or column's Gauss side (_gauss_series) at z."""
+    return polynomial_at(*_gauss_series(shape, n), z)
 
 
 @lru_cache(maxsize=None)
 def _diagonal(shape, n):
-    """The tableau sum at x_1 = ... = x_n = t: a polynomial in (b, t)
-    with one term per excess, since a filling with excess e has |shape| + e
-    letters, read off the packed counts' b field.  The values at x = 1 and
-    at x = (beta, .., beta) are taken on it, and so are the set-valued
-    counts (its coefficient sum), memoized per (shape, n), so a process
-    passes over each full sum's terms once.  The reader looks the memoized
-    sum up in grothendieck, as gg-eq-w does."""
-    return grothendieck._tableau_sum_diagonal(shape, n, _T)
+    """The tableau sum at x_1 = ... = x_n = t as its counts by excess
+    (c_0, ..., c_E), read off the packed counts' b field: a filling with
+    excess e has |shape| + e letters, so the diagonal is
+    sum_e c_e b^e t^(|shape| + e).  The values at x = 1 and at
+    x = (beta, .., beta) are read off it, and so are the set-valued counts
+    (its sum), memoized per (shape, n), so a process passes over each
+    full sum's terms once.  The reader looks the memoized sum up in
+    grothendieck, as gg-eq-w does."""
+    return grothendieck._tableau_sum_diagonal(shape, n)
 
 
 def _all_ones_rows(shape, n, closed_form):
-    """Rows comparing closed_form(beta) with the tableau sum at x = 1."""
-    at_ones = _diagonal(shape, n).substitute({_T: 1})
+    """Rows comparing closed_form(beta) with the tableau sum at x = 1,
+    sum_e c_e beta^e."""
+    counts = _diagonal(shape, n)
     for beta in DEFAULT_BETAS:
         yield ({"shape": shape, "n": n, "beta": beta}, closed_form(beta),
-               at_ones.substitute({BETA: beta}).as_fraction())
+               polynomial_at(counts, 1, beta))
 
 
 @_register("hook-counts",
@@ -600,10 +613,12 @@ def _tilted_point_value(grid, shape, n):
     """The tableau sum is homogeneous: a filling T with excess e(T) gives
     the monomial b^e(T) x^w(T) with |w(T)| = |shape| + e(T).  At x = beta
     and b = -1/beta it is (-1)^e(T) beta^|shape|, so each row, whatever its
-    beta, restates the one scalar identity sum_T (-1)^e(T) = 1."""
-    diagonal = _diagonal(shape, n)
+    beta, restates the one scalar identity sum_T (-1)^e(T) = 1.  The left
+    side is that exact value, beta^|shape| sum_e c_e (-1)^e, from the
+    diagonal's counts by excess."""
+    alternating = polynomial_at(_diagonal(shape, n), 1, -1)
     for beta in DEFAULT_BETAS:
-        left = diagonal.substitute({_T: beta, BETA: -1 / beta}).as_fraction()
+        left = beta ** shape.size * alternating
         right = beta ** shape.size
         yield {"shape": shape, "n": n, "beta": beta}, left, right
 

@@ -5,8 +5,8 @@ the tests alone; the package substitutes and reads whole polynomials.  The
 Leibniz sum is the reference determinant: the package takes determinants
 of int matrices only (arith.determinant), and the tests need them of Poly
 matrices too.  collapse is the reference for the tableau sum's diagonal,
-which the package reads straight off the packed counts
-(grothendieck._tableau_sum_diagonal).  alternant_quotient is the generic
+which the package reads straight off the packed counts as its counts by
+excess (grothendieck._tableau_sum_diagonal).  alternant_quotient is the generic
 Horner chain of divided differences, for any alternant given by its first
 row; the package's bi-alternant runs its own chain, tail first
 (polynomials._bialternant_chain), and the tests hold the two against each

@@ -17,6 +17,7 @@ from grothtab.arith import (
     exact_rational,
     format_rational,
     parse_rational,
+    polynomial_at,
 )
 from grothtab.polynomials import Poly
 
@@ -363,3 +364,32 @@ def test_determinant_raises_on_an_inexact_step():
     # 4 * 5 - 3 * 3 = 11 over the pivot 2 leaves remainder 1
     with pytest.raises(ArithmeticError, match="inexact elimination step: remainder 1"):
         determinant([[OffByOne(2), 1, 0], [1, 2, 1], [0, 1, 2]])
+
+
+# z as an int (negative and zero included), a Fraction, or an unreduced
+# 'p/q' string such as '2/4'
+reader_points = st.one_of(
+    st.integers(-9, 9), small_rationals,
+    st.tuples(st.integers(-20, 20), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=9), st.integers(1, 10**4), reader_points)
+def test_polynomial_at_is_the_sum_of_its_terms(parts, d, z):
+    got = polynomial_at(parts, d, z)
+    value = Fraction(z)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(c) * value ** s for s, c in enumerate(parts)), Fraction(0)) / d
+
+
+def test_polynomial_at_examples():
+    assert polynomial_at([], 3, Fraction(1, 2)) == 0
+    assert polynomial_at([5], 2, 7) == Fraction(5, 2)
+    assert polynomial_at([1, 2, 1], 4, "2/4") == Fraction(9, 16)
+    assert polynomial_at([0, 0, 3], 1, 0) == 0
+    assert polynomial_at([1, 1, 1, 1], 1, -1) == 0
+
+
+def test_polynomial_at_refuses_an_inexact_z():
+    for z in (0.5, -1.0, True, False, None):
+        with pytest.raises(ValueError, match="is not an exact rational"):
+            polynomial_at([1, 2], 1, z)

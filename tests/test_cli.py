@@ -223,6 +223,7 @@ def test_eval_groth_rejects_silently_changed_input(capsys, argv, message):
 def test_eval_2f1(capsys):
     code, out, _ = run_cli(capsys, "eval-2f1", "1", "-1", "2", "-1")
     assert code == 0 and out.strip() == "3/2"
+    assert run_cli(capsys, "eval-2f1", "3", "-2", "4", "1/2") == (0, "2/5\n", "")
     code, out, _ = run_cli(capsys, "eval-2f1", "3", "0", "4", "-1")
     assert code == 0 and out.strip() == "1"
 
@@ -230,6 +231,19 @@ def test_eval_2f1(capsys):
 def test_eval_2f1_refuses_non_terminating(capsys):
     code, _, err = run_cli(capsys, "eval-2f1", "1/2", "1/3", "2", "1/2")
     assert code == 2 and "terminating" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["1/2", "1/3", "2", "1/2"],
+     "no non-positive integer numerator parameter in row 1; only terminating series are evaluated"),
+    (["1", "1", "0", "1"],
+     "no non-positive integer numerator parameter in row 1; only terminating series are evaluated"),
+    (["-3", "1", "-1", "1"],
+     "denominator Pochhammer (-1)_k vanishes inside the summation range 0..3 of index 1"),
+    (["1/2", "1/3", "2", "x"], "not a rational number: 'x'"),
+])
+def test_eval_2f1_refusals_keep_their_text(capsys, argv, message):
+    assert run_cli(capsys, "eval-2f1", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_eval_2f1_refuses_a_series_over_the_term_limit(capsys):

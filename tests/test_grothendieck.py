@@ -74,14 +74,18 @@ def test_tableau_sum_equals_the_letter_loop_reference():
 
 
 def test_the_packed_diagonal_is_the_collapsed_tableau_sum():
-    # read off the b field of the packed counts, against the reference
-    # that collapses the unpacked sum: n = 1, shapes with more rows than n
-    # (the sum is 0) and the empty shape included
+    # the counts by excess, read off the b field of the packed counts, are
+    # the diagonal sum_e c_e b^e t^(|shape| + e): against the reference
+    # that collapses the unpacked sum, n = 1, shapes with more rows than n
+    # (the sum is 0, and there are no counts) and the empty shape included
     cases = list(Grid(5, 5).shapes()) + [((1, 1, 1), 2), ((2, 1), 1), ((), 3), ((), 1)]
     for shape, n in cases:
-        got = grothendieck._tableau_sum_diagonal(Partition(shape), n, "t")
+        counts = grothendieck._tableau_sum_diagonal(Partition(shape), n)
+        assert type(counts) is tuple and all(type(c) is int for c in counts), (shape, n)
+        assert not counts or counts[-1], (shape, n)
+        got = Poly((BETA, "t"), {(e, sum(shape) + e): c for e, c in enumerate(counts) if c})
         want = collapse(grothendieck_tableau_sum(shape, n), [f"x{i}" for i in range(1, n + 1)], "t")
-        assert (got.vars, got.terms) == (want.vars, want.terms), (shape, n)
+        assert got == want, (shape, n)
 
 
 def test_gg_eq_w_sides_are_packed_alike():

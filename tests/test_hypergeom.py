@@ -67,6 +67,36 @@ def test_gauss_rejects_vanishing_denominator_pochhammer():
     assert gauss_2f1_terminating(-2, 1, -5, 1) == Fraction(3, 2)
 
 
+def test_gauss_refusals_keep_their_order():
+    # every argument is taken as an exact rational first, in order, so a
+    # float is refused before the series is looked at, a non-terminating
+    # one included; then termination, the term limit and the denominator
+    for args, error, message in [
+            ((0.5, 1, 2, 0.25), ValueError, "0.5 is not"),
+            ((1, 1, 2.0, 0.25), ValueError, "2.0 is not"),
+            ((1, 1, 2, 0.25), ValueError, "0.25 is not"),
+            ((-3, 1, -1, True), ValueError, "True is not"),
+            ((1, 1, -1, 1), NonTerminatingSeriesError, "only terminating"),
+            ((-10**7, 1, -1, 1), ValueError, "the series has 10000001 terms"),
+            ((-3, 1, -1, 1), ValueError, "vanishes inside the summation range 0..3")]:
+        with pytest.raises(error, match=message):
+            gauss_2f1_terminating(*args)
+
+
+def test_gauss_parts_are_the_series_as_a_polynomial_in_z():
+    # the graded parts, read at z, are the series summed at that z; they
+    # are rebuilt on each call, with no memo keyed by the parameters
+    assert not hasattr(hypergeom._gauss_parts, "cache_clear")
+    for alpha, beta, gamma in [(3, -2, 4), (-4, "3/2", 2), ("7/3", -8, "1/3"), (-2, 1, -5)]:
+        parts, d = hypergeom._gauss_parts(alpha, beta, gamma)
+        assert all(type(c) is int for c in parts) and type(d) is int and d > 0
+        for z in (0, 1, -1, Fraction(2, 3), "-5/4"):
+            want = holman_series(HolmanInstance(
+                (), ((alpha,), (beta,)), ((gamma,), (1,)), (z,)))
+            assert arith.polynomial_at(parts, d, z) == want, (alpha, beta, gamma, z)
+            assert gauss_2f1_terminating(alpha, beta, gamma, z) == want
+
+
 def test_shape_coupling_matrices():
     assert shape_coupling((2, 1), 3) == ((2,), (4, 2))
     assert shape_coupling((), 2) == ((1,),)

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from grothtab import identities, tableaux
+from grothtab import hypergeom, identities, tableaux
 from grothtab.grothendieck import grothendieck_tableau_sum
 from grothtab.identities import (
     CHECKS,
+    DEFAULT_BETAS,
     MAX_WITNESSES,
     Check,
     Grid,
@@ -24,6 +25,7 @@ from grothtab.identities import (
     run_check,
 )
 from grothtab.partitions import count_sst_product
+from grothtab.polynomials import Poly
 from memos import clear_memos
 
 SCHEMA = json.loads(
@@ -200,6 +202,60 @@ def _strip_seconds(payload):
     for check in payload["checks"]:
         check.pop("seconds", None)
     return payload
+
+
+GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("grid, name", [(Grid(6, 5), "verify-serial"),
+                                        (Grid(4, 6), "verify-parallel")])
+def test_the_benchmark_grids_report_their_golden_copies(grid, name):
+    # the benchmark's pinned reports, read only: the counts, instances and
+    # witnesses of every check, with the seconds stripped
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert _strip_seconds(run_all(grid, workers=1).to_json()) == golden
+
+
+def test_the_diagonal_rows_are_the_substituted_tableau_sum():
+    # the rows at x = 1 and at the tilted point read the counts by excess;
+    # against the full tableau sum, substituted term by term
+    for shape, n in Grid(5, 4).shapes():
+        full = grothendieck_tableau_sum(shape, n)
+        ones = full.substitute({f"x{i}": 1 for i in range(1, n + 1)})
+        rows = list(identities._all_ones_rows(shape, n, lambda beta: 0))
+        assert [right for _, _, right in rows] == [
+            ones.substitute({"b": beta}).as_fraction() for beta in DEFAULT_BETAS]
+        tilted = list(CHECKS["prop-AA"].rows(Grid(), shape, n))
+        assert [left for _, left, _ in tilted] == [
+            full.substitute({"b": -1 / beta, **{f"x{i}": beta for i in range(1, n + 1)}})
+            .as_fraction() for beta in DEFAULT_BETAS]
+
+
+def test_a_run_substitutes_nothing_and_builds_each_series_once(monkeypatch):
+    # the scalar rows read polynomials in one variable kept per (shape, n):
+    # no Poly is substituted into, and each pair builds its Gauss parts and
+    # its coupled series once, whatever the number of betas
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "substitute", counting("substitute", Poly.substitute))
+    monkeypatch.setattr(identities, "_gauss_parts", counting("gauss", identities._gauss_parts))
+    monkeypatch.setattr(hypergeom, "_series_parts", counting("series", hypergeom._series_parts))
+    grid = Grid(5, 5)
+    pairs = list(grid.shapes())
+    gauss_pairs = [(shape, n) for shape, n in pairs if len(shape) == 1 or shape[0] == 1]
+    clear_memos()
+    try:
+        assert run_all(grid, workers=1).ok
+        assert run_all(grid, workers=1).ok
+    finally:
+        clear_memos()
+    assert calls == {"gauss": len(gauss_pairs), "series": len(pairs) + len(gauss_pairs)}
 
 
 def test_parallel_and_serial_runs_agree():

@@ -16,23 +16,27 @@ backtracker's column cap, two (the cross factor's sign and the e_k
 window) in _shifted_exponent_sum, the one expansion behind both the
 principal specialization and the binomial-shift count formula, and one
 in each of the coupling triangle, the content/hook count, the column
-Gauss binomial, the 2F1's m! (its denominator parameter 1), the
-Pochhammer term of _series_parts, the one evaluator behind the 2F1, the
-coupled series and its per-instance polynomial in z, the pruning step of
-the graded n!-term kernel coupled_sum, Poly.substitute and the
-pairwise-difference count.  Each mutant is put in place in this process
-with monkeypatch (the kernel in each module that calls it), so nothing
-on disk changes, and run_all(Grid(4, 4), workers=1) runs in this
-process too.  CAUGHT_BY maps each mutant to the checks that must then
-report failing instances, each with a witness; every other check must
-still pass.  The per-(shape, n) memos (the tableau sum, its diagonal and
-the series as a polynomial in z) are cleared before and after each run,
-so no value cached by another test hides a mutant below it and no value
-computed under a mutant outlives it.  Two more bugs must show both in
+Gauss binomial, the 2F1's m! (its denominator parameter 1, written once
+in hypergeom._gauss_parts), the Pochhammer term of _series_parts, the
+one evaluator behind the 2F1, the coupled series and its per-instance
+polynomial in z, the pruning step of the graded n!-term kernel
+coupled_sum, the q^top scale of arith.polynomial_at, the one reader of a
+polynomial in z (the series, the Gauss side and the diagonal's counts by
+excess), and the pairwise-difference count.  Each mutant is put in place
+in this process with monkeypatch (the kernel in each module that calls
+it), so nothing on disk changes, and run_all(Grid(4, 4), workers=1) runs
+in this process too.  CAUGHT_BY maps each mutant to the checks that must
+then report failing instances, each with a witness; every other check
+must still pass.  The per-(shape, n) memos (the tableau sum, its
+diagonal, the series and the row and column checks' Gauss side as
+polynomials in z, tests/memos.py) are cleared before and after each
+run, so no value cached by another test hides a mutant below it and no
+value computed under a mutant outlives it.  Two more bugs must show both in
 verify and in the CLI: the sign of z = -beta in
 hypergeom.ones_value_by_series, which `count-svt --method all` calls too,
-and a wrong power of the denominator in hypergeom.shape_series, the one
-reader of the memoized series, which `eval-holman --from-shape` calls too.
+and a wrong power of the denominator in arith.polynomial_at, the one
+reader of a polynomial in z, which `eval-holman --from-shape` and
+`eval-2f1` call too.
 """
 
 import importlib
@@ -62,6 +66,14 @@ def _kernel(old: str, new: str):
     """arith.coupled_sum edited, in each module that holds a binding of it."""
     kernel = _edited(arith.coupled_sum, old, new)
     return [(module, "coupled_sum", kernel) for module in (grothendieck, hypergeom)]
+
+
+def _reader(old: str, new: str):
+    """arith.polynomial_at edited, in each module that holds a binding of
+    it: hypergeom (the coupled series and the 2F1) and identities (the
+    diagonal's counts by excess and the checks' Gauss series)."""
+    reader = _edited(arith.polynomial_at, old, new)
+    return [(module, "polynomial_at", reader) for module in (hypergeom, identities)]
 
 
 def _pairwise(old: str, new: str):
@@ -118,15 +130,16 @@ MUTANTS = {
         "lam[i - 1] + lam[j - 1] + j - i")),
     "hook content n + i - j": lambda: (identities, "count_sst_hook", _edited(
         partitions.count_sst_hook, "nvars + j - i", "nvars + i - j")),
-    "column binomial C(n + 1, k)": lambda: (identities, "_gauss", _edited(
-        identities._gauss, "binomial(n, k)", "binomial(n + 1, k)")),
+    "column binomial C(n + 1, k)": lambda: (identities, "_gauss_series", _edited(
+        identities._gauss_series.__wrapped__, "binomial(n, k)", "binomial(n + 1, k)")),
     # count_svt_formula and principal_specialization_q look it up in grothendieck
     "count formula cross factor sign": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
         grothendieck._shifted_exponent_sum, "powers[c[j] + kj] - powers[c[i] + ki]",
         "powers[c[i] + ki] - powers[c[j] + kj]")),
-    # the m! of the 2F1 read as (2)_m
-    "2F1 term over m + 2": lambda: (identities, "gauss_2f1_terminating", _edited(
-        hypergeom.gauss_2f1_terminating, "((gamma,), (1,))", "((gamma,), (2,))")),
+    # the m! of the 2F1 read as (2)_m, in the one place its parameters are
+    # written; identities holds its own binding of it
+    "2F1 term over m + 2": lambda: (identities, "_gauss_parts", _edited(
+        hypergeom._gauss_parts, "((gamma,), (1,))", "((gamma,), (2,))")),
     # the one evaluator behind holman_series (the 2F1) and the memoized
     # series that shape_series reads, which look it up in hypergeom
     "series term over (b + k + 1)": lambda: (hypergeom, "_series_parts", _edited(
@@ -135,8 +148,7 @@ MUTANTS = {
     "e_k window shifted": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
         grothendieck._shifted_exponent_sum, "_elementary_tables(betas)",
         "_elementary_tables(betas[1:] + [0])")),
-    "substitute without the d^D scale": lambda: (polynomials.Poly, "substitute", _edited(
-        polynomials.Poly.substitute, "scale *= d ** top", "scale *= 1")),
+    "reader without the q^top scale": lambda: _reader("d * q ** top", "d"),
     "pairwise factor one too large": lambda: _pairwise(
         "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1"),
 }
@@ -190,9 +202,13 @@ CAUGHT_BY = {
     "kernel drops negative prefixes": {"thm-3.5", "cor-3.8", "thm-3.9", "cor-3.11",
                                        "thm-3.13"},
     "e_k window shifted": {"thm-3.5", "cor-3.8"},
-    # the checks that substitute a non-integer beta: the rows at x = 1 and
-    # at the tilted point
-    "substitute without the d^D scale": {"prop-3.1", "prop-3.2", "thm-3.9", "prop-AA"},
+    # every value at a z with a denominator comes out q^top too large.  The
+    # two sides of prop-3.1 and prop-3.2 are polynomials of one degree (the
+    # 2F1's n - 1 or n - k is the largest excess of a row or a column), so
+    # both are off by the same power and still agree; prop-AA reads its
+    # counts at z = -1.  Only thm-3.9 compares a series and a diagonal of
+    # different degrees at a fractional beta
+    "reader without the q^top scale": {"thm-3.9"},
     "pairwise factor one too large": {"hook-counts", "thm-3.9", "cor-3.11", "thm-3.13"},
 }
 
@@ -242,16 +258,20 @@ def test_a_bug_in_the_series_side_shows_in_verify_and_in_the_cli(monkeypatch, ca
 
 
 def test_a_bug_in_the_series_read_shows_in_verify_and_in_the_cli(monkeypatch, capsys):
-    # thm-3.9, cor-3.11, thm-3.13 and eval-holman --from-shape all read the
-    # memoized series through shape_series; with q^s for q^(top - s) only a
-    # z with a denominator reads wrong, so of the checks only thm-3.9 fails
-    wrong = _edited(hypergeom.shape_series, "q ** (top - s)", "q ** s")
-    for module in (cli, hypergeom, identities):
-        monkeypatch.setattr(module, "shape_series", wrong)
+    # thm-3.9, cor-3.11, thm-3.13, eval-holman --from-shape and eval-2f1
+    # all read a polynomial in z through arith.polynomial_at, and so do the
+    # row and column checks, on both sides; with q^s for q^(top - s) only a
+    # z with a denominator reads wrong.  The two sides of prop-3.1 and
+    # prop-3.2 have one degree and go wrong alike, so of the checks only
+    # thm-3.9 fails
+    for module, name, wrong in _reader("q ** (top - s)", "q ** s"):
+        monkeypatch.setattr(module, name, wrong)
     clear_memos()
     try:
         assert cli.main(["eval-holman", "--from-shape", "2,1", "--vars", "3", "--z", "1/2"]) == 0
         assert capsys.readouterr().out != "27/64\n"
+        assert cli.main(["eval-2f1", "3", "-2", "4", "1/2"]) == 0
+        assert capsys.readouterr().out != "2/5\n"
         report = run_all(Grid(4, 4), workers=1)
     finally:
         clear_memos()

@@ -241,6 +241,10 @@ point_values = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction), s
 
 
 @given(polys(), st.dictionaries(st.sampled_from(NAMES + ("zz",)), point_values))
+# every variable at once, at fractional points: a diagonal in (b, x1) with
+# one term per excess, read at the tilted point x1 = beta, b = -1/beta
+@example(Poly(("b", "x1"), {(0, 2): 3, (1, 3): 5, (2, 4): 2}),
+         {"b": Fraction(5, 3), "x1": Fraction(-3, 5)})
 def test_substitute_equals_the_term_by_term_reference(p, point):
     got = p.substitute(point)
     assert (got.vars, got.terms) == _substituted(p, point)
