@@ -13,7 +13,6 @@ from .grothendieck import (
 from .hypergeom import (
     HolmanInstance,
     NonTerminatingSeriesError,
-    classical_summation_conditions,
     gauss_2f1_terminating,
     holman_series,
     shape_coupling,
@@ -31,8 +30,7 @@ __all__ = [
     "grothendieck_bialternant", "grothendieck_tableau_sum",
     "principal_specialization_q", "refined_bialternant",
     "HolmanInstance", "NonTerminatingSeriesError",
-    "classical_summation_conditions", "gauss_2f1_terminating", "holman_series",
-    "shape_coupling",
+    "gauss_2f1_terminating", "holman_series", "shape_coupling",
     "Grid", "check_ids", "run_all", "run_check",
     "Partition", "count_sst_hook", "count_sst_product", "partitions_of",
     "Poly",

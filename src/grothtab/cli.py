@@ -28,7 +28,6 @@ from .grothendieck import (
 )
 from .hypergeom import (
     HolmanInstance,
-    classical_summation_conditions,
     gauss_2f1_terminating,
     holman_series,
     ones_value_by_series,
@@ -235,17 +234,10 @@ def cmd_eval_holman(args) -> int:
         z = parse_rational(args.z) if args.z is not None else 1
         inst = HolmanInstance.from_shape(shape, args.vars, z)
         value = shape_series(shape, args.vars, z)
-    conditions = classical_summation_conditions(inst) if args.conditions else None
     if args.format == "json":
-        payload = {"value": format_rational(value), "instance": inst.to_json()}
-        if conditions is not None:
-            payload["conditions"] = conditions.as_dict()
-        print(json.dumps(payload))
+        print(json.dumps({"value": format_rational(value), "instance": inst.to_json()}))
     else:
         print(format_rational(value))
-        if conditions is not None:
-            for name, good in conditions.as_dict().items():
-                print(f"{name}: {'yes' if good else 'NO'}")
     return 0
 
 
@@ -355,8 +347,6 @@ def _eval_holman_arguments(p) -> None:
     p.add_argument("--vars", type=_positive_int,
                    help="number of summation indices (with --from-shape)")
     p.add_argument("--z", help="constant argument (with --from-shape; default 1)")
-    p.add_argument("--conditions", action="store_true",
-                   help="also report the classical summation conditions")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_eval_holman)
 

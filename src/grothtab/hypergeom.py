@@ -1,11 +1,11 @@
 """Terminating hypergeometric series in exact rational arithmetic.
 
 The coupled multi-index series with cross factors (A_ij + k_i - k_j) / A_ij,
-the Gauss series 2F1, which is that series with one index and no cross
-factor, and the classical summation conditions.  _series_parts is the one
-evaluator, and holman_series adds its parts: each summation index ends at
-its first vanishing numerator Pochhammer (_cutoff); an index with none is
-refused rather than approximated, and so is a series of more than
+and the Gauss series 2F1, which is that series with one index and no
+cross factor.  _series_parts is the one evaluator, and holman_series
+adds its parts: each summation index ends at its first vanishing
+numerator Pochhammer (_cutoff); an index with none is refused rather
+than approximated, and so is a series of more than
 arith.MAX_SERIES_TERMS terms.  The coupled series is arith.coupled_sum
 over its Pochhammer weight tables, with integer cross factors, divided
 once by prod A_ij; the kernel grades its sum by total index, so the parts
@@ -137,12 +137,6 @@ class HolmanInstance(_HolmanFields):
     def n(self) -> int:
         return len(self.z)
 
-    def A(self, i: int, j: int) -> int:
-        """Coupling entry A_ij, 1-based, i < j."""
-        if not 1 <= i < j <= self.n:
-            raise IndexError(f"coupling index ({i},{j}) out of range")
-        return self.coupling[j - 2][i - 1]
-
     def row_numerators(self, i: int) -> list[Fraction]:
         return [col[i - 1] for col in self.numerator]
 
@@ -271,60 +265,3 @@ def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
     if len(shape) > n:
         return Fraction(0)
     return shape_series(shape, n, -exact_rational(beta)) * count_sst_product(shape, n)
-
-
-class SummationConditionReport(NamedTuple):
-    """Truth of the four classical parameter constraints, in order:
-
-    1. coupling_additive:    A_id - A_ic = A_cd  for all i < c < d
-    2. numerator_shifted:    a_id - a_cr = A_ic  for all i < c and all
-                             column pairs (d, r)
-    3. denominator_shifted:  the same with the denominator parameters
-    4. unit_diagonal:        b_ii = 1 for every diagonal entry the column
-                             count provides
-    """
-
-    coupling_additive: bool
-    numerator_shifted: bool
-    denominator_shifted: bool
-    unit_diagonal: bool
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(self)
-
-    def as_dict(self) -> dict:
-        return {**self._asdict(), "all_satisfied": self.all_satisfied}
-
-
-def classical_summation_conditions(inst: HolmanInstance) -> SummationConditionReport:
-    """Check the parameter constraints of the classical summation formula.
-
-    The interesting negative case: instances built by
-    HolmanInstance.from_shape violate exactly the two shift conditions
-    (2 and 3) while satisfying 1 and 4.
-    """
-    n = inst.n
-    c1 = all(
-        inst.A(i, d) - inst.A(i, c) == inst.A(c, d)
-        for i in range(1, n + 1)
-        for c in range(i + 1, n + 1)
-        for d in range(c + 1, n + 1)
-    )
-
-    def shifted(columns) -> bool:
-        return all(
-            col_d[i - 1] - col_r[c - 1] == inst.A(i, c)
-            for i in range(1, n + 1)
-            for c in range(i + 1, n + 1)
-            for col_d in columns
-            for col_r in columns
-        )
-
-    c2 = shifted(inst.numerator)
-    c3 = shifted(inst.denominator)
-    c4 = all(
-        inst.denominator[i][i] == 1
-        for i in range(min(n, len(inst.denominator)))
-    )
-    return SummationConditionReport(c1, c2, c3, c4)

@@ -17,7 +17,6 @@ from grothtab.grothendieck import (
 )
 from grothtab.hypergeom import (
     HolmanInstance,
-    classical_summation_conditions,
     holman_series,
 )
 from grothtab.identities import Grid, run_all
@@ -138,9 +137,3 @@ def test_criterion_6b_column_expansion_coefficient():
         bad = bad + bvar ** m * (binomial(n + k - 1, m) * elementary_symmetric_poly(m + k, n))
     ok = ok and bad != grothendieck_tableau_sum((1,) * k, n)
     _line("6b-column-expansion", ok)
-
-
-def test_criterion_7_summation_conditions():
-    report = classical_summation_conditions(HolmanInstance.from_shape((2, 1), 3, 1))
-    ok = tuple(report) == (True, False, False, True)
-    _line("7-summation-conditions", ok, f"(conditions {tuple(report)})")

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from grothtab.grothendieck import BETA, grothendieck_tableau_sum
 from grothtab.hypergeom import (
     HolmanInstance,
     NonTerminatingSeriesError,
-    classical_summation_conditions,
     gauss_2f1_terminating,
     holman_series,
     ones_value_by_series,
@@ -155,6 +155,48 @@ def test_gauss_matches_the_term_by_term_sum(alpha, beta, gamma, z, bound):
     # the one-index coupled series against the Gauss loop written out
     assert gauss_2f1_terminating(alpha, beta, gamma, z) == _gauss_reference(
         alpha, beta, gamma, z, bound)
+
+
+def _pochhammer(a, k):
+    return prod((a + m for m in range(k)), start=Fraction(1))
+
+
+def _holman_reference(inst, cutoffs):
+    """holman_series's docstring summed term by term over k in
+    prod [0..N_i]: the cross factors (A_ij + k_i - k_j) / A_ij, with A_ij
+    at row j - 2, place i - 1 of the coupling, then index i's own numerator
+    and denominator Pochhammers and z_i^k_i."""
+    n = inst.n
+    total = Fraction(0)
+    for k in product(*(range(N + 1) for N in cutoffs)):
+        term = Fraction(1)
+        for j in range(1, n):
+            for i in range(j):
+                a = inst.coupling[j - 1][i]
+                term *= Fraction(a + k[i] - k[j], a)
+        for i in range(n):
+            term *= prod(_pochhammer(col[i], k[i]) for col in inst.numerator)
+            term /= prod(_pochhammer(col[i], k[i]) for col in inst.denominator)
+            term *= inst.z[i] ** k[i]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("inst, cutoffs", [
+    # A_13 = 1 is not A_12 + A_23, so no shape has this coupling; the
+    # denominator -3 of index 3 vanishes at k = 3, past its cutoff 1
+    (HolmanInstance.load(DATA / "holman_per_index.json"), (2, 3, 1)),
+    (HolmanInstance(((2,), (7, 1)), ((-1, "1/3", -2), ("-5/2", -2, 4)),
+                    (("3/2", 1, "-1/2"), (2, "7/4", 1)), ("-3/5", 4, "-1/2")), (1, 2, 2)),
+    (HolmanInstance(((4,),), ((-3, 2), ("7/2", -2)), (("1/2", 4), (1, "-7/3")), ("-1/5", 6)),
+     (3, 2)),
+])
+def test_holman_series_matches_the_term_by_term_sum(inst, cutoffs):
+    # every index has its own parameters and argument, so an evaluator that
+    # reads one index's data for another's, or the coupling at the wrong
+    # place, gives another value
+    assert inst.termination_bounds() == cutoffs
+    assert holman_series(inst) == _holman_reference(inst, cutoffs)
 
 
 def test_single_row_cross_evaluator_agreement():
@@ -306,38 +348,6 @@ def test_rejects_denominator_pochhammer_zero():
     inst = HolmanInstance(((1,),), ((0, -2),), ((1, -1),), (1, 1))
     with pytest.raises(ValueError, match="vanishes"):
         holman_series(inst)
-
-
-def test_conditions_for_shape_instance():
-    report = classical_summation_conditions(HolmanInstance.from_shape((2, 1), 3, 1))
-    assert tuple(report) == (True, False, False, True)
-    assert not report.all_satisfied
-
-
-def test_conditions_all_satisfied_instance():
-    # built by solving the constraints for n=3, single columns:
-    # A = ((1,), (2, 1)), a = (5, 4, 3), b = (1, 0, -1)
-    inst = HolmanInstance(
-        coupling=((1,), (2, 1)),
-        numerator=((Fraction(5), Fraction(4), Fraction(3)),),
-        denominator=((Fraction(1), Fraction(0), Fraction(-1)),),
-        z=(1, 1, 1),
-    )
-    report = classical_summation_conditions(inst)
-    assert tuple(report) == (True, True, True, True)
-    assert report.all_satisfied
-
-
-def test_conditions_unit_diagonal_violation():
-    inst = HolmanInstance(
-        coupling=((1,), (2, 1)),
-        numerator=((Fraction(5), Fraction(4), Fraction(3)),),
-        denominator=((Fraction(2), Fraction(1), Fraction(0)),),
-        z=(1, 1, 1),
-    )
-    report = classical_summation_conditions(inst)
-    assert report.unit_diagonal is False
-    assert report.all_satisfied is False
 
 
 def test_json_round_trip_and_fixture_load():
