@@ -45,12 +45,16 @@ assigns the pairs by Graham's longest-processing-time rule: largest
 estimate first (ties in Grid order), each to the worker with the least
 estimated load so far.  Each worker is forked by os.fork and sweeps every
 check over its own pairs, kept in Grid order, so each pair's memos live
-in one worker, and sends its reports back through a pipe as marshalled
-tuples.  A report records the pair of each witness, so the reports are
-merged in Grid order and the counts and witnesses are those of the
-serial run; a check's seconds are then its time summed over the workers.
+in one worker, and sends its results back through a pipe, marshalled.
+A sweep's unit is one (check, pair) result: its passed and failed counts,
+its first witnesses and its seconds.  The parent puts each worker's
+results at its pairs' Grid indices, and every run, serial or forked, and
+run_check too, builds each check's report by one fold over its results
+in Grid order (_report): the counts and seconds are summed, so a check's
+seconds are the sum of its pairs' times, and the first witnesses are
+kept, so a forked run reports what the serial run does.
 Where os.fork does not exist, run_all sweeps serially.  The records are
-NamedTuples or plain classes, and the workers need no process pool, so
+NamedTuples, and the workers need no process pool, so
 importing the package and running in parallel load neither dataclasses
 (nor, through it, inspect) nor multiprocessing.  Nor does the package load
 traceback until an instance raises, or csv until `--format csv` prints.
@@ -139,41 +143,15 @@ class Witness(NamedTuple):
         return {"params": dict(self.params), "left": self.left, "right": self.right}
 
 
-class _Record:
-    """Equality and repr by the attributes named in __slots__."""
+class CheckReport(NamedTuple):
+    """One check's counts, first witnesses and time."""
 
-    __slots__ = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = zip(self.__slots__, self._values())
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
-
-
-class CheckReport(_Record):
-    """One check's counts, first witnesses and time.  places holds, for
-    each witness, the index of its (shape, n) pair in the pairs swept; it
-    orders the witnesses of a parallel run and is not reported."""
-
-    __slots__ = ("id", "summary", "passed", "failed", "witnesses", "seconds", "places")
-
-    def __init__(self, id: str, summary: str, passed: int, failed: int,
-                 witnesses: list[Witness] | None = None, seconds: float = 0.0,
-                 places: list[int] | None = None):
-        self.id = id
-        self.summary = summary
-        self.passed = passed
-        self.failed = failed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.seconds = seconds
-        self.places = [] if places is None else places
+    id: str
+    summary: str
+    passed: int
+    failed: int
+    witnesses: list[Witness] = []
+    seconds: float = 0.0
 
     @property
     def instances(self) -> int:
@@ -195,13 +173,10 @@ class CheckReport(_Record):
         }
 
 
-class SuiteReport(_Record):
-    __slots__ = ("max_size", "max_vars", "checks")
-
-    def __init__(self, max_size: int, max_vars: int, checks: list[CheckReport]):
-        self.max_size = max_size
-        self.max_vars = max_vars
-        self.checks = checks
+class SuiteReport(NamedTuple):
+    max_size: int
+    max_vars: int
+    checks: list[CheckReport]
 
     @property
     def passed(self) -> int:
@@ -248,55 +223,51 @@ def check_ids() -> list[str]:
     return list(CHECKS)
 
 
-def _fail(report: CheckReport, place: int, params, left, right) -> None:
-    report.failed += 1
-    if len(report.witnesses) < MAX_WITNESSES:
-        report.witnesses.append(Witness(
-            {k: str(v) for k, v in params.items()}, str(left), str(right)))
-        report.places.append(place)
+def _witness(params, left, right) -> tuple:
+    return {k: str(v) for k, v in params.items()}, str(left), str(right)
 
 
-def _sweep(grid: Grid, pairs, ids) -> list[CheckReport]:
-    """One report per check in ids, each over the (shape, n) pairs in the
-    order given: check by check, then pair by pair.  Each witness's place
-    is the index in pairs of the pair that gave it."""
-    reports = []
+def _sweep(grid: Grid, pairs, ids) -> list[list[tuple]]:
+    """For each check in ids, one result per (shape, n) pair in the order
+    given: (passed, failed, witnesses, seconds), where witnesses are the
+    pair's first MAX_WITNESSES failures as (params, left, right) tuples of
+    strs.  The results are plain values, so marshal carries them as they
+    are."""
+    results = []
     for check_id in ids:
-        check = CHECKS[check_id]
-        report = CheckReport(check.id, check.summary, 0, 0)
-        start = perf_counter()
-        for place, (shape, n) in enumerate(pairs):
+        rows, mine = CHECKS[check_id].rows, []
+        for shape, n in pairs:
+            start, passed, failed, witnesses = perf_counter(), 0, 0, []
             try:
-                for params, left, right in check.rows(grid, shape, n):
+                for params, left, right in rows(grid, shape, n):
                     if left == right:
-                        report.passed += 1
-                    else:
-                        _fail(report, place, params, left, right)
+                        passed += 1
+                        continue
+                    failed += 1
+                    if failed <= MAX_WITNESSES:
+                        witnesses.append(_witness(params, left, right))
             except Exception as exc:  # one crashing instance must not hide the rest
                 from traceback import extract_tb  # loaded by the first crash only
 
                 frame = extract_tb(exc.__traceback__)[-1]
                 at = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
-                _fail(report, place,
-                      {"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, "")
-        report.seconds = perf_counter() - start
-        reports.append(report)
-    return reports
+                failed += 1
+                if failed <= MAX_WITNESSES:
+                    witnesses.append(_witness(
+                        {"shape": shape, "n": n, "error": type(exc).__name__, "at": at}, exc, ""))
+            mine.append((passed, failed, witnesses, perf_counter() - start))
+        results.append(mine)
+    return results
 
 
-def _merge(parts, held) -> CheckReport:
-    """One check's reports, part k swept over the grid's pairs at the
-    indices held[k] (in grid order, every pair in one part), as the one
-    report of a sweep over the whole grid: the counts and seconds add up,
-    and the first MAX_WITNESSES witnesses in grid order are kept, placed
-    by their pairs' grid indices.  The sort is stable, so the witnesses of
-    one pair keep their order."""
-    placed = sorted(((mine[place], witness) for part, mine in zip(parts, held)
-                     for place, witness in zip(part.places, part.witnesses)),
-                    key=lambda item: item[0])[:MAX_WITNESSES]
-    return CheckReport(parts[0].id, parts[0].summary, sum(p.passed for p in parts),
-                       sum(p.failed for p in parts), [w for _, w in placed],
-                       sum(p.seconds for p in parts), [place for place, _ in placed])
+def _report(check_id: str, results) -> CheckReport:
+    """One check's report from its per-pair results in grid order: the
+    counts and seconds summed, and the first MAX_WITNESSES witnesses."""
+    check = CHECKS[check_id]
+    passed, failed, witnesses, seconds = zip(*results)
+    return CheckReport(check.id, check.summary, sum(passed), sum(failed),
+                       [Witness(*w) for mine in witnesses for w in mine][:MAX_WITNESSES],
+                       sum(seconds))
 
 
 def _estimate(shape, n) -> int:
@@ -332,7 +303,7 @@ def run_check(check_id: str, grid: Grid | None = None) -> CheckReport:
         raise UnknownCheckError(f"unknown check id {check_id!r}; "
                                 f"known: {', '.join(check_ids())}")
     grid = grid or Grid()
-    return _sweep(grid, list(grid.shapes()), [check_id])[0]
+    return _report(check_id, _sweep(grid, list(grid.shapes()), [check_id])[0])
 
 
 def _usable_cpus() -> int:
@@ -372,17 +343,17 @@ def run_all(grid: Grid | None = None, workers: int | None = None) -> SuiteReport
     pairs = list(grid.shapes())
     count = min(resolve_workers(workers), len(pairs))
     if count > 1 and hasattr(os, "fork"):
-        held = _assign(pairs, count)
-        parts = _fork_sweeps(grid, pairs, held, ids)
-        reports = [_merge(column, held) for column in zip(*parts)]
+        results = _fork_sweeps(grid, pairs, _assign(pairs, count), ids)
     else:
-        reports = _sweep(grid, pairs, ids)
-    return SuiteReport(grid.max_size, grid.max_vars, reports)
+        results = _sweep(grid, pairs, ids)
+    return SuiteReport(grid.max_size, grid.max_vars,
+                       [_report(check_id, mine) for check_id, mine in zip(ids, results)])
 
 
-def _fork_sweeps(grid: Grid, pairs: list, held: list, ids) -> list[list[CheckReport]]:
-    """For each list of indices in held, the reports of _sweep over those
-    of the pairs, each list swept in one forked worker.  The parent reads
+def _fork_sweeps(grid: Grid, pairs: list, held: list, ids) -> list[list[tuple]]:
+    """_sweep's results over all the pairs, each list of indices in held
+    swept in one forked worker whose results are placed at those indices
+    (held covers every pair once).  The parent reads
     every worker's pipe to its end, then reaps the workers; a worker that
     dies or exits non-zero raises RuntimeError naming the pairs it held.
     On any exception, an interrupt included, the parent kills and reaps
@@ -425,21 +396,21 @@ def _fork_sweeps(grid: Grid, pairs: list, held: list, ids) -> list[list[CheckRep
               for code, mine in zip(codes, held) if code]
     if errors:
         raise RuntimeError("; ".join(errors))
-    return [[CheckReport(check_id, summary, passed, failed, [Witness(*w) for w in witnesses],
-                         seconds, places)
-             for check_id, summary, passed, failed, witnesses, seconds, places
-             in marshal.loads(payload)] for payload in payloads]
+    results = [[None] * len(pairs) for _ in ids]
+    for payload, mine in zip(payloads, held):
+        for placed, swept in zip(results, marshal.loads(payload)):
+            for i, result in zip(mine, swept):
+                placed[i] = result
+    return results
 
 
 def _worker(grid: Grid, pairs: list, ids, write_end: int) -> None:
-    """A forked worker: sweeps its pairs, marshals the reports as plain
-    tuples into its pipe, and leaves by os._exit, so it flushes no
-    inherited stdio and runs no atexit hook."""
+    """A forked worker: sweeps its pairs, marshals _sweep's results into
+    its pipe, and leaves by os._exit, so it flushes no inherited stdio and
+    runs no atexit hook."""
     code = 1
     try:
-        payload = marshal.dumps([
-            (r.id, r.summary, r.passed, r.failed, [tuple(w) for w in r.witnesses], r.seconds,
-             r.places) for r in _sweep(grid, pairs, ids)])
+        payload = marshal.dumps(_sweep(grid, pairs, ids))
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         code = 0

@@ -292,40 +292,58 @@ def test_assignment_splits_the_benchmark_grids_evenly():
         assert _estimated_loads(pairs, identities._assign(pairs, 2)) == loads
 
 
-def test_merged_chunk_reports_equal_one_sweep():
-    # each worker's pairs, non-contiguous, swept alone and merged
-    grid = Grid(max_size=4, max_vars=4)
-
-    def odd_n_fails(grid, shape, n):
+@pytest.fixture
+def odd_n_fails():
+    """A registered check that fails at every odd n and raises at (1), n = 2."""
+    def rows(grid, shape, n):
         if shape == (1,) and n == 2:
             raise RuntimeError("boom")
         yield {"shape": shape, "n": n}, n % 2, 0
 
-    CHECKS["odd-n-fails"] = Check("odd-n-fails", "fails at odd n", "n mod 2", "0", odd_n_fails)
-    try:
-        pairs = list(grid.shapes())
-        ids = ["cor-3.3", "odd-n-fails"]
-        held = identities._assign(pairs, 3)
-        whole = identities._sweep(grid, pairs, ids)
-        parts = [identities._sweep(grid, [pairs[i] for i in mine], ids) for mine in held]
-        merged = [identities._merge(column, held) for column in zip(*parts)]
-    finally:
-        del CHECKS["odd-n-fails"]
+    CHECKS["odd-n-fails"] = Check("odd-n-fails", "fails at odd n", "n mod 2", "0", rows)
+    yield "odd-n-fails"
+    del CHECKS["odd-n-fails"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_forked_results_placed_in_grid_order_fold_to_the_serial_report(odd_n_fails):
+    # each worker's pairs, non-contiguous, swept in its own fork and placed
+    # at their grid indices
+    grid = Grid(max_size=4, max_vars=4)
+    pairs = list(grid.shapes())
+    ids = ["cor-3.3", odd_n_fails]
+    held = identities._assign(pairs, 3)
+    whole = identities._sweep(grid, pairs, ids)
+    placed = identities._fork_sweeps(grid, pairs, held, ids)
+    reports = [identities._report(check_id, mine) for check_id, mine in zip(ids, placed)]
+    serial = [run_check(check_id, grid) for check_id in ids]
     assert all(mine[-1] - mine[0] >= len(mine) for mine in held)
+
+    def timeless(results):
+        return [[result[:3] for result in mine] for mine in results]
+
+    assert timeless(placed) == timeless(whole)
     # the failures fall in every worker, and the first witnesses in more than
     # one, interleaved: taken worker by worker they would be out of order
-    assert all(part[1].failed > 0 for part in parts)
-    assert MAX_WITNESSES < whole[1].failed
-    assert len({w for w, mine in enumerate(held) for place in whole[1].places
-                if place in mine}) > 1
-    assert [w for part in parts for w in part[1].witnesses][:MAX_WITNESSES] != whole[1].witnesses
-    assert any(w.params.get("error") == "RuntimeError" for w in whole[1].witnesses)
-    def stripped(reports):
-        return [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
+    odd = placed[1]
+    assert all(sum(odd[i][1] for i in mine) > 0 for mine in held)
+    assert MAX_WITNESSES < reports[1].failed
+    firsts = [i for i, result in enumerate(odd) for _ in result[2]][:MAX_WITNESSES]
+    assert len({w for w, mine in enumerate(held) if set(firsts) & set(mine)}) > 1
+    by_worker = [Witness(*w) for mine in held for i in mine for w in odd[i][2]]
+    assert by_worker[:MAX_WITNESSES] != reports[1].witnesses
+    assert any(w.params.get("error") == "RuntimeError" for w in reports[1].witnesses)
+    assert [r._replace(seconds=0) for r in reports] == [r._replace(seconds=0) for r in serial]
+    assert all(r.seconds == sum(result[3] for result in mine)
+               for r, mine in zip(reports, placed))
 
-    assert stripped(merged) == stripped(whole)
-    assert [m.places for m in merged] == [r.places for r in whole]
-    assert all(m.seconds == sum(p[i].seconds for p in parts) for i, m in enumerate(merged))
+
+def test_run_check_reports_each_check_as_run_all_does(odd_n_fails):
+    grid = Grid(max_size=4, max_vars=4)
+    alone = [run_check(check_id, grid)._replace(seconds=0) for check_id in check_ids()]
+    assert alone[-1].id == odd_n_fails and len(alone[-1].witnesses) == MAX_WITNESSES
+    for workers in (1, 2):
+        assert [c._replace(seconds=0) for c in run_all(grid, workers).checks] == alone
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"),
