@@ -5,10 +5,13 @@ eval-holman, verify.  All arithmetic is exact; rationals are written
 'p/q'.  Exit codes: 0 success, 1 identity/cross-check failure, 2 usage
 error (including non-terminating series refusals).
 
-A call whose first argument names a subcommand builds only that
-subcommand's parser (SUBCOMMANDS); help, no arguments, an unknown name or
-a leading option build the full parser, so argparse's help, usage and
-errors read as they would with every subcommand registered.  csv is
+Each subcommand is one SUBCOMMANDS row: its help, the function that adds
+its arguments, its --format choices and its handler; build_parser adds
+--format (last, default text) and the handler to every subparser it
+builds.  A call whose first argument names a subcommand builds only that
+subcommand's parser; help, no arguments, an unknown name or a leading
+option build the full parser, so argparse's help, usage and errors read
+as they would with every subcommand registered.  csv is
 imported by --format csv alone.
 """
 
@@ -132,14 +135,6 @@ def _run_count(args, counters: dict) -> int:
     return 0
 
 
-def cmd_count_svt(args) -> int:
-    return _run_count(args, SVT_COUNTERS)
-
-
-def cmd_count_sst(args) -> int:
-    return _run_count(args, SST_COUNTERS)
-
-
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
@@ -213,9 +208,7 @@ def cmd_eval_groth(args) -> int:
 
 
 def cmd_eval_2f1(args) -> int:
-    value = gauss_2f1_terminating(
-        parse_rational(args.alpha), parse_rational(args.beta),
-        parse_rational(args.gamma), parse_rational(args.z))
+    value = gauss_2f1_terminating(args.alpha, args.beta, args.gamma, args.z)
     _print_value(value, args.format)
     return 0
 
@@ -294,25 +287,14 @@ def _add_shape_vars(p) -> None:
                    help="number of variables / letters (n >= 1)")
 
 
-def _count_svt_arguments(p) -> None:
+def _count_arguments(p, counters: dict, default: str) -> None:
     _add_shape_vars(p)
-    p.add_argument("--method", choices=[*SVT_COUNTERS, "all"], default="formula")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_count_svt)
-
-
-def _count_sst_arguments(p) -> None:
-    _add_shape_vars(p)
-    p.add_argument("--method", choices=[*SST_COUNTERS, "all"], default="product")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_count_sst)
+    p.add_argument("--method", choices=[*counters, "all"], default=default)
 
 
 def _enumerate_arguments(p) -> None:
     _add_shape_vars(p)
     p.add_argument("--kind", choices=["svt", "sst"], default="svt")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_enumerate)
 
 
 def _eval_groth_arguments(p) -> None:
@@ -326,8 +308,6 @@ def _eval_groth_arguments(p) -> None:
     point.add_argument("--principal-q", dest="principal_q",
                        help="evaluate at x = (1,q,..,q^(n-1)) via the "
                             "shifted-exponent sum")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_eval_groth)
 
 
 def _eval_2f1_arguments(p) -> None:
@@ -335,8 +315,6 @@ def _eval_2f1_arguments(p) -> None:
     p.add_argument("beta")
     p.add_argument("gamma")
     p.add_argument("z")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_eval_2f1)
 
 
 def _eval_holman_arguments(p) -> None:
@@ -347,8 +325,6 @@ def _eval_holman_arguments(p) -> None:
     p.add_argument("--vars", type=_positive_int,
                    help="number of summation indices (with --from-shape)")
     p.add_argument("--z", help="constant argument (with --from-shape; default 1)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_eval_holman)
 
 
 def _verify_arguments(p) -> None:
@@ -356,19 +332,26 @@ def _verify_arguments(p) -> None:
     p.add_argument("--max-size", dest="max_size", type=_positive_int, default=6)
     p.add_argument("--max-vars", dest="max_vars", type=_positive_int, default=4)
     p.add_argument("--json", help="also write the JSON report to this path")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_verify)
 
 
-# Subcommand name -> (help, add_arguments), in the order the help lists them.
+_TABULAR, _SCALAR = ("text", "json", "csv"), ("text", "json")
+
+# Subcommand name -> (help, add_arguments, --format choices, handler), in
+# the order the help lists them; build_parser adds --format last.
 SUBCOMMANDS = {
-    "count-svt": ("count set-valued tableaux", _count_svt_arguments),
-    "count-sst": ("count semistandard tableaux", _count_sst_arguments),
-    "enumerate": ("list the tableaux themselves", _enumerate_arguments),
-    "eval-groth": ("Grothendieck polynomial, symbolic or evaluated", _eval_groth_arguments),
-    "eval-2f1": ("terminating Gauss series", _eval_2f1_arguments),
-    "eval-holman": ("terminating coupled series", _eval_holman_arguments),
-    "verify": ("run the identity checks", _verify_arguments),
+    "count-svt": ("count set-valued tableaux",
+                  lambda p: _count_arguments(p, SVT_COUNTERS, "formula"),
+                  _TABULAR, lambda args: _run_count(args, SVT_COUNTERS)),
+    "count-sst": ("count semistandard tableaux",
+                  lambda p: _count_arguments(p, SST_COUNTERS, "product"),
+                  _TABULAR, lambda args: _run_count(args, SST_COUNTERS)),
+    "enumerate": ("list the tableaux themselves", _enumerate_arguments, _TABULAR, cmd_enumerate),
+    "eval-groth": ("Grothendieck polynomial, symbolic or evaluated", _eval_groth_arguments,
+                   _SCALAR, cmd_eval_groth),
+    "eval-2f1": ("terminating Gauss series", _eval_2f1_arguments, _SCALAR, cmd_eval_2f1),
+    "eval-holman": ("terminating coupled series", _eval_holman_arguments, _SCALAR,
+                    cmd_eval_holman),
+    "verify": ("run the identity checks", _verify_arguments, _TABULAR, cmd_verify),
 }
 
 
@@ -385,8 +368,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         # a metavar would also rename `command` in the full parser's errors
         sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
     for name in SUBCOMMANDS if command is None else [command]:
-        summary, add_arguments = SUBCOMMANDS[name]
-        add_arguments(sub.add_parser(name, help=summary))
+        summary, add_arguments, formats, handler = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        add_arguments(p)
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -90,13 +90,15 @@ def _tableau_sum(shape: Partition, nvars: int) -> _Packed:
     return _Packed(packing, {key - cells: count for key, count in counts.items()})
 
 
+@lru_cache(maxsize=None)
 def _tableau_sum_diagonal(shape: Partition, nvars: int) -> tuple[int, ...]:
     """The tableau sum at x_1 = ... = x_n = t as its counts by excess
     (c_0, ..., c_E): c_e fillings have excess e, read off the b field of
     _tableau_sum's packed counts with nothing unpacked.  A filling of
     excess e has |shape| + e letters, so the diagonal is
     sum_e c_e b^e t^(|shape| + e) and the tuple loses nothing; it is
-    empty when there is no filling."""
+    empty when there is no filling.  Memoized per (shape, nvars), so a
+    process passes over each full sum's terms once."""
     packed = _tableau_sum(shape, nvars)
     shift, mask = packed.packing.shift[BETA], packed.packing.mask
     by_excess = Counter()

@@ -15,11 +15,13 @@ of variables, so the first reported witness of a failure is the smallest
 offender.  An instance that raises is
 one failed instance whose witness names its shape, n, exception type and
 the function, file and line of the innermost traceback frame, and the
-sweep goes on.  An empty Grid is rejected.  The tableau sum of each
-(shape, n) is memoized on packed keys, so a process enumerates it once,
-and so is its diagonal x_1 = ... = x_n = t as its counts by excess
+sweep goes on.  An empty Grid is rejected.  grothendieck memoizes the
+tableau sum of each (shape, n) on packed keys, so a process enumerates it
+once, and its diagonal x_1 = ... = x_n = t as its counts by excess
 (c_0, ..., c_E), read off the keys' b field with nothing unpacked; the
 diagonal is sum_e c_e b^e t^(|shape| + e), so the tuple loses nothing.
+The checks call both through the grothendieck module, so a function put
+in its place there reaches every check.
 The value at x = 1 is sum_e c_e beta^e, the value at x = (beta, .., beta)
 with b = -1/beta is beta^|shape| sum_e c_e (-1)^e and the set-valued
 count is sum_e c_e, each read off the counts by arith.polynomial_at or a
@@ -435,7 +437,8 @@ def _svt_count(shape, nvars) -> int:
     """Number of set-valued tableaux: the sum of the memoized diagonal's
     counts by excess, so the fillings of (shape, nvars) are enumerated
     once and their sum is not walked again."""
-    return exact_count(sum(_diagonal(shape, nvars)), f"set-valued count for {shape}, n={nvars}")
+    return exact_count(sum(grothendieck._tableau_sum_diagonal(shape, nvars)),
+                       f"set-valued count for {shape}, n={nvars}")
 
 
 @lru_cache(maxsize=None)
@@ -456,23 +459,10 @@ def _gauss(shape, n, z):
     return polynomial_at(*_gauss_series(shape, n), z)
 
 
-@lru_cache(maxsize=None)
-def _diagonal(shape, n):
-    """The tableau sum at x_1 = ... = x_n = t as its counts by excess
-    (c_0, ..., c_E), read off the packed counts' b field: a filling with
-    excess e has |shape| + e letters, so the diagonal is
-    sum_e c_e b^e t^(|shape| + e).  The values at x = 1 and at
-    x = (beta, .., beta) are read off it, and so are the set-valued counts
-    (its sum), memoized per (shape, n), so a process passes over each
-    full sum's terms once.  The reader looks the memoized sum up in
-    grothendieck, as gg-eq-w does."""
-    return grothendieck._tableau_sum_diagonal(shape, n)
-
-
 def _all_ones_rows(shape, n, closed_form):
     """Rows comparing closed_form(beta) with the tableau sum at x = 1,
     sum_e c_e beta^e."""
-    counts = _diagonal(shape, n)
+    counts = grothendieck._tableau_sum_diagonal(shape, n)
     for beta in DEFAULT_BETAS:
         yield ({"shape": shape, "n": n, "beta": beta}, closed_form(beta),
                polynomial_at(counts, 1, beta))
@@ -587,7 +577,7 @@ def _tilted_point_value(grid, shape, n):
     beta, restates the one scalar identity sum_T (-1)^e(T) = 1.  The left
     side is that exact value, beta^|shape| sum_e c_e (-1)^e, from the
     diagonal's counts by excess."""
-    alternating = polynomial_at(_diagonal(shape, n), 1, -1)
+    alternating = polynomial_at(grothendieck._tableau_sum_diagonal(shape, n), 1, -1)
     for beta in DEFAULT_BETAS:
         left = beta ** shape.size * alternating
         right = beta ** shape.size

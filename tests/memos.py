@@ -1,19 +1,22 @@
-"""The package's per-(shape, n) memos, and the one call that clears them.
+"""The one call that clears the package's per-(shape, n) memos.
 
-MEMOS holds the tableau sum, its diagonal (the counts by excess), the
+clear_memos clears every attribute with cache_clear in every grothtab
+module: today the tableau sum and its diagonal (the counts by excess), the
 coupled series as a polynomial in z and the row and column checks' Gauss
-series, also a polynomial in z.
-test_mutants.test_every_memo_in_the_package_is_cleared requires every
-grothtab module attribute with cache_clear to be in MEMOS, so a test
+series, also a polynomial in z.  A memo is found where it is defined, so a
+new module-level memo is cleared without being listed here, and a test
 that clears through clear_memos clears every memo, not the one it names.
 """
 
-from grothtab import grothendieck, hypergeom, identities
+import importlib
+import pkgutil
 
-MEMOS = (grothendieck._tableau_sum, identities._diagonal, hypergeom._shape_series,
-         identities._gauss_series)
+import grothtab
 
 
 def clear_memos() -> None:
-    for memo in MEMOS:
-        memo.cache_clear()
+    for info in pkgutil.iter_modules(grothtab.__path__):
+        module = importlib.import_module(f"grothtab.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

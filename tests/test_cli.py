@@ -520,6 +520,23 @@ def test_a_call_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, bui
     assert names == built
 
 
+# The README's tabular commands take --format text|json|csv, the eval-*
+# commands text|json.  Unlike the pinned argparse output, this holds on
+# every Python version.
+FORMATS = {"count-svt": "text|json|csv", "count-sst": "text|json|csv",
+           "enumerate": "text|json|csv", "eval-groth": "text|json",
+           "eval-2f1": "text|json", "eval-holman": "text|json", "verify": "text|json|csv"}
+
+
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_format_is_each_subcommands_last_option(name):
+    action, = (a for a in cli.build_parser(name)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    last = [a for a in action.choices[name]._actions if a.option_strings][-1]
+    assert last.option_strings == ["--format"] and last.default == "text"
+    assert "|".join(last.choices) == FORMATS[name]
+
+
 # Outputs pinned by value, or by the sha256 of the whole stdout for long
 # ones.  `enumerate --shape 1 --vars 12` (4095 distinct lines) is pinned by
 # test_enumerate_lines_are_distinct_from_ten_letters_on.

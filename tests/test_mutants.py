@@ -27,10 +27,10 @@ in this process with monkeypatch (the kernel in each module that calls
 it), so nothing on disk changes, and run_all(Grid(4, 4), workers=1) runs
 in this process too.  CAUGHT_BY maps each mutant to the checks that must
 then report failing instances, each with a witness; every other check
-must still pass.  The per-(shape, n) memos (the tableau sum, its
-diagonal, the series and the row and column checks' Gauss side as
-polynomials in z, tests/memos.py) are cleared before and after each
-run, so no value cached by another test hides a mutant below it and no
+must still pass.  The per-(shape, n) memos (every grothtab module
+attribute with cache_clear: the tableau sum, its diagonal, the series
+and the row and column checks' Gauss side as polynomials in z) are
+cleared by tests/memos.py before and after each run, so no value cached by another test hides a mutant below it and no
 value computed under a mutant outlives it.  Two more bugs must show both in
 verify and in the CLI: the sign of z = -beta in
 hypergeom.ones_value_by_series, which `count-svt --method all` calls too,
@@ -39,17 +39,14 @@ reader of a polynomial in z, which `eval-holman --from-shape` and
 `eval-2f1` call too.
 """
 
-import importlib
 import inspect
-import pkgutil
 import textwrap
 
 import pytest
 
-import grothtab
 from grothtab import arith, cli, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
-from memos import MEMOS, clear_memos
+from memos import clear_memos
 
 
 def _edited(function, old: str, new: str):
@@ -113,7 +110,7 @@ MUTANTS = {
     # identities looks the reader up in grothendieck
     "diagonal excess read from the x_1 field": lambda: (
         grothendieck, "_tableau_sum_diagonal",
-        _edited(grothendieck._tableau_sum_diagonal, "shift[BETA]", 'shift["x1"]')),
+        _edited(grothendieck._tableau_sum_diagonal.__wrapped__, "shift[BETA]", 'shift["x1"]')),
     # only the value at a point takes _integral_rows; the symbolic chain
     # scales its own columns
     "column scale exponent n - k": lambda: (grothendieck, "_integral_rows", _edited(
@@ -213,16 +210,16 @@ CAUGHT_BY = {
 }
 
 
-def test_every_memo_in_the_package_is_cleared():
-    # a memo left out of MEMOS would hand a mutant values computed before
+def test_clear_memos_empties_every_memo_a_run_fills():
+    # a memo clear_memos missed would hand a mutant values computed before
     # it was seeded, and the mutant would go uncaught
-    found = {}
-    for info in pkgutil.iter_modules(grothtab.__path__):
-        module = importlib.import_module(f"grothtab.{info.name}")
-        for name, value in vars(module).items():
-            if hasattr(value, "cache_clear"):
-                found.setdefault(value, f"{info.name}.{name}")
-    assert set(found) == set(MEMOS), sorted(found.values())
+    memos = (grothendieck._tableau_sum, grothendieck._tableau_sum_diagonal,
+             hypergeom._shape_series, identities._gauss_series)
+    clear_memos()
+    run_all(Grid(3, 3), workers=1)
+    assert all(memo.cache_info().currsize for memo in memos)
+    clear_memos()
+    assert not any(memo.cache_info().currsize for memo in memos)
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
