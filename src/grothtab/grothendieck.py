@@ -4,21 +4,23 @@ The set-valued tableau generating sum (enumerate_svt weighs each filling
 as the sum of its letters' packed int units, and the sum counts those
 keys and keeps them, memoized per (shape, n); its diagonal
 x_1 = ... = x_n = t is read off their b field as its counts by excess,
-and the public sum is unpacked on request), the bi-alternant quotient
-and its refined multi-parameter form (polynomials._bialternant_chain: a
-tail-first chain of divided differences from the shifted exponents and
-the betas, with int columns d + p x for beta = p/d and the denominators
-divided out once,
-so no matrix or row is built and nothing is divided by the Vandermonde;
-at the symbolic beta b the chain leaves its result on the packed keys of
-the tableau sum, since both take the one packing
-polynomials._shape_packing gives a shape), the integral bi-alternant
-matrix taken at n distinct rational points on ints (refined_bialternant_at:
-arith.determinant, fraction-free elimination in O(n^3) int products,
-divided once, with no polynomial in x built), and the shifted-exponent
-expansion that evaluates the refined quotient at the geometric point x = (1, q, ..., q^(n-1))
-without any determinant.  Every refined route takes max(n - 1, 0) betas,
-so in n = 0 variables the empty shape gives 1 on every route.
+and the public sum is unpacked on request), the bi-alternant quotient at
+one beta from its Schur coefficients (_packed_bialternant: one int
+determinant of binomials per partition in Lenart's support, times the
+Kostka numbers, expanded over each exponent's orbit onto the packed keys
+of the tableau sum, since both take the one packing
+polynomials._shape_packing gives a shape), its refined multi-parameter
+form (polynomials._bialternant_chain: a tail-first chain of divided
+differences from the shifted exponents and the betas, with int columns
+d + p x for beta = p/d and the denominators divided out once, so no
+matrix or row is built and nothing is divided by the Vandermonde), the
+integral bi-alternant matrix taken at n distinct rational points on ints
+(refined_bialternant_at: arith.determinant, fraction-free elimination in
+O(n^3) int products, divided once, with no polynomial in x built), and
+the shifted-exponent expansion that evaluates the refined quotient at the
+geometric point x = (1, q, ..., q^(n-1)) without any determinant.  Every
+refined route takes max(n - 1, 0) betas, so in n = 0 variables the empty
+shape gives 1 on every route.
 Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion (_shifted_exponent_sum) is one
 arith.coupled_sum over the tables e_k(beta_1..beta_j) of exact numbers or
@@ -41,9 +43,10 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
-from .arith import _check_size, coupled_sum, determinant, exact_count, exact_rational
+from .arith import _check_size, binomial, coupled_sum, determinant, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, _bialternant_chain, _Packed, _shape_packing, _var_key
 from .tableaux import enumerate_svt
@@ -111,12 +114,19 @@ def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
     """Determinant quotient det[x_i^(l_j + n - j) (1 + beta x_i)^(j-1)] / V.
 
     The shape is zero-padded to n parts; beta may be a rational or a
-    variable name other than x1..xn.  The quotient is refined_bialternant's
-    divided-difference chain, a polynomial by construction; a result that
-    is not symmetric in the x's raises ArithmeticError (it would mean a
-    real bug).
+    variable name other than x1..xn.  The quotient is
+    _packed_bialternant's, from its Schur coefficients at the symbolic b,
+    read at beta: b renamed, or set to the rational.
     """
-    return refined_bialternant(shape, nvars, [beta] * _beta_count(operator.index(nvars)))
+    shape = Partition(shape)
+    n = operator.index(nvars)
+    beta = _symbol(beta, n) if isinstance(beta, str) else exact_rational(beta)
+    poly = _packed_bialternant(shape, n).unpack()
+    if not isinstance(beta, str):
+        return poly.substitute({BETA: beta})
+    renamed = Poly._of((beta, *poly.vars[1:]), poly.terms)
+    names = tuple(sorted(renamed.vars, key=_var_key))
+    return Poly._of(names, renamed._terms_over(names))
 
 
 def _beta_count(n: int) -> int:
@@ -183,7 +193,9 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
              for beta in betas]
     if len(shape) > n:
         return Poly.constant(0)
-    return _bialternant(shape, n, betas).unpack()
+    _check_size(2 ** n, "the determinant has {} minors")
+    return _bialternant_chain([p + n - 1 - j for j, p in enumerate(shape.padded(n))],
+                              betas, _x_names(n)).unpack()
 
 
 def _symbol(name: str, n: int) -> str:
@@ -196,24 +208,103 @@ def _symbol(name: str, n: int) -> str:
     return name
 
 
-def _bialternant(shape: Partition, n: int, betas, packing=None) -> _Packed:
-    """The refined quotient of a shape with at most n rows, on packed keys
-    (polynomials._bialternant_chain), once a determinant of 2^n minors has
-    passed the refusal; betas are exact rationals or checked names."""
-    _check_size(2 ** n, "the determinant has {} minors")
-    return _bialternant_chain([p + n - 1 - j for j, p in enumerate(shape.padded(n))],
-                              betas, _x_names(n), packing)
-
-
 def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
-    """grothendieck_bialternant(shape, nvars) at the symbolic beta b, left
-    on the keys of _shape_packing, the packing _tableau_sum's counts are
-    on, so that the two compare without unpacking.  The chain checks that
-    the packing covers its bound and keeps its symmetry guard."""
+    """grothendieck_bialternant(shape, nvars) at the symbolic beta b, on
+    the keys of _shape_packing, the packing _tableau_sum's counts are on,
+    so that the two compare without unpacking.
+
+    From the quotient's Schur coefficients: with c_j = l_j + n - 1 - j
+    and e_i = nu_i + n - 1 - i (0-based i, j < n), expanding each column's
+    (1 + b x)^j gives G_l = sum_nu b^(|nu| - |l|) a_nu s_nu with
+    a_nu = det[C(j, e_i - c_j)] (arith.determinant; C is 0 outside 0..j),
+    over Lenart's support (_lenart_support).  The coefficient of
+    b^(|mu| - |l|) x^mu, for mu weakly decreasing, is then
+    sum_nu a_nu K(nu, mu) (_dominant_schur), and it stands at every
+    distinct rearrangement of mu (_orbit_units).  Nothing here enumerates
+    a tableau.
+    """
     packing = _shape_packing((BETA, *_x_names(nvars)), shape.size)
     if len(shape) > nvars:
         return _Packed(packing, {})
-    return _bialternant(shape, nvars, [BETA] * _beta_count(nvars), packing)
+    lam = shape.padded(nvars)
+    c = [q - j for j, q in enumerate(lam)]  # c_j - (n - 1), as nu_i - i is e_i - (n - 1)
+    dominant = Counter()
+    for nu in _lenart_support(lam):
+        a = determinant([[binomial(j, p - i - cj) for j, cj in enumerate(c)]
+                         for i, p in enumerate(nu)])
+        for mu, count in _dominant_schur(tuple(p for p in nu if p), nvars).items():
+            dominant[mu] += a * count
+    shifts = tuple(packing.shift[x] for x in packing.vars[1:])
+    terms = {}
+    for mu, coeff in dominant.items():
+        if coeff:
+            head, runs = (sum(mu) - shape.size) << packing.shift[BETA], Counter(mu)
+            terms.update(dict.fromkeys([head + sum(map(operator.mul, runs, units))
+                                        for units in _orbit_units(tuple(runs.values()), shifts)],
+                                       coeff))
+    return _Packed(packing, terms)
+
+
+def _lenart_support(lam) -> list:
+    """The nu, of len(lam) parts (zeros allowed), whose Schur coefficient
+    in G_lam can be nonzero (Lenart, "Combinatorial aspects of the
+    K-theory of Grassmannians", 2000): nu contains lam, nu_1 = lam_1, and
+    row i (0-based) is at most i cells longer than lam's.  Only the Schur
+    route searches this bound; a nu it left out would make gg-eq-w's two
+    sides differ."""
+    support = [()]
+    for i, part in enumerate(lam):
+        support = [(*nu, p) for nu in support
+                   for p in range(part, min(nu[-1] if nu else part, part + i) + 1)]
+    return support
+
+
+@lru_cache(maxsize=None)
+def _strips(nu: tuple, rows: int) -> tuple:
+    """Each kappa of at most `rows` parts with nu/kappa a horizontal strip,
+    as (the strip's cells, kappa without zero parts): kappa_i runs over
+    nu_(i+1)..nu_i.  There are none when nu has more than rows + 1 parts."""
+    if len(nu) > rows + 1:
+        return ()
+    nu = (*nu, *[0] * (rows + 1 - len(nu)))
+    return tuple((sum(nu) - sum(kappa), tuple(p for p in kappa if p))
+                 for kappa in product(*(range(nu[i + 1], nu[i] + 1) for i in range(rows))))
+
+
+@lru_cache(maxsize=None)
+def _dominant_schur(nu: tuple, n: int) -> Counter:
+    """The Kostka numbers {mu: K(nu, mu)} of the partition nu (no zero
+    parts) over the weakly decreasing mu of n parts, which are s_nu's
+    coefficients at x^mu in n variables: the largest letter n fills a
+    horizontal strip nu/kappa (_strips) of k cells, and k is mu's last,
+    smallest part, so mu is each mu' of _dominant_schur(kappa, n - 1) with
+    mu'_(n-1) >= k, followed by k.  _strips leaves kappa at most n - 1
+    parts, so in no variables nu is empty.  Memoized; the table is not to
+    be changed."""
+    if not n:
+        return Counter({(): 1})
+    kostka = Counter()
+    for k, kappa in _strips(nu, n - 1):
+        for mu, count in _dominant_schur(kappa, n - 1).items():
+            if not mu or mu[-1] >= k:
+                kostka[(*mu, k)] += count
+    return kostka
+
+
+@lru_cache(maxsize=None)
+def _orbit_units(runs: tuple, shifts: tuple) -> tuple:
+    """The distinct rearrangements of a tuple whose distinct values come in
+    runs of the given lengths, each as one packed unit per run: the sum of
+    1 << shifts[p] over the positions p holding that run's value, so the
+    rearrangement's key is sum_r value_r units_r."""
+    if not shifts:
+        return ((0,) * len(runs),)
+    orbit = []
+    for r, m in enumerate(runs):
+        if m:
+            for units in _orbit_units((*runs[:r], m - 1, *runs[r + 1:]), shifts[1:]):
+                orbit.append((*units[:r], units[r] + (1 << shifts[0]), *units[r + 1:]))
+    return tuple(orbit)
 
 
 def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:

@@ -258,10 +258,22 @@ def ones_value_by_series(shape, nvars: int, beta) -> Fraction:
     """The all-ones Grothendieck value G_shape(1^n) at the given beta by
     the coupled series (Thm 3.9): shape_series at z = -beta times
     |SST_n(shape)|, and 0 when the shape has more rows than n.  At beta = 1
-    it is the set-valued count (Cor 3.11).  The series comes before the
-    count, so its n! terms are refused first."""
+    it is the set-valued count (Cor 3.11).  The product is kept per
+    (shape, n) as one polynomial in z (_ones_series), so the count is
+    taken once for every beta."""
     n = operator.index(nvars)
     shape = Partition(shape)
     if len(shape) > n:
         return Fraction(0)
-    return shape_series(shape, n, -exact_rational(beta)) * count_sst_product(shape, n)
+    z = -exact_rational(beta)
+    return polynomial_at(*_ones_series(shape, n), z)
+
+
+@lru_cache(maxsize=None)
+def _ones_series(shape: Partition, n: int) -> tuple[tuple, int]:
+    """(parts, d): _shape_series times |SST_n(shape)|, a polynomial in z.
+    The series comes before the count, so its n! terms are refused
+    first, and a refusal leaves no entry."""
+    parts, d = _shape_series(shape, n)
+    count = count_sst_product(shape, n)
+    return tuple(count * c for c in parts), d

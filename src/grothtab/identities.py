@@ -26,10 +26,11 @@ The value at x = 1 is sum_e c_e beta^e, the value at x = (beta, .., beta)
 with b = -1/beta is beta^|shape| sum_e c_e (-1)^e and the set-valued
 count is sum_e c_e, each read off the counts by arith.polynomial_at or a
 sum, and only gg-eq-w and the diagonal itself read the full sum.
-gg-eq-w compares the packed sum with the bi-alternant's divided-difference
-chain left on keys of the same packing (polynomials._shape_packing), so
-neither side is unpacked; a packing mismatch raises, and fails the
-instance.  thm-3.9 and
+gg-eq-w compares the packed sum with the bi-alternant built from its
+Schur coefficients (int determinants of binomials and Kostka numbers,
+grothendieck._packed_bialternant) and expanded onto keys of the same
+packing (polynomials._shape_packing), so neither side is unpacked; a
+packing mismatch raises, and fails the instance.  thm-3.9 and
 cor-3.11 take their series side from hypergeom.ones_value_by_series, the
 function behind `count-svt --method holman` too, so verify checks the
 code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
@@ -483,8 +484,10 @@ def _hook_counts(grid, shape, n):
            "tableau generating sum", "bi-alternant / Vandermonde")
 def _tableau_sum_vs_bialternant(grid, shape, n):
     """Both sides stay on the packed keys of polynomials._shape_packing:
-    the fill's counts, less b^|shape|, and the divided-difference chain's
-    result at the symbolic beta b.  Keys over packings that differ raise
+    the fill's counts, less b^|shape|, and the quotient at the symbolic
+    beta b from its Schur coefficients, written at every rearrangement of
+    each exponent, so the two are compared as full polynomials and a fill
+    that is not symmetric fails.  Keys over packings that differ raise
     rather than compare, so there is no second, unpacked comparison."""
     yield ({"shape": shape, "n": n},
            grothendieck._tableau_sum(shape, n),
@@ -535,9 +538,9 @@ def _geometric_point_expansion(grid, shape, n):
     each row is a randomized (Schwartz-Zippel) test of the identity in the
     betas, not a proof for every beta.  The value needs no polynomial
     guard: a wrong determinant or division gives a wrong value, which fails
-    the row, and gg-eq-w compares the symbolic bi-alternant, a
-    divided-difference chain whose result must be symmetric in the x's,
-    with the tableau sum as polynomials on every (shape, n)."""
+    the row, and gg-eq-w compares the symbolic bi-alternant, built from
+    its Schur coefficients, with the tableau sum as polynomials on every
+    (shape, n)."""
     betas = grid.random_betas(shape, n)
     for q in DEFAULT_QS:
         left = principal_specialization_q(shape, n, betas, q)

@@ -22,16 +22,16 @@ the exponents and the betas alone: a tail-first chain of
 Lascoux-Schutzenberger divided differences (f - f|u<->v) / (u - v), each
 written out term by term as a polynomial, whose intermediates are the
 quotients of the columns' tails in fewer variables, so nothing is divided
-and no remainder can arise; a packing narrower than its bound raises
-ValueError and a result that is not symmetric ArithmeticError.  Its result
-stays packed: _Packed holds terms with their packing, compares equal only
-to terms over an equal packing (a different one raises rather than
-unpacking either side) and unpacks on request.  _shape_packing is the one
-packing of a shape's polynomials in n variables, over (b, x_1, ..., x_n),
-wide enough for both the set-valued tableau sum and the bi-alternant's
-chain, so the two compare on keys.  Poly.divide_by_difference is the one
-synthetic division.  The one determinant the package takes, of the refined
-bi-alternant at a point, is on ints: determinant here is
+and no remainder can arise; a result that is not symmetric raises
+ArithmeticError.  Its result stays packed: _Packed holds terms with their
+packing, compares equal only to terms over an equal packing (a different
+one raises rather than unpacking either side) and unpacks on request.
+_shape_packing is the one packing of a shape's polynomials in n
+variables, over (b, x_1, ..., x_n), wide enough for the set-valued
+tableau sum and the bi-alternant's Schur route
+(grothendieck._packed_bialternant), so the two compare on keys.
+Poly.divide_by_difference is the one synthetic division.  The
+determinants the package takes are on ints: determinant here is
 arith.determinant, which refuses a Poly entry with TypeError.
 
 Polynomials are immutable values; every operation returns a fresh Poly.
@@ -351,18 +351,16 @@ class _Packing:
     division step.
 
     A shape's polynomials in n variables have one packing, over
-    (b, x_1, ..., x_n), by one rule (_shape_packing): D = max(|shape| n,
-    |shape| + 3n(n-1)/2), which covers both the set-valued tableau sum
-    and the symbolic bi-alternant's chain, each packed on its own, so
-    they come out on the same keys and compare without unpacking.
-    |shape| n is the tableau sum's bound (grothendieck._tableau_sum): a
-    filling's key counts its letters in field b, at most n per cell, and
-    letter v in field x_v, at most once per cell, and every prefix of a
-    filling the backtracker carries counts fewer.  The chain's bound for a
-    shape l is max(l_1 + n - 1, n(n-1)/2), and l_1 + n - 1 <= |shape| +
-    n(n-1) and n(n-1)/2 are both below the second term.  Packed terms over
-    different packings do not compare (_Packed), so both sides take this
-    one rule, whichever bound is the larger.
+    (b, x_1, ..., x_n), by one rule (_shape_packing): D = |shape| n.  It
+    is the tableau sum's bound (grothendieck._tableau_sum): a filling's
+    key counts its letters in field b, at most n per cell, and letter v in
+    field x_v, at most once per cell, and every prefix of a filling the
+    backtracker carries counts fewer.  It covers the bi-alternant's Schur
+    route (grothendieck._packed_bialternant) too: its x exponents are at
+    most nu_1 = l_1 <= |shape|, and its power of b, |nu| - |shape| with
+    every part of nu at most l_1, is at most |shape| (n - 1).  Packed terms
+    over different packings do not compare (_Packed), so both sides take
+    this one rule.
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -407,11 +405,9 @@ class _Packing:
 
 def _shape_packing(names, size: int) -> _Packing:
     """The one packing of a shape's polynomials over names = (b, x_1, ...,
-    x_n), for a shape of the given size: D = max(size n, size +
-    3n(n-1)/2), which covers the tableau sum's bound and the symbolic
-    bi-alternant chain's (see _Packing)."""
-    n = len(names) - 1
-    return _Packing(tuple(names), max(size * n, size + 3 * n * (n - 1) // 2))
+    x_n), for a shape of the given size: D = size n, which covers the
+    tableau sum and the bi-alternant's Schur route (see _Packing)."""
+    return _Packing(tuple(names), size * (len(names) - 1))
 
 
 class _Packed:
@@ -522,14 +518,12 @@ def _check_symmetric(packing: _Packing, terms: dict, names):
             raise ArithmeticError(f"the alternant quotient is not symmetric in {u} and {v}")
 
 
-def _bialternant_chain(exponents, betas, names, packing: _Packing | None = None) -> _Packed:
+def _bialternant_chain(exponents, betas, names) -> _Packed:
     """det[x_i^(c_j) prod_(k<j) (1 + beta_k x_i)]_(i,j<n) / prod_(i<j) (x_i - x_j),
     exactly and left on packed keys, for x_i = names[i], c = exponents and
     beta_k = betas[k], each an int, a Fraction or a variable name (indices
-    from 0).  The terms are over `packing` when one is given, which must
-    hold the names and the betas' names in fields wide enough for
-    _Packing's bound max(c_0, n(n-1)/2) (ValueError if not), and otherwise
-    over those names in fields of that bound.
+    from 0).  The terms are over the names and the betas' names, in fields
+    of _Packing's bound max(c_0, n(n-1)/2).
 
     The chain is built from the last column forward.  T_m is the quotient of
     the last m columns, in the last m names y_1..y_m, with the factors
@@ -558,13 +552,8 @@ def _bialternant_chain(exponents, betas, names, packing: _Packing | None = None)
     names = tuple(names)
     n = len(names)
     symbols = {beta for beta in betas if isinstance(beta, str)}
-    bound = max(exponents[0] if n else 0, n * (n - 1) // 2)
-    if packing is None:
-        packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)), bound)
-    elif not symbols.union(names) <= set(packing.vars) or packing.mask < bound:
-        raise ValueError(f"a packing over {packing.vars} in {packing.mask.bit_length()}-bit "
-                         f"fields cannot hold a bi-alternant over {names} "
-                         f"with degree bound {bound}")
+    packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)),
+                       max(exponents[0] if n else 0, n * (n - 1) // 2))
     factors, scale = [], 1
     for k, beta in enumerate(betas):
         if isinstance(beta, str):

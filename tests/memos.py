@@ -2,8 +2,9 @@
 
 clear_memos clears every attribute with cache_clear in every grothtab
 module: today the tableau sum and its diagonal (the counts by excess), the
-coupled series as a polynomial in z and the row and column checks' Gauss
-series, also a polynomial in z.  A memo is found where it is defined, so a
+bi-alternant's Kostka table, horizontal strips and orbits, the coupled
+series as a polynomial in z, alone and times |SST|, and the row and column
+checks' Gauss series, also a polynomial in z.  A memo is found where it is defined, so a
 new module-level memo is cleared without being listed here, and a test
 that clears through clear_memos clears every memo, not the one it names.
 """

@@ -116,14 +116,6 @@ except ArithmeticError:
     raise SystemExit(0)
 raise SystemExit('a quotient that is not symmetric did not raise under python -O')
 """,
-    "packing narrower than the alternant's row": """
-from grothtab.polynomials import _Packing, _bialternant_chain
-try:
-    _bialternant_chain((4, 0), ['b'], ('x1', 'x2'), _Packing(('b', 'x1', 'x2'), 3))
-except ValueError:
-    raise SystemExit(0)
-raise SystemExit('a packing narrower than the chain did not raise under python -O')
-""",
     "inexact pairwise count": """
 from grothtab import partitions
 products = iter([4, 3])

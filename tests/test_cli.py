@@ -467,8 +467,9 @@ def test_counts_below_one_are_usage_errors(capsys, argv, message):
     assert info.value.code == 2 and message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("record", TRANSCRIPT,
-                         ids=[f"{i:03}-{r['argv'][0]}" for i, r in enumerate(TRANSCRIPT)])
+# each case's id is stored with it (first given as its index and
+# subcommand), so deleting a case renames no other
+@pytest.mark.parametrize("record", TRANSCRIPT, ids=[r["id"] for r in TRANSCRIPT])
 def test_cli_output_matches_the_recorded_transcript(capsys, monkeypatch, record):
     monkeypatch.chdir(DATA.parent.parent)
     code, out, err = run_cli(capsys, *record["argv"])

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from time import perf_counter
@@ -22,8 +23,8 @@ from grothtab.grothendieck import (
 from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
 from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from grothtab.polynomials import Poly, _Packing, _shape_packing
-from grothtab.tableaux import SetValuedTableau, enumerate_svt
+from grothtab.polynomials import Poly
+from grothtab.tableaux import SetValuedTableau, enumerate_sst, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
 from poly_reference import alternant_quotient, coefficient, collapse, evaluate, leibniz, vandermonde
@@ -55,13 +56,12 @@ def test_grothendieck_tableau_sum_examples():
     assert g.substitute({BETA: 0}) == schur_tableau_sum((2, 1), 3)
 
 
-# |shape| n at 2^k - 1 and 2^k, where the fill's own bound would step the
-# field width up, and the one packing's bound max(|shape| n,
-# |shape| + 3n(n-1)/2) (polynomials._shape_packing) at 2^k - 1 and 2^k,
-# by either term: 15 at (5,) n = 3, 16 at n = 2, 31 and 32 at n = 5
+# the one packing's bound |shape| n (polynomials._shape_packing) at
+# 2^k - 1 and 2^k, where the field width steps up: 7 and 8, 15 and 16,
+# 31 and 32, with one to eight variables
 WIDTH_BOUNDARIES = [((7,), 1), ((8,), 1), ((31,), 1), ((32,), 1), ((1,), 7), ((1,), 8),
                     ((3,), 5), ((4,), 4), ((2, 2), 4), ((5, 3), 4),
-                    ((5,), 3), ((8,), 2), ((5, 3), 2), ((1,), 5), ((2,), 5), ((1, 1), 5)]
+                    ((5,), 3), ((8,), 2), ((5, 3), 2), ((2, 1), 5), ((1, 1, 1), 5), ((3, 2), 3)]
 
 
 def test_tableau_sum_equals_the_letter_loop_reference():
@@ -89,30 +89,52 @@ def test_the_packed_diagonal_is_the_collapsed_tableau_sum():
 
 
 def test_gg_eq_w_sides_are_packed_alike():
-    # the fill and the bi-alternant's chain each take the one packing of
-    # polynomials._shape_packing, so they compare on keys, n = 1 included,
-    # and each unpacks to its public route's polynomial
-    cases = [(Partition(shape), n) for shape, n in WIDTH_BOUNDARIES if n <= 5 and sum(shape) < 30]
-    for shape, n in list(Grid(5, 5).shapes()) + cases + [(Partition((2, 1)), 1)]:
+    # the fill and the bi-alternant's Schur route each take the one packing
+    # of polynomials._shape_packing, so they compare on keys, and each
+    # unpacks to its public route's polynomial: n = 0 and 1, the empty
+    # shape, more rows than n and the width boundaries included
+    cases = [(shape, n) for shape, n in WIDTH_BOUNDARIES if sum(shape) < 30]
+    cases += [((), 0), ((), 1), ((), 3), ((1,), 0), ((2, 1), 1), ((1, 1, 1), 2)]
+    for shape, n in list(Grid(5, 5).shapes()) + [(Partition(s), n) for s, n in cases]:
         fill = grothendieck._tableau_sum(shape, n)
-        chain = grothendieck._packed_bialternant(shape, n)
+        schur = grothendieck._packed_bialternant(shape, n)
         assert fill.packing.vars == ("b", *(f"x{i}" for i in range(1, n + 1))), (shape, n)
-        assert (fill.packing.vars, fill.packing.mask) == (chain.packing.vars, chain.packing.mask)
-        assert fill == chain, (shape, n)
-        assert chain.unpack() == grothendieck_bialternant(shape, n)
+        assert (fill.packing.vars, fill.packing.mask) == (schur.packing.vars, schur.packing.mask)
+        assert fill == schur, (shape, n)
+        assert schur.unpack() == grothendieck_bialternant(shape, n)
         assert fill.unpack() == grothendieck_tableau_sum(shape, n)
 
 
-def test_the_chain_refuses_the_fills_bound_alone():
-    # (1,) in 8 variables has at most 8 letters, but the bi-alternant's
-    # chain multiplies in n(n-1)/2 = 28 factors (1 + b x): a packing sized
-    # for the fill alone has 4-bit fields and is refused before the chain
-    # runs
-    shape, names = Partition((1,)), ("b", *(f"x{i}" for i in range(1, 9)))
-    with pytest.raises(ValueError, match=r"cannot hold a bi-alternant .* with degree bound 28"):
-        grothendieck._bialternant(shape, 8, ["b"] * 7, _Packing(names, 8))
-    assert grothendieck._bialternant(shape, 8, ["b"] * 7, _shape_packing(names, 1)) == \
-        grothendieck._tableau_sum(shape, 8)
+def _schur_coefficient(lam, nu):
+    """a_nu = det[C(j, e_i - c_j)] for lam and nu padded to n parts alike."""
+    return arith.determinant([[binomial(j, p - i - (q - j)) for j, q in enumerate(lam)]
+                              for i, p in enumerate(nu)])
+
+
+def test_lenarts_support_holds_every_nonzero_schur_coefficient():
+    # a one-sided bound: over the wider box nu >= lam with nu_i <= lam_i +
+    # n - 1 (padded to n parts), every nu with a_nu != 0 lies in the support
+    for shape, n in Grid(5, 5).shapes():
+        lam = shape.padded(n)
+        support = set(grothendieck._lenart_support(lam))
+        box = [()]
+        for i, part in enumerate(lam):
+            box = [(*nu, p) for nu in box
+                   for p in range(part, min(nu[-1] if nu else part + n - 1, part + n - 1) + 1)]
+        assert support <= set(box), (shape, n)
+        nonzero = {nu for nu in box if _schur_coefficient(lam, nu)}
+        assert nonzero <= support, (shape, n, sorted(nonzero - support))
+
+
+def test_dominant_schur_gives_the_kostka_numbers():
+    # K(nu, mu) counts the semistandard tableaux of shape nu and content
+    # mu: against the enumeration, for every weakly decreasing mu of n parts
+    for shape, n in Grid(5, 4).shapes():
+        contents = (tuple(map(Counter(v for cell in t.cells for v in cell).__getitem__,
+                              range(1, n + 1))) for t in enumerate_sst(shape, n))
+        want = Counter(mu for mu in contents if list(mu) == sorted(mu, reverse=True))
+        got = {mu: k for mu, k in grothendieck._dominant_schur(shape.parts, n).items() if k}
+        assert got == want, (shape, n)
 
 
 def test_a_shape_without_a_first_cell_builds_no_weight_table():
@@ -252,10 +274,11 @@ def test_the_tail_chain_equals_the_generic_chain_and_the_determinant(case, data)
 
 def test_the_tail_chain_equals_the_generic_chain_at_the_width_boundaries():
     # the shapes where a packing's field width steps up, n = 7 and 8
-    # included
+    # included; the chain's own bound max(l_1 + n - 1, n(n-1)/2) is 7 or 8
+    # at (7,), (8,), (4,) with n = 4 and (5, 3) with n = 4
     for shape, n in WIDTH_BOUNDARIES:
         row = _fraction_rows(shape, n, ["b"] * (n - 1))[0]
-        assert grothendieck_bialternant(shape, n) == \
+        assert refined_bialternant(shape, n, ["b"] * (n - 1)) == \
             alternant_quotient(row, [f"x{i}" for i in range(1, n + 1)]), (shape, n)
 
 
@@ -281,27 +304,27 @@ def test_a_beta_named_like_an_x_variable_is_refused():
 
 
 def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
-    # the symbolic route is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
-    # refused; the value at a point takes an int determinant in O(n^3)
-    # products, with no such limit
+    # the refined chain is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
+    # refused; the value at a point and the one-beta quotient's Schur
+    # coefficients take int determinants in O(n^3) products, with no such
+    # limit, and the one-beta quotient never runs the chain
     def not_run(*args):
         raise AssertionError("the quotient was built")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
     assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
-    assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
     assert refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4]) == 10
     monkeypatch.setattr(grothendieck, "_bialternant_chain", not_run)
-    for build in (lambda: refined_bialternant((1,), 4, [0, 0, 0]),
-                  lambda: grothendieck_bialternant((2, 1), 4)):
-        with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
-            build()
+    assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
+    assert grothendieck_bialternant((2, 1), 4) == grothendieck_tableau_sum((2, 1), 4)
+    with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
+        refined_bialternant((1,), 4, [0, 0, 0])
 
 
 def test_the_symbolic_bi_alternant_builds_no_matrix(monkeypatch):
-    # the chain starts from the exponents and the betas: no row, no
-    # matrix and no Poly is built before it, and only the value at a point
-    # takes the integral rows
+    # the chain starts from the exponents and the betas, and the Schur
+    # route from int binomials: neither builds a row in x, and only the
+    # value at a point takes the integral rows
     def not_run(*args):
         raise AssertionError("the integral rows were built")
 

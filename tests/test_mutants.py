@@ -1,13 +1,12 @@
 """Seeded bugs in the kernels that verify must catch.
 
 One bug sits in the field width of the packed monomials, which the
-bi-alternant kernel and the tableau sum share, one in the field the
-diagonal reads the excess from, one in the sign of the
-2 x 2 minor that each step of the int determinant's fraction-free
-elimination takes, four in the bi-alternant's tail-first
-divided-difference chain (the sign of a swapped term, a level that skips
-its first divided difference, a column factor on the wrong variable and
-a level's lead exponent), three in the packed tableau-sum fill (the
+bi-alternant's Schur route and the tableau sum share, one in the field
+the diagonal reads the excess from, one in the sign of the 2 x 2 minor
+that each step of the int determinant's fraction-free elimination takes,
+four in the Schur route (a Schur coefficient's binomial entry, Lenart's
+support, the Kostka table's strip against mu's last part and the
+horizontal strip's range), three in the packed tableau-sum fill (the
 per-letter units, the entries' weights and the key the backtracker
 carries), one in the integral bi-alternant's column scale, which only the
 refined quotient at a point takes from _integral_rows, one in that
@@ -28,11 +27,18 @@ it), so nothing on disk changes, and run_all(Grid(4, 4), workers=1) runs
 in this process too.  CAUGHT_BY maps each mutant to the checks that must
 then report failing instances, each with a witness; every other check
 must still pass.  The per-(shape, n) memos (every grothtab module
-attribute with cache_clear: the tableau sum, its diagonal, the series
-and the row and column checks' Gauss side as polynomials in z) are
-cleared by tests/memos.py before and after each run, so no value cached by another test hides a mutant below it and no
-value computed under a mutant outlives it.  Two more bugs must show both in
-verify and in the CLI: the sign of z = -beta in
+attribute with cache_clear: the tableau sum, its diagonal, the Kostka
+table and its strips and orbits, the series and the row and column
+checks' Gauss side as polynomials in z) are cleared by tests/memos.py
+before and after each run, so no value cached by another test hides a
+mutant below it and no value computed under a mutant outlives it.
+
+verify does not run the refined quotient's divided-difference chain, so
+its four mutants (the sign of a swapped term, a level that skips its
+first divided difference, a column factor on the wrong variable and a
+level's lead exponent) must each make refined_bialternant at equal betas
+differ from the Schur route on Grid(4, 4) instead.  Two more bugs must
+show both in verify and in the CLI: the sign of z = -beta in
 hypergeom.ones_value_by_series, which `count-svt --method all` calls too,
 and a wrong power of the denominator in arith.polynomial_at, the one
 reader of a polynomial in z, which `eval-holman --from-shape` and
@@ -87,18 +93,22 @@ MUTANTS = {
     # (mod 4)
     "minor sign flipped": lambda: (grothendieck, "determinant", _edited(
         arith.determinant, "p * row[j] - a * top[j]", "a * top[j] - p * row[j]")),
-    "swapped term keeps its sign": lambda: (polynomials, "_divided_difference", _edited(
-        polynomials._divided_difference, "gap, coeff = -gap, -coeff", "gap, coeff = -gap, coeff")),
-    # grothendieck holds its own binding of the bi-alternant chain.  Each
-    # level skips its first divided difference, the one that brings in the
-    # level's lead column, and that column's factor on x_(i+1)
-    "Horner level skips d_1": lambda: (grothendieck, "_bialternant_chain", _edited(
-        polynomials._bialternant_chain, "range(top, n - 1)", "range(top + 1, n - 1)")),
-    "factor on x_i, not x_(i+1)": lambda: (grothendieck, "_bialternant_chain", _edited(
-        polynomials._bialternant_chain, "extra + (1 << sv)", "extra + (1 << shift[names[i]])")),
-    "lead exponent c_(n-m) + 1": lambda: (grothendieck, "_bialternant_chain", _edited(
-        polynomials._bialternant_chain, "exponents[top] << shift",
-        "(exponents[top] + 1) << shift")),
+    # the bi-alternant's Schur route: identities holds its own binding of
+    # _packed_bialternant, which looks the support and the Kostka table up
+    # in grothendieck
+    "Schur entry C(j + 1, .)": lambda: (identities, "_packed_bialternant", _edited(
+        grothendieck._packed_bialternant, "binomial(j, p - i - cj)",
+        "binomial(j + 1, p - i - cj)")),
+    "support row i grows by at most i - 1": lambda: (grothendieck, "_lenart_support", _edited(
+        grothendieck._lenart_support, "part + i)", "part + i - 1)")),
+    # the edited Kostka table calls itself, unmemoized, all the way down.
+    # Reading the strip as mu's first part, not its last, is no bug:
+    # K(nu, mu) is symmetric in mu and its orbit takes one coefficient
+    "strip as long as mu's last part refused": lambda: (grothendieck, "_dominant_schur", _edited(
+        grothendieck._dominant_schur.__wrapped__, "mu[-1] >= k", "mu[-1] > k")),
+    "strip takes a cell of every row": lambda: (grothendieck, "_strips", _edited(
+        grothendieck._strips.__wrapped__, "range(nu[i + 1], nu[i] + 1)",
+        "range(nu[i + 1], nu[i])")),
     "field width forced to 2 bits": lambda: (polynomials, "_field_width", lambda degree: 2),
     # grothendieck holds its own binding of enumerate_svt
     "cell weighed by its largest letter only": lambda: (grothendieck, "enumerate_svt", _edited(
@@ -150,25 +160,42 @@ MUTANTS = {
         "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1"),
 }
 
+# the refined quotient keeps the tail-first divided-difference chain, which
+# verify no longer runs: each bug in it must make refined_bialternant at
+# equal betas differ from gg-eq-w's right side, the Schur route
+CHAIN_MUTANTS = {
+    "swapped term keeps its sign": lambda: (polynomials, "_divided_difference", _edited(
+        polynomials._divided_difference, "gap, coeff = -gap, -coeff", "gap, coeff = -gap, coeff")),
+    # grothendieck holds its own binding of the bi-alternant chain.  Each
+    # level skips its first divided difference, the one that brings in the
+    # level's lead column, and that column's factor on x_(i+1)
+    "Horner level skips d_1": lambda: (grothendieck, "_bialternant_chain", _edited(
+        polynomials._bialternant_chain, "range(top, n - 1)", "range(top + 1, n - 1)")),
+    "factor on x_i, not x_(i+1)": lambda: (grothendieck, "_bialternant_chain", _edited(
+        polynomials._bialternant_chain, "extra + (1 << sv)", "extra + (1 << shift[names[i]])")),
+    # times x_1 ... x_n at every level: symmetric, so the guard passes it
+    "lead exponent c_(n-m) + 1": lambda: (grothendieck, "_bialternant_chain", _edited(
+        polynomials._bialternant_chain, "exponents[top] << shift",
+        "(exponents[top] + 1) << shift")),
+}
+
 CAUGHT_BY = {
-    # only thm-3.5 takes a determinant, on ints at a point; gg-eq-w's
-    # bi-alternant is the chain
-    "minor sign flipped": {"thm-3.5"},
-    # the bi-alternant and the tableau sum share the packing rule, and the
-    # chain refuses fields narrower than its bound; thm-3.5's determinant is
-    # on plain ints, with nothing packed.  The diagonal reads the b field
-    # alone and gives t the power |shape| + e, so it stays homogeneous, and
-    # the b field read mod 4 keeps the excess's parity: prop-AA's rows,
-    # which restate sum_T (-1)^excess(T) = 1, still pass
+    # thm-3.5 takes a determinant on ints at a point, and gg-eq-w's
+    # bi-alternant one per Schur coefficient
+    "minor sign flipped": {"thm-3.5", "gg-eq-w"},
+    # the bi-alternant's Schur route and the tableau sum share the packing
+    # rule, and the fields' carries fold their keys apart; thm-3.5's
+    # determinant is on plain ints, with nothing packed.  The diagonal reads
+    # the b field alone and gives t the power |shape| + e, so it stays
+    # homogeneous, and the b field read mod 4 keeps the excess's parity:
+    # prop-AA's rows, which restate sum_T (-1)^excess(T) = 1, still pass
     "field width forced to 2 bits": {"gg-eq-w", "thm-3.9"},
-    # the chain's result is wrong, or not symmetric in the x's, which the
-    # kernel's guard refuses with ArithmeticError; only gg-eq-w runs it
-    "swapped term keeps its sign": {"gg-eq-w"},
-    "Horner level skips d_1": {"gg-eq-w"},
-    "factor on x_i, not x_(i+1)": {"gg-eq-w"},
-    # times x_1 ... x_n at every level: symmetric, so the guard passes it,
-    # and gg-eq-w's comparison fails
-    "lead exponent c_(n-m) + 1": {"gg-eq-w"},
+    # only gg-eq-w's right side takes the Schur coefficients; a nu left
+    # out of the support drops its s_nu, a term the fill keeps
+    "Schur entry C(j + 1, .)": {"gg-eq-w"},
+    "support row i grows by at most i - 1": {"gg-eq-w"},
+    "strip as long as mu's last part refused": {"gg-eq-w"},
+    "strip takes a cell of every row": {"gg-eq-w"},
     # the letter count, hence the excess, stays right; only the x-weight is wrong
     "cell weighed by its largest letter only": {"gg-eq-w"},
     # every filling is still counted once, so the counts hold; the
@@ -214,12 +241,53 @@ def test_clear_memos_empties_every_memo_a_run_fills():
     # a memo clear_memos missed would hand a mutant values computed before
     # it was seeded, and the mutant would go uncaught
     memos = (grothendieck._tableau_sum, grothendieck._tableau_sum_diagonal,
-             hypergeom._shape_series, identities._gauss_series)
+             grothendieck._dominant_schur, grothendieck._strips, grothendieck._orbit_units,
+             hypergeom._shape_series, hypergeom._ones_series, identities._gauss_series)
     clear_memos()
     run_all(Grid(3, 3), workers=1)
     assert all(memo.cache_info().currsize for memo in memos)
     clear_memos()
     assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def _chain_mismatches(grid):
+    """The pairs of the grid, and the empty shape, where refined_bialternant
+    at b for every beta differs from the Schur route; a quotient that the
+    chain's symmetry guard refuses counts as one."""
+    bad = []
+    for shape, n in [*grid.shapes(), (partitions.Partition(()), 1)]:
+        try:
+            if grothendieck.refined_bialternant(shape, n, ["b"] * (n - 1)) != \
+                    grothendieck._packed_bialternant(shape, n).unpack():
+                bad.append((shape, n))
+        except ArithmeticError:
+            bad.append((shape, n))
+    return bad
+
+
+def test_the_chain_at_equal_betas_is_the_schur_route():
+    assert _chain_mismatches(Grid(4, 4)) == []
+
+
+@pytest.mark.parametrize("mutant", sorted(CHAIN_MUTANTS))
+def test_the_chain_at_equal_betas_catches_the_mutant(mutant, monkeypatch):
+    monkeypatch.setattr(*CHAIN_MUTANTS[mutant]())
+    assert _chain_mismatches(Grid(4, 4))
+
+
+def test_verify_runs_no_chain(monkeypatch):
+    def not_run(*args):
+        raise AssertionError("the divided-difference chain ran")
+
+    for module in (polynomials, grothendieck):
+        monkeypatch.setattr(module, "_bialternant_chain", not_run)
+    clear_memos()
+    try:
+        report = run_all(Grid(4, 4), workers=1)
+    finally:
+        clear_memos()
+    assert report.ok, [check.witnesses for check in report.checks if check.failed]
+    assert next(check for check in report.checks if check.id == "gg-eq-w").passed
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))

@@ -401,30 +401,6 @@ def test_packed_terms_compare_only_over_one_packing():
             value == packed
 
 
-def test_the_chain_refuses_a_packing_that_cannot_hold_its_row():
-    # det[x_i^(c_j) (1 + b x_i)^j] / (x1 - x2) for c = (3, 0): the bound
-    # max(c_0, n(n-1)/2) is 3, which 2-bit fields hold
-    names = ("x1", "x2")
-    fits = polynomials._Packing(("b", "x1", "x2"), 3)
-    quotient = polynomials._bialternant_chain((3, 0), ["b"], names, fits)
-    assert quotient.packing is fits
-    assert quotient.unpack() == alternant_quotient([x1 ** 3, 1 + b * x1], names)
-    # 1-bit fields, too narrow for the bound 3, or a variable missing
-    for packing in (polynomials._Packing(("b", "x1", "x2"), 1),
-                    polynomials._Packing(("x1", "x2"), 3), polynomials._Packing(("b", "x1"), 3)):
-        with pytest.raises(ValueError, match=r"cannot hold a bi-alternant over \('x1', 'x2'\) "
-                                             "with degree bound 3"):
-            polynomials._bialternant_chain((3, 0), ["b"], names, packing)
-    # a rational beta needs no field of its own; the bound counts n(n-1)/2
-    # factors too, 3 at n = 3 with c_0 = 2
-    assert polynomials._bialternant_chain((2, 1, 0), [Fraction(1, 2), 3], ("x1", "x2", "x3"),
-                                          polynomials._Packing(("x1", "x2", "x3"), 3)) == \
-        polynomials._bialternant_chain((2, 1, 0), [Fraction(1, 2), 3], ("x1", "x2", "x3"))
-    with pytest.raises(ValueError, match="with degree bound 3"):
-        polynomials._bialternant_chain((2, 1, 0), [1, 1], ("x1", "x2", "x3"),
-                                       polynomials._Packing(("x1", "x2", "x3"), 1))
-
-
 def test_the_variable_order_is_total_under_any_hash_seed():
     # x01 and x1 are two variables; with one sort key for both, their order
     # (and the printed form) followed the set's iteration, so the hash seed
