@@ -25,6 +25,7 @@ here are pure; values are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm, prod
 
 # The most terms a series may have; a larger one is refused before any term
@@ -118,14 +119,17 @@ def determinant(matrix) -> int:
     the first row below that has a nonzero entry there, negated so that
     the determinant keeps its value; a column with none gives 0.  O(n^3)
     int products.  A non-square matrix raises ValueError and an entry that
-    is not an int (a Poly, a Fraction, a float or a bool) TypeError; the
-    caller's rows are not changed.
+    is not an int (a Poly, a Fraction, a float or a bool) TypeError, found
+    by one pass over the entries' distinct types, so a matrix of plain ints
+    runs no Python code per entry; an int subclass is an int.  The caller's
+    rows are not changed.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    if any(isinstance(e, bool) or not isinstance(e, int) for row in rows for e in row):
+    types = set(map(type, chain.from_iterable(rows)))
+    if types != {int} and any(issubclass(t, bool) or not issubclass(t, int) for t in types):
         raise TypeError("determinant entries must be ints")
     previous = 1
     for k in range(n):

@@ -23,13 +23,21 @@ refined route takes max(n - 1, 0) betas, so in n = 0 variables the empty
 shape gives 1 on every route.
 Keeping the routes separate is the point: the verification harness compares
 them against each other.  The expansion (_shifted_exponent_sum) is one
-arith.coupled_sum over the tables e_k(beta_1..beta_j) of exact numbers or
-Polys, which the kernel puts over one denominator, with integer cross
-factors that are differences in a table of powers q^e; its graded parts
-are added and divided once by the q-Vandermonde of the same table.  The
-binomial-shift count formula is that sum at every beta = 1 in the limit
+arith.coupled_sum over int (or int Poly) tables, prod_(k<j) d_k times
+e_k(beta_1..beta_j) for beta_k = p_k/d_k, with integer cross factors that
+are differences in a table of powers q^e; its graded parts are added and
+divided once by the q-Vandermonde of the same table and the tables' scale.
+The binomial-shift count formula is that sum at every beta = 1 in the limit
 q -> 1, where the table of powers is the exponents themselves, so no check
 has the count formula and the expansion as its two sides.
+Work that does not change between a check's rows or values of n is
+memoized: the tableau sum and its diagonal per (shape, n), the expansion's
+tables per betas (_beta_tables), a Schur coefficient per (shape, nu),
+shared by every n (_schur_coefficient says why), the Kostka table per
+(nu, n) and the orbits' packed keys per (mu, packing shifts).  The tables
+serve only the expansion and the Schur memos only _packed_bialternant, so
+a check's two sides still share nothing beyond arith, Partition and the
+packing.
 A beta is an int, a Fraction or a variable name: a string beta names a
 variable, so '1/2' is refused as a bad name, and so is a name that sorts
 as one of x1..xn, which would be that variable (refined_bialternant_at
@@ -56,12 +64,6 @@ BETA = "b"
 
 def _x_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, nvars + 1))
-
-
-def _scalar_or_var(value):
-    if isinstance(value, str):
-        return Poly.variable(value)
-    return exact_rational(value)
 
 
 def grothendieck_tableau_sum(shape, nvars: int) -> Poly:
@@ -138,7 +140,7 @@ def _beta_count(n: int) -> int:
 def _ratio(value):
     """An exact rational value = p/d as (p, d), so that d + p x is d times
     1 + value x."""
-    value = Fraction(exact_rational(value))
+    value = exact_rational(value)
     return value.numerator, value.denominator
 
 
@@ -216,33 +218,44 @@ def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
     From the quotient's Schur coefficients: with c_j = l_j + n - 1 - j
     and e_i = nu_i + n - 1 - i (0-based i, j < n), expanding each column's
     (1 + b x)^j gives G_l = sum_nu b^(|nu| - |l|) a_nu s_nu with
-    a_nu = det[C(j, e_i - c_j)] (arith.determinant; C is 0 outside 0..j),
-    over Lenart's support (_lenart_support).  The coefficient of
+    a_nu = det[C(j, e_i - c_j)] (arith.determinant; C is 0 outside 0..j,
+    memoized per (shape, nu) by _schur_coefficient), over Lenart's support
+    (_lenart_support).  The coefficient of
     b^(|mu| - |l|) x^mu, for mu weakly decreasing, is then
     sum_nu a_nu K(nu, mu) (_dominant_schur), and it stands at every
-    distinct rearrangement of mu (_orbit_units).  Nothing here enumerates
+    distinct rearrangement of mu (_orbit_keys).  Nothing here enumerates
     a tableau.
     """
     packing = _shape_packing((BETA, *_x_names(nvars)), shape.size)
     if len(shape) > nvars:
         return _Packed(packing, {})
-    lam = shape.padded(nvars)
-    c = [q - j for j, q in enumerate(lam)]  # c_j - (n - 1), as nu_i - i is e_i - (n - 1)
     dominant = Counter()
-    for nu in _lenart_support(lam):
-        a = determinant([[binomial(j, p - i - cj) for j, cj in enumerate(c)]
-                         for i, p in enumerate(nu)])
-        for mu, count in _dominant_schur(tuple(p for p in nu if p), nvars).items():
+    for nu in _lenart_support(shape.padded(nvars)):
+        nu = tuple(p for p in nu if p)
+        a = _schur_coefficient(shape, nu)
+        for mu, count in _dominant_schur(nu, nvars).items():
             dominant[mu] += a * count
     shifts = tuple(packing.shift[x] for x in packing.vars[1:])
     terms = {}
     for mu, coeff in dominant.items():
         if coeff:
-            head, runs = (sum(mu) - shape.size) << packing.shift[BETA], Counter(mu)
-            terms.update(dict.fromkeys([head + sum(map(operator.mul, runs, units))
-                                        for units in _orbit_units(tuple(runs.values()), shifts)],
-                                       coeff))
+            head = (sum(mu) - shape.size) << packing.shift[BETA]
+            terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), coeff))
     return _Packed(packing, terms)
+
+
+@lru_cache(maxsize=None)
+def _schur_coefficient(lam: Partition, nu: tuple) -> int:
+    """a_nu = det[C(j, e_i - c_j)] for the partition nu (no zero parts) in
+    Lenart's support of lam, taken at size m = len(nu), lam padded to m
+    parts: e_i - c_j = (nu_i - i) - (lam_j - j) does not involve n, and
+    each part nu_i = 0 that padding to n adds is a row whose entries
+    C(j, j - i - lam_j) are 0 left of the diagonal and 1 on it, so the
+    n x n determinant is this one.  Memoized per (lam, nu), so each n
+    reuses it."""
+    c = [q - j for j, q in enumerate(lam.padded(len(nu)))]
+    return determinant([[binomial(j, p - i - cj) for j, cj in enumerate(c)]
+                        for i, p in enumerate(nu)])
 
 
 def _lenart_support(lam) -> list:
@@ -292,19 +305,18 @@ def _dominant_schur(nu: tuple, n: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _orbit_units(runs: tuple, shifts: tuple) -> tuple:
-    """The distinct rearrangements of a tuple whose distinct values come in
-    runs of the given lengths, each as one packed unit per run: the sum of
-    1 << shifts[p] over the positions p holding that run's value, so the
-    rearrangement's key is sum_r value_r units_r."""
-    if not shifts:
-        return ((0,) * len(runs),)
-    orbit = []
-    for r, m in enumerate(runs):
-        if m:
-            for units in _orbit_units((*runs[:r], m - 1, *runs[r + 1:]), shifts[1:]):
-                orbit.append((*units[:r], units[r] + (1 << shifts[0]), *units[r + 1:]))
-    return tuple(orbit)
+def _orbit_keys(mu: tuple, shifts: tuple) -> tuple:
+    """The packed key sum_p m_p << shifts[p] of each distinct rearrangement
+    m of the weakly decreasing mu: position 0 takes each distinct part in
+    turn, followed by each rearrangement of the other parts.  Memoized per
+    (mu, shifts), so every pair on one packing shares it."""
+    if not mu:
+        return (0,)
+    keys = []
+    for i, part in enumerate(mu):
+        if not i or part != mu[i - 1]:
+            keys += map((part << shifts[0]).__add__, _orbit_keys(mu[:i] + mu[i + 1:], shifts[1:]))
+    return tuple(keys)
 
 
 def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
@@ -340,14 +352,22 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
     return Fraction(determinant(rows), vandermonde * scale)
 
 
-def _elementary_tables(values):
-    """[e_0, ..., e_j] of values[:j] for j = 0, 1, ..., len(values) in
-    turn, each from the one before: e_k(.., v) = e_k(..) + v e_(k-1)(..)."""
-    table = [1]
-    yield table
-    for v in values:
-        table = [1, *(table[k] + v * table[k - 1] for k in range(1, len(table))), v * table[-1]]
-        yield table
+@lru_cache(maxsize=None, typed=True)
+def _beta_tables(*betas) -> tuple:
+    """The shifted-exponent expansion's weight tables and their scale,
+    for the betas as the caller passes them (a string names a variable).
+    With beta_k = p_k/d_k (a variable is itself over 1), table j holds the
+    coefficients of prod_(k<j) (d_k + p_k x), that is prod_(k<j) d_k
+    times e_0..e_j(beta_1..beta_j), each from the one before; over all j
+    the scale is prod_k d_k^(n-1-k), n = len(betas) + 1.  Memoized per
+    betas, typed so that a bool is refused after an equal int."""
+    n = len(betas) + 1
+    pairs = [(Poly.variable(b), 1) if isinstance(b, str) else _ratio(b) for b in betas]
+    tables = [(1,)]
+    for p, d in pairs:
+        t = tables[-1]
+        tables.append((d * t[0], *(d * t[k] + p * t[k - 1] for k in range(1, len(t))), p * t[-1]))
+    return tuple(tables), prod(d ** (n - 1 - k) for k, (_, d) in enumerate(pairs))
 
 
 def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor vanishes"):
@@ -366,16 +386,19 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     P[e] = q^e, and the limit q -> 1 takes the exponents themselves (every
     ratio of q-differences becomes a ratio of exponent differences).  A
     vanishing divisor raises ValueError with the message `vanishing`.
+    The weights are _beta_tables', on ints for rational betas, so the sum
+    is divided once by the kernel's d, the Vandermonde-type product and
+    the tables' scale prod_k d_k^(n-1-k).
     """
     _check_size(factorial(n))
+    tables, scale = _beta_tables(*betas)
     c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
     powers = power_table(max(c, default=0))
     denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
     if denom == 0:
         raise ValueError(vanishing)
-    parts, d = coupled_sum(list(_elementary_tables(betas)),
-                           lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
-    return sum(parts) * Fraction(1, d * denom)
+    parts, d = coupled_sum(tables, lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
+    return sum(parts) * Fraction(1, d * denom * scale)
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):
@@ -401,14 +424,13 @@ def principal_specialization_q(shape, nvars: int, betas, q):
         raise ValueError(f"need exactly {_beta_count(n)} beta values, got {len(betas)}")
     if len(shape) > n:
         return Fraction(0)
-    bvals = [_scalar_or_var(b) for b in betas]
     qval = exact_rational(q)
     if qval == 0:
         raise ValueError("q must be nonzero")
     # P[e] = p^e d^(top-e) = q^e d^top for q = p/d and every e <= top; the
     # sum and the q-Vandermonde multiply equally many differences, so the
     # d^top cancel
-    return _shifted_exponent_sum(shape, n, bvals, lambda top: [
+    return _shifted_exponent_sum(shape, n, betas, lambda top: [
         qval.numerator ** e * qval.denominator ** (top - e) for e in range(top + 1)],
         f"q-Vandermonde vanishes at q = {q}")
 

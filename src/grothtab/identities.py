@@ -474,7 +474,7 @@ def _all_ones_rows(shape, n, closed_form):
            "pairwise-difference and content/hook products",
            "enumeration of semistandard tableaux")
 def _hook_counts(grid, shape, n):
-    direct = sum(1 for _ in enumerate_sst(shape, n))
+    direct = sum(1 for _ in enumerate_sst(shape, n, [0] * (n + 1)))
     yield {"shape": shape, "n": n, "form": "pairwise"}, count_sst_product(shape, n), direct
     yield {"shape": shape, "n": n, "form": "hook"}, count_sst_hook(shape, n), direct
 
@@ -540,13 +540,15 @@ def _geometric_point_expansion(grid, shape, n):
     guard: a wrong determinant or division gives a wrong value, which fails
     the row, and gg-eq-w compares the symbolic bi-alternant, built from
     its Schur coefficients, with the tableau sum as polynomials on every
-    (shape, n)."""
+    (shape, n).  The three qs share one pair's betas: the expansion's
+    weight tables are memoized per betas (grothendieck._beta_tables), and
+    the betas' param string is joined once."""
     betas = grid.random_betas(shape, n)
+    joined = ",".join(map(str, betas))
     for q in DEFAULT_QS:
         left = principal_specialization_q(shape, n, betas, q)
         right = refined_bialternant_at(shape, n, betas, [q ** i for i in range(n)])
-        yield ({"shape": shape, "n": n, "q": q,
-                "betas": ",".join(str(b) for b in betas)}, left, right)
+        yield {"shape": shape, "n": n, "q": q, "betas": joined}, left, right
 
 
 @_register("cor-3.8",

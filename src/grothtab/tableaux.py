@@ -16,7 +16,8 @@ row-major tuple of cells, which is how a SetValuedTableau stores it (its
 rows are a view).  Given int weights per letter, enumerate_svt weighs an
 entry by the sum of its letters' weights and yields each filling's key in
 place of the tableau: the tableau sum counts those keys, and no tableau is
-built.
+built.  enumerate_sst takes the same units, so a count of semistandard
+tableaux builds none either.
 """
 
 import operator
@@ -229,7 +230,9 @@ def enumerate_svt(shape, nvars: int, units=None):
     return _backtrack(shape, nvars, _subsets_lex, lambda e: sum(map(units.__getitem__, e)), 0)
 
 
-def enumerate_sst(shape, nvars: int):
+def enumerate_sst(shape, nvars: int, units=None):
     """All semistandard tableaux (singleton entries), same conventions as
-    enumerate_svt."""
-    return _tableaux(shape, nvars, _singletons)
+    enumerate_svt, units included."""
+    if units is None:
+        return _tableaux(shape, nvars, _singletons)
+    return _backtrack(shape, nvars, _singletons, lambda e: units[e[0]], 0)

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import prod
 from time import perf_counter
 
@@ -23,7 +24,7 @@ from grothtab.grothendieck import (
 from grothtab.hypergeom import HolmanInstance, holman_series, ones_value_by_series
 from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import Partition, count_sst_hook, count_sst_product, partitions_of
-from grothtab.polynomials import Poly
+from grothtab.polynomials import Poly, _shape_packing
 from grothtab.tableaux import SetValuedTableau, enumerate_sst, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
@@ -623,15 +624,59 @@ def test_single_column_expansion_alternative_coefficient_fails():
 
 
 def test_elementary_tables_follow_the_recurrence():
-    # table j holds e_0..e_j of the first j values
-    vals = [Fraction(1), Fraction(2), Fraction(3)]
-    tables = list(grothendieck._elementary_tables(vals))
-    assert tables == [[1], [1, 1], [1, 3, 2], [1, 6, 11, 6]]
+    # table j holds the coefficients of prod_(k<j) (d_k + p_k x) for
+    # beta_k = p_k/d_k: prod_(k<j) d_k times e_0..e_j of the first j betas
+    tables, scale = grothendieck._beta_tables(Fraction(1), Fraction(2), Fraction(3))
+    assert tables == ((1,), (1, 1), (1, 3, 2), (1, 6, 11, 6))
+    assert scale == 1
     point = {"x1": 1, "x2": 2, "x3": 3}
-    assert tables[-1] == [elementary_symmetric_poly(k, 3).substitute(point).as_fraction()
-                          for k in range(4)]
-    *_, last = grothendieck._elementary_tables([x1, x2, x3])
-    assert last == [elementary_symmetric_poly(k, 3) for k in range(4)]
-    # equal values give binomial coefficients
-    *_, last = grothendieck._elementary_tables([Fraction(1)] * 4)
-    assert last == [binomial(4, k) for k in range(5)]
+    assert list(tables[-1]) == [elementary_symmetric_poly(k, 3).substitute(point).as_fraction()
+                                for k in range(4)]
+    tables, scale = grothendieck._beta_tables(Fraction(1, 2), Fraction(-2, 3), 3)
+    assert tables == ((1,), (2, 1), (6, -1, -2), (6, 17, -5, -6))
+    assert [Fraction(c, 6) for c in tables[-1]] == [1, Fraction(17, 6), Fraction(-5, 6), -1]
+    assert scale == 2 ** 3 * 3 ** 2
+    # a string names a variable, which comes in over 1
+    (*_, last), scale = grothendieck._beta_tables("x1", "x2", "x3")
+    assert list(last) == [elementary_symmetric_poly(k, 3) for k in range(4)]
+    assert scale == 1
+    # equal values give binomial coefficients, count_svt_formula's ones too
+    for one in (Fraction(1), 1):
+        (*_, last), scale = grothendieck._beta_tables(*[one] * 4)
+        assert list(last) == [binomial(4, k) for k in range(5)]
+        assert scale == 1
+    # memoized with the betas' types, so a bool is refused after an equal int
+    assert grothendieck._beta_tables(1) == (((1,), (1, 1)), 1)
+    with pytest.raises(ValueError, match="is not an exact rational"):
+        grothendieck._beta_tables(True)
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6))
+def test_beta_tables_are_scaled_elementary_symmetric_values(betas):
+    tables, scale = grothendieck._beta_tables(*betas)
+    assert len(tables) == len(betas) + 1
+    for j, table in enumerate(tables):
+        dens = prod(beta.denominator for beta in betas[:j])
+        assert list(table) == [dens * sum(map(prod, combinations(betas[:j], k)))
+                               for k in range(j + 1)]
+        assert all(type(c) is int for c in table)
+    assert scale == prod(table[0] for table in tables)
+
+
+def test_schur_coefficient_is_the_n_by_n_determinant():
+    # the determinant at size len(nu) over nu's nonzero parts, shared by
+    # every n, against the n x n one of lam and nu padded to n parts
+    for shape, n in Grid(6, 6).shapes():
+        lam = shape.padded(n)
+        for nu in grothendieck._lenart_support(lam):
+            assert grothendieck._schur_coefficient(shape, tuple(p for p in nu if p)) == \
+                _schur_coefficient(lam, nu), (shape, n, nu)
+
+
+def test_orbit_keys_unpack_to_the_distinct_permutations():
+    for mu in [(), (0,), (1, 0), (2, 2), (2, 1, 1, 0), (3, 3, 1, 0, 0), (1, 1, 1), (4, 2, 1, 0)]:
+        packing = _shape_packing(("b", *(f"x{i}" for i in range(1, len(mu) + 1))), 5)
+        shifts = tuple(packing.shift[x] for x in packing.vars[1:])
+        keys = grothendieck._orbit_keys(mu, shifts)
+        unpacked = [tuple((key >> shift) & packing.mask for shift in shifts) for key in keys]
+        assert sorted(unpacked) == sorted(set(permutations(mu))), mu

@@ -4,16 +4,17 @@ One bug sits in the field width of the packed monomials, which the
 bi-alternant's Schur route and the tableau sum share, one in the field
 the diagonal reads the excess from, one in the sign of the 2 x 2 minor
 that each step of the int determinant's fraction-free elimination takes,
-four in the Schur route (a Schur coefficient's binomial entry, Lenart's
-support, the Kostka table's strip against mu's last part and the
-horizontal strip's range), three in the packed tableau-sum fill (the
+five in the Schur route (a Schur coefficient's binomial entry, its memo
+keyed on nu without lam, Lenart's support, the Kostka table's strip
+against mu's last part and the horizontal strip's range), three in the packed tableau-sum fill (the
 per-letter units, the entries' weights and the key the backtracker
 carries), one in the integral bi-alternant's column scale, which only the
 refined quotient at a point takes from _integral_rows, one in that
 quotient's Vandermonde, one in the
-backtracker's column cap, two (the cross factor's sign and the e_k
-window) in _shifted_exponent_sum, the one expansion behind both the
-principal specialization and the binomial-shift count formula, and one
+backtracker's column cap, three (the cross factor's sign, and the e_k
+window and the scale's exponent in its tables, _beta_tables) in
+_shifted_exponent_sum, the one expansion behind both the principal
+specialization and the binomial-shift count formula, and one
 in each of the coupling triangle, the content/hook count, the column
 Gauss binomial, the 2F1's m! (its denominator parameter 1, written once
 in hypergeom._gauss_parts), the Pochhammer term of _series_parts, the
@@ -27,9 +28,10 @@ it), so nothing on disk changes, and run_all(Grid(4, 4), workers=1) runs
 in this process too.  CAUGHT_BY maps each mutant to the checks that must
 then report failing instances, each with a witness; every other check
 must still pass.  The per-(shape, n) memos (every grothtab module
-attribute with cache_clear: the tableau sum, its diagonal, the Kostka
-table and its strips and orbits, the series and the row and column
-checks' Gauss side as polynomials in z) are cleared by tests/memos.py
+attribute with cache_clear: the tableau sum, its diagonal, the Schur
+coefficients, the Kostka table and its strips, the orbit keys, the beta
+tables, the series and the row and column checks' Gauss side as
+polynomials in z) are cleared by tests/memos.py
 before and after each run, so no value cached by another test hides a
 mutant below it and no value computed under a mutant outlives it.
 
@@ -79,6 +81,12 @@ def _reader(old: str, new: str):
     return [(module, "polynomial_at", reader) for module in (hypergeom, identities)]
 
 
+def _keyed_on_nu(coefficient):
+    """coefficient(lam, nu) memoized on nu alone."""
+    memo = {}
+    return lambda lam, nu: memo[nu] if nu in memo else memo.setdefault(nu, coefficient(lam, nu))
+
+
 def _pairwise(old: str, new: str):
     """partitions.count_sst_product edited, in each module whose checks
     call it: identities (hook-counts, thm-3.13) and hypergeom (the series
@@ -93,12 +101,14 @@ MUTANTS = {
     # (mod 4)
     "minor sign flipped": lambda: (grothendieck, "determinant", _edited(
         arith.determinant, "p * row[j] - a * top[j]", "a * top[j] - p * row[j]")),
-    # the bi-alternant's Schur route: identities holds its own binding of
-    # _packed_bialternant, which looks the support and the Kostka table up
-    # in grothendieck
-    "Schur entry C(j + 1, .)": lambda: (identities, "_packed_bialternant", _edited(
-        grothendieck._packed_bialternant, "binomial(j, p - i - cj)",
+    # the bi-alternant's Schur route: _packed_bialternant looks the Schur
+    # coefficients, the support and the Kostka table up in grothendieck
+    "Schur entry C(j + 1, .)": lambda: (grothendieck, "_schur_coefficient", _edited(
+        grothendieck._schur_coefficient.__wrapped__, "binomial(j, p - i - cj)",
         "binomial(j + 1, p - i - cj)")),
+    # a_nu of the first lam to reach nu, handed to every later lam
+    "Schur memo keyed on nu alone": lambda: (
+        grothendieck, "_schur_coefficient", _keyed_on_nu(grothendieck._schur_coefficient.__wrapped__)),
     "support row i grows by at most i - 1": lambda: (grothendieck, "_lenart_support", _edited(
         grothendieck._lenart_support, "part + i)", "part + i - 1)")),
     # the edited Kostka table calls itself, unmemoized, all the way down.
@@ -152,9 +162,12 @@ MUTANTS = {
     "series term over (b + k + 1)": lambda: (hypergeom, "_series_parts", _edited(
         hypergeom._series_parts, "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)")),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
-    "e_k window shifted": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
-        grothendieck._shifted_exponent_sum, "_elementary_tables(betas)",
-        "_elementary_tables(betas[1:] + [0])")),
+    # count_svt_formula and principal_specialization_q reach the tables
+    # through _shifted_exponent_sum, which looks them up in grothendieck
+    "e_k window shifted": lambda: (grothendieck, "_beta_tables", _edited(
+        grothendieck._beta_tables.__wrapped__, "for b in betas]", "for b in betas[1:] + (0,)]")),
+    "beta scale exponent n - k": lambda: (grothendieck, "_beta_tables", _edited(
+        grothendieck._beta_tables.__wrapped__, "d ** (n - 1 - k)", "d ** (n - k)")),
     "reader without the q^top scale": lambda: _reader("d * q ** top", "d"),
     "pairwise factor one too large": lambda: _pairwise(
         "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1"),
@@ -193,6 +206,7 @@ CAUGHT_BY = {
     # only gg-eq-w's right side takes the Schur coefficients; a nu left
     # out of the support drops its s_nu, a term the fill keeps
     "Schur entry C(j + 1, .)": {"gg-eq-w"},
+    "Schur memo keyed on nu alone": {"gg-eq-w"},
     "support row i grows by at most i - 1": {"gg-eq-w"},
     "strip as long as mu's last part refused": {"gg-eq-w"},
     "strip takes a cell of every row": {"gg-eq-w"},
@@ -226,6 +240,8 @@ CAUGHT_BY = {
     "kernel drops negative prefixes": {"thm-3.5", "cor-3.8", "thm-3.9", "cor-3.11",
                                        "thm-3.13"},
     "e_k window shifted": {"thm-3.5", "cor-3.8"},
+    # the count formula's ones have d = 1, so only thm-3.5's betas scale
+    "beta scale exponent n - k": {"thm-3.5"},
     # every value at a z with a denominator comes out q^top too large.  The
     # two sides of prop-3.1 and prop-3.2 are polynomials of one degree (the
     # 2F1's n - 1 or n - k is the largest excess of a row or a column), so
@@ -241,7 +257,8 @@ def test_clear_memos_empties_every_memo_a_run_fills():
     # a memo clear_memos missed would hand a mutant values computed before
     # it was seeded, and the mutant would go uncaught
     memos = (grothendieck._tableau_sum, grothendieck._tableau_sum_diagonal,
-             grothendieck._dominant_schur, grothendieck._strips, grothendieck._orbit_units,
+             grothendieck._dominant_schur, grothendieck._strips, grothendieck._orbit_keys,
+             grothendieck._schur_coefficient, grothendieck._beta_tables,
              hypergeom._shape_series, hypergeom._ones_series, identities._gauss_series)
     clear_memos()
     run_all(Grid(3, 3), workers=1)
