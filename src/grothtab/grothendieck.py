@@ -10,11 +10,14 @@ determinant of binomials per partition in Lenart's support, times the
 Kostka numbers, expanded over each exponent's orbit onto the packed keys
 of the tableau sum, since both take the one packing
 polynomials._shape_packing gives a shape), its refined multi-parameter
-form (polynomials._bialternant_chain: a tail-first chain of divided
-differences from the shifted exponents and the betas, with int columns
-d + p x for beta = p/d and the denominators divided out once, so no
-matrix or row is built and nothing is divided by the Vandermonde), the
-integral bi-alternant matrix taken at n distinct rational points on ints
+form from its refined Schur coefficients (refined_bialternant: one banded
+determinant of e_t(beta_1..beta_j) per nu in the same support, with int
+or int Poly entries from the columns d + p x for beta = p/d
+(_beta_tables), by a Laplace expansion kept by the set of columns used,
+then the same Kostka numbers and orbits, with the denominators divided
+out once, so no row in x is built and nothing is divided by the
+Vandermonde), the integral
+bi-alternant matrix taken at n distinct rational points on ints
 (refined_bialternant_at: arith.determinant, fraction-free elimination in
 O(n^3) int products, divided once, with no polynomial in x built), and
 the shifted-exponent expansion that evaluates the refined quotient at the
@@ -34,9 +37,11 @@ Work that does not change between a check's rows or values of n is
 memoized: the tableau sum and its diagonal per (shape, n), the expansion's
 tables per betas (_beta_tables), a Schur coefficient per (shape, nu),
 shared by every n (_schur_coefficient says why), the Kostka table per
-(nu, n) and the orbits' packed keys per (mu, packing shifts).  The tables
-serve only the expansion and the Schur memos only _packed_bialternant, so
-a check's two sides still share nothing beyond arith, Partition and the
+(nu, n) and the orbits' packed keys per (mu, packing shifts).  The Schur
+coefficients serve only _packed_bialternant.  refined_bialternant takes
+the expansion's tables as its columns and _packed_bialternant's support,
+Kostka table and orbit keys, so it is no side of any check, and a
+check's two sides still share nothing beyond arith, Partition and the
 packing.
 A beta is an int, a Fraction or a variable name: a string beta names a
 variable, so '1/2' is refused as a bad name, and so is a name that sorts
@@ -56,7 +61,7 @@ from math import factorial, prod
 
 from .arith import _check_size, binomial, coupled_sum, determinant, exact_count, exact_rational
 from .partitions import Partition
-from .polynomials import Poly, _bialternant_chain, _Packed, _shape_packing, _var_key
+from .polynomials import Poly, _Packed, _Packing, _shape_packing, _var_key
 from .tableaux import enumerate_svt
 
 BETA = "b"
@@ -179,13 +184,22 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     them to zero recovers the Schur polynomial.  A beta named like one of
     x1..xn is refused with ValueError.
 
-    The quotient is polynomials._bialternant_chain's tail-first chain of
-    divided differences on packed keys, with no determinant, no row and
-    no division but one: with beta_k = p_k/d_k the columns carry
-    (d_k + p_k x_i), so the chain has int coefficients, and each is
-    divided once by prod_k d_k^(n-1-k).  Int betas give int coefficients.
-    A determinant of more than arith.MAX_SERIES_TERMS minors (2^n) is
-    refused with ValueError before the chain runs.
+    From its refined Schur coefficients, as _packed_bialternant at one
+    beta, with 0-based i, j < n, c_j = l_j + n - 1 - j and
+    e_i = nu_i + n - 1 - i.  With beta_k = p_k/d_k (a variable is itself
+    over 1), column j holds prod_(k<j) d_k e_t(beta_1..beta_j) for
+    t = 0..j, the coefficients of prod_(k<j) (d_k + p_k x): table j of
+    _beta_tables, so every entry is an int or an int Poly.  For each nu
+    in Lenart's support (_lenart_support), a_nu is the determinant of the
+    entries t = e_i - c_j (_banded_determinant), and
+    sum_nu a_nu K(nu, mu) (_dominant_schur), a polynomial in the betas, is
+    the coefficient of x^mu at every distinct rearrangement of mu
+    (_orbit_keys).  The keys are over the betas' names and x1..xn, in
+    fields of _Packing's bound |shape| n, and each coefficient is divided
+    once by the tables' scale prod_k d_k^(n-1-k), so int betas give int
+    coefficients.  Each a_nu passes through at most 2^n sets of columns,
+    so n with 2^n above arith.MAX_SERIES_TERMS is refused with ValueError
+    before any determinant.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -196,8 +210,48 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     if len(shape) > n:
         return Poly.constant(0)
     _check_size(2 ** n, "the determinant has {} minors")
-    return _bialternant_chain([p + n - 1 - j for j, p in enumerate(shape.padded(n))],
-                              betas, _x_names(n)).unpack()
+    names = _x_names(n)
+    symbols = {beta for beta in betas if isinstance(beta, str)}
+    packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)), shape.size * n)
+    columns, scale = _beta_tables(*betas)
+    lam = shape.padded(n)
+    c = [p + n - 1 - j for j, p in enumerate(lam)]
+    dominant = Counter()
+    for nu in _lenart_support(lam):
+        a = _banded_determinant(columns, c, [p + n - 1 - i for i, p in enumerate(nu)])
+        if a:
+            for mu, count in _dominant_schur(tuple(p for p in nu if p), n).items():
+                dominant[mu] += a * count
+    shifts = tuple(packing.shift[x] for x in names)
+    terms = {}
+    for mu, coeff in dominant.items():
+        for head, value in packing.pack(Poly._coerce(coeff)).items():
+            terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), value))
+    if scale != 1:
+        terms = {key: Fraction(value, scale) for key, value in terms.items()}
+    return packing.unpack(terms)
+
+
+def _banded_determinant(columns, c, e):
+    """det[columns[j][e_i - c_j]]_(i,j<n), n = len(c), for int or Poly
+    entries, an entry being 0 where e_i - c_j is not an index of column j.
+    A Laplace expansion along the rows, kept by the set of columns used:
+    the minors on rows 0..i are sums, over each column j that row i may
+    take, of a minor on rows 0..i-1 over a set without j, times the entry
+    and (-1) to the number of that set's columns right of j.  So at most
+    2^n sets arise, and the minor on all n columns is the determinant."""
+    minors = {0: 1}
+    for ei in e:
+        row = [(j, column[ei - cj]) for j, (cj, column) in enumerate(zip(c, columns))
+               if 0 <= ei - cj < len(column)]
+        step = {}
+        for used, minor in minors.items():
+            for j, entry in row:
+                if not used >> j & 1:
+                    key, term = used | 1 << j, minor * entry
+                    step[key] = step.get(key, 0) + (-term if (used >> j).bit_count() & 1 else term)
+        minors = step
+    return sum(minors.values())
 
 
 def _symbol(name: str, n: int) -> str:
@@ -354,8 +408,9 @@ def refined_bialternant_at(shape, nvars: int, betas, point) -> Fraction:
 
 @lru_cache(maxsize=None, typed=True)
 def _beta_tables(*betas) -> tuple:
-    """The shifted-exponent expansion's weight tables and their scale,
-    for the betas as the caller passes them (a string names a variable).
+    """The shifted-exponent expansion's weight tables, which are the
+    refined quotient's columns too, and their scale, for the betas as the
+    caller passes them (a string names a variable).
     With beta_k = p_k/d_k (a variable is itself over 1), table j holds the
     coefficients of prod_(k<j) (d_k + p_k x), that is prod_(k<j) d_k
     times e_0..e_j(beta_1..beta_j), each from the one before; over all j

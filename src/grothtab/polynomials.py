@@ -5,34 +5,29 @@ from ints keeps int coefficients, and Fractions appear only where a rational
 input or a rational operation puts them.
 
 Just enough ring machinery for the determinant formulas: arithmetic,
-substitution, the bi-alternant quotient, and exact synthetic division by a
-product of differences (u - v_1) ... (u - v_k) sharing one variable u, on
-the terms grouped by their power of u once.  Division checks the
-remainder of every factor and raises on a nonzero one instead of ever
-returning an approximation; an int dividend keeps int coefficients.
-Substitution sums integer numerators and divides each remaining coefficient
-once (the integer rule of arith), so all-int data keeps int coefficients.
+substitution, packed monomials and exact synthetic division by a product
+of differences (u - v_1) ... (u - v_k) sharing one variable u, on the terms
+grouped by their power of u once.  Division checks the remainder of every
+factor and raises on a nonzero one instead of ever returning an
+approximation; an int dividend keeps int coefficients.  Substitution sums
+integer numerators and divides each remaining coefficient once (the
+integer rule of arith), so all-int data keeps int coefficients.
 
-The bi-alternant and the division run on packed monomials: an exponent
+The bi-alternants and the division run on packed monomials: an exponent
 vector (e_0, ..., e_m) becomes the int key sum e_t << (w * t), with one
 field width rule, 2^w > D for the degree bound D (_Packing says why D
-bounds every exponent).  _bialternant_chain(exponents, betas, names) is
-det[x_i^(c_j) prod_(k<j) (1 + beta_k x_i)] / prod_(i<j) (x_i - x_j) from
-the exponents and the betas alone: a tail-first chain of
-Lascoux-Schutzenberger divided differences (f - f|u<->v) / (u - v), each
-written out term by term as a polynomial, whose intermediates are the
-quotients of the columns' tails in fewer variables, so nothing is divided
-and no remainder can arise; a result that is not symmetric raises
-ArithmeticError.  Its result stays packed: _Packed holds terms with their
-packing, compares equal only to terms over an equal packing (a different
-one raises rather than unpacking either side) and unpacks on request.
-_shape_packing is the one packing of a shape's polynomials in n
-variables, over (b, x_1, ..., x_n), wide enough for the set-valued
-tableau sum and the bi-alternant's Schur route
-(grothendieck._packed_bialternant), so the two compare on keys.
-Poly.divide_by_difference is the one synthetic division.  The
-determinants the package takes are on ints: determinant here is
-arith.determinant, which refuses a Poly entry with TypeError.
+bounds every exponent).  _Packed holds terms with their packing, compares
+equal only to terms over an equal packing (a different one raises rather
+than unpacking either side) and unpacks on request.  _shape_packing is the
+one packing of a shape's polynomials in n variables, over (b, x_1, ...,
+x_n), wide enough for the set-valued tableau sum and the bi-alternant's
+Schur route (grothendieck._packed_bialternant), so the two compare on
+keys; the refined quotient (grothendieck.refined_bialternant) takes the
+same bound over its betas' names.  Poly.divide_by_difference is the one
+synthetic division.  determinant here is arith.determinant, the int
+kernel, which refuses a Poly entry with TypeError; the only determinants
+of Poly entries are the refined quotient's banded ones
+(grothendieck._banded_determinant).
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """
@@ -332,23 +327,11 @@ class _Packing:
     passes a bound D on every exponent that will arise and w is chosen with
     2^w > D (_field_width).
 
-    For the bi-alternant chain (_bialternant_chain) over the exponents
-    c_0 > ... > c_(n-1), D = max(c_0, n(n-1)/2) bounds every field.  A
-    beta's field counts the factors (1 + beta x) multiplied in, one per
-    divided difference, n(n-1)/2 in all, and a divided difference leaves
-    it alone.  A divided difference in u and v maps a term u^a v^d m to
-    terms whose u and v exponents are at most max(a, d) - 1 and leaves m
-    alone.  By induction on the level m, with top = n - m: T_(m-1)'s x
-    fields are at most c_(top+1) < c_top, the lead x^(c_top) goes into a
-    field T_(m-1) leaves empty, and each step i multiplies x_(i+1), still
-    at most c_(top+1), by at most x once before d_i: so no field of the
-    level passes c_top, and T_m's fields (m >= 2) are at most c_top - 1.
-    Every x field is thus at most c_0 = l_1 + n - 1; the symmetry guard
-    only permutes exponents.  A synthetic division step by (u - v) is a sum of
-    the dividend's u^m-slices times v^(m-k), whose total degree is at most
-    the dividend's, and every quotient has a smaller total degree than
-    its dividend; so the dividend's degree bounds every key of every
-    division step.
+    A synthetic division step by (u - v) is a sum of the dividend's
+    u^m-slices times v^(m-k), whose total degree is at most the
+    dividend's, and every quotient has a smaller total degree than its
+    dividend; so the dividend's degree bounds every key of every division
+    step.
 
     A shape's polynomials in n variables have one packing, over
     (b, x_1, ..., x_n), by one rule (_shape_packing): D = |shape| n.  It
@@ -360,7 +343,10 @@ class _Packing:
     most nu_1 = l_1 <= |shape|, and its power of b, |nu| - |shape| with
     every part of nu at most l_1, is at most |shape| (n - 1).  Packed terms
     over different packings do not compare (_Packed), so both sides take
-    this one rule.
+    this one rule.  The refined quotient (grothendieck.refined_bialternant)
+    packs over its betas' names and x_1, ..., x_n with the same D: its x
+    exponents are those of the Schur route, and a coefficient a_nu is of
+    degree |nu| - |shape| <= |shape| (n - 1) in the betas.
     """
 
     __slots__ = ("vars", "mask", "shift")
@@ -465,113 +451,3 @@ def _divide_packed(packing: _Packing, groups: dict, u: str, vs) -> dict:
             raise ValueError(f"inexact division by ({u} - {v})")
         groups = quotient
     return groups
-
-
-def _divided_difference(terms: dict, su: int, sv: int, mask: int) -> dict:
-    """The divided difference (f - f|u<->v) / (u - v) of the packed terms
-    f, for the variables u and v at the shifts su and sv.  A term
-    c u^a v^d m goes to c times the sum of u^(a-1-t) v^(d+t) m over
-    0 <= t < a - d when a > d, to nothing when a = d, and, when d > a, to
-    -c times the same sum for u^d v^a m; so the result is a polynomial by
-    construction and nothing is divided.
-    """
-    one_u = 1 << su
-    step = (1 << sv) - one_u  # times v / u
-    out = {}
-    for key, coeff in terms.items():
-        gap = ((key >> su) & mask) - ((key >> sv) & mask)
-        if not gap:
-            continue
-        if gap < 0:
-            # u^a v^d with d > a: the swapped term u^d v^a, negated
-            key += gap * step
-            gap, coeff = -gap, -coeff
-        key -= one_u
-        for _ in range(gap):
-            out[key] = out.get(key, 0) + coeff
-            key += step
-    return {e: c for e, c in out.items() if c}
-
-
-def _times(terms: dict, step: int, p, d) -> dict:
-    """The packed terms times d + p m, for the monomial m of key `step`
-    (zero coefficients are left in place)."""
-    out = dict(terms) if d == 1 else {key: d * coeff for key, coeff in terms.items()}
-    if p:
-        for key, coeff in terms.items():
-            key += step
-            out[key] = out.get(key, 0) + p * coeff
-    return out
-
-
-def _check_symmetric(packing: _Packing, terms: dict, names):
-    """Raise ArithmeticError unless the packed terms are unchanged by each
-    swap of two adjacent names, hence symmetric in the names."""
-    mask = packing.mask
-    for u, v in zip(names, names[1:]):
-        su, sv = packing.shift[u], packing.shift[v]
-        step = (1 << sv) - (1 << su)
-        # each key with u's and v's exponents swapped
-        swapped = {key + (((key >> su) & mask) - ((key >> sv) & mask)) * step: coeff
-                   for key, coeff in terms.items()}
-        if swapped != terms:
-            raise ArithmeticError(f"the alternant quotient is not symmetric in {u} and {v}")
-
-
-def _bialternant_chain(exponents, betas, names) -> _Packed:
-    """det[x_i^(c_j) prod_(k<j) (1 + beta_k x_i)]_(i,j<n) / prod_(i<j) (x_i - x_j),
-    exactly and left on packed keys, for x_i = names[i], c = exponents and
-    beta_k = betas[k], each an int, a Fraction or a variable name (indices
-    from 0).  The terms are over the names and the betas' names, in fields
-    of _Packing's bound max(c_0, n(n-1)/2).
-
-    The chain is built from the last column forward.  T_m is the quotient of
-    the last m columns, in the last m names y_1..y_m, with the factors
-    those columns share left out:
-
-        T_1 = y_1^(c_(n-1)),
-        T_m = d_(m-1) (1 + beta y_m) ... d_1 (1 + beta y_2) [y_1^(c_(n-m)) T_(m-1)(y_2..y_m)]
-
-    (the rightmost operator first), for beta = beta_(n-m) and d_i the
-    divided difference (f - f|y_i<->y_(i+1)) / (y_i - y_(i+1)) of
-    Lascoux-Schutzenberger, written out term by term (_divided_difference).
-    An alternant over the Vandermonde in m variables is d_w0 applied to its
-    diagonal product, and d_w0 = (d_(m-1) ... d_1) d_w0', where w0' is the
-    longest permutation of y_2..y_m.  Column n-m's factor (1 + beta y) is in
-    every later column, so those columns in y_2..y_m are T_(m-1) times
-    prod_(k>=2) (1 + beta y_k), which is symmetric in y_2..y_m and passes
-    through d_w0'.  A factor in y_k commutes with d_i for k > i + 1, so each
-    joins just before d_(k-1).  T_n is the quotient.  Every intermediate is
-    the quotient of a tail of the columns, in fewer variables, so it stays
-    small, and nothing is divided, so no remainder can arise.  A rational
-    beta = p/d multiplies by d + p y, which keeps int coefficients, and the
-    result is divided once by prod_k d_k^(n-1-k).  A result that is not
-    symmetric in the names, as every alternant quotient is, raises
-    ArithmeticError.
-    """
-    names = tuple(names)
-    n = len(names)
-    symbols = {beta for beta in betas if isinstance(beta, str)}
-    packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)),
-                       max(exponents[0] if n else 0, n * (n - 1) // 2))
-    factors, scale = [], 1
-    for k, beta in enumerate(betas):
-        if isinstance(beta, str):
-            factors.append((packing.variable(beta), 1, 1))
-        else:
-            factors.append((0, beta.numerator, beta.denominator))
-            scale *= beta.denominator ** (n - 1 - k)
-    shift, mask = packing.shift, packing.mask
-    chain = {0: 1}
-    for top in range(n - 1, -1, -1):
-        lead = exponents[top] << shift[names[top]]
-        chain = {key + lead: coeff for key, coeff in chain.items()}
-        for i in range(top, n - 1):
-            extra, p, d = factors[top]
-            sv = shift[names[i + 1]]
-            chain = _divided_difference(_times(chain, extra + (1 << sv), p, d),
-                                        shift[names[i]], sv, mask)
-    _check_symmetric(packing, chain, names)
-    if scale != 1:
-        chain = {key: Fraction(coeff, scale) for key, coeff in chain.items()}
-    return _Packed(packing, chain)

@@ -7,23 +7,18 @@ of int matrices only (arith.determinant), and the tests need them of Poly
 matrices too.  collapse is the reference for the tableau sum's diagonal,
 which the package reads straight off the packed counts as its counts by
 excess (grothendieck._tableau_sum_diagonal).  alternant_quotient is the generic
-Horner chain of divided differences, for any alternant given by its first
-row; the package's bi-alternant runs its own chain, tail first
-(polynomials._bialternant_chain), and the tests hold the two against each
-other and against the Leibniz sum over the Vandermonde.
+Horner chain of Lascoux-Schutzenberger divided differences, for any
+alternant given by its first row, with its own divided difference and
+symmetry guard; the package builds its bi-alternants from their Schur
+coefficients (grothendieck._packed_bialternant, refined_bialternant), and
+the tests hold the two against each other and against the Leibniz sum over
+the Vandermonde.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from grothtab.polynomials import (
-    _NAME_RE,
-    Poly,
-    _check_symmetric,
-    _divided_difference,
-    _Packing,
-    _var_key,
-)
+from grothtab.polynomials import _NAME_RE, Poly, _Packing, _var_key
 
 
 def evaluate(poly: Poly, values: dict) -> Fraction:
@@ -84,6 +79,46 @@ def collapse(poly: Poly, names, var: str) -> Poly:
         e = tuple(e)
         terms[e] = terms.get(e, 0) + coeff
     return Poly._of(vars, {e: c for e, c in terms.items() if c})
+
+
+def _divided_difference(terms: dict, su: int, sv: int, mask: int) -> dict:
+    """The divided difference (f - f|u<->v) / (u - v) of the packed terms
+    f, for the variables u and v at the shifts su and sv.  A term
+    c u^a v^d m goes to c times the sum of u^(a-1-t) v^(d+t) m over
+    0 <= t < a - d when a > d, to nothing when a = d, and, when d > a, to
+    -c times the same sum for u^d v^a m; so the result is a polynomial by
+    construction and nothing is divided.
+    """
+    one_u = 1 << su
+    step = (1 << sv) - one_u  # times v / u
+    out = {}
+    for key, coeff in terms.items():
+        gap = ((key >> su) & mask) - ((key >> sv) & mask)
+        if not gap:
+            continue
+        if gap < 0:
+            # u^a v^d with d > a: the swapped term u^d v^a, negated
+            key += gap * step
+            gap, coeff = -gap, -coeff
+        key -= one_u
+        for _ in range(gap):
+            out[key] = out.get(key, 0) + coeff
+            key += step
+    return {e: c for e, c in out.items() if c}
+
+
+def _check_symmetric(packing: _Packing, terms: dict, names):
+    """Raise ArithmeticError unless the packed terms are unchanged by each
+    swap of two adjacent names, hence symmetric in the names."""
+    mask = packing.mask
+    for u, v in zip(names, names[1:]):
+        su, sv = packing.shift[u], packing.shift[v]
+        step = (1 << sv) - (1 << su)
+        # each key with u's and v's exponents swapped
+        swapped = {key + (((key >> su) & mask) - ((key >> sv) & mask)) * step: coeff
+                   for key, coeff in terms.items()}
+        if swapped != terms:
+            raise ArithmeticError(f"the alternant quotient is not symmetric in {u} and {v}")
 
 
 def alternant_quotient(row, names) -> Poly:

@@ -107,15 +107,6 @@ except ValueError:
     raise SystemExit(0)
 raise SystemExit('a beta named like an x variable did not raise under python -O')
 """,
-    "asymmetric alternant quotient": """
-from grothtab import polynomials
-polynomials._divided_difference = lambda terms, *fields: terms
-try:
-    polynomials._bialternant_chain((2, 0), ['b'], ('x1', 'x2'))
-except ArithmeticError:
-    raise SystemExit(0)
-raise SystemExit('a quotient that is not symmetric did not raise under python -O')
-""",
     "inexact pairwise count": """
 from grothtab import partitions
 products = iter([4, 3])

@@ -252,7 +252,7 @@ def test_integral_quotient_equals_the_fraction_row_quotient(case):
     st.just(n), st.sampled_from(FITTING_SHAPES[n]),
     st.lists(st.one_of(refinement_betas, st.just("x9")), min_size=max(n - 1, 0),
              max_size=max(n - 1, 0)))), st.data())
-def test_the_tail_chain_equals_the_generic_chain_and_the_determinant(case, data):
+def test_the_refined_schur_route_equals_the_generic_chain_and_the_determinant(case, data):
     # the generic Horner chain on the first row, and the Leibniz sum over
     # the Vandermonde, with rational and symbolic betas mixed
     n, shape, betas = case
@@ -273,14 +273,16 @@ def test_the_tail_chain_equals_the_generic_chain_and_the_determinant(case, data)
     assert evaluate(got, point) * vandermonde_at == leibniz(at), (shape, betas, point)
 
 
-def test_the_tail_chain_equals_the_generic_chain_at_the_width_boundaries():
-    # the shapes where a packing's field width steps up, n = 7 and 8
-    # included; the chain's own bound max(l_1 + n - 1, n(n-1)/2) is 7 or 8
-    # at (7,), (8,), (4,) with n = 4 and (5, 3) with n = 4
+def test_the_refined_schur_route_equals_the_generic_chain_at_the_width_boundaries():
+    # the shapes where the route's field width steps up, its bound |l| n
+    # being 2^k - 1 or 2^k (WIDTH_BOUNDARIES), n = 7 and 8 included, at one
+    # beta b and at distinct b1..b_(n-1), one more field each
     for shape, n in WIDTH_BOUNDARIES:
-        row = _fraction_rows(shape, n, ["b"] * (n - 1))[0]
-        assert refined_bialternant(shape, n, ["b"] * (n - 1)) == \
-            alternant_quotient(row, [f"x{i}" for i in range(1, n + 1)]), (shape, n)
+        names = [f"x{i}" for i in range(1, n + 1)]
+        for betas in (["b"] * (n - 1), [f"b{k}" for k in range(1, n)]):
+            row = _fraction_rows(shape, n, betas)[0]
+            assert refined_bialternant(shape, n, betas) == alternant_quotient(row, names), \
+                (shape, betas)
 
 
 def test_a_beta_named_like_an_x_variable_is_refused():
@@ -305,17 +307,18 @@ def test_a_beta_named_like_an_x_variable_is_refused():
 
 
 def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
-    # the refined chain is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
-    # refused; the value at a point and the one-beta quotient's Schur
-    # coefficients take int determinants in O(n^3) products, with no such
-    # limit, and the one-beta quotient never runs the chain
+    # the refined quotient's banded determinants pass through up to 2^n
+    # sets of columns, so it is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
+    # refused before any determinant; the value at a point and the
+    # one-beta quotient's Schur coefficients take int determinants in
+    # O(n^3) products, with no such limit, and take no banded determinant
     def not_run(*args):
         raise AssertionError("the quotient was built")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
     assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
     assert refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4]) == 10
-    monkeypatch.setattr(grothendieck, "_bialternant_chain", not_run)
+    monkeypatch.setattr(grothendieck, "_banded_determinant", not_run)
     assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
     assert grothendieck_bialternant((2, 1), 4) == grothendieck_tableau_sum((2, 1), 4)
     with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
@@ -323,7 +326,7 @@ def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch)
 
 
 def test_the_symbolic_bi_alternant_builds_no_matrix(monkeypatch):
-    # the chain starts from the exponents and the betas, and the Schur
+    # the refined route starts from the betas' columns and the one-beta
     # route from int binomials: neither builds a row in x, and only the
     # value at a point takes the integral rows
     def not_run(*args):

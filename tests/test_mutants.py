@@ -35,11 +35,14 @@ polynomials in z) are cleared by tests/memos.py
 before and after each run, so no value cached by another test hides a
 mutant below it and no value computed under a mutant outlives it.
 
-verify does not run the refined quotient's divided-difference chain, so
-its four mutants (the sign of a swapped term, a level that skips its
-first divided difference, a column factor on the wrong variable and a
-level's lead exponent) must each make refined_bialternant at equal betas
-differ from the Schur route on Grid(4, 4) instead.  Two more bugs must
+verify never runs the refined quotient (refined_bialternant), which
+shares the support, the Kostka table and the orbit keys with gg-eq-w's
+right side, so its four mutants (column j built from the last j betas or
+from j + 1 betas, the Laplace sign flipped and the scale's exponent
+n - k) must each make it differ from the reference chain
+(poly_reference.alternant_quotient) on Grid(4, 4) instead, at symbolic
+b1..b_(n-1) or at fixed distinct betas with denominators; at equal
+betas the order of the betas does not show.  Two more bugs must
 show both in verify and in the CLI: the sign of z = -beta in
 hypergeom.ones_value_by_series, which `count-svt --method all` calls too,
 and a wrong power of the denominator in arith.polynomial_at, the one
@@ -49,12 +52,15 @@ reader of a polynomial in z, which `eval-holman --from-shape` and
 
 import inspect
 import textwrap
+from fractions import Fraction
 
 import pytest
 
 from grothtab import arith, cli, grothendieck, hypergeom, identities, partitions, polynomials, tableaux
 from grothtab.identities import Grid, run_all
+from grothtab.polynomials import Poly
 from memos import clear_memos
+from poly_reference import alternant_quotient
 
 
 def _edited(function, old: str, new: str):
@@ -173,23 +179,21 @@ MUTANTS = {
         "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1"),
 }
 
-# the refined quotient keeps the tail-first divided-difference chain, which
-# verify no longer runs: each bug in it must make refined_bialternant at
-# equal betas differ from gg-eq-w's right side, the Schur route
-CHAIN_MUTANTS = {
-    "swapped term keeps its sign": lambda: (polynomials, "_divided_difference", _edited(
-        polynomials._divided_difference, "gap, coeff = -gap, -coeff", "gap, coeff = -gap, coeff")),
-    # grothendieck holds its own binding of the bi-alternant chain.  Each
-    # level skips its first divided difference, the one that brings in the
-    # level's lead column, and that column's factor on x_(i+1)
-    "Horner level skips d_1": lambda: (grothendieck, "_bialternant_chain", _edited(
-        polynomials._bialternant_chain, "range(top, n - 1)", "range(top + 1, n - 1)")),
-    "factor on x_i, not x_(i+1)": lambda: (grothendieck, "_bialternant_chain", _edited(
-        polynomials._bialternant_chain, "extra + (1 << sv)", "extra + (1 << shift[names[i]])")),
-    # times x_1 ... x_n at every level: symmetric, so the guard passes it
-    "lead exponent c_(n-m) + 1": lambda: (grothendieck, "_bialternant_chain", _edited(
-        polynomials._bialternant_chain, "exponents[top] << shift",
-        "(exponents[top] + 1) << shift")),
+# the refined quotient, which verify never runs: each bug in it must make
+# refined_bialternant differ from the reference chain (_refined_mismatches)
+REFINED_MUTANTS = {
+    "column j takes the last j betas": lambda: (grothendieck, "refined_bialternant", _edited(
+        grothendieck.refined_bialternant, "_beta_tables(*betas)", "_beta_tables(*betas[::-1])")),
+    # the last column still takes all n - 1 betas
+    "column j takes j + 1 betas": lambda: (grothendieck, "_banded_determinant", _edited(
+        grothendieck._banded_determinant, "zip(c, columns)", "zip(c, columns[1:] + columns[-1:])")),
+    # every term of an n x n determinant negated n times: caught at odd n
+    "Laplace sign flipped": lambda: (grothendieck, "_banded_determinant", _edited(
+        grothendieck._banded_determinant, "-term if (used >> j).bit_count() & 1 else term",
+        "term if (used >> j).bit_count() & 1 else -term")),
+    # the tables' scale, which thm-3.5's expansion takes too (MUTANTS)
+    "scale exponent n - k": lambda: (grothendieck, "_beta_tables", _edited(
+        grothendieck._beta_tables.__wrapped__, "d ** (n - 1 - k)", "d ** (n - k)")),
 }
 
 CAUGHT_BY = {
@@ -267,37 +271,67 @@ def test_clear_memos_empties_every_memo_a_run_fills():
     assert not any(memo.cache_info().currsize for memo in memos)
 
 
-def _chain_mismatches(grid):
+# distinct betas with denominators, so that neither their order nor the
+# scale prod_k d_k^(n-1-k) is lost
+DISTINCT_BETAS = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+
+
+def _first_row(shape, n, betas):
+    """The bi-alternant's first row: x1^(l_j + n - 1 - j) times
+    (1 + beta_1 x1) ... (1 + beta_j x1), 0-based j."""
+    x = Poly.variable("x1")
+    row, factor = [], Poly.constant(1)
+    for j, part in enumerate(shape.padded(n)):
+        if j:
+            beta = betas[j - 1]
+            factor = factor * (1 + x * (Poly.variable(beta) if isinstance(beta, str) else beta))
+        row.append(x ** (part + n - 1 - j) * factor)
+    return row
+
+
+def _refined_mismatches(grid):
     """The pairs of the grid, and the empty shape, where refined_bialternant
-    at b for every beta differs from the Schur route; a quotient that the
-    chain's symmetry guard refuses counts as one."""
+    differs from the reference chain on its first row, at b1..b_(n-1) or
+    at DISTINCT_BETAS."""
     bad = []
     for shape, n in [*grid.shapes(), (partitions.Partition(()), 1)]:
-        try:
-            if grothendieck.refined_bialternant(shape, n, ["b"] * (n - 1)) != \
-                    grothendieck._packed_bialternant(shape, n).unpack():
-                bad.append((shape, n))
-        except ArithmeticError:
-            bad.append((shape, n))
+        names = [f"x{i}" for i in range(1, n + 1)]
+        for betas in ([f"b{k}" for k in range(1, n)], DISTINCT_BETAS[:n - 1]):
+            if grothendieck.refined_bialternant(shape, n, betas) != \
+                    alternant_quotient(_first_row(shape, n, betas), names):
+                bad.append((shape, n, betas))
     return bad
 
 
+def test_the_refined_route_is_the_reference_chain():
+    assert _refined_mismatches(Grid(4, 4)) == []
+
+
 def test_the_chain_at_equal_betas_is_the_schur_route():
-    assert _chain_mismatches(Grid(4, 4)) == []
+    # the refined route at b for every beta against _packed_bialternant
+    for shape, n in [*Grid(4, 4).shapes(), (partitions.Partition(()), 1)]:
+        assert grothendieck.refined_bialternant(shape, n, ["b"] * (n - 1)) == \
+            grothendieck._packed_bialternant(shape, n).unpack(), (shape, n)
 
 
-@pytest.mark.parametrize("mutant", sorted(CHAIN_MUTANTS))
-def test_the_chain_at_equal_betas_catches_the_mutant(mutant, monkeypatch):
-    monkeypatch.setattr(*CHAIN_MUTANTS[mutant]())
-    assert _chain_mismatches(Grid(4, 4))
+@pytest.mark.parametrize("mutant", sorted(REFINED_MUTANTS))
+def test_the_reference_chain_catches_the_refined_mutant(mutant, monkeypatch):
+    monkeypatch.setattr(*REFINED_MUTANTS[mutant]())
+    assert _refined_mismatches(Grid(4, 4))
 
 
 def test_verify_runs_no_chain(monkeypatch):
+    # verify never builds the refined quotient, in any module that binds
+    # it, nor takes its banded determinant
     def not_run(*args):
-        raise AssertionError("the divided-difference chain ran")
+        raise AssertionError("the refined quotient ran")
 
-    for module in (polynomials, grothendieck):
-        monkeypatch.setattr(module, "_bialternant_chain", not_run)
+    route = grothendieck.refined_bialternant
+    for module in (grothendieck, identities, hypergeom):
+        for name, value in list(vars(module).items()):
+            if value is route:
+                monkeypatch.setattr(module, name, not_run)
+    monkeypatch.setattr(grothendieck, "_banded_determinant", not_run)
     clear_memos()
     try:
         report = run_all(Grid(4, 4), workers=1)

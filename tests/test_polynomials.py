@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from grothtab import arith, polynomials
 from grothtab.polynomials import Poly, determinant
 
+import poly_reference
 from poly_reference import alternant_quotient, coefficient, collapse, evaluate, leibniz, vandermonde
 
 x1 = Poly.variable("x1")
@@ -370,15 +371,15 @@ def test_alternant_quotient_of_rows_not_at_their_names_raises():
 
 
 def test_a_chain_without_its_divided_differences_is_refused(monkeypatch):
-    # with each divided difference a no-op the bi-alternant chain returns
-    # the diagonal product x1^2 (1 + b x2), which is not symmetric; the
+    # with each divided difference a no-op the reference chain returns the
+    # product of the diagonal x1^2 (1 + b x2), which is not symmetric; the
     # guard raises a real error
-    monkeypatch.setattr(polynomials, "_divided_difference", lambda terms, *fields: terms)
+    monkeypatch.setattr(poly_reference, "_divided_difference", lambda terms, *fields: terms)
     with pytest.raises(ArithmeticError, match="not symmetric in x1 and x2"):
-        polynomials._bialternant_chain((2, 0), ["b"], ("x1", "x2"))
+        alternant_quotient([x1 ** 2, 1 + b * x1], ("x1", "x2"))
     # x1 x2 is symmetric in x1 and x2, and the guard goes on to the next pair
     with pytest.raises(ArithmeticError, match="not symmetric in x2 and x3"):
-        polynomials._bialternant_chain((1, 1, 0), [0, 0], ("x1", "x2", "x3"))
+        alternant_quotient([x1, x1, 1], ("x1", "x2", "x3"))
 
 
 def test_packed_terms_compare_only_over_one_packing():
