@@ -8,12 +8,13 @@ a Fraction is kept as it is, a 'p/q' string is parsed, and a float is
 refused, since 0.1 is a binary approximation, not the rational it was
 written as.  over_common_denominator is the one integer rule: a table over
 the lcm of its Fraction denominators, so that a loop multiplies integer
-numerators and divides once.  coupled_sum, the one depth-first kernel of
-the n!-term sums (the coupled series, and the shifted-exponent expansion
-that the principal specialization and the count formula share), and
-Poly.substitute both follow it.  coupled_sum returns its sum graded by
-total index, as integer (or Poly) parts over one denominator, so a series
-whose indices share one argument z is summed once as a polynomial in z.
+numerators and divides once.  coupled_sum, the depth-first kernel of
+the coupled series' n!-term sums, whose coupling is arbitrary (the
+shifted-exponent expansion walks its own terms by exponent set in
+grothendieck), and Poly.substitute both follow it.  coupled_sum returns
+its sum graded by total index, as integer (or Poly) parts over one
+denominator, so a series whose indices share one argument z is summed
+once as a polynomial in z.
 Every such sum is refused above MAX_SERIES_TERMS terms.  polynomial_at
 is the one reader of such parts: a polynomial in one variable, int
 coefficients over one denominator, at z = p/q in one int pass and one

@@ -25,17 +25,22 @@ geometric point x = (1, q, ..., q^(n-1)) without any determinant.  Every
 refined route takes max(n - 1, 0) betas, so in n = 0 variables the empty
 shape gives 1 on every route.
 Keeping the routes separate is the point: the verification harness compares
-them against each other.  The expansion (_shifted_exponent_sum) is one
-arith.coupled_sum over int (or int Poly) tables, prod_(k<j) d_k times
-e_k(beta_1..beta_j) for beta_k = p_k/d_k, with integer cross factors that
-are differences in a table of powers q^e; its graded parts are added and
-divided once by the q-Vandermonde of the same table and the tables' scale.
+them against each other.  The expansion (_shifted_exponent_sum) walks
+its n! terms over int (or int Poly) tables, prod_(k<j) d_k times
+e_k(beta_1..beta_j) for beta_k = p_k/d_k, once per (shape, n, betas),
+and keeps each signed product of weights by its set S of shifted
+exponents (_exponent_set_sums): the q-Vandermonde of a term's exponents
+is, up to that sign, the one of S.  A value at a table of powers q^e is
+then sum_S C_S times the q-Vandermonde of S, divided once by the
+q-Vandermonde of the same table at (n - 1, ..., 0) and the tables' scale.
 The binomial-shift count formula is that sum at every beta = 1 in the limit
 q -> 1, where the table of powers is the exponents themselves, so no check
 has the count formula and the expansion as its two sides.
 Work that does not change between a check's rows or values of n is
 memoized: the tableau sum and its diagonal per (shape, n), the expansion's
-tables per betas (_beta_tables), a Schur coefficient per (shape, nu),
+tables per betas (_beta_tables) and its sums by exponent set per
+(c, betas), shared by thm-3.5's qs and by the count formula at every
+beta = 1, a Schur coefficient per (shape, nu),
 shared by every n (_schur_coefficient says why), the Kostka table per
 (nu, n) and the orbits' packed keys per (mu, packing shifts).  The Schur
 coefficients serve only _packed_bialternant.  refined_bialternant takes
@@ -59,7 +64,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .arith import _check_size, binomial, coupled_sum, determinant, exact_count, exact_rational
+from .arith import _check_size, binomial, determinant, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, _Packed, _Packing, _shape_packing, _var_key
 from .tableaux import enumerate_svt
@@ -425,6 +430,38 @@ def _beta_tables(*betas) -> tuple:
     return tuple(tables), prod(d ** (n - 1 - k) for k, (_, d) in enumerate(pairs))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _exponent_set_sums(c: tuple, *betas) -> dict:
+    """The shifted-exponent expansion's terms grouped by exponent set, for
+    the strictly decreasing c_j = l_j + n - 1 - j: {S: C_S}, S the set of
+    the shifted exponents a_j = c_j + k_j as a bitmask and C_S the sum, over
+    the k (k_j in 0..j) whose a_j are distinct and form S, of
+    sgn(k) prod_j table_j[k_j] (_beta_tables), where sgn(k) is the sign of
+    sorting a into decreasing order, as c is: then
+    prod_(i<j) (P[a_j] - P[a_i]) is sgn(k) times that product over S
+    sorted, so C_S takes every q-independent factor of a term.  The walk
+    is depth-first, over the nonzero weights and the exponents not yet in
+    the mask (a repeated one makes a term's product 0), and each exponent
+    flips the sign once per earlier one smaller than it.  Memoized per
+    (c, betas), typed as _beta_tables is."""
+    # in no variables the one term, the empty product, has the empty set
+    rows = [[(1 << (cj + k), w) for k, w in enumerate(table) if w]
+            for cj, table in zip(c, _beta_tables(*betas)[0])] or [[(0, 1)]]
+    sums = {}
+
+    def walk(j, mask, odd, prefix):
+        for bit, w in rows[j]:
+            if not mask & bit:
+                flip = odd ^ (mask & (bit - 1)).bit_count() & 1
+                if j + 1 < len(rows):
+                    walk(j + 1, mask | bit, flip, prefix * w)
+                else:
+                    sums[mask | bit] = sums.get(mask | bit, 0) + (-prefix if flip else prefix) * w
+
+    walk(0, 0, 0, 1)
+    return sums
+
+
 def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor vanishes"):
     """The shifted-exponent expansion of the refined quotient, for a table
     of powers P with P[e] standing for q^e:
@@ -440,26 +477,36 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     builds no table.  The geometric point x = (1, q, ..., q^(n-1)) takes
     P[e] = q^e, and the limit q -> 1 takes the exponents themselves (every
     ratio of q-differences becomes a ratio of exponent differences).  A
-    vanishing divisor raises ValueError with the message `vanishing`.
-    The weights are _beta_tables', on ints for rational betas, so the sum
-    is divided once by the kernel's d, the Vandermonde-type product and
-    the tables' scale prod_k d_k^(n-1-k).
+    vanishing divisor raises ValueError with the message `vanishing`,
+    before the walk.
+    The n! terms are walked once per (shape, n, betas), grouped by their
+    set S of shifted exponents (_exponent_set_sums, on _beta_tables' int
+    weights): the sum is sum_S C_S prod_(i<j) (P[s_j] - P[s_i]) over S
+    sorted decreasing, divided once by the Vandermonde-type product and
+    the tables' scale prod_k d_k^(n-1-k).  A symbolic beta gives a Poly
+    even where no term that carries it survives.
     """
     _check_size(factorial(n))
-    tables, scale = _beta_tables(*betas)
-    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
+    scale = _beta_tables(*betas)[1]
+    c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
     powers = power_table(max(c, default=0))
     denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
     if denom == 0:
         raise ValueError(vanishing)
-    parts, d = coupled_sum(tables, lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
-    return sum(parts) * Fraction(1, d * denom * scale)
+    symbols = tuple(sorted({beta for beta in betas if isinstance(beta, str)}, key=_var_key))
+    total = Poly._of(symbols, {}) if symbols else 0
+    for mask, coeff in _exponent_set_sums(c, *betas).items():
+        s = [p for e, p in enumerate(powers) if mask >> e & 1][::-1]
+        total += coeff * prod(pj - pi for j, pj in enumerate(s) for pi in s[:j])
+    return total * Fraction(1, denom * scale)
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):
     """Value at x = (1, q, ..., q^(n-1)) of the refined quotient, computed
     by the shifted-exponent expansion (_shifted_exponent_sum at P[e] = q^e)
-    instead of a determinant:
+    instead of a determinant; its terms are walked once per
+    (shape, n, betas), so each further q costs one q-Vandermonde per
+    exponent set:
 
         sum over k_j in 0..j-1 of
             prod_j e_{k_j}(beta_1 .. beta_(j-1))
@@ -470,8 +517,9 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     rational, which must be nonzero and keep every denominator factor
     nonzero (q = 1, and other small roots of unity, are rejected by that
     check).  Returns a Fraction when every beta is rational, otherwise a
-    Poly in the symbolic betas.  The sum has n! terms, refused above
-    MAX_SERIES_TERMS before any table is built.
+    Poly in the symbolic betas, even where no term that carries them
+    survives.  The sum has n! terms, refused above MAX_SERIES_TERMS before
+    any table is built.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -497,7 +545,10 @@ def count_svt_formula(shape, nvars: int) -> int:
             * prod_{i<j} (l_i - l_j + k_i - k_j + j - i) / (j - i)
 
     which is _shifted_exponent_sum at every beta = 1 (e_k of j-1 ones is
-    C(j-1, k)) in the limit q -> 1 (each power P[e] is the exponent e).
+    C(j-1, k)) in the limit q -> 1 (each power P[e] is the exponent e), so
+    it reads the sums by exponent set that principal_specialization_q at
+    the betas 1, ..., 1 reads, with a product of exponent differences per
+    set.
     The rational sum must be a non-negative integer; anything else raises
     ArithmeticError.  Zero when the shape has more rows than variables.
     The sum has n! terms, refused above MAX_SERIES_TERMS before any table

@@ -540,9 +540,10 @@ def _geometric_point_expansion(grid, shape, n):
     guard: a wrong determinant or division gives a wrong value, which fails
     the row, and gg-eq-w compares the symbolic bi-alternant, built from
     its Schur coefficients, with the tableau sum as polynomials on every
-    (shape, n).  The three qs share one pair's betas: the expansion's
-    weight tables are memoized per betas (grothendieck._beta_tables), and
-    the betas' param string is joined once."""
+    (shape, n).  The three qs share one pair's betas: the expansion walks
+    its terms once per pair, grouped by exponent set
+    (grothendieck._exponent_set_sums), and each q reads those sums with
+    one q-Vandermonde per set; the betas' param string is joined once."""
     betas = grid.random_betas(shape, n)
     joined = ",".join(map(str, betas))
     for q in DEFAULT_QS:
@@ -555,6 +556,10 @@ def _geometric_point_expansion(grid, shape, n):
            "binomial-shift count formula matches enumeration",
            "nested binomial-shift sum", "enumeration of set-valued tableaux")
 def _count_formula(grid, shape, n):
+    """The nested binomial-shift sum is the shifted-exponent expansion at
+    every beta = 1 as q -> 1: one walk of its n! terms by exponent set per
+    (shape, n) (grothendieck._exponent_set_sums), each set's sum times a
+    product of exponent differences.  Its right side enumerates."""
     yield {"shape": shape, "n": n}, count_svt_formula(shape, n), _svt_count(shape, n)
 
 

@@ -53,7 +53,9 @@ def _var_key(name: str):
 
 
 def _union_vars(a, b):
-    return tuple(sorted(set(a) | set(b), key=_var_key))
+    # the operands of most products and sums share one variable tuple,
+    # which is sorted already, or one of them has none
+    return a or b if not (a and b) or a == b else tuple(sorted({*a, *b}, key=_var_key))
 
 
 def _accumulate(terms: dict, items) -> dict:
@@ -264,7 +266,7 @@ class Poly:
         """
         if not vs or u in vs:
             raise ValueError("each divisor (u - v) needs a v, distinct from u")
-        packing = _Packing(_union_vars(self.vars, (u, *vs)), self.degree())
+        packing = _Packing(tuple(sorted({*self.vars, u, *vs}, key=_var_key)), self.degree())
         groups = packing.split(packing.pack(self), u)
         return packing.unpack(packing.join(_divide_packed(packing, groups, u, vs), u))
 

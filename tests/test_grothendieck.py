@@ -453,10 +453,78 @@ def test_a_vanishing_q_vandermonde_is_refused_before_the_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("the n!-term sum ran")
 
-    monkeypatch.setattr(grothendieck, "coupled_sum", no_sum)
+    monkeypatch.setattr(grothendieck, "_exponent_set_sums", no_sum)
     for q in (1, -1):
         with pytest.raises(ValueError, match="q-Vandermonde vanishes"):
             principal_specialization_q((1,), 3, [1, 1], q)
+
+
+def test_the_expansion_refuses_bad_betas_through_its_memos():
+    # _beta_tables refuses a float or a bool; both memos are typed, so a
+    # bool is refused after an equal int has filled them, and an unhashable
+    # beta raises TypeError in the memo
+    assert principal_specialization_q((1, 1), 3, [1, 1], 2) == 30
+    for betas, error in (([True, 1], ValueError), ([1, 0.5], ValueError),
+                         ([1, [1]], TypeError)):
+        with pytest.raises(error):
+            principal_specialization_q((1, 1), 3, betas, 2)
+    assert grothendieck._exponent_set_sums((2, 1), 1) == {0b110: 1}
+    with pytest.raises(ValueError, match="is not an exact rational"):
+        grothendieck._exponent_set_sums((2, 1), True)
+
+
+def _term_by_term(shape, n, betas, powers):
+    """The shifted-exponent expansion summed term by term, with no grouping:
+    arith.coupled_sum over _beta_tables' weights with the cross factors
+    P[a_j] - P[a_i] of the shifted exponents a_j = c_j + k_j, divided by
+    the Vandermonde-type product and the tables' scale."""
+    tables, scale = grothendieck._beta_tables(*betas)
+    c = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
+    denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
+    parts, d = arith.coupled_sum(tables, lambda i, j, ki, kj: powers[c[j] + kj] - powers[c[i] + ki])
+    return sum(parts) * Fraction(1, d * denom * scale)
+
+
+def _grid_betas(grid, shape, n):
+    """The grid's random betas, b1..b_(n-1), zeros and ones."""
+    return (grid.random_betas(shape, n), [f"b{k}" for k in range(1, n)], [0] * (n - 1),
+            [1] * (n - 1))
+
+
+def test_the_grouped_expansion_is_the_term_by_term_sum():
+    # at P[e] = q^e d^top for q = p/d and at the q -> 1 limit P[e] = e,
+    # in value and in type (int, Fraction or Poly over the same names)
+    grid = Grid(5, 5)
+    rows = 0
+    for shape, n in [*grid.shapes(), (Partition(()), 0), (Partition(()), 1)]:
+        top = max(shape.padded(n), default=0) + n - 1
+        tables = [range(top + 1)] + [
+            [q.numerator ** e * q.denominator ** (top - e) for e in range(top + 1)]
+            for q in (Fraction(2), Fraction(-2, 3))]
+        for betas in _grid_betas(grid, shape, n):
+            for powers in tables:
+                got = grothendieck._shifted_exponent_sum(shape, n, betas, lambda _: powers)
+                want = _term_by_term(shape, n, betas, powers)
+                assert got == want and type(got) is type(want), (shape, n, betas, powers)
+                if isinstance(want, Poly):
+                    assert got.vars == want.vars and str(got) == str(want), (shape, n, betas)
+                rows += 1
+    assert rows == 816
+
+
+def test_every_exponent_set_of_the_expansion_is_in_lenarts_support():
+    # S - delta, S sorted decreasing and delta = (n - 1, ..., 0), is the nu
+    # whose refined Schur coefficient C_S is
+    grid = Grid(5, 5)
+    for shape, n in grid.shapes():
+        c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
+        support = set(grothendieck._lenart_support(shape.padded(n)))
+        for betas in _grid_betas(grid, shape, n):
+            for mask, coeff in grothendieck._exponent_set_sums(c, *betas).items():
+                s = [e for e in range(mask.bit_length()) if mask >> e & 1][::-1]
+                assert len(s) == n, (shape, n, betas, s)
+                assert not coeff or tuple(e - (n - 1 - i) for i, e in enumerate(s)) in support, \
+                    (shape, n, betas, s)
 
 
 def test_float_inputs_are_refused():

@@ -11,18 +11,20 @@ per-letter units, the entries' weights and the key the backtracker
 carries), one in the integral bi-alternant's column scale, which only the
 refined quotient at a point takes from _integral_rows, one in that
 quotient's Vandermonde, one in the
-backtracker's column cap, three (the cross factor's sign, and the e_k
-window and the scale's exponent in its tables, _beta_tables) in
-_shifted_exponent_sum, the one expansion behind both the principal
-specialization and the binomial-shift count formula, and one
+backtracker's column cap, five in _shifted_exponent_sum, the one
+expansion behind both the principal specialization and the binomial-shift
+count formula (the sign of its per-set q-Vandermonde, the sign and the
+repeated exponent of its walk by exponent set, _exponent_set_sums, and the
+e_k window and the scale's exponent in its tables, _beta_tables), and one
 in each of the coupling triangle, the content/hook count, the column
 Gauss binomial, the 2F1's m! (its denominator parameter 1, written once
 in hypergeom._gauss_parts), the Pochhammer term of _series_parts, the
 one evaluator behind the 2F1, the coupled series and its per-instance
 polynomial in z, the pruning step of the graded n!-term kernel
-coupled_sum, the q^top scale of arith.polynomial_at, the one reader of a
-polynomial in z (the series, the Gauss side and the diagonal's counts by
-excess), and the pairwise-difference count.  Each mutant is put in place
+coupled_sum, which only the coupled series calls, the q^top scale of
+arith.polynomial_at, the one reader of a polynomial in z (the series, the
+Gauss side and the diagonal's counts by excess), and the
+pairwise-difference count.  Each mutant is put in place
 in this process with monkeypatch (the kernel in each module that calls
 it), so nothing on disk changes, and run_all(Grid(4, 4), workers=1) runs
 in this process too.  CAUGHT_BY maps each mutant to the checks that must
@@ -30,10 +32,11 @@ then report failing instances, each with a witness; every other check
 must still pass.  The per-(shape, n) memos (every grothtab module
 attribute with cache_clear: the tableau sum, its diagonal, the Schur
 coefficients, the Kostka table and its strips, the orbit keys, the beta
-tables, the series and the row and column checks' Gauss side as
-polynomials in z) are cleared by tests/memos.py
-before and after each run, so no value cached by another test hides a
-mutant below it and no value computed under a mutant outlives it.
+tables, the expansion's sums by exponent set, the series and the row and
+column checks' Gauss side as polynomials in z) are cleared by
+tests/memos.py before and after each run, so no value cached by another
+test hides a mutant below it and no value computed under a mutant
+outlives it.
 
 verify never runs the refined quotient (refined_bialternant), which
 shares the support, the Kostka table and the orbit keys with gg-eq-w's
@@ -74,9 +77,11 @@ def _edited(function, old: str, new: str):
 
 
 def _kernel(old: str, new: str):
-    """arith.coupled_sum edited, in each module that holds a binding of it."""
-    kernel = _edited(arith.coupled_sum, old, new)
-    return [(module, "coupled_sum", kernel) for module in (grothendieck, hypergeom)]
+    """arith.coupled_sum edited, in hypergeom, the one module that holds a
+    binding of it: the coupled series is its last caller, since the
+    shifted-exponent expansion walks its own terms by exponent set
+    (grothendieck._exponent_set_sums)."""
+    return hypergeom, "coupled_sum", _edited(arith.coupled_sum, old, new)
 
 
 def _reader(old: str, new: str):
@@ -155,10 +160,17 @@ MUTANTS = {
         partitions.count_sst_hook, "nvars + j - i", "nvars + i - j")),
     "column binomial C(n + 1, k)": lambda: (identities, "_gauss_series", _edited(
         identities._gauss_series.__wrapped__, "binomial(n, k)", "binomial(n + 1, k)")),
-    # count_svt_formula and principal_specialization_q look it up in grothendieck
+    # count_svt_formula and principal_specialization_q look it up in
+    # grothendieck; the per-set product over S sorted decreasing
     "count formula cross factor sign": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
-        grothendieck._shifted_exponent_sum, "powers[c[j] + kj] - powers[c[i] + ki]",
-        "powers[c[i] + ki] - powers[c[j] + kj]")),
+        grothendieck._shifted_exponent_sum, "prod(pj - pi", "prod(pi - pj")),
+    # the walk's sign counts the earlier exponents larger than the new one
+    "set sign from larger exponents": lambda: (grothendieck, "_exponent_set_sums", _edited(
+        grothendieck._exponent_set_sums.__wrapped__, "mask & (bit - 1)", "mask & ~(bit - 1)")),
+    # a repeated exponent, whose q-Vandermonde is 0, adds its term to the
+    # smaller set it leaves
+    "repeated exponent kept": lambda: (grothendieck, "_exponent_set_sums", _edited(
+        grothendieck._exponent_set_sums.__wrapped__, "if not mask & bit:", "if bit:")),
     # the m! of the 2F1 read as (2)_m, in the one place its parameters are
     # written; identities holds its own binding of it
     "2F1 term over m + 2": lambda: (identities, "_gauss_parts", _edited(
@@ -233,16 +245,19 @@ CAUGHT_BY = {
     "hook content n + i - j": {"hook-counts"},
     "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
     # the one shifted-exponent expansion: a sign (-1)^(n(n-1)/2) on the
-    # count formula and the principal specialization alike
+    # count formula and the principal specialization alike, from the
+    # per-set product or from the walk's sign
     "count formula cross factor sign": {"thm-3.5", "cor-3.8"},
+    "set sign from larger exponents": {"thm-3.5", "cor-3.8"},
+    "repeated exponent kept": {"thm-3.5", "cor-3.8"},
     "2F1 term over m + 2": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4"},
     # every check that evaluates a series, the 2F1 and the coupled one alike
     "series term over (b + k + 1)": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4", "thm-3.9",
                                      "cor-3.11", "thm-3.13"},
-    # every check that sums over coupled_sum; the betas and z = -beta give
-    # negative weights and cross factors
-    "kernel drops negative prefixes": {"thm-3.5", "cor-3.8", "thm-3.9", "cor-3.11",
-                                       "thm-3.13"},
+    # every check that sums the coupled series over coupled_sum, where
+    # z = -beta and the coupling give negative weights and cross factors;
+    # the shifted-exponent expansion (thm-3.5, cor-3.8) no longer calls it
+    "kernel drops negative prefixes": {"thm-3.9", "cor-3.11", "thm-3.13"},
     "e_k window shifted": {"thm-3.5", "cor-3.8"},
     # the count formula's ones have d = 1, so only thm-3.5's betas scale
     "beta scale exponent n - k": {"thm-3.5"},
@@ -263,6 +278,7 @@ def test_clear_memos_empties_every_memo_a_run_fills():
     memos = (grothendieck._tableau_sum, grothendieck._tableau_sum_diagonal,
              grothendieck._dominant_schur, grothendieck._strips, grothendieck._orbit_keys,
              grothendieck._schur_coefficient, grothendieck._beta_tables,
+             grothendieck._exponent_set_sums,
              hypergeom._shape_series, hypergeom._ones_series, identities._gauss_series)
     clear_memos()
     run_all(Grid(3, 3), workers=1)
