@@ -10,7 +10,7 @@ written as.  over_common_denominator is the one integer rule: a table over
 the lcm of its Fraction denominators, so that a loop multiplies integer
 numerators and divides once.  coupled_sum, the depth-first kernel of
 the coupled series' n!-term sums, whose coupling is arbitrary (the
-shifted-exponent expansion walks its own terms by exponent set in
+shifted-exponent expansion groups its own terms by exponent set in
 grothendieck), and Poly.substitute both follow it.  coupled_sum returns
 its sum graded by total index, as integer (or Poly) parts over one
 denominator, so a series whose indices share one argument z is summed

@@ -5,19 +5,11 @@ as the sum of its letters' packed int units, and the sum counts those
 keys and keeps them, memoized per (shape, n); its diagonal
 x_1 = ... = x_n = t is read off their b field as its counts by excess,
 and the public sum is unpacked on request), the bi-alternant quotient at
-one beta from its Schur coefficients (_packed_bialternant: one int
-determinant of binomials per partition in Lenart's support, times the
-Kostka numbers, expanded over each exponent's orbit onto the packed keys
-of the tableau sum, since both take the one packing
-polynomials._shape_packing gives a shape), its refined multi-parameter
-form from its refined Schur coefficients (refined_bialternant: one banded
-determinant of e_t(beta_1..beta_j) per nu in the same support, with int
-or int Poly entries from the columns d + p x for beta = p/d
-(_beta_tables), by a Laplace expansion kept by the set of columns used,
-then the same Kostka numbers and orbits, with the denominators divided
-out once, so no row in x is built and nothing is divided by the
-Vandermonde), the integral
-bi-alternant matrix taken at n distinct rational points on ints
+one beta from its Schur coefficients (_packed_bialternant, on the keys of
+the one packing polynomials._shape_packing gives a shape, which the
+tableau sum takes too), its refined multi-parameter form from its refined
+Schur coefficients (refined_bialternant), the integral bi-alternant
+matrix taken at n distinct rational points on ints
 (refined_bialternant_at: arith.determinant, fraction-free elimination in
 O(n^3) int products, divided once, with no polynomial in x built), and
 the shifted-exponent expansion that evaluates the refined quotient at the
@@ -25,29 +17,36 @@ geometric point x = (1, q, ..., q^(n-1)) without any determinant.  Every
 refined route takes max(n - 1, 0) betas, so in n = 0 variables the empty
 shape gives 1 on every route.
 Keeping the routes separate is the point: the verification harness compares
-them against each other.  The expansion (_shifted_exponent_sum) walks
-its n! terms over int (or int Poly) tables, prod_(k<j) d_k times
-e_k(beta_1..beta_j) for beta_k = p_k/d_k, once per (shape, n, betas),
-and keeps each signed product of weights by its set S of shifted
-exponents (_exponent_set_sums): the q-Vandermonde of a term's exponents
-is, up to that sign, the one of S.  A value at a table of powers q^e is
-then sum_S C_S times the q-Vandermonde of S, divided once by the
-q-Vandermonde of the same table at (n - 1, ..., 0) and the tables' scale.
-The binomial-shift count formula is that sum at every beta = 1 in the limit
-q -> 1, where the table of powers is the exponents themselves, so no check
-has the count formula and the expansion as its two sides.
+them against each other.
+One kernel gives every Schur coefficient.  _exponent_set_sums expands
+the bi-alternant's columns x^(c_j) prod_(k<j) (d_k + p_k x), for
+c_j = l_j + n - 1 - j and beta_k = p_k/d_k, one column at a time over
+int (or int Poly) tables (_beta_tables), and keeps each signed product of
+weights by its set S of shifted exponents, memoized per (c, betas).  Its
+C_S is the coefficient of s_(S - delta) in the refined quotient (Lenart,
+"Combinatorial aspects of the K-theory of Grassmannians", 2000, at one
+beta), times the tables' scale prod_k d_k^(n-1-k).  _packed_bialternant
+reads it at every beta = 1, where table j is C(j, .), and gives
+s_(S - delta) the power b^(|S| - |c|); refined_bialternant reads it at
+its betas and divides by the scale once.  Both expand each s_nu by its
+Kostka numbers onto the packed keys of every rearrangement of each
+exponent (_dominant_coefficients, _orbit_keys), so no row in x is built
+and nothing is divided by the Vandermonde.  The shifted-exponent
+expansion (_shifted_exponent_sum) reads the same sums with a table of
+powers P[e] standing for q^e: the q-Vandermonde of a term's exponents is,
+up to its sign, the one of S, so the value is sum_S C_S times the
+q-Vandermonde of S, divided once by the q-Vandermonde of the same table
+at (n - 1, ..., 0) and the scale.  The binomial-shift count formula is
+that sum at every beta = 1 in the limit q -> 1, where the table of powers
+is the exponents themselves, so gg-eq-w's bi-alternant and cor-3.8's
+count formula read one memo; no check has the kernel on both sides
+(gg-eq-w holds it against the tableau sum, thm-3.5 against
+refined_bialternant_at and cor-3.8 against enumeration).
 Work that does not change between a check's rows or values of n is
-memoized: the tableau sum and its diagonal per (shape, n), the expansion's
-tables per betas (_beta_tables) and its sums by exponent set per
-(c, betas), shared by thm-3.5's qs and by the count formula at every
-beta = 1, a Schur coefficient per (shape, nu),
-shared by every n (_schur_coefficient says why), the Kostka table per
-(nu, n) and the orbits' packed keys per (mu, packing shifts).  The Schur
-coefficients serve only _packed_bialternant.  refined_bialternant takes
-the expansion's tables as its columns and _packed_bialternant's support,
-Kostka table and orbit keys, so it is no side of any check, and a
-check's two sides still share nothing beyond arith, Partition and the
-packing.
+memoized: the tableau sum and its diagonal per (shape, n), the kernel's
+tables per betas and its sums per (c, betas), shared by thm-3.5's qs and,
+at every beta = 1, by the count formula and the bi-alternant, the Kostka
+table per (nu, n) and the orbits' packed keys per (mu, packing shifts).
 A beta is an int, a Fraction or a variable name: a string beta names a
 variable, so '1/2' is refused as a bad name, and so is a name that sorts
 as one of x1..xn, which would be that variable (refined_bialternant_at
@@ -64,7 +63,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .arith import _check_size, binomial, determinant, exact_count, exact_rational
+from .arith import _check_size, determinant, exact_count, exact_rational
 from .partitions import Partition
 from .polynomials import Poly, _Packed, _Packing, _shape_packing, _var_key
 from .tableaux import enumerate_svt
@@ -190,21 +189,18 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     x1..xn is refused with ValueError.
 
     From its refined Schur coefficients, as _packed_bialternant at one
-    beta, with 0-based i, j < n, c_j = l_j + n - 1 - j and
-    e_i = nu_i + n - 1 - i.  With beta_k = p_k/d_k (a variable is itself
-    over 1), column j holds prod_(k<j) d_k e_t(beta_1..beta_j) for
-    t = 0..j, the coefficients of prod_(k<j) (d_k + p_k x): table j of
-    _beta_tables, so every entry is an int or an int Poly.  For each nu
-    in Lenart's support (_lenart_support), a_nu is the determinant of the
-    entries t = e_i - c_j (_banded_determinant), and
-    sum_nu a_nu K(nu, mu) (_dominant_schur), a polynomial in the betas, is
-    the coefficient of x^mu at every distinct rearrangement of mu
+    beta: with c_j = l_j + n - 1 - j (0-based j < n) and beta_k = p_k/d_k
+    (a variable is itself over 1), _dominant_coefficients reads the
+    kernel's sums C_S by exponent set (_exponent_set_sums, over the int or
+    int Poly tables of _beta_tables) at these betas, and
+    sum_S C_S K(S - delta, mu), a polynomial in the betas, is the
+    coefficient of x^mu at every distinct rearrangement of mu
     (_orbit_keys).  The keys are over the betas' names and x1..xn, in
     fields of _Packing's bound |shape| n, and each coefficient is divided
     once by the tables' scale prod_k d_k^(n-1-k), so int betas give int
-    coefficients.  Each a_nu passes through at most 2^n sets of columns,
-    so n with 2^n above arith.MAX_SERIES_TERMS is refused with ValueError
-    before any determinant.
+    coefficients.  The input bound is 2^n: n with 2^n above
+    arith.MAX_SERIES_TERMS is refused with ValueError before the kernel
+    runs.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -218,45 +214,15 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     names = _x_names(n)
     symbols = {beta for beta in betas if isinstance(beta, str)}
     packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)), shape.size * n)
-    columns, scale = _beta_tables(*betas)
-    lam = shape.padded(n)
-    c = [p + n - 1 - j for j, p in enumerate(lam)]
-    dominant = Counter()
-    for nu in _lenart_support(lam):
-        a = _banded_determinant(columns, c, [p + n - 1 - i for i, p in enumerate(nu)])
-        if a:
-            for mu, count in _dominant_schur(tuple(p for p in nu if p), n).items():
-                dominant[mu] += a * count
+    scale = _beta_tables(*betas)[1]
     shifts = tuple(packing.shift[x] for x in names)
     terms = {}
-    for mu, coeff in dominant.items():
+    for mu, coeff in _dominant_coefficients(shape, n, betas).items():
         for head, value in packing.pack(Poly._coerce(coeff)).items():
             terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), value))
     if scale != 1:
         terms = {key: Fraction(value, scale) for key, value in terms.items()}
     return packing.unpack(terms)
-
-
-def _banded_determinant(columns, c, e):
-    """det[columns[j][e_i - c_j]]_(i,j<n), n = len(c), for int or Poly
-    entries, an entry being 0 where e_i - c_j is not an index of column j.
-    A Laplace expansion along the rows, kept by the set of columns used:
-    the minors on rows 0..i are sums, over each column j that row i may
-    take, of a minor on rows 0..i-1 over a set without j, times the entry
-    and (-1) to the number of that set's columns right of j.  So at most
-    2^n sets arise, and the minor on all n columns is the determinant."""
-    minors = {0: 1}
-    for ei in e:
-        row = [(j, column[ei - cj]) for j, (cj, column) in enumerate(zip(c, columns))
-               if 0 <= ei - cj < len(column)]
-        step = {}
-        for used, minor in minors.items():
-            for j, entry in row:
-                if not used >> j & 1:
-                    key, term = used | 1 << j, minor * entry
-                    step[key] = step.get(key, 0) + (-term if (used >> j).bit_count() & 1 else term)
-        minors = step
-    return sum(minors.values())
 
 
 def _symbol(name: str, n: int) -> str:
@@ -274,61 +240,45 @@ def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
     the keys of _shape_packing, the packing _tableau_sum's counts are on,
     so that the two compare without unpacking.
 
-    From the quotient's Schur coefficients: with c_j = l_j + n - 1 - j
-    and e_i = nu_i + n - 1 - i (0-based i, j < n), expanding each column's
-    (1 + b x)^j gives G_l = sum_nu b^(|nu| - |l|) a_nu s_nu with
-    a_nu = det[C(j, e_i - c_j)] (arith.determinant; C is 0 outside 0..j,
-    memoized per (shape, nu) by _schur_coefficient), over Lenart's support
-    (_lenart_support).  The coefficient of
-    b^(|mu| - |l|) x^mu, for mu weakly decreasing, is then
-    sum_nu a_nu K(nu, mu) (_dominant_schur), and it stands at every
-    distinct rearrangement of mu (_orbit_keys).  Nothing here enumerates
-    a tableau.
+    From the quotient's Schur coefficients: expanding each column's
+    (1 + b x)^j gives G_l = sum_nu b^(|nu| - |l|) a_nu s_nu, where a_nu is
+    the kernel's sum C_S at every beta = 1 (_exponent_set_sums, whose table
+    j is then C(j, .)) for S = nu + delta, the sums count_svt_formula
+    reads too.  The coefficient of b^(|mu| - |l|) x^mu, for mu weakly
+    decreasing, is then sum_nu a_nu K(nu, mu) (_dominant_coefficients),
+    and it stands at every distinct rearrangement of mu (_orbit_keys).
+    Nothing here enumerates a tableau.
     """
     packing = _shape_packing((BETA, *_x_names(nvars)), shape.size)
     if len(shape) > nvars:
         return _Packed(packing, {})
-    dominant = Counter()
-    for nu in _lenart_support(shape.padded(nvars)):
-        nu = tuple(p for p in nu if p)
-        a = _schur_coefficient(shape, nu)
-        for mu, count in _dominant_schur(nu, nvars).items():
-            dominant[mu] += a * count
     shifts = tuple(packing.shift[x] for x in packing.vars[1:])
     terms = {}
-    for mu, coeff in dominant.items():
+    for mu, coeff in _dominant_coefficients(shape, nvars, [1] * _beta_count(nvars)).items():
         if coeff:
             head = (sum(mu) - shape.size) << packing.shift[BETA]
             terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), coeff))
     return _Packed(packing, terms)
 
 
-@lru_cache(maxsize=None)
-def _schur_coefficient(lam: Partition, nu: tuple) -> int:
-    """a_nu = det[C(j, e_i - c_j)] for the partition nu (no zero parts) in
-    Lenart's support of lam, taken at size m = len(nu), lam padded to m
-    parts: e_i - c_j = (nu_i - i) - (lam_j - j) does not involve n, and
-    each part nu_i = 0 that padding to n adds is a row whose entries
-    C(j, j - i - lam_j) are 0 left of the diagonal and 1 on it, so the
-    n x n determinant is this one.  Memoized per (lam, nu), so each n
-    reuses it."""
-    c = [q - j for j, q in enumerate(lam.padded(len(nu)))]
-    return determinant([[binomial(j, p - i - cj) for j, cj in enumerate(c)]
-                        for i, p in enumerate(nu)])
-
-
-def _lenart_support(lam) -> list:
-    """The nu, of len(lam) parts (zeros allowed), whose Schur coefficient
-    in G_lam can be nonzero (Lenart, "Combinatorial aspects of the
-    K-theory of Grassmannians", 2000): nu contains lam, nu_1 = lam_1, and
-    row i (0-based) is at most i cells longer than lam's.  Only the Schur
-    route searches this bound; a nu it left out would make gg-eq-w's two
-    sides differ."""
-    support = [()]
-    for i, part in enumerate(lam):
-        support = [(*nu, p) for nu in support
-                   for p in range(part, min(nu[-1] if nu else part, part + i) + 1)]
-    return support
+def _dominant_coefficients(shape: Partition, n: int, betas) -> Counter:
+    """{mu: sum_S C_S K(S - delta, mu)} over the weakly decreasing mu of n
+    parts, for the kernel's sums C_S by exponent set
+    (_exponent_set_sums(c, *betas), c_j = l_j + n - 1 - j): each S with
+    C_S nonzero, read as the partition nu = S - delta without zero parts
+    (the t-th smallest exponent, from t = 0, less t is the t-th smallest
+    part), weighs its Kostka numbers (_dominant_schur(nu, n)).  That is
+    the refined quotient's coefficient of x^mu, and of every rearrangement
+    of mu, times the tables' scale."""
+    c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
+    dominant = Counter()
+    for mask, coeff in _exponent_set_sums(c, *betas).items():
+        if coeff:
+            exponents = [e for e in range(mask.bit_length()) if mask >> e & 1]
+            nu = tuple(e - t for t, e in enumerate(exponents) if e > t)[::-1]
+            for mu, count in _dominant_schur(nu, n).items():
+                dominant[mu] += coeff * count
+    return dominant
 
 
 @lru_cache(maxsize=None)
@@ -432,33 +382,32 @@ def _beta_tables(*betas) -> tuple:
 
 @lru_cache(maxsize=None, typed=True)
 def _exponent_set_sums(c: tuple, *betas) -> dict:
-    """The shifted-exponent expansion's terms grouped by exponent set, for
-    the strictly decreasing c_j = l_j + n - 1 - j: {S: C_S}, S the set of
-    the shifted exponents a_j = c_j + k_j as a bitmask and C_S the sum, over
-    the k (k_j in 0..j) whose a_j are distinct and form S, of
+    """The one source of Schur coefficients: the expansion of the
+    bi-alternant's columns, for the strictly decreasing
+    c_j = l_j + n - 1 - j, grouped by exponent set.  {S: C_S}, S the set
+    of the shifted exponents a_j = c_j + k_j as a bitmask and C_S the sum,
+    over the k (k_j in 0..j) whose a_j are distinct and form S, of
     sgn(k) prod_j table_j[k_j] (_beta_tables), where sgn(k) is the sign of
-    sorting a into decreasing order, as c is: then
-    prod_(i<j) (P[a_j] - P[a_i]) is sgn(k) times that product over S
-    sorted, so C_S takes every q-independent factor of a term.  The walk
-    is depth-first, over the nonzero weights and the exponents not yet in
-    the mask (a repeated one makes a term's product 0), and each exponent
-    flips the sign once per earlier one smaller than it.  Memoized per
-    (c, betas), typed as _beta_tables is."""
-    # in no variables the one term, the empty product, has the empty set
-    rows = [[(1 << (cj + k), w) for k, w in enumerate(table) if w]
-            for cj, table in zip(c, _beta_tables(*betas)[0])] or [[(0, 1)]]
-    sums = {}
-
-    def walk(j, mask, odd, prefix):
-        for bit, w in rows[j]:
-            if not mask & bit:
-                flip = odd ^ (mask & (bit - 1)).bit_count() & 1
-                if j + 1 < len(rows):
-                    walk(j + 1, mask | bit, flip, prefix * w)
-                else:
-                    sums[mask | bit] = sums.get(mask | bit, 0) + (-prefix if flip else prefix) * w
-
-    walk(0, 0, 0, 1)
+    sorting a into decreasing order, as c is: then det[x_i^(a_j)] is
+    sgn(k) times the alternant of S sorted, and so is the q-Vandermonde
+    prod_(i<j) (P[a_j] - P[a_i]).  The expansion goes column by column from
+    {0: 1}: each partial sum at a mask, times each nonzero weight of the
+    next column, moves to the mask with that column's exponent added, if
+    it is not in it already (a repeated exponent makes the alternant 0),
+    and changes sign once per exponent of the mask smaller than the new
+    one.  In no variables the sums stay {0: 1}.  Memoized per (c, betas),
+    typed as _beta_tables is."""
+    sums = {0: 1}
+    for cj, table in zip(c, _beta_tables(*betas)[0]):
+        row = [(1 << (cj + k), w) for k, w in enumerate(table) if w]
+        step = {}
+        for mask, s in sums.items():
+            for bit, w in row:
+                if not mask & bit:
+                    term = s * w
+                    step[mask | bit] = step.get(mask | bit, 0) + (
+                        -term if (mask & (bit - 1)).bit_count() & 1 else term)
+        sums = step
     return sums
 
 
@@ -478,9 +427,10 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     P[e] = q^e, and the limit q -> 1 takes the exponents themselves (every
     ratio of q-differences becomes a ratio of exponent differences).  A
     vanishing divisor raises ValueError with the message `vanishing`,
-    before the walk.
-    The n! terms are walked once per (shape, n, betas), grouped by their
-    set S of shifted exponents (_exponent_set_sums, on _beta_tables' int
+    before the kernel runs.
+    The n! terms are summed once per (shape, n, betas), grouped by their
+    set S of shifted exponents (_exponent_set_sums, the kernel that gives
+    the bi-alternants their Schur coefficients, on _beta_tables' int
     weights): the sum is sum_S C_S prod_(i<j) (P[s_j] - P[s_i]) over S
     sorted decreasing, divided once by the Vandermonde-type product and
     the tables' scale prod_k d_k^(n-1-k).  A symbolic beta gives a Poly
@@ -504,7 +454,7 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
 def principal_specialization_q(shape, nvars: int, betas, q):
     """Value at x = (1, q, ..., q^(n-1)) of the refined quotient, computed
     by the shifted-exponent expansion (_shifted_exponent_sum at P[e] = q^e)
-    instead of a determinant; its terms are walked once per
+    instead of a determinant; its terms are grouped once per
     (shape, n, betas), so each further q costs one q-Vandermonde per
     exponent set:
 
@@ -547,8 +497,8 @@ def count_svt_formula(shape, nvars: int) -> int:
     which is _shifted_exponent_sum at every beta = 1 (e_k of j-1 ones is
     C(j-1, k)) in the limit q -> 1 (each power P[e] is the exponent e), so
     it reads the sums by exponent set that principal_specialization_q at
-    the betas 1, ..., 1 reads, with a product of exponent differences per
-    set.
+    the betas 1, ..., 1 and the one-beta bi-alternant (_packed_bialternant)
+    read, with a product of exponent differences per set.
     The rational sum must be a non-negative integer; anything else raises
     ArithmeticError.  Zero when the shape has more rows than variables.
     The sum has n! terms, refused above MAX_SERIES_TERMS before any table

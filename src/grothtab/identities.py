@@ -27,10 +27,14 @@ with b = -1/beta is beta^|shape| sum_e c_e (-1)^e and the set-valued
 count is sum_e c_e, each read off the counts by arith.polynomial_at or a
 sum, and only gg-eq-w and the diagonal itself read the full sum.
 gg-eq-w compares the packed sum with the bi-alternant built from its
-Schur coefficients (int determinants of binomials and Kostka numbers,
+Schur coefficients (the kernel's sums by exponent set at every beta = 1,
+grothendieck._exponent_set_sums, and Kostka numbers,
 grothendieck._packed_bialternant) and expanded onto keys of the same
 packing (polynomials._shape_packing), so neither side is unpacked; a
-packing mismatch raises, and fails the instance.  thm-3.9 and
+packing mismatch raises, and fails the instance.  The kernel is on one
+side of three checks and on both sides of none: gg-eq-w holds it against
+the tableau sum, thm-3.5 against the refined quotient's int determinant
+at a point and cor-3.8 against enumeration.  thm-3.9 and
 cor-3.11 take their series side from hypergeom.ones_value_by_series, the
 function behind `count-svt --method holman` too, so verify checks the
 code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
@@ -540,10 +544,13 @@ def _geometric_point_expansion(grid, shape, n):
     guard: a wrong determinant or division gives a wrong value, which fails
     the row, and gg-eq-w compares the symbolic bi-alternant, built from
     its Schur coefficients, with the tableau sum as polynomials on every
-    (shape, n).  The three qs share one pair's betas: the expansion walks
-    its terms once per pair, grouped by exponent set
-    (grothendieck._exponent_set_sums), and each q reads those sums with
-    one q-Vandermonde per set; the betas' param string is joined once."""
+    (shape, n).  The left side is the one kernel of Schur coefficients
+    (grothendieck._exponent_set_sums) at the pair's betas, whose C_S is the
+    refined quotient's coefficient of s_(S - delta); the right side takes
+    none of it.  The three qs share one pair's betas: the kernel expands
+    the columns once per pair, grouped by exponent set, and each q reads
+    those sums with one q-Vandermonde per set; the betas' param string is
+    joined once."""
     betas = grid.random_betas(shape, n)
     joined = ",".join(map(str, betas))
     for q in DEFAULT_QS:
@@ -557,9 +564,10 @@ def _geometric_point_expansion(grid, shape, n):
            "nested binomial-shift sum", "enumeration of set-valued tableaux")
 def _count_formula(grid, shape, n):
     """The nested binomial-shift sum is the shifted-exponent expansion at
-    every beta = 1 as q -> 1: one walk of its n! terms by exponent set per
-    (shape, n) (grothendieck._exponent_set_sums), each set's sum times a
-    product of exponent differences.  Its right side enumerates."""
+    every beta = 1 as q -> 1: the kernel's sums by exponent set per
+    (shape, n) (grothendieck._exponent_set_sums), the ones gg-eq-w's
+    bi-alternant reads, each set's sum times a product of exponent
+    differences.  Its right side enumerates."""
     yield {"shape": shape, "n": n}, count_svt_formula(shape, n), _svt_count(shape, n)
 
 

@@ -25,9 +25,10 @@ Schur route (grothendieck._packed_bialternant), so the two compare on
 keys; the refined quotient (grothendieck.refined_bialternant) takes the
 same bound over its betas' names.  Poly.divide_by_difference is the one
 synthetic division.  determinant here is arith.determinant, the int
-kernel, which refuses a Poly entry with TypeError; the only determinants
-of Poly entries are the refined quotient's banded ones
-(grothendieck._banded_determinant).
+kernel, which refuses a Poly entry with TypeError; the package takes no
+determinant of Poly entries, since the refined quotient's Schur
+coefficients come from the column expansion by exponent set
+(grothendieck._exponent_set_sums).
 
 Polynomials are immutable values; every operation returns a fresh Poly.
 """

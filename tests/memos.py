@@ -2,9 +2,10 @@
 
 clear_memos clears every attribute with cache_clear in every grothtab
 module: today the tableau sum and its diagonal (the counts by excess), the
-bi-alternant's Schur coefficients, Kostka table, horizontal strips and
-orbit keys, the shifted-exponent expansion's beta tables and its sums by
-exponent set, the coupled series as a polynomial in z, alone and times
+bi-alternant's Kostka table, horizontal strips and orbit keys, the beta
+tables and the one kernel's sums by exponent set (the Schur coefficients
+of the bi-alternants and the shifted-exponent expansion's grouped
+terms), the coupled series as a polynomial in z, alone and times
 |SST|, and the row and column checks' Gauss series, also a polynomial in
 z.  A memo is found where it is defined, so a
 new module-level memo is cleared without being listed here, and a test

@@ -12,7 +12,9 @@ alternant given by its first row, with its own divided difference and
 symmetry guard; the package builds its bi-alternants from their Schur
 coefficients (grothendieck._packed_bialternant, refined_bialternant), and
 the tests hold the two against each other and against the Leibniz sum over
-the Vandermonde.
+the Vandermonde.  lenart_support is the reference bound on the Schur
+coefficients' partitions; the package searches none, since its one kernel
+(grothendieck._exponent_set_sums) yields the exponent sets that occur.
 """
 
 from fractions import Fraction
@@ -48,6 +50,18 @@ def leibniz(matrix):
             term = term * matrix[i][j]
         total = total + term
     return total
+
+
+def lenart_support(lam) -> list:
+    """The nu, of len(lam) parts (zeros allowed), whose Schur coefficient
+    in G_lam can be nonzero (Lenart, "Combinatorial aspects of the
+    K-theory of Grassmannians", 2000): nu contains lam, nu_1 = lam_1, and
+    row i (0-based) is at most i cells longer than lam's."""
+    support = [()]
+    for i, part in enumerate(lam):
+        support = [(*nu, p) for nu in support
+                   for p in range(part, min(nu[-1] if nu else part, part + i) + 1)]
+    return support
 
 
 def vandermonde(names) -> Poly:

@@ -28,7 +28,15 @@ from grothtab.polynomials import Poly, _shape_packing
 from grothtab.tableaux import SetValuedTableau, enumerate_sst, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
-from poly_reference import alternant_quotient, coefficient, collapse, evaluate, leibniz, vandermonde
+from poly_reference import (
+    alternant_quotient,
+    coefficient,
+    collapse,
+    evaluate,
+    leibniz,
+    lenart_support,
+    vandermonde,
+)
 from tableau_reference import reference_svt, reference_tableau_sum, schur_tableau_sum
 
 x1, x2, x3 = (Poly.variable(f"x{i}") for i in (1, 2, 3))
@@ -117,7 +125,7 @@ def test_lenarts_support_holds_every_nonzero_schur_coefficient():
     # n - 1 (padded to n parts), every nu with a_nu != 0 lies in the support
     for shape, n in Grid(5, 5).shapes():
         lam = shape.padded(n)
-        support = set(grothendieck._lenart_support(lam))
+        support = set(lenart_support(lam))
         box = [()]
         for i, part in enumerate(lam):
             box = [(*nu, p) for nu in box
@@ -307,28 +315,27 @@ def test_a_beta_named_like_an_x_variable_is_refused():
 
 
 def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
-    # the refined quotient's banded determinants pass through up to 2^n
-    # sets of columns, so it is refused at 2^n: 2^3 = 8 pass, 2^4 = 16 are
-    # refused before any determinant; the value at a point and the
-    # one-beta quotient's Schur coefficients take int determinants in
-    # O(n^3) products, with no such limit, and take no banded determinant
+    # the refined quotient's input bound is 2^n: 2^3 = 8 pass, 2^4 = 16 are
+    # refused before the kernel runs; the value at a point (int
+    # determinants in O(n^3) products) and the one-beta quotient have no
+    # such limit
     def not_run(*args):
         raise AssertionError("the quotient was built")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
     assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
     assert refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4]) == 10
-    monkeypatch.setattr(grothendieck, "_banded_determinant", not_run)
     assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
     assert grothendieck_bialternant((2, 1), 4) == grothendieck_tableau_sum((2, 1), 4)
+    monkeypatch.setattr(grothendieck, "_exponent_set_sums", not_run)
     with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
         refined_bialternant((1,), 4, [0, 0, 0])
 
 
 def test_the_symbolic_bi_alternant_builds_no_matrix(monkeypatch):
-    # the refined route starts from the betas' columns and the one-beta
-    # route from int binomials: neither builds a row in x, and only the
-    # value at a point takes the integral rows
+    # both symbolic routes start from the kernel's sums by exponent set:
+    # neither builds a row in x, and only the value at a point takes the
+    # integral rows
     def not_run(*args):
         raise AssertionError("the integral rows were built")
 
@@ -518,7 +525,7 @@ def test_every_exponent_set_of_the_expansion_is_in_lenarts_support():
     grid = Grid(5, 5)
     for shape, n in grid.shapes():
         c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
-        support = set(grothendieck._lenart_support(shape.padded(n)))
+        support = set(lenart_support(shape.padded(n)))
         for betas in _grid_betas(grid, shape, n):
             for mask, coeff in grothendieck._exponent_set_sums(c, *betas).items():
                 s = [e for e in range(mask.bit_length()) if mask >> e & 1][::-1]
@@ -735,13 +742,45 @@ def test_beta_tables_are_scaled_elementary_symmetric_values(betas):
 
 
 def test_schur_coefficient_is_the_n_by_n_determinant():
-    # the determinant at size len(nu) over nu's nonzero parts, shared by
-    # every n, against the n x n one of lam and nu padded to n parts
+    # the kernel's C_S at every beta = 1, for S = nu + delta, against the
+    # n x n determinant of binomials of lam and nu padded to n parts
     for shape, n in Grid(6, 6).shapes():
         lam = shape.padded(n)
-        for nu in grothendieck._lenart_support(lam):
-            assert grothendieck._schur_coefficient(shape, tuple(p for p in nu if p)) == \
-                _schur_coefficient(lam, nu), (shape, n, nu)
+        sums = grothendieck._exponent_set_sums(_exponents(lam), *[1] * (n - 1))
+        for nu in lenart_support(lam):
+            assert sums.get(_mask(nu), 0) == _schur_coefficient(lam, nu), (shape, n, nu)
+
+
+def _exponents(parts):
+    """parts + delta: part i (0-based) plus n - 1 - i, n = len(parts)."""
+    return tuple(p + len(parts) - 1 - i for i, p in enumerate(parts))
+
+
+def _mask(parts):
+    """The bitmask of the exponent set parts + delta."""
+    return sum(1 << e for e in _exponents(parts))
+
+
+def test_the_kernel_is_the_determinant_of_its_tables():
+    # C_S = det[table_j[e_i - c_j]] (0 outside 0..j) for S = e, by the
+    # Leibniz sum, on every set the kernel keeps and every nu in Lenart's
+    # support; so each nu of the support whose determinant is nonzero is
+    # among the kernel's sets
+    grid = Grid(5, 5)
+    for shape, n in grid.shapes():
+        lam = shape.padded(n)
+        c = _exponents(lam)
+        for betas in _grid_betas(grid, shape, n):
+            tables = grothendieck._beta_tables(*betas)[0]
+            sums = grothendieck._exponent_set_sums(c, *betas)
+            masks = set(sums).union(map(_mask, lenart_support(lam)))
+            for mask in masks:
+                e = [k for k in range(mask.bit_length()) if mask >> k & 1][::-1]
+                assert len(e) == n, (shape, n, betas, e)
+                want = leibniz([[tables[j][ei - cj] if 0 <= ei - cj <= j else 0
+                                 for j, cj in enumerate(c)] for ei in e])
+                assert sums.get(mask, 0) == want, (shape, n, betas, e)
+                assert not want or mask in sums, (shape, n, betas, e)
 
 
 def test_orbit_keys_unpack_to_the_distinct_permutations():

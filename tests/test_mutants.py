@@ -4,18 +4,19 @@ One bug sits in the field width of the packed monomials, which the
 bi-alternant's Schur route and the tableau sum share, one in the field
 the diagonal reads the excess from, one in the sign of the 2 x 2 minor
 that each step of the int determinant's fraction-free elimination takes,
-five in the Schur route (a Schur coefficient's binomial entry, its memo
-keyed on nu without lam, Lenart's support, the Kostka table's strip
-against mu's last part and the horizontal strip's range), three in the packed tableau-sum fill (the
+two in the Schur route (the Kostka table's strip against mu's last part
+and the horizontal strip's range), three in the packed tableau-sum fill (the
 per-letter units, the entries' weights and the key the backtracker
 carries), one in the integral bi-alternant's column scale, which only the
 refined quotient at a point takes from _integral_rows, one in that
 quotient's Vandermonde, one in the
-backtracker's column cap, five in _shifted_exponent_sum, the one
-expansion behind both the principal specialization and the binomial-shift
-count formula (the sign of its per-set q-Vandermonde, the sign and the
-repeated exponent of its walk by exponent set, _exponent_set_sums, and the
-e_k window and the scale's exponent in its tables, _beta_tables), and one
+backtracker's column cap, one in the sign of the per-set q-Vandermonde of
+_shifted_exponent_sum, the expansion behind both the principal
+specialization and the binomial-shift count formula, three in the one
+kernel of Schur coefficients those two and the bi-alternant read,
+_exponent_set_sums (its sign, its repeated exponent and its memo keyed on
+c without the betas), two in its tables, _beta_tables (the e_k window and
+the scale's exponent), and one
 in each of the coupling triangle, the content/hook count, the column
 Gauss binomial, the 2F1's m! (its denominator parameter 1, written once
 in hypergeom._gauss_parts), the Pochhammer term of _series_parts, the
@@ -30,20 +31,19 @@ it), so nothing on disk changes, and run_all(Grid(4, 4), workers=1) runs
 in this process too.  CAUGHT_BY maps each mutant to the checks that must
 then report failing instances, each with a witness; every other check
 must still pass.  The per-(shape, n) memos (every grothtab module
-attribute with cache_clear: the tableau sum, its diagonal, the Schur
-coefficients, the Kostka table and its strips, the orbit keys, the beta
-tables, the expansion's sums by exponent set, the series and the row and
+attribute with cache_clear: the tableau sum, its diagonal, the Kostka
+table and its strips, the orbit keys, the beta tables, the kernel's sums
+by exponent set, the series and the row and
 column checks' Gauss side as polynomials in z) are cleared by
 tests/memos.py before and after each run, so no value cached by another
 test hides a mutant below it and no value computed under a mutant
 outlives it.
 
 verify never runs the refined quotient (refined_bialternant), which
-shares the support, the Kostka table and the orbit keys with gg-eq-w's
-right side, so its four mutants (column j built from the last j betas or
-from j + 1 betas, the Laplace sign flipped and the scale's exponent
-n - k) must each make it differ from the reference chain
-(poly_reference.alternant_quotient) on Grid(4, 4) instead, at symbolic
+shares the kernel, the Kostka table and the orbit keys with gg-eq-w's
+right side, so its two mutants (the kernel read at the betas reversed and
+the scale's exponent n - k) must each make it differ from the reference
+chain (poly_reference.alternant_quotient) on Grid(4, 4) instead, at symbolic
 b1..b_(n-1) or at fixed distinct betas with denominators; at equal
 betas the order of the betas does not show.  Two more bugs must
 show both in verify and in the CLI: the sign of z = -beta in
@@ -92,10 +92,10 @@ def _reader(old: str, new: str):
     return [(module, "polynomial_at", reader) for module in (hypergeom, identities)]
 
 
-def _keyed_on_nu(coefficient):
-    """coefficient(lam, nu) memoized on nu alone."""
+def _keyed_on_c(kernel):
+    """kernel(c, *betas) memoized on c alone."""
     memo = {}
-    return lambda lam, nu: memo[nu] if nu in memo else memo.setdefault(nu, coefficient(lam, nu))
+    return lambda c, *betas: memo[c] if c in memo else memo.setdefault(c, kernel(c, *betas))
 
 
 def _pairwise(old: str, new: str):
@@ -112,17 +112,9 @@ MUTANTS = {
     # (mod 4)
     "minor sign flipped": lambda: (grothendieck, "determinant", _edited(
         arith.determinant, "p * row[j] - a * top[j]", "a * top[j] - p * row[j]")),
-    # the bi-alternant's Schur route: _packed_bialternant looks the Schur
-    # coefficients, the support and the Kostka table up in grothendieck
-    "Schur entry C(j + 1, .)": lambda: (grothendieck, "_schur_coefficient", _edited(
-        grothendieck._schur_coefficient.__wrapped__, "binomial(j, p - i - cj)",
-        "binomial(j + 1, p - i - cj)")),
-    # a_nu of the first lam to reach nu, handed to every later lam
-    "Schur memo keyed on nu alone": lambda: (
-        grothendieck, "_schur_coefficient", _keyed_on_nu(grothendieck._schur_coefficient.__wrapped__)),
-    "support row i grows by at most i - 1": lambda: (grothendieck, "_lenart_support", _edited(
-        grothendieck._lenart_support, "part + i)", "part + i - 1)")),
-    # the edited Kostka table calls itself, unmemoized, all the way down.
+    # the bi-alternant's Schur route: _dominant_coefficients looks the
+    # kernel and the Kostka table up in grothendieck.  The edited Kostka
+    # table calls itself, unmemoized, all the way down.
     # Reading the strip as mu's first part, not its last, is no bug:
     # K(nu, mu) is symmetric in mu and its orbit takes one coefficient
     "strip as long as mu's last part refused": lambda: (grothendieck, "_dominant_schur", _edited(
@@ -164,13 +156,17 @@ MUTANTS = {
     # grothendieck; the per-set product over S sorted decreasing
     "count formula cross factor sign": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
         grothendieck._shifted_exponent_sum, "prod(pj - pi", "prod(pi - pj")),
-    # the walk's sign counts the earlier exponents larger than the new one
+    # the kernel's sign counts the exponents of the mask larger than the
+    # new one
     "set sign from larger exponents": lambda: (grothendieck, "_exponent_set_sums", _edited(
         grothendieck._exponent_set_sums.__wrapped__, "mask & (bit - 1)", "mask & ~(bit - 1)")),
-    # a repeated exponent, whose q-Vandermonde is 0, adds its term to the
-    # smaller set it leaves
+    # a repeated exponent, whose alternant is 0, adds its term to the mask
+    # it is already in, a set of fewer than n exponents
     "repeated exponent kept": lambda: (grothendieck, "_exponent_set_sums", _edited(
         grothendieck._exponent_set_sums.__wrapped__, "if not mask & bit:", "if bit:")),
+    # the sums at the first betas to reach c, handed to every later betas
+    "kernel memo keyed on c alone": lambda: (
+        grothendieck, "_exponent_set_sums", _keyed_on_c(grothendieck._exponent_set_sums.__wrapped__)),
     # the m! of the 2F1 read as (2)_m, in the one place its parameters are
     # written; identities holds its own binding of it
     "2F1 term over m + 2": lambda: (identities, "_gauss_parts", _edited(
@@ -194,24 +190,19 @@ MUTANTS = {
 # the refined quotient, which verify never runs: each bug in it must make
 # refined_bialternant differ from the reference chain (_refined_mismatches)
 REFINED_MUTANTS = {
+    # the kernel's sums at the betas reversed; the scale stays right
     "column j takes the last j betas": lambda: (grothendieck, "refined_bialternant", _edited(
-        grothendieck.refined_bialternant, "_beta_tables(*betas)", "_beta_tables(*betas[::-1])")),
-    # the last column still takes all n - 1 betas
-    "column j takes j + 1 betas": lambda: (grothendieck, "_banded_determinant", _edited(
-        grothendieck._banded_determinant, "zip(c, columns)", "zip(c, columns[1:] + columns[-1:])")),
-    # every term of an n x n determinant negated n times: caught at odd n
-    "Laplace sign flipped": lambda: (grothendieck, "_banded_determinant", _edited(
-        grothendieck._banded_determinant, "-term if (used >> j).bit_count() & 1 else term",
-        "term if (used >> j).bit_count() & 1 else -term")),
+        grothendieck.refined_bialternant, "_dominant_coefficients(shape, n, betas)",
+        "_dominant_coefficients(shape, n, betas[::-1])")),
     # the tables' scale, which thm-3.5's expansion takes too (MUTANTS)
     "scale exponent n - k": lambda: (grothendieck, "_beta_tables", _edited(
         grothendieck._beta_tables.__wrapped__, "d ** (n - 1 - k)", "d ** (n - k)")),
 }
 
 CAUGHT_BY = {
-    # thm-3.5 takes a determinant on ints at a point, and gg-eq-w's
-    # bi-alternant one per Schur coefficient
-    "minor sign flipped": {"thm-3.5", "gg-eq-w"},
+    # only thm-3.5's value at a point takes a determinant: the Schur
+    # coefficients come from the kernel
+    "minor sign flipped": {"thm-3.5"},
     # the bi-alternant's Schur route and the tableau sum share the packing
     # rule, and the fields' carries fold their keys apart; thm-3.5's
     # determinant is on plain ints, with nothing packed.  The diagonal reads
@@ -219,11 +210,7 @@ CAUGHT_BY = {
     # homogeneous, and the b field read mod 4 keeps the excess's parity:
     # prop-AA's rows, which restate sum_T (-1)^excess(T) = 1, still pass
     "field width forced to 2 bits": {"gg-eq-w", "thm-3.9"},
-    # only gg-eq-w's right side takes the Schur coefficients; a nu left
-    # out of the support drops its s_nu, a term the fill keeps
-    "Schur entry C(j + 1, .)": {"gg-eq-w"},
-    "Schur memo keyed on nu alone": {"gg-eq-w"},
-    "support row i grows by at most i - 1": {"gg-eq-w"},
+    # only gg-eq-w's right side takes the Kostka table
     "strip as long as mu's last part refused": {"gg-eq-w"},
     "strip takes a cell of every row": {"gg-eq-w"},
     # the letter count, hence the excess, stays right; only the x-weight is wrong
@@ -246,10 +233,14 @@ CAUGHT_BY = {
     "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
     # the one shifted-exponent expansion: a sign (-1)^(n(n-1)/2) on the
     # count formula and the principal specialization alike, from the
-    # per-set product or from the walk's sign
+    # per-set product; the kernel's sign and its repeated exponent reach
+    # the bi-alternant's Schur coefficients too
     "count formula cross factor sign": {"thm-3.5", "cor-3.8"},
-    "set sign from larger exponents": {"thm-3.5", "cor-3.8"},
-    "repeated exponent kept": {"thm-3.5", "cor-3.8"},
+    "set sign from larger exponents": {"gg-eq-w", "thm-3.5", "cor-3.8"},
+    "repeated exponent kept": {"gg-eq-w", "thm-3.5", "cor-3.8"},
+    # gg-eq-w fills the memo at every beta = 1 before thm-3.5 reads it at
+    # its random betas; cor-3.8 reads the ones, as gg-eq-w does
+    "kernel memo keyed on c alone": {"thm-3.5"},
     "2F1 term over m + 2": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4"},
     # every check that evaluates a series, the 2F1 and the coupled one alike
     "series term over (b + k + 1)": {"prop-3.1", "prop-3.2", "cor-3.3", "cor-3.4", "thm-3.9",
@@ -258,7 +249,8 @@ CAUGHT_BY = {
     # z = -beta and the coupling give negative weights and cross factors;
     # the shifted-exponent expansion (thm-3.5, cor-3.8) no longer calls it
     "kernel drops negative prefixes": {"thm-3.9", "cor-3.11", "thm-3.13"},
-    "e_k window shifted": {"thm-3.5", "cor-3.8"},
+    # the tables at every beta = 1 too, which gg-eq-w reads
+    "e_k window shifted": {"gg-eq-w", "thm-3.5", "cor-3.8"},
     # the count formula's ones have d = 1, so only thm-3.5's betas scale
     "beta scale exponent n - k": {"thm-3.5"},
     # every value at a z with a denominator comes out q^top too large.  The
@@ -277,7 +269,7 @@ def test_clear_memos_empties_every_memo_a_run_fills():
     # it was seeded, and the mutant would go uncaught
     memos = (grothendieck._tableau_sum, grothendieck._tableau_sum_diagonal,
              grothendieck._dominant_schur, grothendieck._strips, grothendieck._orbit_keys,
-             grothendieck._schur_coefficient, grothendieck._beta_tables,
+             grothendieck._beta_tables,
              grothendieck._exponent_set_sums,
              hypergeom._shape_series, hypergeom._ones_series, identities._gauss_series)
     clear_memos()
@@ -337,8 +329,7 @@ def test_the_reference_chain_catches_the_refined_mutant(mutant, monkeypatch):
 
 
 def test_verify_runs_no_chain(monkeypatch):
-    # verify never builds the refined quotient, in any module that binds
-    # it, nor takes its banded determinant
+    # verify never builds the refined quotient, in any module that binds it
     def not_run(*args):
         raise AssertionError("the refined quotient ran")
 
@@ -347,7 +338,6 @@ def test_verify_runs_no_chain(monkeypatch):
         for name, value in list(vars(module).items()):
             if value is route:
                 monkeypatch.setattr(module, name, not_run)
-    monkeypatch.setattr(grothendieck, "_banded_determinant", not_run)
     clear_memos()
     try:
         report = run_all(Grid(4, 4), workers=1)
