@@ -108,17 +108,20 @@ def _tableau_sum(shape: Partition, nvars: int) -> _Packed:
 def _tableau_sum_diagonal(shape: Partition, nvars: int) -> tuple[int, ...]:
     """The tableau sum at x_1 = ... = x_n = t as its counts by excess
     (c_0, ..., c_E): c_e fillings have excess e, read off the b field of
-    _tableau_sum's packed counts with nothing unpacked.  A filling of
-    excess e has |shape| + e letters, so the diagonal is
-    sum_e c_e b^e t^(|shape| + e) and the tuple loses nothing; it is
-    empty when there is no filling.  Memoized per (shape, nvars), so a
-    process passes over each full sum's terms once."""
+    _tableau_sum's packed counts with nothing unpacked, each added into a
+    list over the field's whole range, whose trailing zeros are then
+    dropped.  A filling of excess e has |shape| + e letters, so the
+    diagonal is sum_e c_e b^e t^(|shape| + e) and the tuple loses
+    nothing; it is empty when there is no filling.  Memoized per
+    (shape, nvars), so a process passes over each full sum's terms once."""
     packed = _tableau_sum(shape, nvars)
     shift, mask = packed.packing.shift[BETA], packed.packing.mask
-    by_excess = Counter()
+    by_excess = [0] * (mask + 1)
     for key, count in packed.terms.items():
         by_excess[(key >> shift) & mask] += count
-    return tuple(by_excess[e] for e in range(max(by_excess, default=-1) + 1))
+    while by_excess and not by_excess[-1]:
+        by_excess.pop()
+    return tuple(by_excess)
 
 
 def grothendieck_bialternant(shape, nvars: int, beta=BETA) -> Poly:
@@ -198,9 +201,10 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     (_orbit_keys).  The keys are over the betas' names and x1..xn, in
     fields of _Packing's bound |shape| n, and each coefficient is divided
     once by the tables' scale prod_k d_k^(n-1-k), so int betas give int
-    coefficients.  The input bound is 2^n: n with 2^n above
-    arith.MAX_SERIES_TERMS is refused with ValueError before the kernel
-    runs.
+    coefficients.  A quotient of more than arith.MAX_SERIES_TERMS
+    monomials in x (the rearrangements of each mu whose coefficient is
+    not 0) is refused with ValueError before any key is written, and the
+    kernel refuses more products than that on its own.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -210,14 +214,16 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
              for beta in betas]
     if len(shape) > n:
         return Poly.constant(0)
-    _check_size(2 ** n, "the determinant has {} minors")
+    dominant = _dominant_coefficients(shape, n, betas)
+    _check_size(sum(factorial(n) // prod(map(factorial, Counter(mu).values()))
+                    for mu, coeff in dominant.items() if coeff), "the quotient has {} monomials in x")
     names = _x_names(n)
     symbols = {beta for beta in betas if isinstance(beta, str)}
     packing = _Packing(tuple(sorted(symbols.union(names), key=_var_key)), shape.size * n)
     scale = _beta_tables(*betas)[1]
     shifts = tuple(packing.shift[x] for x in names)
     terms = {}
-    for mu, coeff in _dominant_coefficients(shape, n, betas).items():
+    for mu, coeff in dominant.items():
         for head, value in packing.pack(Poly._coerce(coeff)).items():
             terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), value))
     if scale != 1:
@@ -395,11 +401,16 @@ def _exponent_set_sums(c: tuple, *betas) -> dict:
     next column, moves to the mask with that column's exponent added, if
     it is not in it already (a repeated exponent makes the alternant 0),
     and changes sign once per exponent of the mask smaller than the new
-    one.  In no variables the sums stay {0: 1}.  Memoized per (c, betas),
-    typed as _beta_tables is."""
-    sums = {0: 1}
+    one.  Before each column the products taken so far and the column's
+    (its partial sums times its nonzero weights) are counted, and more than
+    arith.MAX_SERIES_TERMS raise ValueError, so a refusal comes after at
+    most that many products.  In no variables the sums stay {0: 1}.
+    Memoized per (c, betas), typed as _beta_tables is."""
+    sums, products = {0: 1}, 0
     for cj, table in zip(c, _beta_tables(*betas)[0]):
         row = [(1 << (cj + k), w) for k, w in enumerate(table) if w]
+        products += len(sums) * len(row)
+        _check_size(products, "the column expansion takes {} products")
         step = {}
         for mask, s in sums.items():
             for bit, w in row:
@@ -421,33 +432,32 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
                        / (P[n-j] - P[n-i])
 
     with l the shape padded to n parts and j 1-based.  power_table(top)
-    builds the table P[0..top] for the largest shifted exponent top; it is
-    called after the sum's n! terms pass MAX_SERIES_TERMS, so a refused sum
-    builds no table.  The geometric point x = (1, q, ..., q^(n-1)) takes
-    P[e] = q^e, and the limit q -> 1 takes the exponents themselves (every
-    ratio of q-differences becomes a ratio of exponent differences).  A
-    vanishing divisor raises ValueError with the message `vanishing`,
-    before the kernel runs.
+    builds the table P[0..top] for the largest shifted exponent top.  The
+    geometric point x = (1, q, ..., q^(n-1)) takes P[e] = q^e, and the
+    limit q -> 1 takes the exponents themselves (every ratio of
+    q-differences becomes a ratio of exponent differences).  A vanishing
+    divisor (a repeat among P[0..n-1]) raises ValueError with the message
+    `vanishing`, before the kernel runs.
     The n! terms are summed once per (shape, n, betas), grouped by their
     set S of shifted exponents (_exponent_set_sums, the kernel that gives
     the bi-alternants their Schur coefficients, on _beta_tables' int
-    weights): the sum is sum_S C_S prod_(i<j) (P[s_j] - P[s_i]) over S
-    sorted decreasing, divided once by the Vandermonde-type product and
-    the tables' scale prod_k d_k^(n-1-k).  A symbolic beta gives a Poly
-    even where no term that carries it survives.
+    weights, and refuses more than MAX_SERIES_TERMS products): the sum is
+    sum_S C_S prod_(i<j) (P[s_j] - P[s_i]) over S sorted decreasing,
+    divided once by the Vandermonde-type product, taken after the kernel,
+    and the tables' scale prod_k d_k^(n-1-k).  A symbolic beta gives a
+    Poly even where no term that carries it survives.
     """
-    _check_size(factorial(n))
     scale = _beta_tables(*betas)[1]
     c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
     powers = power_table(max(c, default=0))
-    denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
-    if denom == 0:
+    if len(set(powers[:n])) < n:
         raise ValueError(vanishing)
     symbols = tuple(sorted({beta for beta in betas if isinstance(beta, str)}, key=_var_key))
     total = Poly._of(symbols, {}) if symbols else 0
     for mask, coeff in _exponent_set_sums(c, *betas).items():
         s = [p for e, p in enumerate(powers) if mask >> e & 1][::-1]
         total += coeff * prod(pj - pi for j, pj in enumerate(s) for pi in s[:j])
+    denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
     return total * Fraction(1, denom * scale)
 
 
@@ -468,8 +478,8 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     nonzero (q = 1, and other small roots of unity, are rejected by that
     check).  Returns a Fraction when every beta is rational, otherwise a
     Poly in the symbolic betas, even where no term that carries them
-    survives.  The sum has n! terms, refused above MAX_SERIES_TERMS before
-    any table is built.
+    survives.  The sum has n! terms, grouped by exponent set; the kernel
+    refuses more than MAX_SERIES_TERMS products.
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -501,8 +511,8 @@ def count_svt_formula(shape, nvars: int) -> int:
     read, with a product of exponent differences per set.
     The rational sum must be a non-negative integer; anything else raises
     ArithmeticError.  Zero when the shape has more rows than variables.
-    The sum has n! terms, refused above MAX_SERIES_TERMS before any table
-    is built.
+    The sum has n! terms, grouped by exponent set; the kernel refuses more
+    than MAX_SERIES_TERMS products.
     """
     shape = Partition(shape)
     n = operator.index(nvars)

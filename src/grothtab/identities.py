@@ -492,10 +492,12 @@ def _tableau_sum_vs_bialternant(grid, shape, n):
     beta b from its Schur coefficients, written at every rearrangement of
     each exponent, so the two are compared as full polynomials and a fill
     that is not symmetric fails.  Keys over packings that differ raise
-    rather than compare, so there is no second, unpacked comparison."""
-    yield ({"shape": shape, "n": n},
-           grothendieck._tableau_sum(shape, n),
-           _packed_bialternant(shape, n))
+    rather than compare, so there is no second, unpacked comparison.  A
+    failing row's params also hold left minus right, the terms that
+    differ."""
+    left, right = grothendieck._tableau_sum(shape, n), _packed_bialternant(shape, n)
+    difference = {} if left == right else {"difference": left.unpack() - right.unpack()}
+    yield {"shape": shape, "n": n, **difference}, left, right
 
 
 @_register("prop-3.1",

@@ -8,16 +8,17 @@ each cell is checked as it is set and the generators are lazy.  A cell's
 largest letter is capped at n minus the number of cells below it in its
 column, so that every partial filling has a completion.  One iterative
 backtracker serves every stream: an explicit stack of entry iterators over
-tables of (entry's weight, largest letter) keyed by the alphabet {lo..hi},
-each built on first use (streamed instead for an alphabet of more than
-_TABLE_LETTERS letters), and each filling yielded as the sum of its cells'
-weights.  Weighing an entry as the 1-tuple (entry,) gives a filling's
-row-major tuple of cells, which is how a SetValuedTableau stores it (its
-rows are a view).  Given int weights per letter, enumerate_svt weighs an
-entry by the sum of its letters' weights and yields each filling's key in
-place of the tableau: the tableau sum counts those keys, and no tableau is
-built.  enumerate_sst takes the same units, so a count of semistandard
-tableaux builds none either.
+tables of (entry's weight, largest letter) for the alphabet {lo..hi}, one
+list of them per cap hi, indexed by hi - lo and built on first use
+(streamed instead for an alphabet of more than _TABLE_LETTERS letters),
+and each filling yielded as the sum of its cells' weights.  Weighing an
+entry as the 1-tuple (entry,) gives a filling's row-major tuple of cells,
+which is how a SetValuedTableau stores it (its rows are a view).  Given
+int weights per letter, enumerate_svt weighs an entry by the sum of its
+letters' weights and yields each filling's key in place of the tableau:
+the tableau sum counts those keys, and no tableau is built.
+enumerate_sst takes the same units, so a count of semistandard tableaux
+builds none either.
 """
 
 import operator
@@ -141,7 +142,10 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
     table item carries its entry's weight, prefix[k] holds the sum for
     cells 0..k-1 as the stack sets them, and the last cell yields prefix
     plus its own weight.  Every cell but the last keeps an iterator on the
-    stack; the last cell runs through its choices in a plain loop.
+    stack; the last cell runs through its choices in a plain loop.  The
+    cells with one cap hi share one list of _TABLE_LETTERS tables, the one
+    for entries(lo, hi) at index hi - lo, so a table is found by two list
+    reads and a larger alphabet streams: nothing kept grows with nvars.
 
     Each cell below needs a larger letter than the one above it, so the
     cap drops only entries that no completion can hold: entries(lo, hi) is
@@ -157,15 +161,14 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
     if not parts:
         yield empty
         return
-    # tables[lo, hi]: (weight, largest letter) for each entry of
-    # entries(lo, hi), built on first use; an alphabet {lo..hi} of more
-    # than _TABLE_LETTERS letters is streamed each time instead
-    tables = {}
     size = shape.size
     last = size - 1
     # for each cell: its left and upper neighbours (size, whose largest
-    # letter is tops[size] = 0, where there is none) and its largest
-    # letter hi
+    # letter is tops[size] = 0, where there is none), its largest letter
+    # hi, and tables[k], one list shared by the cells with that hi:
+    # tables[k][hi - lo] is (weight, largest letter) for each entry of
+    # entries(lo, hi), built on first use; an alphabet {lo..hi} of more
+    # than _TABLE_LETTERS letters is streamed each time instead
     left, up, caps = [], [], []
     start = 0
     for i, p in enumerate(parts):
@@ -174,18 +177,21 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
             up.append(start - parts[i - 1] + j if i else size)
             caps.append(nvars - sum(1 for below in parts[i + 1:] if below > j))
         start += p
+    tables = [*map({hi: [None] * _TABLE_LETTERS for hi in caps}.get, caps)]
     stack = [None] * size
     prefix = [empty] * size
     tops = [0] * (size + 1)
     k = 0  # the cell to open
     while True:
-        span = (max(tops[left[k]], tops[up[k]] + 1), caps[k])
-        table = tables.get(span)
+        lo, above = tops[left[k]], tops[up[k]] + 1
+        if above > lo:
+            lo = above
+        hi = caps[k]
+        table = tables[k][hi - lo] if hi - lo < _TABLE_LETTERS else None
         if table is None:
-            lo, hi = span
             table = ((weigh(e), e[-1]) for e in entries(lo, hi))
             if hi - lo < _TABLE_LETTERS:
-                table = tables[span] = tuple(table)
+                table = tables[k][hi - lo] = tuple(table)
         if k == last:
             stem = prefix[last]
             for weight, _ in table:

@@ -270,24 +270,43 @@ def test_eval_holman_refuses_a_series_over_the_term_limit(tmp_path, capsys):
     ["count-svt", "--shape", "2,1", "--vars", "4", "--method", "all"],
 ])
 def test_n_factorial_sums_over_the_term_limit_are_usage_errors(capsys, monkeypatch, argv):
-    # 4 variables give 4! = 24 terms; the refusal comes before any enumeration
+    # in 4 variables the kernel's columns take 1, 2, 6 and more products,
+    # 9 > 6 by the third; the refusal comes before any enumeration, and
+    # the memos are cleared so that the kernel runs under the limit
     def no_enumeration(shape, nvars):
         raise AssertionError("enumeration ran")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
     monkeypatch.setattr(cli, "enumerate_svt", no_enumeration)
+    clear_memos()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: the series has 24 terms, more than the limit of 6\n"
+    assert err == "error: the column expansion takes 9 products, more than the limit of 6\n"
 
 
-def test_refined_determinant_over_the_minor_limit_is_a_usage_error(capsys, monkeypatch):
-    # 4 variables give 2^4 = 16 minors
-    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
-    code, out, err = run_cli(capsys, "eval-groth", "--shape", "2,1", "--vars", "4",
-                             "--refined", "1/2,-3/4,2")
+def test_count_all_in_ten_variables_is_refused_by_the_coupled_series(capsys, monkeypatch):
+    # the formula answers (1) in 10 variables; the coupled series' 10! terms
+    # are refused, and enum, which runs last, never starts
+    def no_enumeration(shape, nvars):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(cli, "enumerate_svt", no_enumeration)
+    code, out, err = run_cli(capsys, "count-svt", "--shape", "1", "--vars", "10",
+                             "--method", "all")
     assert code == 2 and out == ""
-    assert err == "error: the determinant has 16 minors, more than the limit of 8\n"
+    assert err == "error: the series has 3628800 terms, more than the limit of 1000000\n"
+
+
+def test_refined_quotient_over_the_term_limit_is_a_usage_error(capsys, monkeypatch):
+    # at zero betas the quotient is s_(2,1) in 4 variables: the kernel takes
+    # one product per column, and the 12 rearrangements of (2,1,0,0) and 4
+    # of (1,1,1,0) make 16 monomials
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
+    clear_memos()
+    code, out, err = run_cli(capsys, "eval-groth", "--shape", "2,1", "--vars", "4",
+                             "--refined", "0,0,0")
+    assert code == 2 and out == ""
+    assert err == "error: the quotient has 16 monomials in x, more than the limit of 8\n"
 
 
 def test_eval_holman_from_shape(capsys):

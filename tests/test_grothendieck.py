@@ -28,6 +28,7 @@ from grothtab.polynomials import Poly, _shape_packing
 from grothtab.tableaux import SetValuedTableau, enumerate_sst, enumerate_svt
 
 from column_expansion import elementary_symmetric_poly, single_column_e_expansion
+from memos import clear_memos
 from poly_reference import (
     alternant_quotient,
     coefficient,
@@ -314,22 +315,27 @@ def test_a_beta_named_like_an_x_variable_is_refused():
         refined_bialternant((1,), 2, ["1/2"])
 
 
-def test_determinant_over_the_minor_limit_is_refused_before_any_row(monkeypatch):
-    # the refined quotient's input bound is 2^n: 2^3 = 8 pass, 2^4 = 16 are
-    # refused before the kernel runs; the value at a point (int
-    # determinants in O(n^3) products) and the one-beta quotient have no
-    # such limit
+def test_refined_quotient_over_the_term_limit_is_refused_before_any_key(monkeypatch):
+    # the refined quotient's bound is its monomials in x, which follow the
+    # output and not n: s_(2,1) has 7 in 3 variables and 16 in 4, x1 + ... +
+    # x4 has 4.  The kernel bounds its own products: at nonzero betas the
+    # columns of (1) in 4 variables take 1, 2, 6 and 12.  The value at a
+    # point (int determinants in O(n^3) products) has no such limit
     def not_run(*args):
-        raise AssertionError("the quotient was built")
+        raise AssertionError("the keys were written")
 
     monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 8)
-    assert refined_bialternant((1,), 3, [0, 0]) == x1 + x2 + x3
-    assert refined_bialternant_at((1,), 4, [0, 0, 0], [1, 2, 3, 4]) == 10
-    assert grothendieck_bialternant((1,), 3, 0) == x1 + x2 + x3
-    assert grothendieck_bialternant((2, 1), 4) == grothendieck_tableau_sum((2, 1), 4)
-    monkeypatch.setattr(grothendieck, "_exponent_set_sums", not_run)
-    with pytest.raises(ValueError, match="the determinant has 16 minors, more than the limit of 8"):
-        refined_bialternant((1,), 4, [0, 0, 0])
+    clear_memos()
+    assert refined_bialternant((1,), 4, [0, 0, 0]) == x1 + x2 + x3 + Poly.variable("x4")
+    assert len(refined_bialternant((2, 1), 3, [0, 0]).terms) == 7
+    assert refined_bialternant_at((1,), 4, [1, 1, 1], [1, 2, 3, 4]) == 119
+    with pytest.raises(ValueError, match="the column expansion takes 9 products, more than the "
+                                         "limit of 8"):
+        refined_bialternant((1,), 4, [1, 1, 1])
+    monkeypatch.setattr(grothendieck, "_orbit_keys", not_run)
+    with pytest.raises(ValueError, match="the quotient has 16 monomials in x, more than the "
+                                         "limit of 8"):
+        refined_bialternant((2, 1), 4, [0, 0, 0])
 
 
 def test_the_symbolic_bi_alternant_builds_no_matrix(monkeypatch):
@@ -559,14 +565,24 @@ def test_non_integer_sizes_are_refused():
 
 
 def test_n_factorial_sums_refuse_more_terms_than_the_limit(monkeypatch):
-    # n variables give n! terms: 3! = 6 pass, 4! = 24 are refused before any term
-    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 6)
+    # the kernel counts its products before each column: the columns of
+    # (2, 1) take 1, 2, 6 and then 20 products, so 3 variables (9) pass and
+    # 4 (29) are refused before the last column
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 9)
+    clear_memos()
     assert count_svt_formula((2, 1), 3) == 27
-    assert principal_specialization_q((1,), 3, [0, 0], 2) == 7
+    assert principal_specialization_q((2, 1), 3, [1, 1], 2) == 630
     for build in (lambda: count_svt_formula((2, 1), 4),
-                  lambda: principal_specialization_q((1,), 4, [0, 0, 0], 2)):
-        with pytest.raises(ValueError, match="the series has 24 terms, more than the limit of 6"):
+                  lambda: principal_specialization_q((2, 1), 4, [1, 1, 1], 2)):
+        with pytest.raises(ValueError, match="the column expansion takes 29 products, more "
+                                             "than the limit of 9"):
             build()
+
+
+def test_n_factorial_sums_past_n_factorial_terms_are_answered():
+    # 10! to 12! terms, in a few hundred products, against enumeration
+    for shape, n, count in (((1, 1), 10, 4097), ((1, 1), 11, 9217), ((2,), 12, 45057)):
+        assert count_svt_formula(shape, n) == sum(1 for _ in enumerate_svt(shape, n)) == count
 
 
 @pytest.mark.parametrize("build", [
@@ -575,10 +591,11 @@ def test_n_factorial_sums_refuse_more_terms_than_the_limit(monkeypatch):
     lambda: ones_value_by_series((1,), 800, 1),
 ], ids=["principal_specialization_q", "count_svt_formula", "ones_value_by_series"])
 def test_n_factorial_sums_are_refused_before_their_setup(build):
-    # at the real limit: the q-Vandermonde, the weight tables and the
-    # semistandard count of n = 200 or 800 would each take seconds
+    # at the real limit: the q-Vandermonde and its per-set products, or the
+    # semistandard count, of n = 200 or 800 would each take seconds; the
+    # kernel refuses after about 144 of its columns
     start = perf_counter()
-    with pytest.raises(ValueError, match="the series has"):
+    with pytest.raises(ValueError, match="the series has|the column expansion takes"):
         build()
     assert perf_counter() - start < 1
 

@@ -9,8 +9,9 @@ and the horizontal strip's range), three in the packed tableau-sum fill (the
 per-letter units, the entries' weights and the key the backtracker
 carries), one in the integral bi-alternant's column scale, which only the
 refined quotient at a point takes from _integral_rows, one in that
-quotient's Vandermonde, one in the
-backtracker's column cap, one in the sign of the per-set q-Vandermonde of
+quotient's Vandermonde, two in the
+backtracker's bounds on a cell's letters (the column cap and the strict
+bound from the upper neighbour), one in the sign of the per-set q-Vandermonde of
 _shifted_exponent_sum, the expansion behind both the principal
 specialization and the binomial-shift count formula, three in the one
 kernel of Schur coefficients those two and the bi-alternant read,
@@ -144,6 +145,9 @@ MUTANTS = {
         "num_j * den_i - num_i * den_j")),
     "column cap one letter too tight": lambda: (tableaux, "_backtrack", _edited(
         tableaux._backtrack, "caps.append(nvars - sum(", "caps.append(nvars - 1 - sum(")),
+    # a cell may repeat its upper neighbour's largest letter
+    "upper neighbour's bound not strict": lambda: (tableaux, "_backtrack", _edited(
+        tableaux._backtrack, "tops[up[k]] + 1", "tops[up[k]]")),
     # the coupling sign the README pins; HolmanInstance.from_shape looks it up
     "coupling sign l_i + l_j": lambda: (hypergeom, "shape_coupling", _edited(
         hypergeom.shape_coupling, "lam[i - 1] - lam[j - 1] + j - i",
@@ -228,6 +232,11 @@ CAUGHT_BY = {
     "column cap one letter too tight": {"hook-counts", "gg-eq-w", "prop-3.1", "prop-3.2",
                                         "cor-3.3", "cor-3.4", "cor-3.8", "thm-3.9",
                                         "cor-3.11", "prop-AA", "oddness"},
+    # extra fillings in every shape of two rows or more; the sums that
+    # alternate by excess (prop-AA, oddness) still come out right
+    "upper neighbour's bound not strict": {"hook-counts", "gg-eq-w", "prop-3.1", "prop-3.2",
+                                           "cor-3.3", "cor-3.4", "cor-3.8", "thm-3.9",
+                                           "cor-3.11"},
     "coupling sign l_i + l_j": {"thm-3.9", "cor-3.11", "thm-3.13"},
     "hook content n + i - j": {"hook-counts"},
     "column binomial C(n + 1, k)": {"prop-3.2", "cor-3.4"},
@@ -398,3 +407,19 @@ def test_a_bug_in_the_series_read_shows_in_verify_and_in_the_cli(monkeypatch, ca
     finally:
         clear_memos()
     assert {check.id for check in report.checks if check.failed} == {"thm-3.9"}
+
+
+def test_a_gg_eq_w_witness_names_the_terms_that_differ(monkeypatch):
+    # K((2,1), (1,1,1)) = 2 read as 1: for (2) in 3 variables both sides
+    # have 16 terms, and the witness's difference holds the one that differs
+    monkeypatch.setattr(grothendieck, "_dominant_schur", _edited(
+        grothendieck._dominant_schur.__wrapped__, "kostka[(*mu, k)] += count",
+        "kostka[(*mu, k)] = count"))
+    clear_memos()
+    try:
+        report = identities.run_check("gg-eq-w", Grid(2, 3))
+    finally:
+        clear_memos()
+    assert report.failed == 1
+    assert report.witnesses[0].params == {"shape": "(2)", "n": "3", "difference": "b*x1*x2*x3"}
+    assert report.witnesses[0].left.count("+") == report.witnesses[0].right.count("+") == 15
