@@ -17,8 +17,8 @@ denominator, so a series whose indices share one argument z is summed
 once as a polynomial in z.
 Every such sum is refused above MAX_SERIES_TERMS terms.  polynomial_at
 is the one reader of such parts: a polynomial in one variable, int
-coefficients over one denominator, at z = p/q in one int pass and one
-division; the memoized series of a shape, the Gauss series and the
+coefficients over one denominator, at z = p/q in one int pass by
+Horner's rule and one division; the memoized series of a shape, the Gauss series and the
 tableau sum's diagonal (its counts by excess) are all read by it.
 determinant is the int determinant, by fraction-free elimination: every
 division in it is exact and checked, and its cost is O(n^3) int products.  All functions
@@ -93,10 +93,17 @@ def polynomial_at(parts, d: int, z) -> Fraction:
     """sum_s parts[s] z^s / d for int parts and a nonzero int d, at the
     exact rational z = p/q (exact_rational, so a float is refused), read
     as sum_s parts[s] p^s q^(top-s) over d q^top, top = len(parts) - 1:
-    one int pass and one division.  No parts give 0."""
+    one int pass by Horner's rule from the top coefficient down, each step
+    one product by p and one by the power of q so far, and one division.
+    No parts give 0."""
     z = exact_rational(z)
-    p, q, top = z.numerator, z.denominator, max(len(parts) - 1, 0)
-    return Fraction(sum(c * p ** s * q ** (top - s) for s, c in enumerate(parts)), d * q ** top)
+    p, q = z.numerator, z.denominator
+    total, scale = 0, 1
+    for c in reversed(parts):
+        total = total * p + c * scale
+        scale *= q
+    # scale is q^(top + 1) now, or 1 with no parts, when total is 0
+    return Fraction(total * q, d * scale)
 
 
 def over_common_denominator(values) -> tuple[list, int]:

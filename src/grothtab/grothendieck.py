@@ -60,7 +60,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial, prod
 
 from .arith import _check_size, determinant, exact_count, exact_rational
@@ -225,7 +225,7 @@ def refined_bialternant(shape, nvars: int, betas) -> Poly:
     terms = {}
     for mu, coeff in dominant.items():
         for head, value in packing.pack(Poly._coerce(coeff)).items():
-            terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), value))
+            terms.update(zip(map(head.__add__, _orbit_keys(mu, shifts)), repeat(value)))
     if scale != 1:
         terms = {key: Fraction(value, scale) for key, value in terms.items()}
     return packing.unpack(terms)
@@ -263,7 +263,7 @@ def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
     for mu, coeff in _dominant_coefficients(shape, nvars, [1] * _beta_count(nvars)).items():
         if coeff:
             head = (sum(mu) - shape.size) << packing.shift[BETA]
-            terms.update(dict.fromkeys(map(head.__add__, _orbit_keys(mu, shifts)), coeff))
+            terms.update(zip(map(head.__add__, _orbit_keys(mu, shifts)), repeat(coeff)))
     return _Packed(packing, terms)
 
 
@@ -404,13 +404,20 @@ def _exponent_set_sums(c: tuple, *betas) -> dict:
     one.  Before each column the products taken so far and the column's
     (its partial sums times its nonzero weights) are counted, and more than
     arith.MAX_SERIES_TERMS raise ValueError, so a refusal comes after at
-    most that many products.  In no variables the sums stay {0: 1}.
+    most that many products; it clears the tables' memo, so no refused
+    call keeps its tables (at n = 800, 27 MiB of binomials).  In no
+    variables the sums stay {0: 1}.
     Memoized per (c, betas), typed as _beta_tables is."""
     sums, products = {0: 1}, 0
     for cj, table in zip(c, _beta_tables(*betas)[0]):
         row = [(1 << (cj + k), w) for k, w in enumerate(table) if w]
         products += len(sums) * len(row)
-        _check_size(products, "the column expansion takes {} products")
+        try:
+            _check_size(products, "the column expansion takes {} products")
+        except ValueError:
+            # the refused call's tables, which may be large, leave the memo
+            _beta_tables.cache_clear()
+            raise
         step = {}
         for mask, s in sums.items():
             for bit, w in row:
@@ -447,7 +454,6 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     and the tables' scale prod_k d_k^(n-1-k).  A symbolic beta gives a
     Poly even where no term that carries it survives.
     """
-    scale = _beta_tables(*betas)[1]
     c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
     powers = power_table(max(c, default=0))
     if len(set(powers[:n])) < n:
@@ -455,10 +461,16 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     symbols = tuple(sorted({beta for beta in betas if isinstance(beta, str)}, key=_var_key))
     total = Poly._of(symbols, {}) if symbols else 0
     for mask, coeff in _exponent_set_sums(c, *betas).items():
-        s = [p for e, p in enumerate(powers) if mask >> e & 1][::-1]
-        total += coeff * prod(pj - pi for j, pj in enumerate(s) for pi in s[:j])
+        # S's powers by increasing exponent: prod_(u<v) (s_u - s_v) is
+        # the product over S sorted decreasing, factor for factor
+        s = [p for e, p in enumerate(powers) if mask >> e & 1]
+        vandermonde = 1
+        for u, su in enumerate(s):
+            for sv in s[u + 1:]:
+                vandermonde *= su - sv
+        total += coeff * vandermonde
     denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
-    return total * Fraction(1, denom * scale)
+    return total * Fraction(1, denom * _beta_tables(*betas)[1])
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):

@@ -7,8 +7,9 @@ adds its parts: each summation index ends at its first vanishing
 numerator Pochhammer (_cutoff); an index with none is refused rather
 than approximated, and so is a series of more than
 arith.MAX_SERIES_TERMS terms.  The coupled series is arith.coupled_sum
-over its Pochhammer weight tables, with integer cross factors, divided
-once by prod A_ij; the kernel grades its sum by total index, so the parts
+over its Pochhammer weight tables, each built on ints (running
+numerator and denominator products, reduced once by their gcd), with
+integer cross factors, divided once by prod A_ij; the kernel grades its sum by total index, so the parts
 are the series as a polynomial in z when every index has the same
 argument z, and arith.polynomial_at reads such parts at a rational z in
 one int pass.  shape_series is the one reader of a shape's series
@@ -31,7 +32,7 @@ import json
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .arith import _check_size, coupled_sum, exact_rational, format_rational, polynomial_at
@@ -212,11 +213,17 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
     """The terms of holman_series(inst) summed by total index k_1 + ... +
     k_n, as (parts, d) over one denominator d (arith.coupled_sum's
     convention); when every z_i is z, parts[s] / d is the coefficient of
-    z^s at z = 1."""
+    z^s at z = 1.  Each index's Pochhammer table is built on ints: running
+    products of the terms' numerators and denominators, put over the last
+    denominator and divided by the gcd, sign made positive, which is
+    exactly arith.over_common_denominator of the reduced terms (their
+    numerators over the lcm of their denominators), with no Fraction
+    built; coupled_sum then takes int tables, and d is the product of
+    their denominators and of the coupling."""
     bounds = inst.termination_bounds()
     _check_size(prod(N + 1 for N in bounds))
     coupling = inst.coupling
-    weights = []
+    weights, scale = [], prod(a for row in coupling for a in row)
     for i, top in enumerate(bounds):
         nums, dens = inst.row_numerators(i + 1), inst.row_denominators(i + 1)
         for b in dens:
@@ -224,12 +231,23 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
                 raise ValueError(
                     f"denominator Pochhammer ({b})_k vanishes inside the "
                     f"summation range 0..{top} of index {i + 1}")
-        w = [Fraction(1)]
+        # term k over den_k, running int products: a + k is
+        # (a.numerator + k a.denominator) / a.denominator, and so is b + k
+        up = inst.z[i].numerator * prod(b.denominator for b in dens)
+        down = inst.z[i].denominator * prod(a.denominator for a in nums)
+        terms, num, den = [(1, 1)], 1, 1
         for k in range(top):
-            w.append(w[-1] * prod(a + k for a in nums) * inst.z[i] / prod(b + k for b in dens))
-        weights.append(w)
+            num *= up * prod(a.numerator + k * a.denominator for a in nums)
+            den *= down * prod(b.numerator + k * b.denominator for b in dens)
+            terms.append((num, den))
+        # over the last den_k, which every den_k divides, and reduced with a
+        # positive denominator: the smallest common one of the terms
+        table = [t * (den // d) for t, d in terms]
+        g = gcd(den, *table) if den > 0 else -gcd(den, *table)
+        weights.append([t // g for t in table])
+        scale *= den // g
     parts, d = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
-    return parts, d * prod(a for row in coupling for a in row)
+    return parts, d * scale
 
 
 @lru_cache(maxsize=None)

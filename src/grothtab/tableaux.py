@@ -11,7 +11,11 @@ backtracker serves every stream: an explicit stack of entry iterators over
 tables of (entry's weight, largest letter) for the alphabet {lo..hi}, one
 list of them per cap hi, indexed by hi - lo and built on first use
 (streamed instead for an alphabet of more than _TABLE_LETTERS letters),
-and each filling yielded as the sum of its cells' weights.  Weighing an
+and each filling yielded as the sum of its cells' weights.  In an alphabet
+of at most _TABLE_LETTERS // 2 letters the last two cells are fused: the
+second-last cell reads one table of its entries' weights each plus every
+weight the last cell can then take, and yields the prefix plus each, so
+the last cell opens no search node.  Weighing an
 entry as the 1-tuple (entry,) gives a filling's row-major tuple of cells,
 which is how a SetValuedTableau stores it (its rows are a view).  Given
 int weights per letter, enumerate_svt weighs an entry by the sum of its
@@ -139,12 +143,18 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
     neighbours allow and hi is nvars minus the number of cells below the
     cell in its column; cells are filled row-major.  Each filling is
     yielded as empty plus weigh(entry) for each of its cells in turn: each
-    table item carries its entry's weight, prefix[k] holds the sum for
-    cells 0..k-1 as the stack sets them, and the last cell yields prefix
-    plus its own weight.  Every cell but the last keeps an iterator on the
-    stack; the last cell runs through its choices in a plain loop.  The
-    cells with one cap hi share one list of _TABLE_LETTERS tables, the one
-    for entries(lo, hi) at index hi - lo, so a table is found by two list
+    table item carries its entry's weight, and prefix[k] holds the sum for
+    cells 0..k-1 as the stack sets them.  Every cell before the leaf keeps
+    an iterator on the stack; the leaf yields prefix plus each item of its
+    table of summed weights.  The leaf is the last cell, whose table holds
+    its own weights, or, for an alphabet of at most _TABLE_LETTERS // 2
+    letters, the second-last cell, whose table holds the weight of each
+    entry plus that of each entry the last cell can then take, in stream
+    order: the last two cells are fused into one table (at most 63^2
+    sums), keyed by the leaf's lo and by the largest letter of the last
+    cell's other neighbour, the one that is not the leaf.  The cells with
+    one cap hi share one list of _TABLE_LETTERS tables, the one for
+    entries(lo, hi) at index hi - lo, so a table is found by two list
     reads and a larger alphabet streams: nothing kept grows with nvars.
 
     Each cell below needs a larger letter than the one above it, so the
@@ -181,24 +191,57 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
     stack = [None] * size
     prefix = [empty] * size
     tops = [0] * (size + 1)
+    fuse = size > 1 and nvars <= _TABLE_LETTERS // 2
+    leaf = last - fuse
+    # the leaf's tables of summed weights, sums[lo][tops[other]]: other is
+    # the last cell's neighbour that is not the leaf (size if none), and
+    # the leaf's lo with that neighbour's largest letter fixes every
+    # choice of the cells from the leaf on; an unfused leaf is keyed by lo
+    other = (left[last] if up[last] == leaf else up[last]) if fuse else size
+    sums = [[None] * (nvars + 1) for _ in range(nvars + 1)]
+
+    def pairs(k, lo):
+        """(weight, largest letter) for each entry of cell k from lo."""
+        hi = caps[k]
+        if hi - lo >= _TABLE_LETTERS:
+            return ((weigh(e), e[-1]) for e in entries(lo, hi))
+        table = tables[k][hi - lo]
+        if table is None:
+            table = tables[k][hi - lo] = tuple((weigh(e), e[-1]) for e in entries(lo, hi))
+        return table
+
+    def leaf_sums(lo):
+        """The leaf's summed weights from lo, kept unless streamed."""
+        if not fuse:
+            table = (weight for weight, _ in pairs(last, lo))
+        else:
+            # the leaf's largest letter is set in tops as the stack would
+            # set it, so the last cell's bound is read as at every cell
+            table = []
+            for weight, tops[leaf] in pairs(leaf, lo):
+                lo_last = max(tops[left[last]], tops[up[last]] + 1)
+                table += [weight + w for w, _ in pairs(last, lo_last)]
+        if caps[leaf] - lo < _TABLE_LETTERS:
+            table = sums[lo][tops[other]] = tuple(table)
+        return table
+
     k = 0  # the cell to open
     while True:
         lo, above = tops[left[k]], tops[up[k]] + 1
         if above > lo:
             lo = above
-        hi = caps[k]
-        table = tables[k][hi - lo] if hi - lo < _TABLE_LETTERS else None
-        if table is None:
-            table = ((weigh(e), e[-1]) for e in entries(lo, hi))
-            if hi - lo < _TABLE_LETTERS:
-                table = tables[k][hi - lo] = tuple(table)
-        if k == last:
-            stem = prefix[last]
-            for weight, _ in table:
+        if k == leaf:
+            table = sums[lo][tops[other]]
+            if table is None:
+                table = leaf_sums(lo)
+            stem = prefix[leaf]
+            for weight in table:
                 yield stem + weight
             k -= 1
         else:
-            stack[k] = iter(table)
+            hi = caps[k]
+            table = tables[k][hi - lo] if hi - lo < _TABLE_LETTERS else None
+            stack[k] = iter(pairs(k, lo) if table is None else table)
         # the next choice of cell k, backing up past exhausted cells
         while k >= 0:
             for weight, tops[k] in stack[k]:

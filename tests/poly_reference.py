@@ -12,14 +12,19 @@ alternant given by its first row, with its own divided difference and
 symmetry guard; the package builds its bi-alternants from their Schur
 coefficients (grothendieck._packed_bialternant, refined_bialternant), and
 the tests hold the two against each other and against the Leibniz sum over
-the Vandermonde.  lenart_support is the reference bound on the Schur
+the Vandermonde.  series_parts is the coupled series' (parts, d) with each
+Pochhammer table built by the Fraction recurrence, term k + 1 from term
+k, the reference for hypergeom._series_parts, which builds its tables on
+ints.  lenart_support is the reference bound on the Schur
 coefficients' partitions; the package searches none, since its one kernel
 (grothendieck._exponent_set_sums) yields the exponent sets that occur.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
+from grothtab.arith import coupled_sum
 from grothtab.polynomials import _NAME_RE, Poly, _Packing, _var_key
 
 
@@ -187,3 +192,20 @@ def alternant_quotient(row, names) -> Poly:
             chain = _divided_difference(chain, shift[names[i - 1]], shift[names[i]], packing.mask)
     _check_symmetric(packing, chain, names)
     return packing.unpack(chain)
+
+
+def series_parts(inst) -> tuple[list, int]:
+    """(parts, d) of the coupled series, as hypergeom._series_parts gives
+    them, from tables of Fractions, each term the one before times
+    prod (a + k) z / prod (b + k), which arith.coupled_sum puts over the
+    lcm of their denominators; no size guard and no vanishing check."""
+    weights = []
+    for i, top in enumerate(inst.termination_bounds()):
+        nums, dens = inst.row_numerators(i + 1), inst.row_denominators(i + 1)
+        w = [Fraction(1)]
+        for k in range(top):
+            w.append(w[-1] * prod(a + k for a in nums) * inst.z[i] / prod(b + k for b in dens))
+        weights.append(w)
+    coupling = inst.coupling
+    parts, d = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
+    return parts, d * prod(a for row in coupling for a in row)

@@ -579,6 +579,26 @@ def test_n_factorial_sums_refuse_more_terms_than_the_limit(monkeypatch):
             build()
 
 
+def test_a_refused_kernel_leaves_no_tables_in_the_memo(monkeypatch):
+    # the tables are built before the first column; a refused call used to
+    # leave them cached for the life of the process (27 MiB at n = 800)
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 9)
+    clear_memos()
+    try:
+        for build in (lambda: count_svt_formula((2, 1), 4),
+                      lambda: principal_specialization_q((2, 1), 4, [Fraction(1, 3)] * 3, 2),
+                      lambda: refined_bialternant((2, 1), 4, ["b1", "b2", "b3"])):
+            with pytest.raises(ValueError, match="the column expansion takes"):
+                build()
+            assert grothendieck._beta_tables.cache_info().currsize == 0
+            assert grothendieck._exponent_set_sums.cache_info().currsize == 0
+        # a call the kernel answers keeps its tables
+        assert count_svt_formula((2, 1), 3) == 27
+        assert grothendieck._beta_tables.cache_info().currsize == 1
+    finally:
+        clear_memos()
+
+
 def test_n_factorial_sums_past_n_factorial_terms_are_answered():
     # 10! to 12! terms, in a few hundred products, against enumeration
     for shape, n, count in (((1, 1), 10, 4097), ((1, 1), 11, 9217), ((2,), 12, 45057)):

@@ -5,6 +5,8 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothtab import arith, hypergeom
 from grothtab.arith import binomial
@@ -21,6 +23,8 @@ from grothtab.hypergeom import (
 from grothtab.identities import DEFAULT_BETAS, Grid
 from grothtab.partitions import count_sst_hook, count_sst_product
 from grothtab.tableaux import enumerate_svt
+
+from poly_reference import series_parts
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +201,41 @@ def test_holman_series_matches_the_term_by_term_sum(inst, cutoffs):
     # place, gives another value
     assert inst.termination_bounds() == cutoffs
     assert holman_series(inst) == _holman_reference(inst, cutoffs)
+
+
+def test_series_parts_are_the_fraction_recurrence_on_every_shape_of_the_grid():
+    # exactly the reference's numerators and denominator, not only the value
+    for shape, n in Grid(6, 5).shapes():
+        for z in (1, Fraction(-2, 3)):
+            inst = HolmanInstance.from_shape(shape, n, z)
+            assert hypergeom._series_parts(inst) == series_parts(inst), (shape, n, z)
+
+
+def _rationals(lo, hi):
+    return st.fractions(lo, hi, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, 3), st.lists(_rationals(-4, 4), max_size=2)),
+             min_size=n, max_size=n),
+    st.lists(st.lists(_rationals(-9, 9).filter(lambda b: b.denominator > 1 or b > 0),
+                      min_size=n, max_size=n), max_size=2),
+    st.lists(_rationals(-3, 3), min_size=n, max_size=n),
+    st.lists(st.integers(1, 4), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+def test_series_parts_are_the_fraction_recurrence_at_rational_parameters(drawn):
+    # each index ends at its own non-positive integer numerator; the other
+    # parameters are any rationals (negative non-integral denominators
+    # among them, but no non-positive integer, which could vanish), so that
+    # the tables' signs and gcds vary
+    n, rows, dens, z, flat = drawn
+    numerator = [tuple(-top for top, _ in rows)]
+    width = max(len(extra) for _, extra in rows)
+    numerator += [tuple((extra + [1] * width)[c] for _, extra in rows) for c in range(width)]
+    coupling = [tuple(flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2]) for t in range(n - 1)]
+    inst = HolmanInstance(coupling, numerator, dens, z)
+    assert hypergeom._series_parts(inst) == series_parts(inst)
 
 
 def test_single_row_cross_evaluator_agreement():

@@ -9,9 +9,10 @@ and the horizontal strip's range), three in the packed tableau-sum fill (the
 per-letter units, the entries' weights and the key the backtracker
 carries), one in the integral bi-alternant's column scale, which only the
 refined quotient at a point takes from _integral_rows, one in that
-quotient's Vandermonde, two in the
-backtracker's bounds on a cell's letters (the column cap and the strict
-bound from the upper neighbour), one in the sign of the per-set q-Vandermonde of
+quotient's Vandermonde, three in the
+backtracker's bounds on a cell's letters (the column cap, the strict
+bound from the upper neighbour and the last cell's bound in the table
+that fuses the last two cells), one in the sign of the per-set q-Vandermonde of
 _shifted_exponent_sum, the expansion behind both the principal
 specialization and the binomial-shift count formula, three in the one
 kernel of Schur coefficients those two and the bi-alternant read,
@@ -67,13 +68,16 @@ from memos import clear_memos
 from poly_reference import alternant_quotient
 
 
-def _edited(function, old: str, new: str):
-    """`function` recompiled from its source with `old` replaced by `new`,
-    over a copy of its module's globals."""
+def _edited(function, *edits: str):
+    """`function` recompiled from its source with each `old` of the
+    alternating old, new strings replaced by its `new`, over a copy of its
+    module's globals."""
     source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, f"{old!r} not found once in {function.__name__}"
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert source.count(old) == 1, f"{old!r} not found once in {function.__name__}"
+        source = source.replace(old, new)
     namespace = dict(vars(inspect.getmodule(function)))
-    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    exec(compile(source, inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
 
 
@@ -127,8 +131,16 @@ MUTANTS = {
     # grothendieck holds its own binding of enumerate_svt
     "cell weighed by its largest letter only": lambda: (grothendieck, "enumerate_svt", _edited(
         tableaux.enumerate_svt, "sum(map(units.__getitem__, e))", "units[e[-1]] * len(e)")),
+    # the leaf yields the last cell's weight alone, from the fused table of
+    # the last two cells too
     "last cell drops the prefix key": lambda: (tableaux, "_backtrack", _edited(
-        tableaux._backtrack, "yield stem + weight", "yield weight")),
+        tableaux._backtrack, "yield stem + weight", "yield weight",
+        "[weight + w for w, _ in", "[w for w, _ in")),
+    # the fused table reads the last cell's lower bound with the leaf's
+    # largest letter left at 0, so the last cell may repeat its left
+    # neighbour's largest letter and any letter its upper neighbour holds
+    "last cell's bound ignores the leaf": lambda: (tableaux, "_backtrack", _edited(
+        tableaux._backtrack, "for weight, tops[leaf] in", "for weight, _ in")),
     "excess unit dropped": lambda: (grothendieck, "_tableau_sum", _edited(
         grothendieck._tableau_sum.__wrapped__, "b + packing.variable(x)", "packing.variable(x)")),
     # identities looks the reader up in grothendieck
@@ -159,7 +171,7 @@ MUTANTS = {
     # count_svt_formula and principal_specialization_q look it up in
     # grothendieck; the per-set product over S sorted decreasing
     "count formula cross factor sign": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
-        grothendieck._shifted_exponent_sum, "prod(pj - pi", "prod(pi - pj")),
+        grothendieck._shifted_exponent_sum, "vandermonde *= su - sv", "vandermonde *= sv - su")),
     # the kernel's sign counts the exponents of the mask larger than the
     # new one
     "set sign from larger exponents": lambda: (grothendieck, "_exponent_set_sums", _edited(
@@ -178,7 +190,8 @@ MUTANTS = {
     # the one evaluator behind holman_series (the 2F1) and the memoized
     # series that shape_series reads, which look it up in hypergeom
     "series term over (b + k + 1)": lambda: (hypergeom, "_series_parts", _edited(
-        hypergeom._series_parts, "prod(b + k for b in dens)", "prod(b + k + 1 for b in dens)")),
+        hypergeom._series_parts, "b.numerator + k * b.denominator",
+        "b.numerator + (k + 1) * b.denominator")),
     "kernel drops negative prefixes": lambda: _kernel("if factor:", "if factor > 0:"),
     # count_svt_formula and principal_specialization_q reach the tables
     # through _shifted_exponent_sum, which looks them up in grothendieck
@@ -186,7 +199,7 @@ MUTANTS = {
         grothendieck._beta_tables.__wrapped__, "for b in betas]", "for b in betas[1:] + (0,)]")),
     "beta scale exponent n - k": lambda: (grothendieck, "_beta_tables", _edited(
         grothendieck._beta_tables.__wrapped__, "d ** (n - 1 - k)", "d ** (n - k)")),
-    "reader without the q^top scale": lambda: _reader("d * q ** top", "d"),
+    "reader without the q^top scale": lambda: _reader("total * q, d * scale", "total, d"),
     "pairwise factor one too large": lambda: _pairwise(
         "lam[i] - lam[j] + j - i", "lam[i] - lam[j] + j - i + 1"),
 }
@@ -235,6 +248,11 @@ CAUGHT_BY = {
     # extra fillings in every shape of two rows or more; the sums that
     # alternate by excess (prop-AA, oddness) still come out right
     "upper neighbour's bound not strict": {"hook-counts", "gg-eq-w", "prop-3.1", "prop-3.2",
+                                           "cor-3.3", "cor-3.4", "cor-3.8", "thm-3.9",
+                                           "cor-3.11"},
+    # extra fillings wherever the last cell has a left or upper neighbour
+    # in the leaf; as with the bound above, the alternating sums hold
+    "last cell's bound ignores the leaf": {"hook-counts", "gg-eq-w", "prop-3.1", "prop-3.2",
                                            "cor-3.3", "cor-3.4", "cor-3.8", "thm-3.9",
                                            "cor-3.11"},
     "coupling sign l_i + l_j": {"thm-3.9", "cor-3.11", "thm-3.13"},
@@ -391,11 +409,12 @@ def test_a_bug_in_the_series_side_shows_in_verify_and_in_the_cli(monkeypatch, ca
 def test_a_bug_in_the_series_read_shows_in_verify_and_in_the_cli(monkeypatch, capsys):
     # thm-3.9, cor-3.11, thm-3.13, eval-holman --from-shape and eval-2f1
     # all read a polynomial in z through arith.polynomial_at, and so do the
-    # row and column checks, on both sides; with q^s for q^(top - s) only a
-    # z with a denominator reads wrong.  The two sides of prop-3.1 and
+    # row and column checks, on both sides; with q^s for q^(top - s) (in
+    # Horner's rule, each step times p q with c unscaled) only a z with a
+    # denominator reads wrong.  The two sides of prop-3.1 and
     # prop-3.2 have one degree and go wrong alike, so of the checks only
     # thm-3.9 fails
-    for module, name, wrong in _reader("q ** (top - s)", "q ** s"):
+    for module, name, wrong in _reader("total * p + c * scale", "total * p * q + c"):
         monkeypatch.setattr(module, name, wrong)
     clear_memos()
     try:

@@ -22,13 +22,18 @@ def shapes_up_to(max_size):
     return st.integers(0, max_size).flatmap(lambda size: st.sampled_from(partitions_of(size)))
 
 
-# with 2, every alphabet of more than two letters streams its entries
+# with 2, every alphabet of more than two letters streams its entries, and
+# only an alphabet of one letter fuses the last two cells
 @pytest.mark.parametrize("table_letters", [tableaux._TABLE_LETTERS, 2])
 def test_enumeration_equals_the_recursive_reference(table_letters, monkeypatch):
     monkeypatch.setattr(tableaux, "_TABLE_LETTERS", table_letters)
-    # every pair of Grid(5, 5), shapes too tall for n and the empty shape
+    # every pair of Grid(5, 5), shapes too tall for n and the empty shape;
+    # the last two cells are fused up to n = 6 (with the last cell right
+    # of, below, or neither, the second-last), kept apart at n = 7, and at
+    # n = 13 the first cell's alphabet is streamed too
     cases = [(lam, n) for size in range(6) for lam in partitions_of(size) for n in range(1, 6)]
-    for lam, n in cases + [((3, 2), 6), ((4, 4, 4), 4)]:
+    for lam, n in cases + [((3, 2), 6), ((2, 1), 6), ((1, 1, 1), 6), ((4, 4, 4), 4),
+                           ((2, 1), 7), ((1, 1), 7), ((1, 1), 13)]:
         for enumerate_tableaux, reference in ((enumerate_svt, reference_svt),
                                               (enumerate_sst, reference_sst)):
             got = [(t.shape, t.n, t.rows) for t in enumerate_tableaux(lam, n)]
