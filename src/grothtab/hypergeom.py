@@ -7,32 +7,33 @@ adds its parts: each summation index ends at its first vanishing
 numerator Pochhammer (_cutoff); an index with none is refused rather
 than approximated, and so is a series of more than
 arith.MAX_SERIES_TERMS terms.  The coupled series is arith.coupled_sum
-over its Pochhammer weight tables, each built on ints (running
-numerator and denominator products, reduced once by their gcd), with
-integer cross factors, divided once by prod A_ij; the kernel grades its sum by total index, so the parts
-are the series as a polynomial in z when every index has the same
-argument z, and arith.polynomial_at reads such parts at a rational z in
-one int pass.  shape_series is the one reader of a shape's series
-(HolmanInstance.from_shape): it keeps one memo entry per (shape, n), the
-series at z = 1 by degree and its denominator, so thm-3.9's betas,
-cor-3.11, thm-3.13, `count-svt --method holman` and `eval-holman
---from-shape` read one n!-term walk.  _gauss_parts is the Gauss series
-as a polynomial in z, the one place its parameters (alpha, beta; gamma,
-1) are written: gauss_2f1_terminating reads it at its z, and verify's
-row and column checks keep it per (shape, n) and read it at each beta,
-so no Gauss memo here is keyed by a caller's parameters.  holman_series
-is left to instances that do not come from a shape (fixtures).
-ones_value_by_series is the one home of the series side of Thm 3.9 and
-Cor 3.11, |SST_n| times shape_series at z = -beta, for verify and the CLI
-alike.  Parameters are ints, Fractions or 'p/q' strings; a float is
-refused, since it is not the rational it was written as.
+over its Pochhammer weight tables, each built on ints (the Fraction
+recurrence's reduced terms, over the lcm of their denominators), with
+integer cross factors, divided once by prod A_ij; the kernel grades its
+sum by total index, so the parts are the series as a polynomial in z
+when every index has the same argument z, and arith.polynomial_at reads
+such parts at a rational z in one int pass.  shape_series is the one
+reader of a shape's series (HolmanInstance.from_shape): it keeps one
+memo entry per (shape, n), the series at z = 1 by degree and its
+denominator, so thm-3.9's betas, cor-3.11, thm-3.13, `count-svt --method
+holman` and `eval-holman --from-shape` read one n!-term walk.
+_gauss_parts is the Gauss series as a polynomial in z, the one place its
+parameters (alpha, beta; gamma, 1) are written: gauss_2f1_terminating
+reads it at its z, and verify's row and column checks keep it per
+(shape, n) and read it at each beta, so no Gauss memo here is keyed by a
+caller's parameters.  holman_series is left to instances that do not
+come from a shape (fixtures).  ones_value_by_series is the one home of
+the series side of Thm 3.9 and Cor 3.11, |SST_n| times shape_series at
+z = -beta, for verify and the CLI alike.  Parameters are ints, Fractions
+or 'p/q' strings; a float is refused, since it is not the rational it
+was written as.
 """
 
 import json
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .arith import _check_size, coupled_sum, exact_rational, format_rational, polynomial_at
@@ -213,13 +214,15 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
     """The terms of holman_series(inst) summed by total index k_1 + ... +
     k_n, as (parts, d) over one denominator d (arith.coupled_sum's
     convention); when every z_i is z, parts[s] / d is the coefficient of
-    z^s at z = 1.  Each index's Pochhammer table is built on ints: running
-    products of the terms' numerators and denominators, put over the last
-    denominator and divided by the gcd, sign made positive, which is
-    exactly arith.over_common_denominator of the reduced terms (their
-    numerators over the lcm of their denominators), with no Fraction
-    built; coupled_sum then takes int tables, and d is the product of
-    their denominators and of the coupling."""
+    z^s at z = 1.  Each index's Pochhammer table is built on ints: each
+    term is the one before, in lowest terms with a positive denominator,
+    times the step prod (a + k) z / prod (b + k), reduced as a Fraction
+    product is (the step by its own gcd, then each side's numerator by the
+    other's denominator, so every gcd has one small argument), and the
+    table is put over the lcm of its denominators: exactly
+    arith.over_common_denominator of the Fraction recurrence, with no
+    Fraction built.  coupled_sum then takes int tables, and d is the
+    product of those lcms and of the coupling."""
     bounds = inst.termination_bounds()
     _check_size(prod(N + 1 for N in bounds))
     coupling = inst.coupling
@@ -231,21 +234,24 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
                 raise ValueError(
                     f"denominator Pochhammer ({b})_k vanishes inside the "
                     f"summation range 0..{top} of index {i + 1}")
-        # term k over den_k, running int products: a + k is
-        # (a.numerator + k a.denominator) / a.denominator, and so is b + k
+        # term k is num/den in lowest terms, den > 0; the step from it is
+        # p/q, where a + k is (a.numerator + k a.denominator) / a.denominator
+        # and so is b + k
         up = inst.z[i].numerator * prod(b.denominator for b in dens)
         down = inst.z[i].denominator * prod(a.denominator for a in nums)
-        terms, num, den = [(1, 1)], 1, 1
+        nums_k, dens_k, num, den = [1], [1], 1, 1
         for k in range(top):
-            num *= up * prod(a.numerator + k * a.denominator for a in nums)
-            den *= down * prod(b.numerator + k * b.denominator for b in dens)
-            terms.append((num, den))
-        # over the last den_k, which every den_k divides, and reduced with a
-        # positive denominator: the smallest common one of the terms
-        table = [t * (den // d) for t, d in terms]
-        g = gcd(den, *table) if den > 0 else -gcd(den, *table)
-        weights.append([t // g for t in table])
-        scale *= den // g
+            p = up * prod(a.numerator + k * a.denominator for a in nums)
+            q = down * prod(b.numerator + k * b.denominator for b in dens)
+            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            p, q = p // g, q // g
+            g, h = gcd(num, q), gcd(p, den)
+            num, den = num // g * (p // h), den // h * (q // g)
+            nums_k.append(num)
+            dens_k.append(den)
+        d = lcm(*dens_k)
+        weights.append([t * (d // u) for t, u in zip(nums_k, dens_k)])
+        scale *= d
     parts, d = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
     return parts, d * scale
 

@@ -143,19 +143,21 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
     neighbours allow and hi is nvars minus the number of cells below the
     cell in its column; cells are filled row-major.  Each filling is
     yielded as empty plus weigh(entry) for each of its cells in turn: each
-    table item carries its entry's weight, and prefix[k] holds the sum for
+    table item carries its entry's weight, prefix[k] holds the sum for
     cells 0..k-1 as the stack sets them.  Every cell before the leaf keeps
-    an iterator on the stack; the leaf yields prefix plus each item of its
-    table of summed weights.  The leaf is the last cell, whose table holds
-    its own weights, or, for an alphabet of at most _TABLE_LETTERS // 2
-    letters, the second-last cell, whose table holds the weight of each
-    entry plus that of each entry the last cell can then take, in stream
-    order: the last two cells are fused into one table (at most 63^2
-    sums), keyed by the leaf's lo and by the largest letter of the last
-    cell's other neighbour, the one that is not the leaf.  The cells with
-    one cap hi share one list of _TABLE_LETTERS tables, the one for
-    entries(lo, hi) at index hi - lo, so a table is found by two list
-    reads and a larger alphabet streams: nothing kept grows with nvars.
+    an iterator on the stack; the leaf runs through its choices in a plain
+    loop.  The leaf is the last cell, which yields prefix plus its own
+    weight, or, in an alphabet of at most _TABLE_LETTERS // 2 letters, the
+    second-last cell: the last two cells are fused, and the leaf yields
+    prefix plus each item of one table holding the weight of each of its
+    entries plus that of each entry the last cell can then take, in stream
+    order (at most 63^2 sums), keyed by the leaf's lo and by the largest
+    letter of the last cell's other neighbour, the one that is not the
+    leaf, so the last cell opens no search node.  The cells with one cap
+    hi share one list of _TABLE_LETTERS tables, the one for entries(lo, hi)
+    at index hi - lo, so a table is found by two list reads and a larger
+    alphabet streams: nothing kept grows with nvars (the fused tables are
+    at most 7 x 7).
 
     Each cell below needs a larger letter than the one above it, so the
     cap drops only entries that no completion can hold: entries(lo, hi) is
@@ -191,14 +193,18 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
     stack = [None] * size
     prefix = [empty] * size
     tops = [0] * (size + 1)
+    # the leaf, whose choices are yielded in a plain loop: the last cell,
+    # or the second-last in an alphabet of at most _TABLE_LETTERS // 2
+    # letters, where the last two cells are fused
     fuse = size > 1 and nvars <= _TABLE_LETTERS // 2
-    leaf = last - fuse
-    # the leaf's tables of summed weights, sums[lo][tops[other]]: other is
-    # the last cell's neighbour that is not the leaf (size if none), and
-    # the leaf's lo with that neighbour's largest letter fixes every
-    # choice of the cells from the leaf on; an unfused leaf is keyed by lo
-    other = (left[last] if up[last] == leaf else up[last]) if fuse else size
-    sums = [[None] * (nvars + 1) for _ in range(nvars + 1)]
+    leaf = last - 1 if fuse else last
+    if fuse:
+        # the fused tables, sums[lo][tops[other]]: other is the last cell's
+        # neighbour that is not the leaf (size if none), and the leaf's lo
+        # with that neighbour's largest letter fixes every choice of the
+        # last two cells; at most 7 x 7 tables of at most 63^2 sums
+        other = left[last] if up[last] == leaf else up[last]
+        sums = [[None] * (nvars + 1) for _ in range(nvars + 1)]
 
     def pairs(k, lo):
         """(weight, largest letter) for each entry of cell k from lo."""
@@ -210,19 +216,15 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
             table = tables[k][hi - lo] = tuple((weigh(e), e[-1]) for e in entries(lo, hi))
         return table
 
-    def leaf_sums(lo):
-        """The leaf's summed weights from lo, kept unless streamed."""
-        if not fuse:
-            table = (weight for weight, _ in pairs(last, lo))
-        else:
-            # the leaf's largest letter is set in tops as the stack would
-            # set it, so the last cell's bound is read as at every cell
-            table = []
-            for weight, tops[leaf] in pairs(leaf, lo):
-                lo_last = max(tops[left[last]], tops[up[last]] + 1)
-                table += [weight + w for w, _ in pairs(last, lo_last)]
-        if caps[leaf] - lo < _TABLE_LETTERS:
-            table = sums[lo][tops[other]] = tuple(table)
+    def fused(lo):
+        """The leaf's summed weights from lo, kept in sums."""
+        # the leaf's largest letter is set in tops as the stack would set
+        # it, so the last cell's bound is read as at every cell
+        table = []
+        for weight, tops[leaf] in pairs(leaf, lo):
+            lo_last = max(tops[left[last]], tops[up[last]] + 1)
+            table += [weight + w for w, _ in pairs(last, lo_last)]
+        table = sums[lo][tops[other]] = tuple(table)
         return table
 
     k = 0  # the cell to open
@@ -231,12 +233,18 @@ def _backtrack(shape, nvars: int, entries, weigh, empty):
         if above > lo:
             lo = above
         if k == leaf:
-            table = sums[lo][tops[other]]
-            if table is None:
-                table = leaf_sums(lo)
             stem = prefix[leaf]
-            for weight in table:
-                yield stem + weight
+            if fuse:
+                table = sums[lo][tops[other]]
+                if table is None:
+                    table = fused(lo)
+                for total in table:
+                    yield stem + total
+            else:
+                hi = caps[last]
+                table = tables[last][hi - lo] if hi - lo < _TABLE_LETTERS else None
+                for weight, _ in pairs(last, lo) if table is None else table:
+                    yield stem + weight
             k -= 1
         else:
             hi = caps[k]

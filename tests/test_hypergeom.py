@@ -211,6 +211,15 @@ def test_series_parts_are_the_fraction_recurrence_on_every_shape_of_the_grid():
             assert hypergeom._series_parts(inst) == series_parts(inst), (shape, n, z)
 
 
+
+def test_series_parts_are_the_fraction_recurrence_on_a_long_table():
+    # one index of 400 terms, each reduced on its own, and z = 0, where
+    # every term past the first is 0
+    for alpha, beta, gamma, z in ((-400, Fraction(1, 3), Fraction(-7, 5), Fraction(-2, 3)),
+                                  (-400, 1, 1, Fraction(1, 2)), (-5, 2, Fraction(3, 2), 0)):
+        inst = HolmanInstance((), ((alpha,), (beta,)), ((gamma,), (1,)), (z,))
+        assert hypergeom._series_parts(inst) == series_parts(inst), (alpha, beta, gamma, z)
+
 def _rationals(lo, hi):
     return st.fractions(lo, hi, max_denominator=7)
 

@@ -131,11 +131,11 @@ MUTANTS = {
     # grothendieck holds its own binding of enumerate_svt
     "cell weighed by its largest letter only": lambda: (grothendieck, "enumerate_svt", _edited(
         tableaux.enumerate_svt, "sum(map(units.__getitem__, e))", "units[e[-1]] * len(e)")),
-    # the leaf yields the last cell's weight alone, from the fused table of
-    # the last two cells too
+    # the last cell yields its weight alone, unfused and from the fused
+    # table of the last two cells alike
     "last cell drops the prefix key": lambda: (tableaux, "_backtrack", _edited(
         tableaux._backtrack, "yield stem + weight", "yield weight",
-        "[weight + w for w, _ in", "[w for w, _ in")),
+        "yield stem + total", "yield total", "[weight + w for w, _ in", "[w for w, _ in")),
     # the fused table reads the last cell's lower bound with the leaf's
     # largest letter left at 0, so the last cell may repeat its left
     # neighbour's largest letter and any letter its upper neighbour holds

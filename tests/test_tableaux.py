@@ -151,6 +151,20 @@ def test_a_large_alphabet_is_streamed_not_listed():
     assert peak < 16 * 2 ** 20
 
 
+def test_a_large_alphabet_keeps_nothing_that_grows_with_it():
+    # (1) and (1, 1) on 5000 letters: each cell streams its entries, and no
+    # table is indexed by letter, so the memory held stays small
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in enumerate_sst((1,), 5000)) == 5000
+        assert sum(enumerate_sst((1,), 5000, range(5001))) == 5000 * 5001 // 2
+        assert next(enumerate_sst((1, 1), 5000)).cells == ((1,), (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @settings(max_examples=20, deadline=None)
 @given(shapes_up_to(4), st.integers(1, 3))
 @example(Partition((2, 1)), 3)
