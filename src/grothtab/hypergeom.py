@@ -215,11 +215,11 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
     k_n, as (parts, d) over one denominator d (arith.coupled_sum's
     convention); when every z_i is z, parts[s] / d is the coefficient of
     z^s at z = 1.  Each index's Pochhammer table is built on ints: each
-    term is the one before, in lowest terms with a positive denominator,
-    times the step prod (a + k) z / prod (b + k), reduced as a Fraction
-    product is (the step by its own gcd, then each side's numerator by the
-    other's denominator, so every gcd has one small argument), and the
-    table is put over the lcm of its denominators: exactly
+    term is the one before times the step prod (a + k) z / prod (b + k),
+    kept in lowest terms as a Fraction product is (the step reduced by its
+    own gcd, then each side's numerator by the other's denominator, so
+    every gcd has one small argument), and the table is put over the lcm
+    of its denominators: exactly
     arith.over_common_denominator of the Fraction recurrence, with no
     Fraction built.  coupled_sum then takes int tables, and d is the
     product of those lcms and of the coupling."""
@@ -234,16 +234,17 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
                 raise ValueError(
                     f"denominator Pochhammer ({b})_k vanishes inside the "
                     f"summation range 0..{top} of index {i + 1}")
-        # term k is num/den in lowest terms, den > 0; the step from it is
-        # p/q, where a + k is (a.numerator + k a.denominator) / a.denominator
-        # and so is b + k
+        # term k is num/den in lowest terms, the sign on either side (the
+        # table takes num times the lcm over den); the step from it is p/q,
+        # where a + k is (a.numerator + k a.denominator) / a.denominator and
+        # so is b + k
         up = inst.z[i].numerator * prod(b.denominator for b in dens)
         down = inst.z[i].denominator * prod(a.denominator for a in nums)
         nums_k, dens_k, num, den = [1], [1], 1, 1
         for k in range(top):
             p = up * prod(a.numerator + k * a.denominator for a in nums)
             q = down * prod(b.numerator + k * b.denominator for b in dens)
-            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            g = gcd(p, q)
             p, q = p // g, q // g
             g, h = gcd(num, q), gcd(p, den)
             num, den = num // g * (p // h), den // h * (q // g)

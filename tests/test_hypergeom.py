@@ -5,7 +5,7 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grothtab import arith, hypergeom
@@ -211,15 +211,6 @@ def test_series_parts_are_the_fraction_recurrence_on_every_shape_of_the_grid():
             assert hypergeom._series_parts(inst) == series_parts(inst), (shape, n, z)
 
 
-
-def test_series_parts_are_the_fraction_recurrence_on_a_long_table():
-    # one index of 400 terms, each reduced on its own, and z = 0, where
-    # every term past the first is 0
-    for alpha, beta, gamma, z in ((-400, Fraction(1, 3), Fraction(-7, 5), Fraction(-2, 3)),
-                                  (-400, 1, 1, Fraction(1, 2)), (-5, 2, Fraction(3, 2), 0)):
-        inst = HolmanInstance((), ((alpha,), (beta,)), ((gamma,), (1,)), (z,))
-        assert hypergeom._series_parts(inst) == series_parts(inst), (alpha, beta, gamma, z)
-
 def _rationals(lo, hi):
     return st.fractions(lo, hi, max_denominator=7)
 
@@ -233,6 +224,11 @@ def _rationals(lo, hi):
                       min_size=n, max_size=n), max_size=2),
     st.lists(_rationals(-3, 3), min_size=n, max_size=n),
     st.lists(st.integers(1, 4), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+# one index of 400 terms, each reduced on its own, and z = 0, where every
+# term past the first is 0
+@example((1, [(400, [Fraction(1, 3)])], [[Fraction(-7, 5)], [1]], [Fraction(-2, 3)], []))
+@example((1, [(400, [])], [[1]], [Fraction(1, 2)], []))
+@example((1, [(5, [2])], [[Fraction(3, 2)]], [0], []))
 def test_series_parts_are_the_fraction_recurrence_at_rational_parameters(drawn):
     # each index ends at its own non-positive integer numerator; the other
     # parameters are any rationals (negative non-integral denominators
