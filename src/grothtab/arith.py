@@ -110,9 +110,13 @@ def over_common_denominator(values) -> tuple[list, int]:
     """(numerators, d): the values times d, the lcm of their Fraction
     denominators (1 when there is none).  Every Fraction becomes an int, a
     whole one too, or all-int data would not stay on ints; ints and Polys
-    are multiplied by d.  The caller's values are not changed.
+    are multiplied by d.  Values that are all plain ints come back as they
+    are, over 1, found by one pass over their types.  The caller's values
+    are not changed.
     """
     values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
     d = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
     return [v.numerator * (d // v.denominator) if isinstance(v, Fraction) else v * d
             for v in values], d

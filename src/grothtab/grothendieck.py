@@ -36,7 +36,10 @@ expansion (_shifted_exponent_sum) reads the same sums with a table of
 powers P[e] standing for q^e: the q-Vandermonde of a term's exponents is,
 up to its sign, the one of S, so the value is sum_S C_S times the
 q-Vandermonde of S, divided once by the q-Vandermonde of the same table
-at (n - 1, ..., 0) and the scale.  The binomial-shift count formula is
+at (n - 1, ..., 0) and the scale (one Fraction of two ints when every
+beta is rational).  The q-Vandermondes' digit products are counted
+before the first is taken, and more than arith.MAX_SERIES_TERMS
+thousand are refused, as the kernel refuses more products.  The binomial-shift count formula is
 that sum at every beta = 1 in the limit q -> 1, where the table of powers
 is the exponents themselves, so gg-eq-w's bi-alternant and cor-3.8's
 count formula read one memo; no check has the kernel on both sides
@@ -46,7 +49,9 @@ Work that does not change between a check's rows or values of n is
 memoized: the tableau sum and its diagonal per (shape, n), the kernel's
 tables per betas and its sums per (c, betas), shared by thm-3.5's qs and,
 at every beta = 1, by the count formula and the bi-alternant, the Kostka
-table per (nu, n) and the orbits' packed keys per (mu, packing shifts).
+table per (nu, n), a plain dict, and the orbits' packed keys per (mu,
+packing shifts), each orbit built from the memoized sub-orbit that n - 1
+variables on the same field width read too.
 A beta is an int, a Fraction or a variable name: a string beta names a
 variable, so '1/2' is refused as a bad name, and so is a name that sorts
 as one of x1..xn, which would be that variable (refined_bialternant_at
@@ -57,10 +62,11 @@ being cut down.
 """
 
 import operator
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import accumulate, combinations, product, repeat, starmap
 from math import factorial, prod
 
 from .arith import _check_size, determinant, exact_count, exact_rational
@@ -69,6 +75,8 @@ from .polynomials import Poly, _Packed, _Packing, _shape_packing, _var_key
 from .tableaux import enumerate_svt
 
 BETA = "b"
+# the bits of one digit of an int, the unit its products work in
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 def _x_names(nvars: int) -> tuple[str, ...]:
@@ -267,7 +275,7 @@ def _packed_bialternant(shape: Partition, nvars: int) -> _Packed:
     return _Packed(packing, terms)
 
 
-def _dominant_coefficients(shape: Partition, n: int, betas) -> Counter:
+def _dominant_coefficients(shape: Partition, n: int, betas) -> dict:
     """{mu: sum_S C_S K(S - delta, mu)} over the weakly decreasing mu of n
     parts, for the kernel's sums C_S by exponent set
     (_exponent_set_sums(c, *betas), c_j = l_j + n - 1 - j): each S with
@@ -277,13 +285,13 @@ def _dominant_coefficients(shape: Partition, n: int, betas) -> Counter:
     the refined quotient's coefficient of x^mu, and of every rearrangement
     of mu, times the tables' scale."""
     c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
-    dominant = Counter()
+    dominant = {}
     for mask, coeff in _exponent_set_sums(c, *betas).items():
         if coeff:
             exponents = [e for e in range(mask.bit_length()) if mask >> e & 1]
             nu = tuple(e - t for t, e in enumerate(exponents) if e > t)[::-1]
             for mu, count in _dominant_schur(nu, n).items():
-                dominant[mu] += coeff * count
+                dominant[mu] = dominant.get(mu, 0) + coeff * count
     return dominant
 
 
@@ -294,13 +302,13 @@ def _strips(nu: tuple, rows: int) -> tuple:
     nu_(i+1)..nu_i.  There are none when nu has more than rows + 1 parts."""
     if len(nu) > rows + 1:
         return ()
-    nu = (*nu, *[0] * (rows + 1 - len(nu)))
-    return tuple((sum(nu) - sum(kappa), tuple(p for p in kappa if p))
+    size, nu = sum(nu), (*nu, *[0] * (rows + 1 - len(nu)))
+    return tuple((size - sum(kappa), tuple(filter(None, kappa)))
                  for kappa in product(*(range(nu[i + 1], nu[i] + 1) for i in range(rows))))
 
 
 @lru_cache(maxsize=None)
-def _dominant_schur(nu: tuple, n: int) -> Counter:
+def _dominant_schur(nu: tuple, n: int) -> dict:
     """The Kostka numbers {mu: K(nu, mu)} of the partition nu (no zero
     parts) over the weakly decreasing mu of n parts, which are s_nu's
     coefficients at x^mu in n variables: the largest letter n fills a
@@ -310,12 +318,13 @@ def _dominant_schur(nu: tuple, n: int) -> Counter:
     parts, so in no variables nu is empty.  Memoized; the table is not to
     be changed."""
     if not n:
-        return Counter({(): 1})
-    kostka = Counter()
+        return {(): 1}
+    kostka = {}
     for k, kappa in _strips(nu, n - 1):
         for mu, count in _dominant_schur(kappa, n - 1).items():
             if not mu or mu[-1] >= k:
-                kostka[(*mu, k)] += count
+                mu = (*mu, k)
+                kostka[mu] = kostka.get(mu, 0) + count
     return kostka
 
 
@@ -324,13 +333,20 @@ def _orbit_keys(mu: tuple, shifts: tuple) -> tuple:
     """The packed key sum_p m_p << shifts[p] of each distinct rearrangement
     m of the weakly decreasing mu: position 0 takes each distinct part in
     turn, followed by each rearrangement of the other parts.  Memoized per
-    (mu, shifts), so every pair on one packing shares it."""
+    (mu, shifts), so every pair on one packing shares it.  The shifts are
+    a packing's consecutive x fields, of one width w, so the other parts'
+    keys on shifts[1:] are their keys on shifts[:-1] shifted up by w: each
+    sub-orbit is read from the memo entry that n - 1 variables on the same
+    width read too."""
     if not mu:
         return (0,)
-    keys = []
+    if len(mu) == 1:
+        return (mu[0] << shifts[0],)
+    keys, width = [], repeat(shifts[1] - shifts[0])
     for i, part in enumerate(mu):
         if not i or part != mu[i - 1]:
-            keys += map((part << shifts[0]).__add__, _orbit_keys(mu[:i] + mu[i + 1:], shifts[1:]))
+            rest = _orbit_keys(mu[:i] + mu[i + 1:], shifts[:-1])
+            keys += map((part << shifts[0]).__add__, map(operator.lshift, rest, width))
     return tuple(keys)
 
 
@@ -451,26 +467,44 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     weights, and refuses more than MAX_SERIES_TERMS products): the sum is
     sum_S C_S prod_(i<j) (P[s_j] - P[s_i]) over S sorted decreasing,
     divided once by the Vandermonde-type product, taken after the kernel,
-    and the tables' scale prod_k d_k^(n-1-k).  A symbolic beta gives a
-    Poly even where no term that carries it survives.
+    and the tables' scale prod_k d_k^(n-1-k): an int sum is one Fraction
+    of the two, and a Poly sum is multiplied by one over their product.
+    Each q-Vandermonde is prod(starmap(sub, combinations(...))) over its
+    powers by increasing exponent.  Before the first of them, more than
+    MAX_SERIES_TERMS thousand digit products raise ValueError:
+    (sets + 1) size^2, where size is n(n-1)/2 times the whole digits of the
+    largest |P[e]| (sys.int_info.bits_per_digit bits each), so the count
+    formula's exponent differences and a small q's powers, of less than
+    one digit, count nothing (shape (1) at q = 2 passes up to n = 63).  A symbolic
+    beta gives a Poly even where no term that carries it survives.
     """
     c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
     powers = power_table(max(c, default=0))
     if len(set(powers[:n])) < n:
         raise ValueError(vanishing)
+    sums = _exponent_set_sums(c, *betas)
+    # each set's q-Vandermonde, and the divisor's, is a running product of
+    # n(n-1)/2 differences of at most d whole digits, d = P's largest bits
+    # over an int digit's, so it reaches size = n(n-1)/2 d digits in at
+    # most size^2 digit products, counted in thousands, so that the limit
+    # takes about as long as the kernel's limit of products; differences
+    # of less than a digit count nothing, since the kernel's product count
+    # bounds their sets
+    size = n * (n - 1) // 2 * (max(map(abs, powers), default=0).bit_length() // _DIGIT_BITS)
+    _check_size((len(sums) + 1) * size * size // 1000,
+                "the q-Vandermondes take {} thousand digit products")
     symbols = tuple(sorted({beta for beta in betas if isinstance(beta, str)}, key=_var_key))
     total = Poly._of(symbols, {}) if symbols else 0
-    for mask, coeff in _exponent_set_sums(c, *betas).items():
+    for mask, coeff in sums.items():
         # S's powers by increasing exponent: prod_(u<v) (s_u - s_v) is
         # the product over S sorted decreasing, factor for factor
         s = [p for e, p in enumerate(powers) if mask >> e & 1]
-        vandermonde = 1
-        for u, su in enumerate(s):
-            for sv in s[u + 1:]:
-                vandermonde *= su - sv
-        total += coeff * vandermonde
-    denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
-    return total * Fraction(1, denom * _beta_tables(*betas)[1])
+        total += coeff * prod(starmap(operator.sub, combinations(s, 2)))
+    denom = prod(starmap(operator.sub, combinations(powers[:n], 2)))
+    scale = _beta_tables(*betas)[1]
+    if isinstance(total, int):
+        return Fraction(total, denom * scale)
+    return total * Fraction(1, denom * scale)
 
 
 def principal_specialization_q(shape, nvars: int, betas, q):
@@ -491,7 +525,8 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     check).  Returns a Fraction when every beta is rational, otherwise a
     Poly in the symbolic betas, even where no term that carries them
     survives.  The sum has n! terms, grouped by exponent set; the kernel
-    refuses more than MAX_SERIES_TERMS products.
+    refuses more than MAX_SERIES_TERMS products, and the q-Vandermondes
+    more than that many thousand digit products (_shifted_exponent_sum).
     """
     shape = Partition(shape)
     n = operator.index(nvars)
@@ -505,9 +540,17 @@ def principal_specialization_q(shape, nvars: int, betas, q):
     # P[e] = p^e d^(top-e) = q^e d^top for q = p/d and every e <= top; the
     # sum and the q-Vandermonde multiply equally many differences, so the
     # d^top cancel
-    return _shifted_exponent_sum(shape, n, betas, lambda top: [
-        qval.numerator ** e * qval.denominator ** (top - e) for e in range(top + 1)],
-        f"q-Vandermonde vanishes at q = {q}")
+    return _shifted_exponent_sum(shape, n, betas, lambda top: _geometric_powers(qval, top),
+                                 f"q-Vandermonde vanishes at q = {q}")
+
+
+def _geometric_powers(q, top: int) -> list:
+    """principal_specialization_q's table [p^e d^(top-e) for e in 0..top],
+    q = p/d: the powers of p and of d by running products, multiplied
+    pairwise."""
+    ups = list(accumulate(repeat(q.numerator, top), operator.mul, initial=1))
+    downs = list(accumulate(repeat(q.denominator, top), operator.mul, initial=1))
+    return list(map(operator.mul, ups, reversed(downs)))
 
 
 def count_svt_formula(shape, nvars: int) -> int:

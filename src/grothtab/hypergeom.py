@@ -15,7 +15,8 @@ when every index has the same argument z, and arith.polynomial_at reads
 such parts at a rational z in one int pass.  shape_series is the one
 reader of a shape's series (HolmanInstance.from_shape): it keeps one
 memo entry per (shape, n), the series at z = 1 by degree and its
-denominator, so thm-3.9's betas, cor-3.11, thm-3.13, `count-svt --method
+denominator, from from_shape's instance built on the ints it makes, with
+nothing converted or checked again, so thm-3.9's betas, cor-3.11, thm-3.13, `count-svt --method
 holman` and `eval-holman --from-shape` read one n!-term walk.
 _gauss_parts is the Gauss series as a polynomial in z, the one place its
 parameters (alpha, beta; gamma, 1) are written: gauss_2f1_terminating
@@ -261,11 +262,18 @@ def _series_parts(inst: HolmanInstance) -> tuple[list, int]:
 def _shape_series(shape: Partition, n: int) -> tuple[tuple, int]:
     """(parts, d) for n variables: the series of
     HolmanInstance.from_shape(shape, n, z) as a polynomial in z, with
-    coefficients parts[s] / d (_series_parts at z = 1).  A refusal (more
-    rows than n, or more than arith.MAX_SERIES_TERMS terms) leaves no
-    entry.  In n = 0 variables the series of the empty shape is the empty
-    product 1."""
-    parts, d = _series_parts(HolmanInstance.from_shape(shape, n, 1)) if n or shape else ([1], 1)
+    coefficients parts[s] / d (_series_parts at z = 1).  The instance is
+    from_shape's, made by NamedTuple._make from the ints built here, so
+    none of them is converted or checked again; more rows than n raise
+    from_shape's ValueError first.  A refusal (more rows than n, or more
+    than arith.MAX_SERIES_TERMS terms) leaves no entry.  In n = 0
+    variables the series of the empty shape is the empty product 1."""
+    if len(shape) > n:
+        raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
+    if not n:
+        return (1,), 1
+    parts, d = _series_parts(HolmanInstance._make((
+        shape_coupling(shape, n), (tuple(range(0, -n, -1)),), ((1,) * n,), (1,) * n)))
     return tuple(parts), d
 
 

@@ -31,10 +31,13 @@ Schur coefficients (the kernel's sums by exponent set at every beta = 1,
 grothendieck._exponent_set_sums, and Kostka numbers,
 grothendieck._packed_bialternant) and expanded onto keys of the same
 packing (polynomials._shape_packing), so neither side is unpacked; a
-packing mismatch raises, and fails the instance.  The kernel is on one
+packing mismatch raises, and fails the instance.  The sweep compares the
+two once, and only a failing row's witness unpacks them for the terms
+that differ.  The kernel is on one
 side of three checks and on both sides of none: gg-eq-w holds it against
 the tableau sum, thm-3.5 against the refined quotient's int determinant
-at a point and cor-3.8 against enumeration.  thm-3.9 and
+at a point and cor-3.8 against enumeration.  thm-3.5's point (1, q, ...,
+q^(n-1)) is kept per (q, n), an argument of its right side alone.  thm-3.9 and
 cor-3.11 take their series side from hypergeom.ones_value_by_series, the
 function behind `count-svt --method holman` too, so verify checks the
 code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
@@ -492,12 +495,23 @@ def _tableau_sum_vs_bialternant(grid, shape, n):
     beta b from its Schur coefficients, written at every rearrangement of
     each exponent, so the two are compared as full polynomials and a fill
     that is not symmetric fails.  Keys over packings that differ raise
-    rather than compare, so there is no second, unpacked comparison.  A
-    failing row's params also hold left minus right, the terms that
-    differ."""
+    rather than compare, so there is no second, unpacked comparison.  The
+    sweep compares the two sides, once; the row's params also hold left
+    minus right (_Difference), the terms that differ, which a failing
+    row's witness writes out."""
     left, right = grothendieck._tableau_sum(shape, n), _packed_bialternant(shape, n)
-    difference = {} if left == right else {"difference": left.unpack() - right.unpack()}
-    yield {"shape": shape, "n": n, **difference}, left, right
+    yield {"shape": shape, "n": n, "difference": _Difference(left, right)}, left, right
+
+
+class _Difference(NamedTuple):
+    """Packed left minus packed right, unpacked and subtracted only when
+    str is taken, as a witness's params are."""
+
+    left: object
+    right: object
+
+    def __str__(self):
+        return str(self.left.unpack() - self.right.unpack())
 
 
 @_register("prop-3.1",
@@ -557,8 +571,15 @@ def _geometric_point_expansion(grid, shape, n):
     joined = ",".join(map(str, betas))
     for q in DEFAULT_QS:
         left = principal_specialization_q(shape, n, betas, q)
-        right = refined_bialternant_at(shape, n, betas, [q ** i for i in range(n)])
+        right = refined_bialternant_at(shape, n, betas, _q_powers(q, n))
         yield {"shape": shape, "n": n, "q": q, "betas": joined}, left, right
+
+
+@lru_cache(maxsize=None)
+def _q_powers(q, n) -> tuple:
+    """The point (1, q, ..., q^(n-1)), memoized per (q, n), so thm-3.5's
+    pairs share their qs' powers."""
+    return tuple(q ** i for i in range(n))
 
 
 @_register("cor-3.8",

@@ -6,8 +6,8 @@ bi-alternant's Kostka table, horizontal strips and orbit keys, the beta
 tables and the one kernel's sums by exponent set (the Schur coefficients
 of the bi-alternants and the shifted-exponent expansion's grouped
 terms), the coupled series as a polynomial in z, alone and times
-|SST|, and the row and column checks' Gauss series, also a polynomial in
-z.  A memo is found where it is defined, so a
+|SST|, the row and column checks' Gauss series, also a polynomial in
+z, and thm-3.5's points (1, q, ..., q^(n-1)).  A memo is found where it is defined, so a
 new module-level memo is cleared without being listed here, and a test
 that clears through clear_memos clears every memo, not the one it names.
 """

@@ -15,7 +15,13 @@ the tests hold the two against each other and against the Leibniz sum over
 the Vandermonde.  series_parts is the coupled series' (parts, d) with each
 Pochhammer table built by the Fraction recurrence, term k + 1 from term
 k, the reference for hypergeom._series_parts, which builds its tables on
-ints.  lenart_support is the reference bound on the Schur
+ints.  shifted_exponent_sum and geometric_powers are the shifted-exponent
+expansion and principal_specialization_q's table of powers as they were
+written before grothendieck._shifted_exponent_sum took each
+q-Vandermonde by one product over combinations, returned an int sum as
+one Fraction and built the powers by running products: a nested loop of
+differences per set, the sum times 1 over the divisor, and each power
+taken on its own.  lenart_support is the reference bound on the Schur
 coefficients' partitions; the package searches none, since its one kernel
 (grothendieck._exponent_set_sums) yields the exponent sets that occur.
 """
@@ -24,6 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import prod
 
+from grothtab import grothendieck
 from grothtab.arith import coupled_sum
 from grothtab.polynomials import _NAME_RE, Poly, _Packing, _var_key
 
@@ -209,3 +216,32 @@ def series_parts(inst) -> tuple[list, int]:
     coupling = inst.coupling
     parts, d = coupled_sum(weights, lambda i, j, ki, kj: coupling[j - 1][i] + ki - kj)
     return parts, d * prod(a for row in coupling for a in row)
+
+
+def shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor vanishes"):
+    """grothendieck._shifted_exponent_sum as a nested loop: for each of the
+    kernel's sets S (grothendieck._exponent_set_sums), its powers by
+    increasing exponent and the product of their differences taken one at
+    a time; the sum times 1 over the Vandermonde-type product and the
+    tables' scale.  No size guard."""
+    c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
+    powers = power_table(max(c, default=0))
+    if len(set(powers[:n])) < n:
+        raise ValueError(vanishing)
+    symbols = tuple(sorted({beta for beta in betas if isinstance(beta, str)}, key=_var_key))
+    total = Poly._of(symbols, {}) if symbols else 0
+    for mask, coeff in grothendieck._exponent_set_sums(c, *betas).items():
+        s = [p for e, p in enumerate(powers) if mask >> e & 1]
+        vandermonde = 1
+        for u, su in enumerate(s):
+            for sv in s[u + 1:]:
+                vandermonde *= su - sv
+        total += coeff * vandermonde
+    denom = prod(powers[n - 1 - j] - powers[n - 1 - i] for j in range(n) for i in range(j))
+    return total * Fraction(1, denom * grothendieck._beta_tables(*betas)[1])
+
+
+def geometric_powers(q):
+    """principal_specialization_q's table of powers for q = p/d: each
+    p^e d^(top-e) taken on its own."""
+    return lambda top: [q.numerator ** e * q.denominator ** (top - e) for e in range(top + 1)]

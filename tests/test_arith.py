@@ -16,6 +16,7 @@ from grothtab.arith import (
     exact_count,
     exact_rational,
     format_rational,
+    over_common_denominator,
     parse_rational,
     polynomial_at,
 )
@@ -266,6 +267,20 @@ def test_coupled_sum_edge_cases():
     seen = []
     parts, d = coupled_sum([[0, 1], [5, 0]], lambda i, j, ki, kj: seen.append((ki, kj)) or 3)
     assert (parts, d) == ([0, 15, 0], 1) and sum(parts) == 15 and seen == [(1, 0)]
+
+
+def test_over_common_denominator_keeps_plain_ints_and_scales_the_rest():
+    # a table of plain ints comes back as a new list of the same ints over
+    # 1; a bool is no plain int and is scaled into one, as a Fraction or a
+    # Poly is
+    ints = [3, -1, 0]
+    got, d = over_common_denominator(ints)
+    assert (got, d) == ([3, -1, 0], 1) and got is not ints
+    got, d = over_common_denominator([True, 2])
+    assert (got, d) == ([1, 2], 1) and type(got[0]) is int
+    x = Poly.variable("x")
+    got, d = over_common_denominator([Fraction(1, 2), 3, Fraction(-2, 3), x])
+    assert (got, d) == ([3, 18, -4, 6 * x], 6)
 
 
 def test_coupled_sum_turns_whole_fractions_into_ints():

@@ -34,8 +34,10 @@ from poly_reference import (
     coefficient,
     collapse,
     evaluate,
+    geometric_powers,
     leibniz,
     lenart_support,
+    shifted_exponent_sum,
     vandermonde,
 )
 from tableau_reference import reference_svt, reference_tableau_sum, schur_tableau_sum
@@ -525,6 +527,52 @@ def test_the_grouped_expansion_is_the_term_by_term_sum():
     assert rows == 816
 
 
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 2), Fraction(5, 7), Fraction(-2, 3)])
+def test_the_shifted_exponent_sum_is_the_nested_loop_reference(q):
+    # the same value, str and type (an int sum gives one Fraction of two
+    # ints, a Poly sum a Poly over the same names) as the nested loop, on
+    # the geometric table, its powers by running products against each
+    # taken on its own, and on the exponents themselves (q -> 1)
+    grid = Grid(6, 6)
+    rows = 0
+    for shape, n in grid.shapes():
+        top = max(shape.padded(n)) + n - 1
+        assert grothendieck._geometric_powers(q, top) == geometric_powers(q)(top)
+        for betas in _grid_betas(grid, shape, n):
+            for table, want_table in ((lambda top: grothendieck._geometric_powers(q, top),
+                                       geometric_powers(q)),
+                                      (lambda top: range(top + 1),) * 2):
+                got = grothendieck._shifted_exponent_sum(shape, n, betas, table)
+                want = shifted_exponent_sum(shape, n, betas, want_table)
+                assert got == want and type(got) is type(want), (shape, n, betas, q)
+                assert str(got) == str(want), (shape, n, betas, q)
+                if isinstance(want, Poly):
+                    assert got.vars == want.vars, (shape, n, betas, q)
+                rows += 1
+    assert rows == 1008
+
+
+def test_the_q_vandermondes_refuse_more_digit_products_than_the_limit(monkeypatch):
+    # shape (1) at q = 2: n = 63 has powers up to 2^63, two whole digits,
+    # so each of its 63 sets and the divisor reach 1953 * 2 digits, and
+    # 64 * 3906^2 // 1000 = 976,437 thousand digit products pass; n = 64
+    # reaches 2^64, three digits
+    n, betas = 63, [Fraction(1, 3)] * 62
+    monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 976437)
+    clear_memos()
+    try:
+        assert principal_specialization_q((1,), n, betas, 2) == \
+            shifted_exponent_sum(Partition((1,)), n, betas, geometric_powers(Fraction(2)))
+        monkeypatch.setattr(arith, "MAX_SERIES_TERMS", 976436)
+        with pytest.raises(ValueError, match="the q-Vandermondes take 976437 thousand digit "
+                                             "products, more than the limit of 976436"):
+            principal_specialization_q((1,), n, betas, 2)
+        # the refusal comes after the kernel, whose sums stay in its memo
+        assert grothendieck._exponent_set_sums.cache_info().currsize == 1
+    finally:
+        clear_memos()
+
+
 def test_every_exponent_set_of_the_expansion_is_in_lenarts_support():
     # S - delta, S sorted decreasing and delta = (n - 1, ..., 0), is the nu
     # whose refined Schur coefficient C_S is
@@ -821,9 +869,18 @@ def test_the_kernel_is_the_determinant_of_its_tables():
 
 
 def test_orbit_keys_unpack_to_the_distinct_permutations():
-    for mu in [(), (0,), (1, 0), (2, 2), (2, 1, 1, 0), (3, 3, 1, 0, 0), (1, 1, 1), (4, 2, 1, 0)]:
-        packing = _shape_packing(("b", *(f"x{i}" for i in range(1, len(mu) + 1))), 5)
+    # in the order in which permutations() first yields each: every (mu,
+    # shifts) that Grid(6, 5)'s bi-alternants read, and a few by hand
+    cases = [(mu, _shape_packing(("b", *(f"x{i}" for i in range(1, len(mu) + 1))), 5))
+             for mu in [(), (0,), (1, 0), (2, 2), (2, 1, 1, 0), (3, 3, 1, 0, 0), (1, 1, 1),
+                        (4, 2, 1, 0)]]
+    for shape, n in Grid(6, 5).shapes():
+        packing = _shape_packing(("b", *(f"x{i}" for i in range(1, n + 1))), shape.size)
+        cases += [(mu, packing) for mu, coeff in
+                  grothendieck._dominant_coefficients(shape, n, [1] * (n - 1)).items() if coeff]
+    assert len(cases) == 1247
+    for mu, packing in cases:
         shifts = tuple(packing.shift[x] for x in packing.vars[1:])
         keys = grothendieck._orbit_keys(mu, shifts)
         unpacked = [tuple((key >> shift) & packing.mask for shift in shifts) for key in keys]
-        assert sorted(unpacked) == sorted(set(permutations(mu))), mu
+        assert unpacked == list(dict.fromkeys(permutations(mu))), (mu, shifts)

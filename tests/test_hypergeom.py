@@ -329,12 +329,27 @@ def test_shape_series_reads_the_from_shape_series():
 
 
 def test_shape_series_refuses_more_rows_than_n():
-    # from_shape's refusal, in n = 0 variables too, where the empty shape's
-    # series is the empty product 1
+    # from_shape's refusal, word for word, in n = 0 variables too, where the
+    # empty shape's series is the empty product 1
     assert shape_series((), 0, 1) == 1
     for shape, n in [((1,), 0), ((2, 1), 1), ((1, 1, 1), 2)]:
-        with pytest.raises(ValueError, match=f"rows, more than n = {n}"):
+        with pytest.raises(ValueError, match=f"rows, more than n = {n}") as refused:
             shape_series(shape, n, 1)
+        with pytest.raises(ValueError) as from_shape:
+            HolmanInstance.from_shape(shape, n, 1)
+        assert str(refused.value) == str(from_shape.value)
+
+
+def test_the_memoized_series_is_the_from_shape_instances_parts():
+    # the instance is built on the ints the memo makes, not by from_shape:
+    # the same parts, of the same types, and the same denominator as
+    # _series_parts of from_shape's instance at z = 1
+    for grid in (Grid(6, 5), Grid(4, 6)):
+        for shape, n in grid.shapes():
+            parts, d = hypergeom._series_parts(HolmanInstance.from_shape(shape, n, 1))
+            got = hypergeom._shape_series(shape, n)
+            assert got == (tuple(parts), d), (shape, n)
+            assert all(type(c) is int for c in got[0]) and type(got[1]) is int, (shape, n)
 
 
 def test_shape_series_refuses_inexact_z():

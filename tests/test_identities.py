@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grothtab import hypergeom, identities, tableaux
+from grothtab import hypergeom, identities, polynomials, tableaux
 from grothtab.grothendieck import grothendieck_tableau_sum
 from grothtab.identities import (
     CHECKS,
@@ -539,3 +539,18 @@ def test_resolve_workers_without_a_cpu_count_is_one(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_workers() == 1
+
+
+def test_gg_eq_w_compares_its_two_sides_once_per_pair(monkeypatch):
+    # the sweep's comparison is the only one: the row itself compares
+    # nothing, and a passing row unpacks neither side
+    compared, unpacked = [], []
+    equal, unpack = polynomials._Packed.__eq__, polynomials._Packed.unpack
+    monkeypatch.setattr(polynomials._Packed, "__eq__",
+                        lambda self, other: compared.append(1) or equal(self, other))
+    monkeypatch.setattr(polynomials._Packed, "unpack",
+                        lambda self: unpacked.append(1) or unpack(self))
+    grid = Grid(4, 4)
+    report = run_check("gg-eq-w", grid)
+    assert report.ok and report.instances == len(list(grid.shapes())) == len(compared)
+    assert not unpacked

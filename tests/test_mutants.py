@@ -36,7 +36,8 @@ must still pass.  The per-(shape, n) memos (every grothtab module
 attribute with cache_clear: the tableau sum, its diagonal, the Kostka
 table and its strips, the orbit keys, the beta tables, the kernel's sums
 by exponent set, the series and the row and
-column checks' Gauss side as polynomials in z) are cleared by
+column checks' Gauss side as polynomials in z, thm-3.5's points) are
+cleared by
 tests/memos.py before and after each run, so no value cached by another
 test hides a mutant below it and no value computed under a mutant
 outlives it.
@@ -171,7 +172,7 @@ MUTANTS = {
     # count_svt_formula and principal_specialization_q look it up in
     # grothendieck; the per-set product over S sorted decreasing
     "count formula cross factor sign": lambda: (grothendieck, "_shifted_exponent_sum", _edited(
-        grothendieck._shifted_exponent_sum, "vandermonde *= su - sv", "vandermonde *= sv - su")),
+        grothendieck._shifted_exponent_sum, "combinations(s, 2)", "combinations(s[::-1], 2)")),
     # the kernel's sign counts the exponents of the mask larger than the
     # new one
     "set sign from larger exponents": lambda: (grothendieck, "_exponent_set_sums", _edited(
@@ -298,7 +299,8 @@ def test_clear_memos_empties_every_memo_a_run_fills():
              grothendieck._dominant_schur, grothendieck._strips, grothendieck._orbit_keys,
              grothendieck._beta_tables,
              grothendieck._exponent_set_sums,
-             hypergeom._shape_series, hypergeom._ones_series, identities._gauss_series)
+             hypergeom._shape_series, hypergeom._ones_series, identities._gauss_series,
+             identities._q_powers)
     clear_memos()
     run_all(Grid(3, 3), workers=1)
     assert all(memo.cache_info().currsize for memo in memos)
@@ -432,8 +434,8 @@ def test_a_gg_eq_w_witness_names_the_terms_that_differ(monkeypatch):
     # K((2,1), (1,1,1)) = 2 read as 1: for (2) in 3 variables both sides
     # have 16 terms, and the witness's difference holds the one that differs
     monkeypatch.setattr(grothendieck, "_dominant_schur", _edited(
-        grothendieck._dominant_schur.__wrapped__, "kostka[(*mu, k)] += count",
-        "kostka[(*mu, k)] = count"))
+        grothendieck._dominant_schur.__wrapped__, "kostka[mu] = kostka.get(mu, 0) + count",
+        "kostka[mu] = count"))
     clear_memos()
     try:
         report = identities.run_check("gg-eq-w", Grid(2, 3))
