@@ -36,15 +36,15 @@ expansion (_shifted_exponent_sum) reads the same sums with a table of
 powers P[e] standing for q^e: the q-Vandermonde of a term's exponents is,
 up to its sign, the one of S, so the value is sum_S C_S times the
 q-Vandermonde of S, divided once by the q-Vandermonde of the same table
-at (n - 1, ..., 0) and the scale (one Fraction of two ints when every
-beta is rational).  The q-Vandermondes' digit products are counted
-before the first is taken, and more than arith.MAX_SERIES_TERMS
-thousand are refused, as the kernel refuses more products.  The binomial-shift count formula is
+at (n - 1, ..., 0) and the scale (one Fraction of two ints when every beta
+is rational).  The q-Vandermondes' digit products are counted before the
+first is taken, and more than arith.MAX_SERIES_TERMS thousand are refused,
+as the kernel refuses more products.  The binomial-shift count formula is
 that sum at every beta = 1 in the limit q -> 1, where the table of powers
-is the exponents themselves, so gg-eq-w's bi-alternant and cor-3.8's
-count formula read one memo; no check has the kernel on both sides
-(gg-eq-w holds it against the tableau sum, thm-3.5 against
-refined_bialternant_at and cor-3.8 against enumeration).
+is the exponents themselves, so gg-eq-w's bi-alternant and cor-3.8's count
+formula read one memo; no check has the kernel on both sides (gg-eq-w
+holds it against the tableau sum, thm-3.5 against refined_bialternant_at
+and cor-3.8 against enumeration).
 Work that does not change between a check's rows or values of n is
 memoized: the tableau sum and its diagonal per (shape, n), the kernel's
 tables per betas and its sums per (c, betas), shared by thm-3.5's qs and,
@@ -469,13 +469,12 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
     divided once by the Vandermonde-type product, taken after the kernel,
     and the tables' scale prod_k d_k^(n-1-k): an int sum is one Fraction
     of the two, and a Poly sum is multiplied by one over their product.
-    Each q-Vandermonde is prod(starmap(sub, combinations(...))) over its
-    powers by increasing exponent.  Before the first of them, more than
-    MAX_SERIES_TERMS thousand digit products raise ValueError:
-    (sets + 1) size^2, where size is n(n-1)/2 times the whole digits of the
-    largest |P[e]| (sys.int_info.bits_per_digit bits each), so the count
-    formula's exponent differences and a small q's powers, of less than
-    one digit, count nothing (shape (1) at q = 2 passes up to n = 63).  A symbolic
+    Before the first q-Vandermonde, more than MAX_SERIES_TERMS thousand
+    digit products raise ValueError: (sets + 1) size^2, where size is
+    n(n-1)/2 times the whole digits of the largest |P[e]|
+    (sys.int_info.bits_per_digit bits each), so the count formula's
+    exponent differences and a small q's powers, of less than one digit,
+    count nothing (shape (1) at q = 2 passes up to n = 63).  A symbolic
     beta gives a Poly even where no term that carries it survives.
     """
     c = tuple(p + n - 1 - j for j, p in enumerate(shape.padded(n)))
@@ -484,12 +483,10 @@ def _shifted_exponent_sum(shape, n, betas, power_table, vanishing="the divisor v
         raise ValueError(vanishing)
     sums = _exponent_set_sums(c, *betas)
     # each set's q-Vandermonde, and the divisor's, is a running product of
-    # n(n-1)/2 differences of at most d whole digits, d = P's largest bits
-    # over an int digit's, so it reaches size = n(n-1)/2 d digits in at
-    # most size^2 digit products, counted in thousands, so that the limit
-    # takes about as long as the kernel's limit of products; differences
-    # of less than a digit count nothing, since the kernel's product count
-    # bounds their sets
+    # n(n-1)/2 differences of at most d whole digits, so it reaches size
+    # digits in at most size^2 digit products, counted in thousands so that
+    # the limit takes about as long as the kernel's; differences of less
+    # than one digit count nothing, as the kernel's count bounds their sets
     size = n * (n - 1) // 2 * (max(map(abs, powers), default=0).bit_length() // _DIGIT_BITS)
     _check_size((len(sums) + 1) * size * size // 1000,
                 "the q-Vandermondes take {} thousand digit products")

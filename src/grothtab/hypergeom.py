@@ -16,8 +16,9 @@ such parts at a rational z in one int pass.  shape_series is the one
 reader of a shape's series (HolmanInstance.from_shape): it keeps one
 memo entry per (shape, n), the series at z = 1 by degree and its
 denominator, from from_shape's instance built on the ints it makes, with
-nothing converted or checked again, so thm-3.9's betas, cor-3.11, thm-3.13, `count-svt --method
-holman` and `eval-holman --from-shape` read one n!-term walk.
+nothing converted or checked again, so thm-3.9's betas, cor-3.11,
+thm-3.13, `count-svt --method holman` and `eval-holman --from-shape`
+read one n!-term walk.
 _gauss_parts is the Gauss series as a polynomial in z, the one place its
 parameters (alpha, beta; gamma, 1) are written: gauss_2f1_terminating
 reads it at its z, and verify's row and column checks keep it per
@@ -102,6 +103,12 @@ def shape_coupling(shape, nvars: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _refuse_more_rows(shape: Partition, n: int) -> None:
+    """A shape of more rows than n has no series: ValueError."""
+    if len(shape) > n:
+        raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
+
+
 class _HolmanFields(NamedTuple):
     coupling: tuple[tuple[int, ...], ...]
     numerator: tuple[tuple[Fraction, ...], ...]
@@ -165,8 +172,7 @@ class HolmanInstance(_HolmanFields):
         rows than n raises ValueError."""
         shape = Partition(shape)
         n = operator.index(nvars)
-        if len(shape) > n:
-            raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
+        _refuse_more_rows(shape, n)
         return cls(
             coupling=shape_coupling(shape, n),
             numerator=(tuple(range(0, -n, -1)),),
@@ -265,11 +271,11 @@ def _shape_series(shape: Partition, n: int) -> tuple[tuple, int]:
     coefficients parts[s] / d (_series_parts at z = 1).  The instance is
     from_shape's, made by NamedTuple._make from the ints built here, so
     none of them is converted or checked again; more rows than n raise
-    from_shape's ValueError first.  A refusal (more rows than n, or more
-    than arith.MAX_SERIES_TERMS terms) leaves no entry.  In n = 0
-    variables the series of the empty shape is the empty product 1."""
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has {len(shape)} rows, more than n = {n}")
+    from_shape's ValueError (_refuse_more_rows) first.  A refusal (more
+    rows than n, or more than arith.MAX_SERIES_TERMS terms) leaves no
+    entry.  In n = 0 variables the series of the empty shape is the empty
+    product 1."""
+    _refuse_more_rows(shape, n)
     if not n:
         return (1,), 1
     parts, d = _series_parts(HolmanInstance._make((

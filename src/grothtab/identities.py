@@ -33,21 +33,21 @@ grothendieck._packed_bialternant) and expanded onto keys of the same
 packing (polynomials._shape_packing), so neither side is unpacked; a
 packing mismatch raises, and fails the instance.  The sweep compares the
 two once, and only a failing row's witness unpacks them for the terms
-that differ.  The kernel is on one
-side of three checks and on both sides of none: gg-eq-w holds it against
-the tableau sum, thm-3.5 against the refined quotient's int determinant
-at a point and cor-3.8 against enumeration.  thm-3.5's point (1, q, ...,
-q^(n-1)) is kept per (q, n), an argument of its right side alone.  thm-3.9 and
-cor-3.11 take their series side from hypergeom.ones_value_by_series, the
-function behind `count-svt --method holman` too, so verify checks the
-code the CLI runs, and thm-3.13 reads hypergeom.shape_series, as
-`eval-holman --from-shape` does; all of them read one memoized walk of
-each (shape, n)'s series, a polynomial in z.  The row and column checks
-keep their Gauss side per (shape, n) too, the binomial times
-hypergeom._gauss_parts (the 2F1 that gauss_2f1_terminating reads), and
-read it at each beta by polynomial_at, so no check substitutes into a
-Poly or sums a series per point.  run_check sweeps one check over the
-whole Grid and run_all the whole registry.  With more than one
+that differ.  The kernel is on one side of three checks and on both
+sides of none: gg-eq-w holds it against the tableau sum, thm-3.5 against
+the refined quotient's int determinant at a point and cor-3.8 against
+enumeration.  thm-3.5's point (1, q, ..., q^(n-1)) is kept per (q, n),
+an argument of its right side alone.  thm-3.9 and cor-3.11 take their
+series side from hypergeom.ones_value_by_series, the function behind
+`count-svt --method holman` too, so verify checks the code the CLI runs,
+and thm-3.13 reads hypergeom.shape_series, as `eval-holman --from-shape`
+does; all of them read one memoized walk of each (shape, n)'s series, a
+polynomial in z.  The row and column checks keep their Gauss side per
+(shape, n) too, the binomial times hypergeom._gauss_parts (the 2F1 that
+gauss_2f1_terminating reads), and read it at each beta by polynomial_at,
+so no check substitutes into a Poly or sums a series per point.
+run_check sweeps one check over the whole Grid and run_all the whole
+registry.  With more than one
 worker (at most the CPUs the process may run on, and the GROTH_THREADS
 environment variable caps the count), run_all estimates each (shape, n)
 pair's cost a priori as its semistandard count |SST(shape, n)| and
